@@ -424,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="override output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
     parser.add_argument("--format", choices=("json", "csv", "both"), default=None)
     return parser
 
@@ -437,8 +436,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.out_dir = args.out
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.format is not None:
             cfg.out_format = args.format
         cfg.validate()

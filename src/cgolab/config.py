@@ -68,7 +68,6 @@ class ExperimentConfig:
     angle: float = 0.0       # solve-cgo
     out_dir: str = "out"
     out_format: str = "both"  # json | csv | both
-    threads: int = 1
 
     def validate(self):
         if self.grid.d < 2:

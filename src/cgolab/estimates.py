@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import InfeasibleGeometryError
 from .grid import (
@@ -42,7 +41,7 @@ from .grid import (
     to_physical,
     to_spectral,
 )
-from .potential import Conductivity, CutoffField, mq_bilinear, mq_bilinear_split
+from .potential import Conductivity, CutoffField, mq_bilinear, mq_bilinear_split, potential_q
 from .spaces import project, x_norm, xdot_norm
 from .symbol import Zeta, ZetaPair, char_distance_lattice, make_zeta_pair, orthonormal_plane, symbol_lattice, zeta_pair_from_angle
 
@@ -122,11 +121,6 @@ class SchurBound:
     phi_l1: float
 
 
-def _ascending_lattice(grid: FrequencyGrid):
-    axis = np.sort(grid.xi_axis)
-    return axis
-
-
 def _difference_kernel(grid: FrequencyGrid, phi) -> np.ndarray:
     """phi sampled on the (2n-1)^d difference lattice, ascending order."""
     n = grid.n
@@ -148,8 +142,20 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0, power_iters: int 
     this collapses to ||phi||_{L1}).  A directly estimated operator norm
     via seeded power iteration is returned too and verified to sit
     below value * 1.05.
+
+    Every lattice convolution is a circulant one of size N = 2n per
+    axis: the difference index m of the kernel goes to slot m mod N,
+    and the input is zero-padded from n to N.  The slots of
+    |m| <= n - 1 are distinct, so the first n outputs per axis equal the
+    linear convolution exactly.  The kernel and its modulus are
+    transformed once; adjoints and correlations use their conjugates.
+
+    power_iters is a fixed step count, with two seeded restarts.  At
+    v = w = 1 the iteration does not settle to 1e-13 relative within 60
+    steps (at n = 16 it gives 5.43016 at seed 0 and 5.43063 at seed 5),
+    so a convergence stop would not end it sooner.
     """
-    axis = _ascending_lattice(grid)
+    axis = np.sort(grid.xi_axis)
     grids = np.meshgrid(*([axis] * grid.d), indexing="ij")
     pts = np.stack(grids, axis=-1)
     v_arr = np.asarray(v(pts), dtype=float)
@@ -158,27 +164,37 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0, power_iters: int 
         raise ValueError("weights must be strictly positive on the lattice")
 
     kern = _difference_kernel(grid, phi)
-    kern_abs = np.abs(kern)
     cell = grid.freq_step ** grid.d
-    phi_l1 = float(kern_abs.sum() * cell)
+    phi_l1 = float(np.abs(kern).sum() * cell)
+
+    # circulant embedding: a zero slot for m = -n in front, then m -> m mod 2n
+    circ = np.fft.ifftshift(np.pad(kern, [(1, 0)] * grid.d))
+    kern_hat = np.fft.fftn(circ)
+    abs_hat = np.fft.fftn(np.abs(circ))
+    full = (2 * grid.n,) * grid.d
+    axes = tuple(range(grid.d))
+    crop = (slice(0, grid.n),) * grid.d
+
+    def convolve(kernel_hat, x):
+        return np.fft.ifftn(kernel_hat * np.fft.fftn(x, s=full, axes=axes), axes=axes)[crop]
 
     # int J(xi, .) deta = w(xi) * (|phi| conv 1/v)(xi); adjoint likewise
-    conv_inv_v = fftconvolve(1.0 / v_arr, kern_abs, mode="same").real
+    conv_inv_v = convolve(abs_hat, 1.0 / v_arr).real
     sup_xi = float(np.max(w_arr * conv_inv_v) * cell)
-    conv_w = fftconvolve(w_arr, kern_abs[tuple(slice(None, None, -1) for _ in range(grid.d))], mode="same").real
+    conv_w = convolve(np.conj(abs_hat), w_arr).real
     sup_eta = float(np.max(conv_w / v_arr) * cell)
     value = float(np.sqrt(phi_l1) * min(np.sqrt(sup_xi), np.sqrt(sup_eta)))
 
     # power iteration on S*S with S = sqrt(w) conv_phi (1/sqrt(v))
     rng = np.random.default_rng(seed)
     sqrt_w, sqrt_v = np.sqrt(w_arr), np.sqrt(v_arr)
-    kern_flip = np.conj(kern[tuple(slice(None, None, -1) for _ in range(grid.d))])
+    kern_hat_adj = np.conj(kern_hat)
 
     def s_apply(x):
-        return sqrt_w * fftconvolve(x / sqrt_v, kern, mode="same") * cell
+        return sqrt_w * convolve(kern_hat, x / sqrt_v) * cell
 
     def s_adjoint(y):
-        return fftconvolve(y * sqrt_w, kern_flip, mode="same") * cell / sqrt_v
+        return convolve(kern_hat_adj, y * sqrt_w) * cell / sqrt_v
 
     op_norm = 0.0
     for _ in range(2):
@@ -383,25 +399,15 @@ def mq_operator_ratio(
     return report
 
 
-def _mq_kernel_field(cond: Conductivity) -> np.ndarray:
-    """Field Q with <m_q u, v> = sum Q u v h^d exactly on the lattice
-    (discrete integration by parts of the duality form)."""
-    from .grid import laplacian, physical_field
-
-    grid = cond.grid
-    g = cond.g
-    ginv = physical_field(grid, 1.0 / g.values.real)
-    lap_log = to_physical(laplacian(cond.log_g)).values.real
-    gg = [to_physical(f).values.real for f in spectral_gradient(g)]
-    gi = [to_physical(f).values.real for f in spectral_gradient(ginv)]
-    return lap_log - sum(a * b for a, b in zip(gg, gi))
-
-
 def _mq_power_norm(cond: Conductivity, pair: ZetaPair, restarts: int, rng) -> float:
     """Top singular value of the bilinear form between the two weighted
-    slots (dealias band, cell-floored weights, exact zeros dropped)."""
+    slots (dealias band, cell-floored weights, exact zeros dropped).
+
+    The kernel is q: on the lattice the duality form of mq_bilinear is
+    exactly sum q u v h^d, so both modes of mq_operator_ratio estimate
+    the same operator."""
     grid = cond.grid
-    kernel = _mq_kernel_field(cond)
+    kernel = potential_q(cond).values.real
     axes = tuple(range(grid.d))
     weights, keeps = [], []
     for z in (pair.zeta1, pair.zeta2):
