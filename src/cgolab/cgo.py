@@ -8,8 +8,9 @@ plain fixed-point iteration
 
 is used deliberately unaccelerated: the per-step increment ratio in the
 homogeneous 1/2-norm is itself a quantity of interest (it certifies the
-contraction numerically).  Products are formed in physical space and
-2/3-dealiased; the converged solution's residual is re-verified against
+contraction numerically).  Products are formed in physical space,
+transformed once and 2/3-truncated in spectral space, which takes two
+transforms per step; the converged solution's residual is re-verified against
 the original equation with the forward multiplier and a plain
 (non-truncated) product.
 
@@ -101,14 +102,14 @@ def solve_psi(
     converged = False
     iterations = 0
     inc = float("nan")
-    info = None
+    psi_norm = 0.0
 
     for iterations in range(1, max_iter + 1):
         psi_phys = to_physical(psi)
-        rhs = physical_field(grid, qvals * (1.0 + psi_phys.values))
+        rhs = to_spectral(physical_field(grid, qvals * (1.0 + psi_phys.values)))
         if dealias:
             rhs = dealias_23(rhs)
-        new_psi, info = inverse_delta_zeta(rhs, zeta, clamp_eps, clamp_policy)
+        new_psi, _ = inverse_delta_zeta(rhs, zeta, clamp_eps, clamp_policy)
         inc = xdot_norm(new_psi - psi, zeta, 0.5, clamp_eps, clamp_policy)
         if prev_inc is not None and prev_inc > 0:
             ratio = inc / prev_inc
@@ -139,7 +140,7 @@ def solve_psi(
     report = IterationReport(
         iterations=iterations,
         residual_xdot=residual_xdot,
-        psi_norm_xdot=xdot_norm(psi, zeta, 0.5, clamp_eps, clamp_policy),
+        psi_norm_xdot=psi_norm,
         contraction_estimates=ratios,
         clamped_mass=clamped_mass,
         converged=converged,
@@ -191,7 +192,7 @@ def select_zeta_sequence(
     grid = conds[0].grid
     grid.mode_index(k)  # k must be on the frequency lattice
 
-    qs = [potential_q(c) for c in conds]
+    qs = [c.q_hat for c in conds]
     plane = orthonormal_plane(k)
     rng = np.random.default_rng(seed)
     out = []

@@ -43,7 +43,7 @@ from .grid import (
 )
 from .potential import Conductivity, CutoffField, mq_bilinear, mq_bilinear_split, potential_q
 from .spaces import project, x_norm, xdot_norm
-from .symbol import Zeta, ZetaPair, char_distance_lattice, make_zeta_pair, orthonormal_plane, symbol_lattice, zeta_pair_from_angle
+from .symbol import Zeta, ZetaPair, char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
 HARNESS_CLAMP_POLICY = "drop"
 
@@ -103,7 +103,7 @@ def draw_colored_field(
         if zeta is None:
             raise ValueError("near-characteristic sampling needs a zeta")
         alpha = float(kind.rsplit("_", 1)[1])
-        pabs = np.abs(symbol_lattice(zeta, grid))
+        pabs = lattice_symbol(zeta, grid).pabs
         dens = np.maximum(pabs, cell_floor(grid, zeta.s)) ** (-0.5)
         dens = dens * (1.0 + grid.xi_sq) ** (-alpha / 2.0)
         coef = coef * dens
@@ -411,7 +411,7 @@ def _mq_power_norm(cond: Conductivity, pair: ZetaPair, restarts: int, rng) -> fl
     axes = tuple(range(grid.d))
     weights, keeps = [], []
     for z in (pair.zeta1, pair.zeta2):
-        pabs = np.abs(symbol_lattice(z, grid))
+        pabs = lattice_symbol(z, grid).pabs
         weights.append(np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))))
         keeps.append(grid.dealias_mask & ~(pabs < 1e-6 * z.s))
 
@@ -501,7 +501,7 @@ def averaged_decay(
             for theta in angles:
                 pair = zeta_pair_from_angle(k, float(s), float(theta), plane)
                 for z in (pair.zeta1, pair.zeta2):
-                    pabs = np.abs(symbol_lattice(z, grid))
+                    pabs = lattice_symbol(z, grid).pabs
                     total += ws * a_weight * float(
                         np.sum(dens / np.maximum(pabs, floor)) * grid.measure
                     )

@@ -4,15 +4,23 @@ and mollification.
 A conductivity is a strictly positive real field gamma with gamma = 1
 outside a declared support ball (radius <= L/4, centred at the torus
 centre).  With g = gamma^{1/2} the associated potential is q = (Lap g)/g
-computed spectrally.  The weak "multiplication by q" form is evaluated
-without differentiating gamma twice:
+computed spectrally.  The weak "multiplication by q" form is
 
     <m_q(u), v> = - integral grad(g) . grad(g^{-1} u v) dx,
 
-which by the Leibniz rule equals
+which depends on u, v only through the pointwise product w = uv.  On the
+lattice it is evaluated as sum q w h^d, and this is exact, not an
+approximation: the spectral gradient (Nyquist row zeroed) is
+skew-adjoint under the bilinear pairing, and the spectral Laplacian is
+exactly its composition with itself, so
+
+    - sum grad(g) . grad(w/g) h^d = sum (Lap g) (w/g) h^d = sum q w h^d
+
+up to rounding.  The Leibniz rule splits the same form into
     - integral (grad g . grad g^{-1}) uv dx
-    - integral grad(log g) . grad(uv) dx.
-The form depends on u, v only through the pointwise product uv.
+    - integral grad(log g) . grad(uv) dx,
+whose lattice evaluation is a genuinely different discretization; it is
+kept as mq_bilinear_split, an independent diagnostic.
 
 Shipped profile families (amplitude a, centred at the torus centre):
 
@@ -77,6 +85,17 @@ class Conductivity:
     @cached_property
     def log_g(self) -> Field:
         return physical_field(self.grid, 0.5 * np.log(self.gamma.values.real))
+
+    @cached_property
+    def q(self) -> Field:
+        """q = (Lap g)/g with the spectral Laplacian; real, ball-supported."""
+        lap = to_physical(laplacian(self.g))
+        return physical_field(self.grid, lap.values.real / self.g.values.real)
+
+    @cached_property
+    def q_hat(self) -> Field:
+        """q in the spectral representation, transformed once."""
+        return to_spectral(self.q)
 
 
 def _validate_gamma(grid: FrequencyGrid, values: np.ndarray, support_radius: float):
@@ -179,11 +198,9 @@ def _reject_extra(kind, leftovers: dict):
 
 
 def potential_q(cond: Conductivity) -> Field:
-    """q = (Lap g)/g with the spectral Laplacian; real, ball-supported."""
-    g = cond.g
-    lap = to_physical(laplacian(g))
-    q = lap.values.real / g.values.real
-    return physical_field(cond.grid, q)
+    """q = (Lap g)/g with the spectral Laplacian; real, ball-supported.
+    Computed once per conductivity (Conductivity.q)."""
+    return cond.q
 
 
 def mq_bilinear(
@@ -194,7 +211,8 @@ def mq_bilinear(
     check_split: bool = False,
     check_tol: float = 1e-9,
 ) -> complex:
-    """<m_q(u), v> = - sum grad(g) . grad(g^{-1} u v) h^d  (duality form).
+    """<m_q(u), v> = - sum grad(g) . grad(g^{-1} u v) h^d  (duality form),
+    evaluated as the equal sum q u v h^d (see the module docstring).
 
     The product u*v is formed in physical space (2/3-truncated when
     dealias=True).  With check_split=True the Leibniz-split form is
@@ -220,13 +238,8 @@ def mq_bilinear_split(u: Field, v: Field, cond: Conductivity, dealias: bool = Fa
 
 
 def _mq_of_product(w: Field, cond: Conductivity) -> complex:
-    grid = cond.grid
-    g = cond.g.values.real
-    inner = physical_field(grid, w.values / g)
-    grads_g = [to_physical(f).values.real for f in spectral_gradient(cond.g)]
-    grads_inner = [to_physical(f).values for f in spectral_gradient(inner)]
-    acc = sum(np.sum(a * b) for a, b in zip(grads_g, grads_inner))
-    return complex(-acc * grid.measure)
+    """The duality form of the product w, as sum q w h^d."""
+    return complex(np.sum(cond.q.values.real * to_physical(w).values) * cond.grid.measure)
 
 
 def _mq_split_of_product(w: Field, cond: Conductivity) -> complex:

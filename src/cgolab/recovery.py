@@ -12,12 +12,18 @@ where phi = 1 on the supports.  The exponentials e^{x.zeta_i} are never
 materialized; only the periodic e^{ix.k} (and e^{ixk/2} when k/2 is on
 the lattice) appear.
 
-On the lattice every term is evaluated through the bilinear form with
-the full cutoff pair in place (the slots carry phi e^{ixk/2} * factor,
-or phi^2 e^{ix.k} * factor when k/2 is off-lattice -- algebraically the
-same product since the form depends only on u*v).  This makes the
-three-term additivity exact linear algebra, while term_main is verified
-against the genuinely independent direct transform of q; dropping the
+On the lattice every term is evaluated through the bilinear form
+mq_bilinear with the full cutoff pair in place (the slots carry
+phi e^{ixk/2} * factor, or phi^2 e^{ix.k} * factor when k/2 is
+off-lattice -- algebraically the same product since the form depends
+only on u*v).  mq_bilinear evaluates the duality form
+-sum grad g . grad(w/g) h^d as the equal sum q w h^d: the spectral
+gradient is skew-adjoint and the spectral Laplacian is its exact
+composition, so the two agree to rounding (see potential).  This makes
+the three-term additivity exact linear algebra.  term_main is
+sum q phi^2 e^{ix.k} h^d, verified against the direct transform of q,
+sum q e^{ix.k} h^d; the gap between the two is the lattice tail of q
+where phi^2 < 1, so that gate fails on under-resolved q.  Dropping the
 extra cutoff power, as one may in the continuum where phi = 1 on the
 support of q, would re-introduce spectral-ringing slack.
 
@@ -35,7 +41,7 @@ import numpy as np
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
 from .errors import CgolabError, FrameError
 from .grid import Field, exp_ik_field, multiply, pairing, physical_field, to_physical, to_spectral, spectral_gradient
-from .potential import Conductivity, CutoffField, make_cutoff, potential_q
+from .potential import Conductivity, CutoffField, make_cutoff, mq_bilinear, potential_q
 from .spaces import DEFAULT_CLAMP_EPS
 from .symbol import ZetaPair
 
@@ -75,17 +81,6 @@ def _half_mode_on_lattice(grid, k) -> bool:
     return bool(np.all(m % 2 == 0))
 
 
-def _mq_product_form(w: Field, cond: Conductivity) -> complex:
-    """<m_q u, v> evaluated from the product w = u v (no truncation)."""
-    grid = cond.grid
-    g = cond.g.values.real
-    inner = physical_field(grid, to_physical(w).values / g)
-    grads_g = [to_physical(f).values.real for f in spectral_gradient(cond.g)]
-    grads_inner = [to_physical(f).values for f in spectral_gradient(inner)]
-    acc = sum(np.sum(a * b) for a, b in zip(grads_g, grads_inner))
-    return complex(-acc * grid.measure)
-
-
 def alessandrini_terms(
     cond: Conductivity,
     k,
@@ -123,17 +118,17 @@ def alessandrini_terms(
     psi_sum = physical_field(grid, psi1_p.values + psi2_p.values)
     psi_prod = physical_field(grid, psi1_p.values * psi2_p.values)
 
-    term_main = _mq_product_form(base, cond)
-    term_linear = _mq_product_form(multiply(base, psi_sum), cond)
-    term_bilinear = _mq_product_form(multiply(base, psi_prod), cond)
-    w_total = multiply(
+    term_main = mq_bilinear(slot1, slot2, cond)
+    term_linear = mq_bilinear(base, psi_sum, cond)
+    term_bilinear = mq_bilinear(base, psi_prod, cond)
+    total = mq_bilinear(
         multiply(slot1, physical_field(grid, 1.0 + psi1_p.values)),
         multiply(slot2, physical_field(grid, 1.0 + psi2_p.values)),
+        cond,
     )
-    total = _mq_product_form(w_total, cond)
 
     main_oracle = fourier_mode(q, k)
-    main_oracle_spectral = _fourier_mode_spectral(q, k)
+    main_oracle_spectral = _fourier_mode_spectral(cond.q_hat, k)
     # |qhat(k)| can cross zero, so both oracle gates are relativized by
     # the L1 majorant of every Fourier coefficient of q
     q_l1 = float(np.sum(np.abs(q.values)) * grid.measure)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import SingularModeError
 from .grid import Field, FrequencyGrid, SPECTRAL, to_spectral, weighted_l2
-from .symbol import Zeta, symbol_lattice
+from .symbol import Zeta, lattice_symbol, symbol_lattice
 
 DEFAULT_CLAMP_EPS = 1e-6
 
@@ -56,11 +56,16 @@ def smooth_bridge(rho):
 
 
 def clamped_mask(zeta: Zeta, grid: FrequencyGrid, clamp_eps: float) -> np.ndarray:
-    """Modes whose symbol magnitude falls under the clamp floor."""
-    pabs = np.abs(symbol_lattice(zeta, grid))
-    if clamp_eps > 0:
-        return pabs < clamp_eps * zeta.s
-    return pabs == 0.0
+    """Modes whose symbol magnitude falls under the clamp floor
+    (read-only, held by the zeta's LatticeSymbol)."""
+    sym = lattice_symbol(zeta, grid)
+
+    def build():
+        if clamp_eps > 0:
+            return sym.pabs < clamp_eps * zeta.s
+        return sym.pabs == 0.0
+
+    return sym.derived(("mask", clamp_eps), build)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +73,9 @@ class SymbolWeight:
     """Weight |p|^b (homogeneous) or (|zeta| + |p|)^b (inhomogeneous).
 
     clamp_eps is a relative floor in units of s; the clamped-mode count
-    is exposed through clamped_mask/clamped_count.
+    is exposed through clamped_mask/clamped_count.  Multipliers are
+    computed once per (grid, kind, b, clamp_eps, policy) and held
+    read-only by the zeta's LatticeSymbol (see symbol.lattice_symbol).
     """
 
     zeta: Zeta
@@ -86,7 +93,11 @@ class SymbolWeight:
         """Amplitude multiplier applied to |fhat|; squared by the norms."""
         if policy not in _POLICIES:
             raise ValueError(f"unknown clamp policy {policy!r}")
-        pabs = np.abs(symbol_lattice(self.zeta, grid))
+        sym = lattice_symbol(self.zeta, grid)
+        key = ("weight", self.kind, self.b, self.clamp_eps, policy)
+        return sym.derived(key, lambda: self._build(sym.pabs, policy))
+
+    def _build(self, pabs: np.ndarray, policy: str) -> np.ndarray:
         if self.kind == "inhomogeneous":
             return (self.zeta.magnitude + pabs) ** self.b
         floor = self.clamp_eps * self.zeta.s
@@ -157,8 +168,10 @@ def project(u: Field, zeta: Zeta, part: str) -> Field:
     |xi| <= 8s.
     """
     us = to_spectral(u)
-    rho = np.sqrt(u.grid.xi_sq) / (8.0 * zeta.s)
-    chi = smooth_bridge(rho)
+    grid = u.grid
+    chi = lattice_symbol(zeta, grid).derived(
+        ("low_pass",), lambda: smooth_bridge(np.sqrt(grid.xi_sq) / (8.0 * zeta.s))
+    )
     if part == "low":
         return Field(u.grid, SPECTRAL, us.values * chi)
     if part == "high":
@@ -196,23 +209,21 @@ def inverse_delta_zeta(
     if policy not in _POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
     grid = f.grid
-    p = symbol_lattice(zeta, grid)
-    pabs = np.abs(p)
-    floor = clamp_eps * zeta.s
-    mask = (pabs < floor) if clamp_eps > 0 else (pabs == 0.0)
+    mask = clamped_mask(zeta, grid, clamp_eps)
     if clamp_eps == 0:
         _guard_singular(f, mask)
     fs = to_spectral(f)
     mass = float(np.sqrt(np.sum(np.abs(fs.values[mask]) ** 2) * grid.measure))
 
-    denom = p.copy()
+    p = symbol_lattice(zeta, grid)
+    # clamped modes (p = 0 among them) are overwritten below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = fs.values / p
     if clamp_eps > 0 and policy == "floor":
-        safe = np.where(pabs[mask] > 0, pabs[mask], 1.0)
-        phase = np.where(pabs[mask] > 0, p[mask] / safe, 1.0 + 0.0j)
-        denom[mask] = phase * floor
-        out = fs.values / denom
+        pabs = np.abs(p[mask])
+        safe = np.where(pabs > 0, pabs, 1.0)
+        phase = np.where(pabs > 0, p[mask] / safe, 1.0 + 0.0j)
+        out[mask] = fs.values[mask] / (phase * (clamp_eps * zeta.s))
     else:
-        denom[mask] = 1.0
-        out = fs.values / denom
         out[mask] = 0.0
     return Field(grid, SPECTRAL, out), InversionInfo(int(mask.sum()), mass)

@@ -74,6 +74,11 @@ class Zeta:
         """|zeta| = sqrt(2) * s."""
         return float(np.sqrt(2.0) * self.s)
 
+    @cached_property
+    def _lattice_symbols(self) -> dict:
+        """LatticeSymbol per grid (see lattice_symbol); dies with the zeta."""
+        return {}
+
 
 def adapted_frame(zeta: Zeta) -> tuple:
     """(e1, e2, s) with zeta = s (e1 - i e2); reconstruction is exact."""
@@ -193,12 +198,54 @@ def symbol_p_adapted(zeta: Zeta, xi) -> complex | np.ndarray:
     return complex(out) if out.ndim == 0 else out
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+class LatticeSymbol:
+    """p(xi) of one zeta on one frequency lattice, with |p| and the arrays
+    derived from them (clamp masks, weight multipliers, the projection
+    profile), each computed on first request.
+
+    Held by its Zeta, so it lives exactly as long as the zeta does; all
+    arrays are read-only.
+    """
+
+    def __init__(self, zeta: Zeta, grid: FrequencyGrid):
+        self.p = _read_only(-grid.xi_sq + 2j * grid.xi_dot(zeta.value))
+        self.pabs = _read_only(np.abs(self.p))
+        self._derived: dict = {}
+
+    def derived(self, key, build) -> np.ndarray:
+        """The array build() under key; built once, then shared read-only."""
+        arr = self._derived.get(key)
+        if arr is None:
+            arr = self._derived[key] = _read_only(build())
+        return arr
+
+
+def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> LatticeSymbol:
+    """The LatticeSymbol of (zeta, grid), built on first request."""
+    if zeta.d != grid.d:
+        raise ValueError("zeta dimension does not match the grid")
+    data = zeta._lattice_symbols.get(grid)
+    if data is None:
+        data = zeta._lattice_symbols[grid] = LatticeSymbol(zeta, grid)
+    return data
+
+
 def symbol_lattice(zeta: Zeta, grid: FrequencyGrid, form: str = "direct") -> np.ndarray:
-    """p(xi) on the full frequency lattice (FFT order)."""
+    """p(xi) on the full frequency lattice (FFT order).
+
+    The "direct" form is the read-only array held by the zeta's
+    LatticeSymbol (see lattice_symbol): repeated calls return the same
+    array.  The "adapted" form is evaluated afresh.
+    """
     if zeta.d != grid.d:
         raise ValueError("zeta dimension does not match the grid")
     if form == "direct":
-        return -grid.xi_sq + 2j * grid.xi_dot(zeta.value)
+        return lattice_symbol(zeta, grid).p
     if form == "adapted":
         s = zeta.s
         shifted_sq = grid.xi_sq - 2.0 * s * grid.xi_dot(zeta.e2) + s * s

@@ -15,6 +15,9 @@ settings.load_profile("ci")
 
 TWO_PI = 2.0 * np.pi
 
+# the bump32 / bump64 fixtures: gamma = 1 + A exp(-r^2 / W^2)
+BUMP_AMPLITUDE, BUMP_WIDTH = 0.05, 0.3
+
 
 @pytest.fixture(scope="session")
 def grid16():
@@ -46,3 +49,52 @@ def random_field(grid, seed, representation="physical"):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return cg.Field(grid, representation, vals)
+
+
+# Plain-numpy oracles written from the documented conventions (grid
+# x = h*i on [0, 2pi)^3, unitary FFTs, Nyquist row zeroed in derivatives)
+# with no cgolab call.  With L = 2pi the frequency lattice is the integer
+# lattice.
+
+
+def _oracle_lattice(n):
+    """Minimum-image offsets from the torus centre and integer modes, per axis."""
+    x = (TWO_PI / n) * np.arange(n)
+    delta = np.abs(x - np.pi)
+    delta = np.minimum(delta, TWO_PI - delta)
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    shapes = [(n, 1, 1), (1, n, 1), (1, 1, n)]
+    return [delta.reshape(sh) for sh in shapes], [modes.reshape(sh) for sh in shapes]
+
+
+def _oracle_gaussian_q(n, spectral):
+    """q = Lap(g)/g, g = gamma^{1/2}: spectral Laplacian of g, or the closed
+    form Lap(gamma)/(2 gamma) - |grad gamma|^2/(4 gamma^2)."""
+    deltas, modes = _oracle_lattice(n)
+    r2 = sum(dl * dl for dl in deltas)
+    bump = BUMP_AMPLITUDE * np.exp(-r2 / BUMP_WIDTH ** 2)
+    gamma = 1.0 + bump
+    if spectral:
+        g = np.sqrt(gamma)
+        lap = -sum(np.where(m == -(n // 2), 0.0, m) ** 2 for m in modes)
+        return np.fft.ifftn(lap * np.fft.fftn(g)).real / g
+    lap_gamma = bump * (4.0 * r2 / BUMP_WIDTH ** 4 - 6.0 / BUMP_WIDTH ** 2)
+    grad_sq = bump ** 2 * 4.0 * r2 / BUMP_WIDTH ** 4
+    return lap_gamma / (2.0 * gamma) - grad_sq / (4.0 * gamma ** 2)
+
+
+def _oracle_duality_form(gamma, w, L):
+    """-sum grad g . grad(w/g) h^d with g = gamma^{1/2}: the m_q form of the
+    product w, from numpy.fft gradients whose Nyquist row is zeroed."""
+    n, d = gamma.shape[0], gamma.ndim
+    xi = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n)
+    xi[n // 2] = 0.0
+    g = np.sqrt(gamma)
+    g_hat, inner_hat = np.fft.fftn(g), np.fft.fftn(w / g)
+    acc = 0.0
+    for j in range(d):
+        shape = [1] * d
+        shape[j] = n
+        mult = 1j * xi.reshape(shape)
+        acc += np.sum(np.fft.ifftn(mult * g_hat).real * np.fft.ifftn(mult * inner_hat))
+    return complex(-acc * (L / n) ** d)

@@ -3,10 +3,7 @@ import pytest
 
 import cgolab as cg
 from cgolab.errors import InfeasibleGeometryError, NotContractiveError
-from conftest import TWO_PI
-
-# the bump32 / bump64 fixtures: gamma = 1 + A exp(-r^2 / W^2)
-BUMP_AMPLITUDE, BUMP_WIDTH = 0.05, 0.3
+from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice
 
 
 @pytest.fixture(scope="module")
@@ -14,36 +11,8 @@ def pair32():
     return cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 16.0, 0.3)
 
 
-# Plain-numpy oracles for the solver on the gaussian bump, written from the
-# documented conventions (grid x = h*i on [0, 2pi)^3, unitary FFTs, Nyquist
-# row zeroed in derivatives, 2/3 dealiasing, clamped modes dropped) with no
-# cgolab call.  With L = 2pi the frequency lattice is the integer lattice.
-
-
-def _oracle_lattice(n):
-    """Minimum-image offsets from the torus centre and integer modes, per axis."""
-    x = (TWO_PI / n) * np.arange(n)
-    delta = np.abs(x - np.pi)
-    delta = np.minimum(delta, TWO_PI - delta)
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    shapes = [(n, 1, 1), (1, n, 1), (1, 1, n)]
-    return [delta.reshape(sh) for sh in shapes], [modes.reshape(sh) for sh in shapes]
-
-
-def _oracle_gaussian_q(n, spectral):
-    """q = Lap(g)/g, g = gamma^{1/2}: spectral Laplacian of g, or the closed
-    form Lap(gamma)/(2 gamma) - |grad gamma|^2/(4 gamma^2)."""
-    deltas, modes = _oracle_lattice(n)
-    r2 = sum(dl * dl for dl in deltas)
-    bump = BUMP_AMPLITUDE * np.exp(-r2 / BUMP_WIDTH ** 2)
-    gamma = 1.0 + bump
-    if spectral:
-        g = np.sqrt(gamma)
-        lap = -sum(np.where(m == -(n // 2), 0.0, m) ** 2 for m in modes)
-        return np.fft.ifftn(lap * np.fft.fftn(g)).real / g
-    lap_gamma = bump * (4.0 * r2 / BUMP_WIDTH ** 4 - 6.0 / BUMP_WIDTH ** 2)
-    grad_sq = bump ** 2 * 4.0 * r2 / BUMP_WIDTH ** 4
-    return lap_gamma / (2.0 * gamma) - grad_sq / (4.0 * gamma ** 2)
+# Plain-numpy oracle for the solver on the gaussian bump (see conftest), with
+# 2/3 dealiasing and clamped modes dropped.
 
 
 def _oracle_psi_norm(q, zeta):

@@ -30,3 +30,47 @@ def test_config_with_threads_exits_before_computing(tmp_path, capsys):
     assert main(["verify-estimates", "--config", str(path)]) == EXIT_CONFIG
     assert "threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+SMOKE_CONFIG = {
+    "grid": {"n": 16},
+    "profiles": [{"kind": "gaussian", "amplitude": 0.05, "width": 0.3}],
+    "samples_per_band": 2,
+    "u_samples": 4,
+    "trials": 4,
+    "bands": [8.0, 16.0],
+    "s_values": [8.0, 16.0],
+}
+
+
+@pytest.fixture
+def smoke_config(tmp_path):
+    path = tmp_path / "smoke.json"
+    path.write_text(json.dumps(SMOKE_CONFIG))
+    return path
+
+
+@pytest.mark.parametrize(
+    "subcommand",
+    ["solve-cgo", "select-zeta", "verify-estimates", "averaged-decay", "singbound"],
+)
+def test_subcommand_runs_on_small_config(subcommand, smoke_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(smoke_config), "--out", str(out)]) == 0
+    reports = list(out.glob("*/report.json"))
+    assert len(reports) == 1
+    assert json.loads(reports[0].read_text())["subcommand"] == subcommand
+    assert str(reports[0]) in capsys.readouterr().out.split()
+
+
+def test_select_zeta_csv_reproducible(smoke_config, tmp_path):
+    # one output directory for both runs: out_dir is part of the hashed
+    # config, and the hash heads every CSV
+    out = tmp_path / "out"
+    args = ["select-zeta", "--config", str(smoke_config), "--out", str(out), "--seed", "7"]
+    tables = []
+    for _ in range(2):
+        assert main(args) == 0
+        (table,) = out.glob("*/samples.csv")
+        tables.append(table.read_bytes())
+    assert tables[0] == tables[1]

@@ -6,7 +6,14 @@ import cgolab as cg
 from cgolab.errors import DomainError
 from cgolab.potential import mollifier_bump, potential_mean_identity
 
-from conftest import TWO_PI, random_field
+from conftest import (
+    BUMP_AMPLITUDE,
+    BUMP_WIDTH,
+    TWO_PI,
+    _oracle_duality_form,
+    _oracle_lattice,
+    random_field,
+)
 
 
 class TestProfiles:
@@ -119,10 +126,12 @@ class TestMqBilinear:
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_direct_quadrature(self, bump32, grid32):
-        # integration-by-parts consistency: <m_q u, v> = integral q u v
+        # oracle: the duality form -sum grad g . grad(uv/g) h^d in plain numpy,
+        # on the closed-form gaussian gamma
         u, v = random_field(grid32, 5), random_field(grid32, 6)
-        q = cg.potential_q(bump32)
-        direct = complex(np.sum(q.values * u.values * v.values) * grid32.measure)
+        deltas, _ = _oracle_lattice(32)
+        gamma = 1.0 + BUMP_AMPLITUDE * np.exp(-sum(dl * dl for dl in deltas) / BUMP_WIDTH ** 2)
+        direct = _oracle_duality_form(gamma, u.values * v.values, TWO_PI)
         val = cg.mq_bilinear(u, v, bump32, dealias=False)
         assert val == pytest.approx(direct, rel=1e-8)
 
