@@ -33,6 +33,7 @@ from .spaces import (
     apply_delta_zeta,
     clamped_mask,
     inverse_delta_zeta,
+    inverse_symbol_sums,
     xdot_norm,
 )
 from .symbol import Zeta, ZetaPair, orthonormal_plane, zeta_pair_from_angle
@@ -175,6 +176,10 @@ def select_zeta_sequence(
     """Per dyadic band, draw (s, eta1) uniformly and keep the pair that
     minimizes  D = sum_{i,j} || q_i ||  in the homogeneous -1/2-norm at
     zeta_j.  Fixed seed => identical selection (ties broken on (s, angle)).
+
+    All of a band's sample zetas go through one inverse_symbol_sums call
+    with one |qhat_i|^2 row per conductivity, so no per-sample symbol
+    data is built; each norm is (S h^d)^{1/2}.
     """
     conds = list(conds)
     if not conds:
@@ -192,29 +197,27 @@ def select_zeta_sequence(
     grid = conds[0].grid
     grid.mode_index(k)  # k must be on the frequency lattice
 
-    qs = [c.q_hat for c in conds]
+    dens = np.stack([np.abs(c.q_hat.values) ** 2 for c in conds])
     plane = orthonormal_plane(k)
     rng = np.random.default_rng(seed)
     out = []
     for lam in bands:
         s_draws = rng.uniform(lam, 2.0 * lam, size=samples_per_band)
         angles = rng.uniform(0.0, 2.0 * np.pi, size=samples_per_band)
-        rows = []
-        for s, theta in zip(s_draws, angles):
-            pair = zeta_pair_from_angle(k, float(s), float(theta), plane)
-            d_val = 0.0
-            for q in qs:
-                for z in (pair.zeta1, pair.zeta2):
-                    d_val += xdot_norm(q, z, -0.5, clamp_eps, clamp_policy)
-            rows.append((float(s), float(theta), float(d_val)))
+        pairs = [
+            zeta_pair_from_angle(k, float(s), float(theta), plane)
+            for s, theta in zip(s_draws, angles)
+        ]
+        zetas = [z for pair in pairs for z in (pair.zeta1, pair.zeta2)]
+        sums = inverse_symbol_sums(dens, zetas, grid, clamp_eps, clamp_policy)
+        # norms[i, j, l]: conductivity i at zeta_l of sample j
+        norms = np.sqrt(sums * grid.measure).reshape(len(conds), samples_per_band, 2)
+        rows = [
+            (float(s), float(theta), float(d_val))
+            for s, theta, d_val in zip(s_draws, angles, norms.sum(axis=(0, 2)))
+        ]
         best = min(range(len(rows)), key=lambda i: (rows[i][2], rows[i][0], rows[i][1]))
-        s_best, theta_best, d_best = rows[best]
         out.append(
-            BandSelection(
-                lam=lam,
-                pair=zeta_pair_from_angle(k, s_best, theta_best, plane),
-                objective=d_best,
-                samples=rows,
-            )
+            BandSelection(lam=lam, pair=pairs[best], objective=rows[best][2], samples=rows)
         )
     return out

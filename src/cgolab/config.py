@@ -3,9 +3,10 @@
 A config file is one JSON object; unknown keys are rejected with the
 offending field named.  Frequencies are given as integer lattice mode
 vectors (k = mode * 2*pi/L), which keeps every configured k exactly on
-the lattice.  The canonical serialization (sorted keys) is hashed and
-embedded in every output file, so identical config + seed reproduces
-numeric output byte for byte.
+the lattice.  The canonical serialization (sorted keys, without the
+output directory and format) is hashed and embedded in every output
+file, so identical config + seed reproduces numeric output byte for
+byte wherever it is written.
 """
 
 from __future__ import annotations
@@ -146,8 +147,15 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
+# where and in which format a run is written does not change what it computes
+_UNHASHED_FIELDS = ("out_dir", "out_format")
+
+
 def canonical_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    data = config_to_dict(cfg)
+    for key in _UNHASHED_FIELDS:
+        del data[key]
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -42,7 +42,7 @@ from .grid import (
     to_spectral,
 )
 from .potential import Conductivity, CutoffField, mq_bilinear, mq_bilinear_split, potential_q
-from .spaces import project, x_norm, xdot_norm
+from .spaces import inverse_symbol_sums, project, x_norm, xdot_norm
 from .symbol import Zeta, ZetaPair, char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
 HARNESS_CLAMP_POLICY = "drop"
@@ -313,12 +313,16 @@ def singbound_quadrature(
     dist_floor: Optional[float] = None,
 ) -> float:
     """Lattice quadrature of  <xi - eta>^{-M} / dist(xi, Sigma)  with the
-    distance floored at the frequency-cell scale (default dxi)."""
+    distance floored at the frequency-cell scale (default dxi).  The
+    floored distance is computed once per (zeta, floor) and held by the
+    zeta's LatticeSymbol."""
     if M < grid.d + 2:
         raise ValueError(f"decay order M must be >= d + 2 = {grid.d + 2}")
     eta = np.asarray(eta, dtype=float)
     floor = grid.freq_step if dist_floor is None else float(dist_floor)
-    dist = np.maximum(char_distance_lattice(zeta, grid), floor)
+    dist = lattice_symbol(zeta, grid).derived(
+        ("char_distance", floor), lambda: np.maximum(char_distance_lattice(zeta, grid), floor)
+    )
     shift_sq = np.zeros(grid.shape)
     for j in range(grid.d):
         shift_sq = shift_sq + (grid._along(j, grid.xi_axis) - eta[j]) ** 2
@@ -462,7 +466,14 @@ def averaged_decay(
 ) -> EstimateReport:
     """Band quadrature  A(lam) = int_{S^1} int_lam^{2 lam}
     sum_i || phi_B grad f ||^2  ds d(eta1)  in the homogeneous -1/2-norm
-    at both paired zetas (trapezoid in s, uniform in angle).
+    at both paired zetas (trapezoid in s, uniform in angle), with |p|
+    floored at the cell scale.
+
+    The density sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta; with
+    dealias=True each product spectrum is cut by the 2/3 rule, so the
+    density vanishes outside that cube.  A band's (s, angle) nodes go
+    through one inverse_symbol_sums call, and A is the quadrature
+    weights dotted with its sums.  f is transformed once.
 
     Per band the report carries A, A/lam, and A normalized against
     lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}.
@@ -479,13 +490,15 @@ def averaged_decay(
     grid.mode_index(k)
 
     # the (s, eta)-independent spectral density sum_j |(phi_B d_j f)^hat|^2
+    fs = to_spectral(f)
     dens = np.zeros(grid.shape)
-    for gj in spectral_gradient(f):
-        wj = to_spectral(multiply(phi_B.field, gj, dealias=dealias))
-        dens = dens + np.abs(wj.values) ** 2
+    for gj in spectral_gradient(fs):
+        dens += np.abs(to_spectral(multiply(phi_B.field, gj)).values) ** 2
+    if dealias:
+        dens *= grid.dealias_mask
 
     plane = orthonormal_plane(k)
-    h_norms = {theta: h_theta_norm(f, theta) for theta in (0.0, 0.5, 1.0)}
+    h_norms = {theta: h_theta_norm(fs, theta) for theta in (0.0, 0.5, 1.0)}
     report = EstimateReport("avg_decay")
     a_over_lam = []
     for lam in bands:
@@ -495,16 +508,15 @@ def averaged_decay(
         s_weights[-1] *= 0.5
         angles = 2.0 * np.pi * np.arange(quad_eta) / quad_eta
         a_weight = 2.0 * np.pi / quad_eta
-        total = 0.0
+        zetas, weights = [], []
         for s, ws in zip(s_nodes, s_weights):
-            floor = cell_floor(grid, s)
             for theta in angles:
                 pair = zeta_pair_from_angle(k, float(s), float(theta), plane)
-                for z in (pair.zeta1, pair.zeta2):
-                    pabs = lattice_symbol(z, grid).pabs
-                    total += ws * a_weight * float(
-                        np.sum(dens / np.maximum(pabs, floor)) * grid.measure
-                    )
+                zetas += [pair.zeta1, pair.zeta2]
+                weights += [ws * a_weight] * 2
+        # the floor cell_floor(grid, s) is clamp_eps * s with clamp_eps = dxi / 2
+        sums = inverse_symbol_sums(dens, zetas, grid, cell_floor(grid, 1.0), "floor")[0]
+        total = float(np.dot(weights, sums) * grid.measure)
         row = {
             "lambda": lam,
             "A": total,

@@ -127,7 +127,7 @@ def alessandrini_terms(
         cond,
     )
 
-    main_oracle = fourier_mode(q, k)
+    main_oracle = pairing(q, e_k)  # fourier_mode(q, k), with the plane wave at hand
     main_oracle_spectral = _fourier_mode_spectral(cond.q_hat, k)
     # |qhat(k)| can cross zero, so both oracle gates are relativized by
     # the L1 majorant of every Fourier coefficient of q

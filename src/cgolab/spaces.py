@@ -37,6 +37,10 @@ DEFAULT_CLAMP_EPS = 1e-6
 
 _POLICIES = ("floor", "drop")
 
+# support points x zetas evaluated at once by inverse_symbol_sums
+# (2 MB per float64 temporary, which keeps a chunk in cache)
+_CHUNK_ELEMENTS = 1 << 18
+
 
 def smooth_bridge(rho):
     """Fixed smooth cutoff profile: 1 for |rho| <= 1, 0 for |rho| >= 2,
@@ -120,13 +124,9 @@ class SymbolWeight:
 
 
 def _guard_singular(u: Field, mask: np.ndarray):
-    uhat = to_spectral(u).values
     if mask.any():
-        peak = float(np.max(np.abs(uhat[mask])))
-        if peak > 1e-13 * max(1.0, float(np.max(np.abs(uhat)))):
-            raise SingularModeError(
-                "spectral mass on a zero-symbol mode with clamp_eps = 0"
-            )
+        dens = np.abs(to_spectral(u).values) ** 2
+        _guard_zero_modes(dens.reshape(1, -1), mask.reshape(1, -1))
 
 
 def xdot_norm(
@@ -147,6 +147,86 @@ def x_norm(u: Field, zeta: Zeta, b: float) -> float:
     """Inhomogeneous norm || (|zeta| + |p|)^b uhat ||_{L2}; never singular."""
     w = SymbolWeight(zeta, "inhomogeneous", b).multiplier(u.grid)
     return weighted_l2(u, w * w)
+
+
+def inverse_symbol_sums(
+    dens,
+    zetas,
+    grid: FrequencyGrid,
+    clamp_eps: float = DEFAULT_CLAMP_EPS,
+    policy: str = "floor",
+) -> np.ndarray:
+    """S[i, z] = sum_xi dens_i(xi) / |p_z(xi)| for density rows dens_i on
+    the lattice and a list of zetas, clamped as in SymbolWeight: under
+    "floor" |p_z| is floored at clamp_eps * s_z, under "drop" modes with
+    |p_z| < clamp_eps * s_z contribute nothing.  With dens = |uhat|^2,
+    S * h^d is the squared homogeneous -1/2-norm of u at zeta_z.
+
+    Only lattice points where some row is nonzero are summed.  |p| comes
+    from real arithmetic, -Re p = |xi|^2 + 2 xi . Im zeta and
+    Im p = 2 xi . Re zeta (clamping compares |p|^2 with the squared
+    floor), over chunks of zetas under a fixed element budget; no
+    per-zeta symbol data is built or cached.  With clamp_eps = 0 exact
+    zeros of p are dropped, and density on one raises SingularModeError
+    (as xdot_norm does).
+    """
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown clamp policy {policy!r}")
+    if clamp_eps < 0:
+        raise ValueError("clamp_eps must be >= 0")
+    rows = np.asarray(dens, dtype=float).reshape(-1, grid.size)
+    if np.any(rows < 0):
+        raise ValueError("density must be nonnegative")
+    if any(z.d != grid.d for z in zetas):
+        raise ValueError("zeta dimension does not match the grid")
+    values = np.array([z.value for z in zetas], dtype=complex).reshape(len(zetas), grid.d)
+    floors_sq = (clamp_eps * np.array([z.s for z in zetas], dtype=float)[:, None]) ** 2
+
+    keep = np.any(rows != 0, axis=0)
+    rows = rows[:, keep]
+    keep = keep.reshape(grid.shape)
+    xi = np.stack([np.broadcast_to(grid._along(j, grid.xi_axis), grid.shape)[keep]
+                   for j in range(grid.d)])
+    xi_sq = grid.xi_sq[keep]
+
+    out = np.empty((len(rows), len(values)))
+    step = max(1, _CHUNK_ELEMENTS // max(1, xi_sq.size))
+    for lo in range(0, len(values), step):
+        chunk = slice(lo, lo + step)
+        # |p|^2 = (|xi|^2 + 2 xi . Im zeta)^2 + (2 xi . Re zeta)^2
+        psq = (2.0 * values[chunk].imag) @ xi
+        psq += xi_sq
+        psq *= psq
+        im_p = (2.0 * values[chunk].real) @ xi
+        im_p *= im_p
+        psq += im_p
+        del im_p  # one full-size temporary per chunk from here on
+        dropped = None
+        if clamp_eps == 0:
+            dropped = psq == 0.0
+            _guard_zero_modes(rows, dropped)
+        else:
+            if policy == "drop":
+                dropped = psq < floors_sq[chunk]
+            np.maximum(psq, floors_sq[chunk], out=psq)
+        with np.errstate(divide="ignore"):
+            weight = np.reciprocal(np.sqrt(psq, out=psq), out=psq)
+        if dropped is not None:
+            weight[dropped] = 0.0
+        out[:, chunk] = rows @ weight.T
+    return out
+
+
+def _guard_zero_modes(rows: np.ndarray, zero: np.ndarray):
+    """Raise if a density row |uhat|^2 exceeds (1e-13 max(1, max |uhat|))^2
+    on a column where some row of zero is set (an exact zero of p)."""
+    hit = zero.any(axis=0)
+    if hit.any():
+        peak = rows[:, hit].max(axis=1)
+        if np.any(peak > 1e-26 * np.maximum(1.0, rows.max(axis=1))):
+            raise SingularModeError(
+                "spectral mass on a zero-symbol mode with clamp_eps = 0"
+            )
 
 
 def clamped_mass_fraction(u: Field, zeta: Zeta, clamp_eps: float = DEFAULT_CLAMP_EPS) -> float:

@@ -206,16 +206,24 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class LatticeSymbol:
     """p(xi) of one zeta on one frequency lattice, with |p| and the arrays
     derived from them (clamp masks, weight multipliers, the projection
-    profile), each computed on first request.
+    profile, the characteristic distance), each computed on first request.
 
     Held by its Zeta, so it lives exactly as long as the zeta does; all
     arrays are read-only.
     """
 
     def __init__(self, zeta: Zeta, grid: FrequencyGrid):
-        self.p = _read_only(-grid.xi_sq + 2j * grid.xi_dot(zeta.value))
-        self.pabs = _read_only(np.abs(self.p))
+        self._value = zeta.value
+        self._grid = grid
         self._derived: dict = {}
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return _read_only(-self._grid.xi_sq + 2j * self._grid.xi_dot(self._value))
+
+    @cached_property
+    def pabs(self) -> np.ndarray:
+        return _read_only(np.abs(self.p))
 
     def derived(self, key, build) -> np.ndarray:
         """The array build() under key; built once, then shared read-only."""

@@ -64,12 +64,23 @@ def test_subcommand_runs_on_small_config(subcommand, smoke_config, tmp_path, cap
 
 
 def test_select_zeta_csv_reproducible(smoke_config, tmp_path):
-    # one output directory for both runs: out_dir is part of the hashed
-    # config, and the hash heads every CSV
     out = tmp_path / "out"
     args = ["select-zeta", "--config", str(smoke_config), "--out", str(out), "--seed", "7"]
     tables = []
     for _ in range(2):
+        assert main(args) == 0
+        (table,) = out.glob("*/samples.csv")
+        tables.append(table.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_select_zeta_csv_independent_of_out_dir(smoke_config, tmp_path):
+    # the config hash heads every CSV; where and how a run is written is
+    # not hashed
+    tables = []
+    for name, fmt in (("a", "both"), ("b", "csv")):
+        out = tmp_path / name
+        args = ["select-zeta", "--config", str(smoke_config), "--out", str(out), "--format", fmt]
         assert main(args) == 0
         (table,) = out.glob("*/samples.csv")
         tables.append(table.read_bytes())

@@ -92,7 +92,56 @@ class TestMqKernel:
         u = random_field(cond.grid, 11)
         v = random_field(cond.grid, 12)
         duality = _oracle_duality_form(cond.gamma.values.real, u.values * v.values, cond.grid.L)
-        # measured gaps 7.5e-14 (bump32, |value| 0.010) and 1.6e-14 (cone32):
-        # the oracle's random-field gradients are large, so on bump32 the
-        # rounding sits under approx's absolute floor of 1e-12
-        assert cg.mq_bilinear(u, v, cond) == pytest.approx(duality, rel=1e-12)
+        # the sum cancels (|value| 0.010 on bump32), so its rounding is
+        # measured against the L1 majorant sum |q u v| h^d
+        q = cg.potential_q(cond).values.real
+        majorant = np.sum(np.abs(q * u.values * v.values)) * cond.grid.measure
+        assert abs(cg.mq_bilinear(u, v, cond) - duality) <= 1e-12 * majorant
+
+
+class TestAveragedDecay:
+    K = np.array([0.0, 0.0, 1.0])
+
+    @staticmethod
+    def oracle_a(f, phi, lam, quad_s, quad_eta):
+        """A(lam) re-derived per zeta in plain numpy on [0, 2pi)^3, from the
+        physical arrays of f and the cutoff: density sum_j |2/3-cut
+        (phi d_j f)^hat|^2, trapezoid in s, uniform angle in the plane of
+        e_x, e_y (orthogonal to k = e_z), |p| floored at s dxi / 2."""
+        n = f.shape[0]
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        deriv = np.where(m == -(n // 2), 0.0, m)
+        axes = [(n, 1, 1), (1, n, 1), (1, 1, n)]
+        keep = np.abs(m) <= n // 3
+        cube = keep.reshape(axes[0]) & keep.reshape(axes[1]) & keep.reshape(axes[2])
+        fhat = np.fft.fftn(f, norm="ortho")
+        dens = 0.0
+        for shape in axes:
+            grad = np.fft.ifftn(1j * deriv.reshape(shape) * fhat, norm="ortho")
+            dens = dens + np.abs(np.fft.fftn(phi * grad, norm="ortho") * cube) ** 2
+        xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+        xi_sq = np.sum(xi * xi, axis=-1)
+        ex, ey, k = np.eye(3)
+        total = 0.0
+        for i, s in enumerate(np.linspace(lam, 2.0 * lam, quad_s)):
+            ws = lam / (quad_s - 1) * (0.5 if i in (0, quad_s - 1) else 1.0)
+            r = np.sqrt(s * s - 0.25)
+            for j in range(quad_eta):
+                t = 2.0 * np.pi * j / quad_eta
+                eta1 = np.cos(t) * ex + np.sin(t) * ey
+                eta2 = -np.sin(t) * ex + np.cos(t) * ey
+                for zeta in (s * eta1 + 1j * (0.5 * k + r * eta2),
+                             -s * eta1 + 1j * (0.5 * k - r * eta2)):
+                    pabs = np.abs(-xi_sq + 2j * (xi @ zeta))
+                    total += ws * (2.0 * np.pi / quad_eta) * np.sum(dens / np.maximum(pabs, 0.5 * s))
+        return total * (2.0 * np.pi / n) ** 3
+
+    def test_matches_per_zeta_oracle(self, grid32):
+        cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
+        phi = cg.make_cutoff(cone)
+        rep = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, 8, phi)
+        f, cut = cone.log_g.values.real, phi.field.values.real
+        for sample, lam in zip(rep.samples, (8.0, 16.0)):
+            expected = self.oracle_a(f, cut, lam, 8, 8)
+            assert sample.params["A"] == pytest.approx(expected, rel=1e-12)
+            assert sample.params["A_over_lambda"] == pytest.approx(expected / lam, rel=1e-12)

@@ -32,5 +32,6 @@ def test_recovered_mode_within_error_bar(bump64, k, route):
     # measured: |recovered - exact| / |exact| = 2.9e-4 and 6.8e-4, equal to the error bar
     assert abs(recovered - exact) <= diag.error_bar + 1e-5 * abs(exact)
     assert abs(diag.oracle - exact) <= 1e-5 * abs(exact)
+    assert diag.oracle == cg.fourier_mode(cg.potential_q(bump64), k)
     parts = bd.term_main + bd.term_linear + bd.term_bilinear
     assert abs(bd.total - parts) <= 1e-12 * abs(bd.total)

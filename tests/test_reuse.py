@@ -1,5 +1,6 @@
-"""Work that the recover path must do only once: transforms per solver
-step and per pairing, and the per-zeta symbol data."""
+"""Work that must be done only once: transforms per solver step, per
+pairing and per averaged decay, the per-zeta symbol data, and the
+characteristic distance of the singular-integral quadrature."""
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ class TestTransformCounts:
         cg.mq_bilinear(u, v, bump32)
         assert fft_calls == ["ifftn", "ifftn"]
 
+    def test_averaged_decay_transforms_f_once(self, bump32, fft_calls):
+        phi = cg.make_cutoff(bump32)
+        k = np.array([0.0, 0.0, 1.0])
+        fft_calls.clear()
+        cg.averaged_decay(bump32.log_g, k, [8.0], 8, 8, phi)
+        # f once, then per gradient component one product (16 at the parent)
+        assert fft_calls == ["fftn"] + ["ifftn", "fftn"] * 3
+
 
 class TestSymbolData:
     def test_symbol_is_computed_once_and_exact(self, grid32, zeta16):
@@ -84,3 +93,22 @@ class TestSymbolData:
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1
+
+
+class TestSingbound:
+    def test_distance_computed_once_per_zeta(self, grid32, zeta16, monkeypatch):
+        calls = []
+        distance = cg.estimates.char_distance_lattice
+
+        def counted(zeta, grid):
+            calls.append(zeta)
+            return distance(zeta, grid)
+
+        monkeypatch.setattr(cg.estimates, "char_distance_lattice", counted)
+        etas = [np.array([1.0, -2.0, 0.5]), np.array([0.0, 3.0, -1.0])]
+        values = [cg.singbound_quadrature(zeta16, eta, 6, grid32) for eta in etas]
+        assert calls == [zeta16]
+        # the cached distance gives the rows of a fresh evaluation bit for bit
+        for eta, value in zip(etas, values):
+            fresh = cg.Zeta(zeta16.value.copy())
+            assert cg.singbound_quadrature(fresh, eta, 6, grid32) == value

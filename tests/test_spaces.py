@@ -185,3 +185,94 @@ class TestInverse:
             cg.SymbolWeight(zeta16, "bogus", 0.5)
         with pytest.raises(ValueError):
             cg.SymbolWeight(zeta16, "homogeneous", 0.5, clamp_eps=-1.0)
+
+
+class TestInverseSymbolSums:
+    """The batched -1/2 kernel against a per-zeta plain-numpy oracle."""
+
+    K = np.array([0.0, 0.0, 1.0])
+
+    @pytest.fixture(scope="class")
+    def zetas(self, zeta16):
+        # sampled pairs plus the lattice-aligned zeta, whose p vanishes on
+        # lattice points besides xi = 0
+        out = [zeta16]
+        for s, theta in ((4.0, 0.3), (5.5, 1.7), (7.9, 4.0)):
+            pair = cg.zeta_pair_from_angle(self.K, s, theta)
+            out += [pair.zeta1, pair.zeta2]
+        return out
+
+    @pytest.fixture(scope="class")
+    def dens(self, grid16):
+        rng = np.random.default_rng(3)
+        full = rng.random(grid16.shape) + 0.5
+        cube = rng.random(grid16.shape) * grid16.dealias_mask
+        return np.stack([full, cube])
+
+    @staticmethod
+    def oracle(dens, zeta, n, clamp_eps, policy):
+        """sum_xi dens(xi) w(xi), |p| = |-|xi|^2 + 2i zeta . xi| built per zeta."""
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+        pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ zeta.value))
+        floor = clamp_eps * np.linalg.norm(zeta.value.real)
+        w = 1.0 / np.maximum(pabs, floor)
+        if policy == "drop":
+            w[pabs < floor] = 0.0
+        return np.sum(dens * w)
+
+    @pytest.mark.parametrize("policy", ["floor", "drop"])
+    @pytest.mark.parametrize("eps", ["1e-6", "cell"])
+    def test_matches_per_zeta_oracle(self, grid16, zetas, dens, policy, eps):
+        clamp_eps = 1e-6 if eps == "1e-6" else grid16.freq_step / 2.0
+        sums = cg.spaces.inverse_symbol_sums(dens, zetas, grid16, clamp_eps, policy)
+        assert sums.shape == (2, len(zetas))
+        for i, row in enumerate(dens):
+            for j, zeta in enumerate(zetas):
+                expected = self.oracle(row, zeta, 16, clamp_eps, policy)
+                assert sums[i, j] == pytest.approx(expected, rel=1e-13)
+
+    def test_value_independent_of_batch(self, grid16, dens):
+        # one full chunk of zetas and three more in a second chunk
+        step = cg.spaces._CHUNK_ELEMENTS // grid16.size
+        zetas = []
+        for j in range(step + 3):
+            pair = cg.zeta_pair_from_angle(self.K, 4.0 + 0.05 * j, 0.1 * j)
+            zetas += [pair.zeta1]
+        together = cg.spaces.inverse_symbol_sums(dens[0], zetas, grid16, 1e-6, "drop")
+        for j in (0, step - 1, step, step + 2):
+            alone = cg.spaces.inverse_symbol_sums(dens[0], [zetas[j]], grid16, 1e-6, "drop")
+            assert alone[0, 0] == pytest.approx(together[0, j], rel=1e-14)
+
+    def test_zero_clamp_drops_empty_zero_modes(self, grid16, zeta16, dens):
+        # no density on p = 0 (xi = 0 among them): those modes are dropped
+        pabs = np.abs(cg.symbol_lattice(zeta16, grid16))
+        row = np.where(pabs == 0.0, 0.0, dens[0])
+        sums = cg.spaces.inverse_symbol_sums(row, [zeta16], grid16, 0.0)
+        assert sums[0, 0] == pytest.approx(np.sum(row[pabs > 0] / pabs[pabs > 0]), rel=1e-13)
+        with pytest.raises(SingularModeError):
+            cg.spaces.inverse_symbol_sums(dens[0], [zeta16], grid16, 0.0)
+
+    def test_zero_clamp_selection_raises(self, bump32):
+        # q has mass at xi = 0, where every p vanishes
+        with pytest.raises(SingularModeError):
+            cg.select_zeta_sequence([bump32], self.K, [8.0], 2, seed=0, clamp_eps=0.0)
+
+    def test_selection_builds_no_symbol_data(self, bump32, monkeypatch):
+        pairs = []
+        build = cg.cgo.zeta_pair_from_angle
+
+        def recorded(*args):
+            pairs.append(build(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(cg.cgo, "zeta_pair_from_angle", recorded)
+        cg.select_zeta_sequence([bump32, bump32], self.K, [8.0, 16.0], 3, seed=1)
+        assert len(pairs) == 6
+        for pair in pairs:
+            assert pair.zeta1._lattice_symbols == {}
+            assert pair.zeta2._lattice_symbols == {}
+
+    def test_rejects_negative_density(self, grid16, zeta16):
+        with pytest.raises(ValueError):
+            cg.spaces.inverse_symbol_sums(-np.ones(grid16.shape), [zeta16], grid16)
