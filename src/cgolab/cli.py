@@ -192,9 +192,7 @@ def _run_verify_estimates(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
 
     reports = localization_ratios(cfg.u_samples, pair.zeta1, phi, cfg.seed, cfg.dealias)
-    mq_rep = mq_operator_ratio(
-        cond, pair, cfg.trials, cfg.seed, s_values=cfg.s_values, dealias=cfg.dealias
-    )
+    mq_rep = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values, dealias=cfg.dealias)
     u = draw_colored_field(grid, rng, pair.zeta1, "near_char_1")
     v = draw_colored_field(grid, rng, pair.zeta2, "near_char_1")
     f_one = make_conductivity(grid, {"kind": "uniform"}).gamma

@@ -13,7 +13,7 @@ Estimate identifiers (semantic, stable across the CSV/JSON schema):
   cutoff_high_grad  ||grad(H phi_B u)||_L2      vs homogeneous 1/2
   cutoff_high_l2    ||H phi_B u||_L2            vs s^{-1}  homogeneous 1/2
   bilinear_linf     s |int f u_B v_B| / (||f||_inf ||u|| ||v||)
-  mq_decay          max |<m_q u, v>| over normalized trials, per s
+  mq_decay          operator norm of <m_q u, v> on the weighted slots, per s
   singbound         lattice integral of <xi-eta>^{-M} / dist(xi, Sigma)
   avg_decay         band quadrature of || phi_B grad f ||^2 (hom. -1/2)
 
@@ -41,7 +41,7 @@ from .grid import (
     to_physical,
     to_spectral,
 )
-from .potential import Conductivity, CutoffField, mq_bilinear, mq_bilinear_split, potential_q
+from .potential import Conductivity, CutoffField, potential_q
 from .spaces import inverse_symbol_sums, project, x_norm, xdot_norm
 from .symbol import Zeta, ZetaPair, char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
@@ -111,6 +111,46 @@ def draw_colored_field(
     return spectral_field(grid, coef)
 
 
+# -- top singular value ------------------------------------------------------
+
+LANCZOS_RTOL = 1e-12
+LANCZOS_MAX_STEPS = 200
+
+
+def top_singular_value(apply, adjoint, x0: np.ndarray) -> float:
+    """Largest singular value of the linear map `apply` (with adjoint
+    `adjoint`), by Lanczos on adjoint(apply(.)) started from x0.
+
+    The iteration stops when the top Ritz value theta changes by at most
+    LANCZOS_RTOL relative, or when the next Lanczos coefficient beta
+    vanishes to that tolerance (the Krylov space is invariant, and theta
+    is exact), or after LANCZOS_MAX_STEPS steps.  sqrt(theta) is
+    returned; it is a lower bound on the true value up to rounding.
+
+    Only the last two Lanczos vectors are kept.  In floating point the
+    vectors lose orthogonality only along Ritz vectors that have
+    converged (Paige), so the top Ritz value is not disturbed before the
+    stop; reorthogonalizing against a stored basis gave the same values
+    and step counts on every operator here, at k vectors of memory.
+    """
+    shape = x0.shape
+    q_prev, q = 0.0, x0.ravel() / np.linalg.norm(x0)
+    alphas, betas = [], []
+    beta = theta = 0.0
+    for _ in range(LANCZOS_MAX_STEPS):
+        w = np.array(adjoint(apply(q.reshape(shape))), dtype=complex).ravel()
+        alphas.append(np.vdot(q, w).real)
+        w -= alphas[-1] * q + beta * q_prev
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        prev, theta = theta, float(np.linalg.eigvalsh(tri)[-1])
+        if beta <= LANCZOS_RTOL * theta or abs(theta - prev) <= LANCZOS_RTOL * theta:
+            break
+        q_prev, q = q, w / beta
+        betas.append(beta)
+    return float(np.sqrt(max(theta, 0.0)))
+
+
 # -- Schur-type kernel bound -------------------------------------------------
 
 
@@ -122,15 +162,21 @@ class SchurBound:
 
 
 def _difference_kernel(grid: FrequencyGrid, phi) -> np.ndarray:
-    """phi sampled on the (2n-1)^d difference lattice, ascending order."""
-    n = grid.n
-    diff_axis = grid.freq_step * np.arange(-(n - 1), n)
-    grids = np.meshgrid(*([diff_axis] * grid.d), indexing="ij")
-    pts = np.stack(grids, axis=-1)
-    return np.asarray(phi(pts), dtype=complex)
+    """phi sampled on the (2n-1)^d difference lattice, ascending order.
+    phi is called on one slab of the first axis at a time, so no
+    (2n-1)^d x d array of points is formed."""
+    d = grid.d
+    diff_axis = grid.freq_step * np.arange(-(grid.n - 1), grid.n)
+    slab = np.empty((diff_axis.size,) * (d - 1) + (d,))
+    slab[..., 1:] = np.stack(np.meshgrid(*([diff_axis] * (d - 1)), indexing="ij"), axis=-1)
+    out = np.empty((diff_axis.size,) * d, dtype=complex)
+    for i, first in enumerate(diff_axis):
+        slab[..., 0] = first
+        out[i] = phi(slab)
+    return out
 
 
-def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0, power_iters: int = 60) -> SchurBound:
+def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0) -> SchurBound:
     """Kernel bound for the convolution f -> phi * f from L2_v to L2_w.
 
     With J(xi, eta) = |phi(xi - eta)| w(xi) / v(eta), returns
@@ -139,9 +185,11 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0, power_iters: int 
                                           sup_eta (int J dxi)^{1/2} )
 
     (lattice quadrature with the frequency-cell measure; for v = w = 1
-    this collapses to ||phi||_{L1}).  A directly estimated operator norm
-    via seeded power iteration is returned too and verified to sit
-    below value * 1.05.
+    this collapses to ||phi||_{L1}).  The operator norm is estimated too,
+    by top_singular_value from a seeded start: it stops once the top
+    Ritz value moves by at most LANCZOS_RTOL relative, is a lower bound
+    on the true norm up to rounding, and is verified to sit below
+    value * 1.05.
 
     Every lattice convolution is a circulant one of size N = 2n per
     axis: the difference index m of the kernel goes to slot m mod N,
@@ -149,11 +197,9 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0, power_iters: int 
     |m| <= n - 1 are distinct, so the first n outputs per axis equal the
     linear convolution exactly.  The kernel and its modulus are
     transformed once; adjoints and correlations use their conjugates.
-
-    power_iters is a fixed step count, with two seeded restarts.  At
-    v = w = 1 the iteration does not settle to 1e-13 relative within 60
-    steps (at n = 16 it gives 5.43016 at seed 0 and 5.43063 at seed 5),
-    so a convergence stop would not end it sooner.
+    The input is padded and transformed one axis at a time, and each
+    axis is cropped right after its inverse, so no transform runs over
+    a line that is all zeros or all discarded.
     """
     axis = np.sort(grid.xi_axis)
     grids = np.meshgrid(*([axis] * grid.d), indexing="ij")
@@ -167,51 +213,50 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0, power_iters: int 
     cell = grid.freq_step ** grid.d
     phi_l1 = float(np.abs(kern).sum() * cell)
 
-    # circulant embedding: a zero slot for m = -n in front, then m -> m mod 2n
-    circ = np.fft.ifftshift(np.pad(kern, [(1, 0)] * grid.d))
-    kern_hat = np.fft.fftn(circ)
-    abs_hat = np.fft.fftn(np.abs(circ))
-    full = (2 * grid.n,) * grid.d
-    axes = tuple(range(grid.d))
-    crop = (slice(0, grid.n),) * grid.d
+    # circulant embedding: m -> slot m mod 2n, and slot n (m = -n) stays
+    # zero; the kernel and its modulus are then transformed in place
+    n, axes = grid.n, tuple(range(grid.d))
+    kern_hat = np.zeros((2 * n,) * grid.d, dtype=complex)
+    kern_hat[np.ix_(*[np.arange(1 - n, n) % (2 * n)] * grid.d)] = kern
+    del kern
+    abs_hat = np.abs(kern_hat).astype(complex)
+    np.fft.fftn(abs_hat, out=abs_hat)
+    np.fft.fftn(kern_hat, out=kern_hat)
 
-    def convolve(kernel_hat, x):
-        return np.fft.ifftn(kernel_hat * np.fft.fftn(x, s=full, axes=axes), axes=axes)[crop]
+    def convolve(kernel_hat, x, adjoint=False):
+        for ax in axes:
+            x = np.fft.fftn(x, s=(2 * n,), axes=(ax,))
+        # in place; the adjoint uses conj(K) X = conj(K conj(X))
+        if adjoint:
+            np.conj(x, out=x)
+        x *= kernel_hat
+        if adjoint:
+            np.conj(x, out=x)
+        for ax in axes:
+            x = np.fft.ifftn(x, axes=(ax,), out=x)[(slice(None),) * ax + (slice(0, n),)]
+        return x
 
     # int J(xi, .) deta = w(xi) * (|phi| conv 1/v)(xi); adjoint likewise
-    conv_inv_v = convolve(abs_hat, 1.0 / v_arr).real
-    sup_xi = float(np.max(w_arr * conv_inv_v) * cell)
-    conv_w = convolve(np.conj(abs_hat), w_arr).real
-    sup_eta = float(np.max(conv_w / v_arr) * cell)
+    sup_xi = float(np.max(w_arr * convolve(abs_hat, 1.0 / v_arr).real) * cell)
+    sup_eta = float(np.max(convolve(abs_hat, w_arr, adjoint=True).real / v_arr) * cell)
     value = float(np.sqrt(phi_l1) * min(np.sqrt(sup_xi), np.sqrt(sup_eta)))
+    del abs_hat
 
-    # power iteration on S*S with S = sqrt(w) conv_phi (1/sqrt(v))
-    rng = np.random.default_rng(seed)
+    # S = sqrt(w) conv_phi (1/sqrt(v)) and its adjoint
     sqrt_w, sqrt_v = np.sqrt(w_arr), np.sqrt(v_arr)
-    kern_hat_adj = np.conj(kern_hat)
 
     def s_apply(x):
         return sqrt_w * convolve(kern_hat, x / sqrt_v) * cell
 
     def s_adjoint(y):
-        return convolve(kern_hat_adj, y * sqrt_w) * cell / sqrt_v
+        return convolve(kern_hat, y * sqrt_w, adjoint=True) * cell / sqrt_v
 
-    op_norm = 0.0
-    for _ in range(2):
-        x = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        x /= np.linalg.norm(x)
-        est = 0.0
-        for _ in range(power_iters):
-            y = s_adjoint(s_apply(x))
-            norm = np.linalg.norm(y)
-            if norm == 0.0:
-                break
-            est = np.sqrt(norm)
-            x = y / norm
-        op_norm = max(op_norm, float(est))
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    op_norm = top_singular_value(s_apply, s_adjoint, x0)
     if op_norm > value * 1.05:
         raise ValueError(
-            f"power-iteration norm {op_norm:.6g} exceeds kernel bound {value:.6g}"
+            f"estimated operator norm {op_norm:.6g} exceeds kernel bound {value:.6g}"
         )
     return SchurBound(value=value, operator_norm=op_norm, phi_l1=phi_l1)
 
@@ -336,112 +381,57 @@ def singbound_quadrature(
 def mq_operator_ratio(
     cond: Conductivity,
     zeta_pair: ZetaPair,
-    trials: int,
     seed: int,
     s_values=(8.0, 16.0, 32.0, 64.0),
     dealias: bool = True,
-    split_check_tol: Optional[float] = None,
-    mode: str = "sample",
 ) -> EstimateReport:
-    """Size of the bilinear form over normalized u, v, swept over s (the
-    pair's k and frame are kept fixed).  trend is the fitted exponent of
-    the per-s value against s.
-
-    mode="sample": max of |<m_q u, v>| over seeded adversarial trials.
-    mode="power":  direct operator-norm estimate by alternating
-    maximization over the normalized slots (strictly more adversarial
-    than sampling; `trials` then counts restarts).
-
-    split_check_tol, when set (sample mode), also evaluates the
-    Leibniz-split form per trial and records the worst relative
-    disagreement (aliasing-floor diagnostics; tight agreement needs
-    well-resolved conductivities).
-    """
+    """Operator norm of the bilinear form <m_q u, v> between the two
+    weighted slots, one row per s (the pair's k and frame are kept
+    fixed).  trend is the fitted exponent of the norm against s."""
     grid = cond.grid
     k, eta1, eta2 = zeta_pair.k, zeta_pair.eta1, zeta_pair.eta2
     rng = np.random.default_rng(seed)
     report = EstimateReport("mq_decay")
-    per_s_max = []
-    worst_split = 0.0
+    norms = []
     for s in s_values:
         pair = make_zeta_pair(k, float(s), eta1, eta2)
-        eps_cell = cell_floor(grid, pair.s) / pair.s
-        best = 0.0
-        if mode == "power":
-            best = _mq_power_norm(cond, pair, restarts=max(1, trials // 8), rng=rng)
-            report.add({"s": float(s), "mode": "power"}, best, 1.0)
-        elif mode == "sample":
-            for t in range(trials):
-                kind = SAMPLER_KINDS[t % len(SAMPLER_KINDS)]
-                u = draw_colored_field(grid, rng, pair.zeta1, kind)
-                v = draw_colored_field(grid, rng, pair.zeta2, kind)
-                nu = xdot_norm(u, pair.zeta1, 0.5, eps_cell, HARNESS_CLAMP_POLICY)
-                nv = xdot_norm(v, pair.zeta2, 0.5, eps_cell, HARNESS_CLAMP_POLICY)
-                if nu == 0.0 or nv == 0.0:
-                    continue
-                u = u * (1.0 / nu)
-                v = v * (1.0 / nv)
-                up, vp = to_physical(u), to_physical(v)
-                val = abs(mq_bilinear(up, vp, cond, dealias=dealias))
-                if split_check_tol is not None:
-                    other = abs(mq_bilinear_split(up, vp, cond, dealias=dealias))
-                    scale = max(val, other, 1e-300)
-                    worst_split = max(worst_split, abs(val - other) / scale)
-                report.add({"s": float(s), "trial": t, "kind": kind}, val, 1.0)
-                best = max(best, val)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        per_s_max.append(best)
+        norms.append(_mq_operator_norm(cond, pair, rng, dealias))
+        report.add({"s": float(s)}, norms[-1], 1.0)
     logs = np.log(np.asarray(s_values, dtype=float))
-    vals = np.asarray(per_s_max)
+    vals = np.asarray(norms)
     if np.all(vals > 0) and len(vals) >= 2:
         report.trend = float(np.polyfit(logs, np.log(vals), 1)[0])
-    if split_check_tol is not None:
-        report.samples.append(
-            EstimateSample({"check": "split_disagreement"}, worst_split, split_check_tol)
-        )
     return report
 
 
-def _mq_power_norm(cond: Conductivity, pair: ZetaPair, restarts: int, rng) -> float:
+def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = True) -> float:
     """Top singular value of the bilinear form between the two weighted
-    slots (dealias band, cell-floored weights, exact zeros dropped).
+    slots (cell-floored weights, exact zeros dropped, and the 2/3 band
+    when dealiased).
 
     The kernel is q: on the lattice the duality form of mq_bilinear is
-    exactly sum q u v h^d, so both modes of mq_operator_ratio estimate
-    the same operator."""
+    exactly sum q u v h^d.  With a = sqrt(|p_1|) u and b = sqrt(|p_2|) v
+    in unitary spectral coordinates the form is b . M a, where
+    M a = ifft(q ifft(a / sqrt|p_1|)) / sqrt|p_2| (the unitary DFT is
+    symmetric), and its norm is that of M."""
     grid = cond.grid
     kernel = potential_q(cond).values.real
-    axes = tuple(range(grid.d))
-    weights, keeps = [], []
+    band = grid.dealias_mask if dealias else np.ones(grid.shape, dtype=bool)
+    scales = []
     for z in (pair.zeta1, pair.zeta2):
         pabs = lattice_symbol(z, grid).pabs
-        weights.append(np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))))
-        keeps.append(grid.dealias_mask & ~(pabs < 1e-6 * z.s))
+        keep = band & ~(pabs < 1e-6 * z.s)
+        scales.append(np.where(keep, 1.0 / np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))), 0.0))
+    inv_w1, inv_w2 = scales
 
-    def normalize(c, w, keep):
-        c = np.where(keep, c, 0)
-        nrm = np.sqrt(np.sum(np.abs(w * c) ** 2) * grid.measure)
-        return c / nrm if nrm > 0 else c
+    def apply(a):
+        return inv_w2 * np.fft.ifftn(kernel * np.fft.ifftn(inv_w1 * a, norm="ortho"), norm="ortho")
 
-    def reverse(a):
-        return np.roll(a[tuple(slice(None, None, -1) for _ in axes)], 1, axis=axes)
+    def adjoint(b):
+        return inv_w1 * np.fft.fftn(kernel * np.fft.fftn(inv_w2 * b, norm="ortho"), norm="ortho")
 
-    best = 0.0
-    for _ in range(restarts):
-        u = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        u = normalize(u, weights[0], keeps[0])
-        val = 0.0
-        for _ in range(25):
-            up = np.fft.ifftn(u, norm="ortho")
-            phi = np.fft.fftn(kernel * up, norm="ortho")
-            v = normalize(np.conj(reverse(phi)) / weights[1] ** 2, weights[1], keeps[1])
-            vp = np.fft.ifftn(v, norm="ortho")
-            val = abs(np.sum(kernel * up * vp) * grid.measure)
-            phi2 = np.fft.fftn(kernel * vp, norm="ortho")
-            u = normalize(np.conj(reverse(phi2)) / weights[0] ** 2, weights[0], keeps[0])
-        best = max(best, val)
-    return best
+    x0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return top_singular_value(apply, adjoint, x0)
 
 
 # -- averaged decay over (s, eta1) bands -------------------------------------

@@ -104,9 +104,7 @@ class TestSolvePsi:
 
     def test_contraction_consistent_with_operator_estimate(self, bump32, pair32):
         _, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
-        est = cg.mq_operator_ratio(
-            bump32, pair32, trials=8, seed=2, s_values=[pair32.s], mode="power"
-        )
+        est = cg.mq_operator_ratio(bump32, pair32, seed=2, s_values=[pair32.s])
         bound = est.samples[0].lhs
         assert rep.contraction_estimates[-1] <= 2.0 * bound
 

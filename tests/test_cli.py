@@ -85,3 +85,13 @@ def test_select_zeta_csv_independent_of_out_dir(smoke_config, tmp_path):
         (table,) = out.glob("*/samples.csv")
         tables.append(table.read_bytes())
     assert tables[0] == tables[1]
+
+
+def test_verify_estimates_reports_mq_operator_norm(smoke_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["verify-estimates", "--config", str(smoke_config), "--out", str(out)]) == 0
+    (report,) = out.glob("*/report.json")
+    result = json.loads(report.read_text())["result"]
+    (mq,) = [e for e in result["estimates"] if e["estimate_id"] == "mq_decay"]
+    assert [row["params"]["s"] for row in mq["samples"]] == SMOKE_CONFIG["s_values"]
+    assert result["schur"]["operator_norm"] <= result["schur"]["value"]

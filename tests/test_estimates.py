@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import cgolab as cg
+from cgolab import estimates
+from cgolab.estimates import mq_operator_ratio, top_singular_value
 
 from conftest import TWO_PI, _oracle_duality_form, random_field
 
@@ -71,11 +73,98 @@ class TestSchurBound:
         value, spectral_norm = self.dense(grid8, phi, v, w)
         assert sb.value == pytest.approx(value, rel=1e-12)
         assert sb.operator_norm <= spectral_norm * (1 + 1e-12)
-        assert sb.operator_norm >= spectral_norm * (1 - 1e-6)
+        assert sb.operator_norm >= spectral_norm * (1 - 1e-10)
 
     def test_nonpositive_weight_rejected(self, grid8):
         with pytest.raises(ValueError):
             cg.schur_bound(gaussian_phi, lambda pts: np.sum(pts * pts, axis=-1), unit, grid8)
+
+
+class TestTopSingularValue:
+    @staticmethod
+    def counted(mat, calls):
+        def apply(x):
+            calls.append(1)
+            return mat @ x
+        return apply, lambda y: mat.conj().T @ y
+
+    def test_matches_dense_norm(self):
+        rng = np.random.default_rng(3)
+        mat = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+        apply, adjoint = self.counted(mat, [])
+        x0 = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        assert top_singular_value(apply, adjoint, x0) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
+
+    def test_step_cap_returns_a_lower_bound(self, monkeypatch):
+        monkeypatch.setattr(estimates, "LANCZOS_MAX_STEPS", 3)
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+        calls = []
+        apply, adjoint = self.counted(mat, calls)
+        sigma = top_singular_value(apply, adjoint, rng.standard_normal(30) + 0j)
+        assert len(calls) == 3
+        assert 0.5 * np.linalg.norm(mat, 2) < sigma < np.linalg.norm(mat, 2)
+
+    def test_rank_one_stops_when_beta_vanishes(self):
+        # the Krylov space of a rank-1 map is invariant after two steps;
+        # the relative-change stop alone would need a third
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        calls = []
+        apply, adjoint = self.counted(np.outer(u, v.conj()), calls)
+        sigma = top_singular_value(apply, adjoint, rng.standard_normal(12) + 0j)
+        assert sigma == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12)
+        assert len(calls) == 2
+
+
+class TestMqOperatorNorm:
+    """Dense n=8 oracle: the 512x512 matrix of the weighted m_q form."""
+
+    @staticmethod
+    def dense_norm(cond, pair, dealias):
+        """||D2 E diag(q) E D1||_2, where E is the unitary inverse DFT (a
+        symmetric matrix), q = (Lap g)/g with the Nyquist row zeroed, and D
+        carries 1/sqrt(max(|p|, s/2)), zero where |p| < 1e-6 s and, when
+        dealiased, outside the 2/3 cube."""
+        n = cond.grid.n
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        mn = np.where(m == -(n // 2), 0.0, m)
+        xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1).reshape(-1, 3)
+        lap = -sum(a ** 2 for a in np.meshgrid(mn, mn, mn, indexing="ij"))
+        g = np.sqrt(cond.gamma.values.real)
+        q = (np.fft.ifftn(lap * np.fft.fftn(g)).real / g).ravel()
+        e1 = np.exp(2j * np.pi * np.outer(np.arange(n), m) / n) / np.sqrt(n)
+        dft = np.kron(np.kron(e1, e1), e1)
+        cube = np.all(np.abs(xi) <= (n // 3 if dealias else n), axis=-1)
+        k, s = pair.k, pair.s
+        r = np.sqrt(s * s - 0.25 * (k @ k))
+        scales = []
+        for zeta in (s * pair.eta1 + 1j * (0.5 * k + r * pair.eta2),
+                     -s * pair.eta1 + 1j * (0.5 * k - r * pair.eta2)):
+            pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ zeta))
+            keep = cube & (pabs >= 1e-6 * s)
+            scales.append(np.where(keep, 1.0 / np.sqrt(np.maximum(pabs, 0.5 * s)), 0.0))
+        mat = scales[1][:, None] * (dft @ (q[:, None] * dft)) * scales[0][None, :]
+        return np.linalg.norm(mat, 2)
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
+    @pytest.mark.parametrize("profile", ["bump", "cone"])
+    def test_matches_dense_matrix(self, profile, dealias):
+        grid = cg.FrequencyGrid(3, 8, TWO_PI)
+        if profile == "bump":
+            cond = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
+        else:
+            # the unmollified Lipschitz cone: at n = 8 the 2h pre-mollification
+            # of the "cone" profile would push its support past L/4
+            cone = 1.0 + 0.5 * np.maximum(0.0, 1.0 - grid.radius_from_center / 1.1)
+            cond = cg.conductivity_from_array(grid, cone, 1.1, "lipschitz")
+        k = np.array([0.0, 0.0, 1.0])
+        rep = mq_operator_ratio(cond, cg.zeta_pair_from_angle(k, 4.0, 0.3), seed=1,
+                                s_values=[4.0, 8.0], dealias=dealias)
+        for sample in rep.samples:
+            pair = cg.zeta_pair_from_angle(k, sample.params["s"], 0.3)
+            assert sample.lhs == pytest.approx(self.dense_norm(cond, pair, dealias), rel=1e-10)
 
 
 class TestMqKernel:
@@ -87,7 +176,7 @@ class TestMqKernel:
     def test_duality_form_is_sum_of_q(self, request, profile):
         """mq_bilinear, which is sum q u v h^d, equals the duality form
         -sum grad g . grad(uv/g) h^d evaluated in plain numpy: the kernel
-        that mq_operator_ratio's power mode uses is the form's own."""
+        that mq_operator_ratio uses is the form's own."""
         cond = request.getfixturevalue(profile)
         u = random_field(cond.grid, 11)
         v = random_field(cond.grid, 12)
