@@ -94,7 +94,6 @@ from .recovery import (
     RecoveryDiagnostics,
     alessandrini_terms,
     fourier_mode,
-    log_gradient_identity,
     recover_fourier_mode,
     uniqueness_gap,
 )

@@ -8,11 +8,13 @@ plain fixed-point iteration
 
 is used deliberately unaccelerated: the per-step increment ratio in the
 homogeneous 1/2-norm is itself a quantity of interest (it certifies the
-contraction numerically).  Products are formed in physical space,
-transformed once and 2/3-truncated in spectral space, which takes two
-transforms per step; the converged solution's residual is re-verified against
-the original equation with the forward multiplier and a plain
-(non-truncated) product.
+contraction numerically).  psihat is carried as one vector over the kept
+modes K -- the 2/3 cube minus the clamped modes -- since it vanishes
+everywhere else.  The first step divides the transform of q itself by p;
+every later one scatters psihat into one reused buffer, forms the product
+in physical space in place and gathers K back, two transforms per step.
+The converged solution's residual is re-verified against the original
+equation with the forward multiplier and a plain (non-truncated) product.
 
 The exponential factor e^{x . zeta} is never materialized: it is not
 torus-periodic and overflows for large s.  Downstream pairings rely on
@@ -26,19 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import Field, dealias_23, physical_field, to_physical, to_spectral, zeros_field, SPECTRAL
-from .potential import Conductivity, potential_q
+from .grid import Field, dealias_23, physical_field, to_physical, to_spectral, SPECTRAL
+from .potential import Conductivity
 from .spaces import (
     DEFAULT_CLAMP_EPS,
+    _guard_zero_modes,
     apply_delta_zeta,
     clamped_mask,
-    inverse_delta_zeta,
     inverse_symbol_sums,
     xdot_norm,
 )
-from .symbol import Zeta, ZetaPair, orthonormal_plane, zeta_pair_from_angle
-
-SOLVER_CLAMP_POLICY = "drop"
+from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
 @dataclass
@@ -46,8 +46,8 @@ class IterationReport:
     """Diagnostics of one fixed-point solve.
 
     psi_norm_xdot is the homogeneous 1/2-norm of the returned psi,
-    (sum over unclamped xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, under the
-    solver's "drop" clamp policy (see solve_psi).
+    (sum over unclamped xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}; psihat
+    is zero on clamped modes (see solve_psi).
     """
 
     iterations: int
@@ -69,7 +69,6 @@ def solve_psi(
     tol: float = 1e-10,
     max_iter: int = 400,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
-    clamp_policy: str = SOLVER_CLAMP_POLICY,
     dealias: bool = True,
 ) -> tuple[Field, IterationReport]:
     """Iterate the fixed point until the weighted increment falls under
@@ -77,11 +76,11 @@ def solve_psi(
     consecutive non-contracting steps.
 
     Increments and psi_norm_xdot use the homogeneous 1/2-norm
-    (sum over unclamped xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, where
-    p(xi) = -|xi|^2 + 2i zeta . xi, h^d is the grid's cell measure and
-    modes with |p| < clamp_eps * s are clamped.  Under the default
-    clamp_policy "drop" clamped modes carry no weight and psihat is zero
-    there; under "floor" they are weighed by clamp_eps * s instead.
+    (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, where
+    p(xi) = -|xi|^2 + 2i zeta . xi and h^d is the grid's cell measure.
+    The kept modes K are the 2/3 cube (the whole lattice when
+    dealias=False) minus the clamped modes |p| < clamp_eps * s; psihat
+    is zero off K.
 
     residual_xdot is the homogeneous -1/2-norm, off clamped modes, of
     the residual of the equation actually posed on the lattice (same
@@ -93,10 +92,29 @@ def solve_psi(
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = cond.grid
-    q = potential_q(cond)
-    qvals = q.values.real
+    qvals = cond.q.values.real
+    sym = lattice_symbol(zeta, grid)
+    mask = clamped_mask(zeta, grid, clamp_eps)
+    keep = ~mask & grid.dealias_mask if dealias else ~mask
+    kept = np.flatnonzero(keep)
+    p_k = sym.p.reshape(-1)[kept]
+    weight_k = sym.pabs.reshape(-1)[kept] * grid.measure
 
-    psi = zeros_field(grid, SPECTRAL)
+    def xdot(v):
+        return float(np.sqrt(weight_k @ (v.real * v.real + v.imag * v.imag)))
+
+    def step(rhs):
+        if clamp_eps == 0 and mask.any():
+            dens = np.abs(rhs) ** 2
+            if dealias:
+                dens *= grid.dealias_mask
+            _guard_zero_modes(dens.reshape(1, -1), mask.reshape(1, -1))
+        return rhs.reshape(-1)[kept] / p_k
+
+    # psi_0 = 0, so the first right-hand side is the transform of q itself
+    psi = step(cond.q_hat.values)
+    buf = np.empty(grid.shape, dtype=complex)
+    flat = buf.reshape(-1)
     ratios: list = []
     prev_inc = None
     bad_streak = 0
@@ -104,26 +122,33 @@ def solve_psi(
     iterations = 0
     inc = float("nan")
     psi_norm = 0.0
+    old = np.zeros_like(psi)
 
     for iterations in range(1, max_iter + 1):
-        psi_phys = to_physical(psi)
-        rhs = to_spectral(physical_field(grid, qvals * (1.0 + psi_phys.values)))
-        if dealias:
-            rhs = dealias_23(rhs)
-        new_psi, _ = inverse_delta_zeta(rhs, zeta, clamp_eps, clamp_policy)
-        inc = xdot_norm(new_psi - psi, zeta, 0.5, clamp_eps, clamp_policy)
+        if iterations > 1:
+            buf.fill(0.0)
+            flat[kept] = psi
+            np.fft.ifftn(buf, norm="ortho", out=buf)
+            buf += 1.0
+            buf *= qvals
+            np.fft.fftn(buf, norm="ortho", out=buf)
+            old, psi = psi, step(buf)
+        inc = xdot(psi - old)
         if prev_inc is not None and prev_inc > 0:
             ratio = inc / prev_inc
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
             if bad_streak >= 5:
                 raise NotContractiveError(ratio)
-        psi = new_psi
-        psi_norm = xdot_norm(psi, zeta, 0.5, clamp_eps, clamp_policy)
+        psi_norm = xdot(psi)
         if inc <= tol * max(1.0, psi_norm):
             converged = True
             break
         prev_inc = inc
+
+    buf.fill(0.0)
+    flat[kept] = psi
+    psi = Field(grid, SPECTRAL, buf)
 
     # independent residual: forward multiplier against a fresh product,
     # clamped modes excluded from the norm
@@ -135,7 +160,6 @@ def solve_psi(
     dealias_defect = (
         xdot_norm(w_plain - w_posed, zeta, -0.5, clamp_eps, "drop") if dealias else 0.0
     )
-    mask = clamped_mask(zeta, grid, clamp_eps)
     clamped_mass = float(np.sqrt(np.sum(np.abs(w_posed.values[mask]) ** 2) * grid.measure))
 
     report = IterationReport(
@@ -171,11 +195,11 @@ def select_zeta_sequence(
     samples_per_band: int,
     seed: int,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
-    clamp_policy: str = SOLVER_CLAMP_POLICY,
 ) -> list[BandSelection]:
     """Per dyadic band, draw (s, eta1) uniformly and keep the pair that
     minimizes  D = sum_{i,j} || q_i ||  in the homogeneous -1/2-norm at
-    zeta_j.  Fixed seed => identical selection (ties broken on (s, angle)).
+    zeta_j, with clamped modes dropped as in the solver.  Fixed seed =>
+    identical selection (ties broken on (s, angle)).
 
     All of a band's sample zetas go through one inverse_symbol_sums call
     with one |qhat_i|^2 row per conductivity, so no per-sample symbol
@@ -209,7 +233,7 @@ def select_zeta_sequence(
             for s, theta in zip(s_draws, angles)
         ]
         zetas = [z for pair in pairs for z in (pair.zeta1, pair.zeta2)]
-        sums = inverse_symbol_sums(dens, zetas, grid, clamp_eps, clamp_policy)
+        sums = inverse_symbol_sums(dens, zetas, grid, clamp_eps, "drop")
         # norms[i, j, l]: conductivity i at zeta_l of sample j
         norms = np.sqrt(sums * grid.measure).reshape(len(conds), samples_per_band, 2)
         rows = [

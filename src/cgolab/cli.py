@@ -55,7 +55,7 @@ from .estimates import (
 )
 from .grid import FrequencyGrid, to_physical
 from .potential import make_conductivity, make_cutoff, read_gamma_file
-from .recovery import recover_fourier_mode, uniqueness_gap
+from .recovery import pairing_weight, recover_fourier_mode, uniqueness_gap
 from .symbol import zeta_pair_from_angle
 
 SUBCOMMANDS = (
@@ -282,14 +282,18 @@ def _run_recover(cfg: ExperimentConfig):
     cond = _conductivity(grid, cfg.profiles[0])
     band = float(cfg.bands[-1])
     k_modes = cfg.k_modes or [cfg.k_mode]
+    ks = [_k_from_mode(grid, mode) for mode in k_modes]
+    # every mode's main-term gate runs before any mode is solved
+    phi = make_cutoff(cond)
+    weights = [pairing_weight(cond, k, phi) for k in ks]
     rows = []
     payload = {"modes": []}
-    for mode in k_modes:
-        k = _k_from_mode(grid, mode)
+    for mode, k, weight in zip(k_modes, ks, weights):
         recovered, diag = recover_fourier_mode(
             cond, k, band,
             samples_per_band=cfg.samples_per_band, seed=cfg.seed,
             tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
+            weight=weight,
         )
         bd = diag.breakdown
         rows.append(
@@ -315,7 +319,6 @@ def _run_recover(cfg: ExperimentConfig):
                 "term_linear": bd.term_linear,
                 "term_bilinear": bd.term_bilinear,
                 "error_bar": diag.error_bar,
-                "bilinear_route": bd.bilinear_route,
                 "selected_s": bd.zeta_pair.s,
                 "solver_iterations": [diag.report1.iterations, diag.report2.iterations],
                 "clamped_mass": diag.clamped_mass,

@@ -88,7 +88,21 @@ class ExperimentConfig:
                 raise ConfigError("every entry of k_modes must have grid.d entries")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
+        if not _is_real(self.tol) or not self.tol > 0:
+            raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
+        if not _is_real(self.clamp_eps) or not self.clamp_eps >= 0:
+            raise ConfigError(f"clamp_eps must be a number >= 0, got {self.clamp_eps!r}")
+        if not _is_int(self.max_iter) or self.max_iter < 1:
+            raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         return self
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 _SCALAR_FIELDS = {

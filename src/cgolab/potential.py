@@ -70,12 +70,16 @@ class Conductivity:
     support_radius: float
     lower_bound: float
     smoothness_class: str
-    lipschitz_seminorm: float
     mollification_width: float = 0.0
 
     @property
     def grid(self) -> FrequencyGrid:
         return self.gamma.grid
+
+    @cached_property
+    def lipschitz_seminorm(self) -> float:
+        """sup |grad log gamma| with the spectral gradient."""
+        return _grad_log_sup(self.grid, self.gamma.values.real)
 
     @cached_property
     def g(self) -> Field:
@@ -149,7 +153,6 @@ def conductivity_from_array(
         support_radius=float(support_radius),
         lower_bound=float(np.min(vals.real)),
         smoothness_class=smoothness_class,
-        lipschitz_seminorm=_grad_log_sup(grid, vals.real),
         mollification_width=width,
     )
 

@@ -9,23 +9,27 @@ pairing of the two localized solutions splits as
           + <m_q  phi e^{ixk/2} psi_1, phi e^{ixk/2} psi_2> (term_bilinear)
 
 where phi = 1 on the supports.  The exponentials e^{x.zeta_i} are never
-materialized; only the periodic e^{ix.k} (and e^{ixk/2} when k/2 is on
-the lattice) appear.
+materialized; only the periodic e^{ix.k} appears.
 
-On the lattice every term is evaluated through the bilinear form
-mq_bilinear with the full cutoff pair in place (the slots carry
-phi e^{ixk/2} * factor, or phi^2 e^{ix.k} * factor when k/2 is
-off-lattice -- algebraically the same product since the form depends
-only on u*v).  mq_bilinear evaluates the duality form
--sum grad g . grad(w/g) h^d as the equal sum q w h^d: the spectral
-gradient is skew-adjoint and the spectral Laplacian is its exact
-composition, so the two agree to rounding (see potential).  This makes
-the three-term additivity exact linear algebra.  term_main is
-sum q phi^2 e^{ix.k} h^d, verified against the direct transform of q,
-sum q e^{ix.k} h^d; the gap between the two is the lattice tail of q
-where phi^2 < 1, so that gate fails on under-resolved q.  Dropping the
-extra cutoff power, as one may in the continuum where phi = 1 on the
-support of q, would re-introduce spectral-ringing slack.
+On the lattice the m_q form of a product u v is sum q u v h^d (see
+potential), so every term depends on the slots only through their
+product and all four are sums of the one weight
+
+    w = q phi^2 e^{ix.k} h^d:
+
+    term_main     = sum w
+    term_linear   = sum w (psi_1 + psi_2)
+    term_bilinear = sum w psi_1 psi_2
+    total         = sum w (1 + psi_1)(1 + psi_2)
+
+with psi_i in physical space, which makes the three-term additivity
+exact linear algebra.  term_main is verified against the direct
+transform of q, sum q e^{ix.k} h^d; the gap between the two is the
+lattice tail of q where phi^2 < 1, so that gate fails on under-resolved
+q.  Dropping the extra cutoff power, as one may in the continuum where
+phi = 1 on the support of q, would re-introduce spectral-ringing slack.
+pairing_weight forms w and evaluates these gates, so recover_fourier_mode
+and uniqueness_gap fail on them before any zeta selection or solve.
 
 recover_fourier_mode returns total as the CGO-side estimate of the
 k-mode of q; |term_linear| + |term_bilinear| is its error bar.  All
@@ -34,14 +38,14 @@ products here are left untruncated so the identities hold to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
 from .errors import CgolabError, FrameError
-from .grid import Field, exp_ik_field, multiply, pairing, physical_field, to_physical, to_spectral, spectral_gradient
-from .potential import Conductivity, CutoffField, make_cutoff, mq_bilinear, potential_q
+from .grid import Field, FrequencyGrid, exp_ik_field, pairing, to_physical, to_spectral
+from .potential import Conductivity, CutoffField, make_cutoff
 from .spaces import DEFAULT_CLAMP_EPS
 from .symbol import ZetaPair
 
@@ -57,7 +61,6 @@ class PairingBreakdown:
     term_linear: complex
     term_bilinear: complex
     total: complex
-    bilinear_route: str = "half_mode"  # or "squared_cutoff" when k/2 off-lattice
     main_oracle: complex = 0j  # direct transform of q at k (independent)
 
 
@@ -76,56 +79,30 @@ def _fourier_mode_spectral(q: Field, k) -> complex:
     return complex(qhat * grid.n ** (grid.d / 2.0) * grid.measure)
 
 
-def _half_mode_on_lattice(grid, k) -> bool:
-    m = np.rint(np.asarray(k, dtype=float) / grid.freq_step).astype(int)
-    return bool(np.all(m % 2 == 0))
+@dataclass(frozen=True, eq=False)
+class PairingWeight:
+    """w = q phi^2 e^{ix.k} h^d of one conductivity at one k, with the
+    main term sum w and the direct transform of q it was checked against."""
+
+    grid: FrequencyGrid
+    k: np.ndarray
+    values: np.ndarray
+    term_main: complex
+    main_oracle: complex
 
 
-def alessandrini_terms(
-    cond: Conductivity,
-    k,
-    zeta_pair: ZetaPair,
-    psi1: Field,
-    psi2: Field,
-    phi: CutoffField,
-) -> PairingBreakdown:
-    """Three-term decomposition of the pairing at frequency k."""
+def pairing_weight(cond: Conductivity, k, phi: CutoffField) -> PairingWeight:
+    """Form w and check the main term: the two direct-transform routes to
+    the k-mode of q must agree to 1e-12, and sum w must match them to
+    _MAIN_ORACLE_TOL, both relative to the L1 majorant of q.  Raises
+    CgolabError otherwise."""
     grid = cond.grid
     k = np.asarray(k, dtype=float)
-    grid.mode_index(k)
-    if np.max(np.abs(zeta_pair.k - k)) > 1e-9 * max(1.0, zeta_pair.s):
-        raise FrameError("zeta pair was built for a different frequency k")
-    for psi in (psi1, psi2):
-        if psi.grid != grid:
-            raise FrameError("psi provenance mismatch: wrong grid")
-
-    q = potential_q(cond)
-    e_k = exp_ik_field(grid, k)
-    phi_f = phi.field
-    psi1_p, psi2_p = to_physical(psi1), to_physical(psi2)
-
-    if _half_mode_on_lattice(grid, k):
-        route = "half_mode"
-        e_half = exp_ik_field(grid, 0.5 * k)
-        slot1 = multiply(phi_f, e_half)
-        slot2 = slot1
-    else:
-        route = "squared_cutoff"
-        slot1 = multiply(multiply(phi_f, phi_f), e_k)
-        slot2 = physical_field(grid, np.ones(grid.shape))
-
-    base = multiply(slot1, slot2)  # = phi^2 e^{ix.k}
-    psi_sum = physical_field(grid, psi1_p.values + psi2_p.values)
-    psi_prod = physical_field(grid, psi1_p.values * psi2_p.values)
-
-    term_main = mq_bilinear(slot1, slot2, cond)
-    term_linear = mq_bilinear(base, psi_sum, cond)
-    term_bilinear = mq_bilinear(base, psi_prod, cond)
-    total = mq_bilinear(
-        multiply(slot1, physical_field(grid, 1.0 + psi1_p.values)),
-        multiply(slot2, physical_field(grid, 1.0 + psi2_p.values)),
-        cond,
-    )
+    q = cond.q
+    e_k = exp_ik_field(grid, k)  # validates k on the lattice
+    phi_vals = phi.field.values.real
+    w = e_k.values * (q.values.real * phi_vals * phi_vals * grid.measure)
+    term_main = complex(np.sum(w))
 
     main_oracle = pairing(q, e_k)  # fourier_mode(q, k), with the plane wave at hand
     main_oracle_spectral = _fourier_mode_spectral(cond.q_hat, k)
@@ -140,7 +117,37 @@ def alessandrini_terms(
         raise CgolabError(
             f"main-term transform oracle mismatch: {term_main} vs {main_oracle}"
         )
+    return PairingWeight(grid, k, w, term_main, main_oracle)
 
+
+def alessandrini_terms(
+    weight: PairingWeight,
+    zeta_pair: ZetaPair,
+    psi1: Field,
+    psi2: Field,
+) -> PairingBreakdown:
+    """Three-term decomposition of the pairing at the weight's frequency
+    k, as sums of the weight w (see the module docstring)."""
+    k = weight.k
+    if np.max(np.abs(zeta_pair.k - k)) > 1e-9 * max(1.0, zeta_pair.s):
+        raise FrameError("zeta pair was built for a different frequency k")
+    for psi in (psi1, psi2):
+        if psi.grid != weight.grid:
+            raise FrameError("psi provenance mismatch: wrong grid")
+
+    w = weight.values
+    psi1_p, psi2_p = to_physical(psi1).values, to_physical(psi2).values
+    # one product buffer, rewritten for each sum
+    buf = np.multiply(w, psi1_p)
+    linear1 = np.sum(buf)
+    term_bilinear = complex(np.sum(np.multiply(buf, psi2_p, out=buf)))
+    term_linear = complex(linear1 + np.sum(np.multiply(w, psi2_p, out=buf)))
+    np.add(psi1_p, 1.0, out=buf)
+    buf *= w  # w (1 + psi1)
+    total_head = np.sum(buf)
+    total = complex(total_head + np.sum(np.multiply(buf, psi2_p, out=buf)))
+
+    term_main = weight.term_main
     parts = term_main + term_linear + term_bilinear
     scale = max(abs(total), abs(parts), 1e-300)
     if abs(total - parts) > _ADDITIVITY_TOL * scale:
@@ -154,8 +161,7 @@ def alessandrini_terms(
         term_linear=term_linear,
         term_bilinear=term_bilinear,
         total=total,
-        bilinear_route=route,
-        main_oracle=main_oracle,
+        main_oracle=weight.main_oracle,
     )
 
 
@@ -179,21 +185,25 @@ def recover_fourier_mode(
     tol: float = 1e-10,
     max_iter: int = 600,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
+    weight: PairingWeight | None = None,
 ) -> tuple[complex, RecoveryDiagnostics]:
     """CGO-side estimate of the k-mode of q at one dyadic band.
 
-    Selects the band-optimal zeta pair (conductivity duplicated in the
-    selection objective), solves both remainders, and returns the full
-    pairing with |term_linear| + |term_bilinear| as the error bar.
+    Checks the main term first (pairing_weight, unless its result is
+    given as weight), then selects the band-optimal zeta pair
+    (conductivity duplicated in the selection objective), solves both
+    remainders, and returns the full pairing with
+    |term_linear| + |term_bilinear| as the error bar.
     """
+    if weight is None:
+        weight = pairing_weight(cond, k, make_cutoff(cond))
     selection = select_zeta_sequence(
         [cond, cond], k, [band], samples_per_band, seed, clamp_eps
     )[0]
     pair = selection.pair
     psi1, rep1 = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
     psi2, rep2 = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
-    phi = make_cutoff(cond)
-    breakdown = alessandrini_terms(cond, k, pair, psi1, psi2, phi)
+    breakdown = alessandrini_terms(weight, pair, psi1, psi2)
     error_bar = abs(breakdown.term_linear) + abs(breakdown.term_bilinear)
     diag = RecoveryDiagnostics(
         breakdown=breakdown,
@@ -234,12 +244,16 @@ def uniqueness_gap(
     """Per k: the two full pairings side by side with the direct
     transform gap.  The zeta selection is shared between the two
     conductivities, which makes the table exactly symmetric under
-    swapping them."""
+    swapping them.  Every main term is checked before any selection or
+    solve."""
     if abs(cond1.support_radius - cond2.support_radius) > 1e-9 * cond1.grid.L:
         raise FrameError("conductivities must share support geometry")
+    conds = (cond1, cond2)
+    phis = [make_cutoff(cond) for cond in conds]
+    weights = [[pairing_weight(cond, k, phi) for cond, phi in zip(conds, phis)] for k in k_set]
     rows = []
-    for k in k_set:
-        k = np.asarray(k, dtype=float)
+    for k_weights in weights:
+        k = k_weights[0].k
         selection = select_zeta_sequence(
             [cond1, cond2], k, [band], samples_per_band, seed, clamp_eps
         )[0]
@@ -247,11 +261,10 @@ def uniqueness_gap(
         totals = []
         errors = []
         qhats = []
-        for cond in (cond1, cond2):
+        for cond, weight in zip(conds, k_weights):
             psi1, _ = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
             psi2, _ = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
-            phi = make_cutoff(cond)
-            bd = alessandrini_terms(cond, k, pair, psi1, psi2, phi)
+            bd = alessandrini_terms(weight, pair, psi1, psi2)
             totals.append(bd.total)
             errors.append(abs(bd.term_linear) + abs(bd.term_bilinear))
             qhats.append(bd.main_oracle)
@@ -269,23 +282,3 @@ def uniqueness_gap(
             )
         )
     return rows
-
-
-def log_gradient_identity(cond1, cond2) -> float:
-    """Quadratic form  integral g1 g2 |grad(log g1 - log g2)|^2 dx.
-
-    Accepts Conductivity objects or raw positive physical Fields (the
-    g_i themselves); zero iff g1 = g2 up to gradient on the connected
-    torus."""
-    g1 = cond1.g if isinstance(cond1, Conductivity) else cond1
-    g2 = cond2.g if isinstance(cond2, Conductivity) else cond2
-    if g1.grid != g2.grid:
-        raise FrameError("fields live on different grids")
-    grid = g1.grid
-    v1, v2 = g1.values.real, g2.values.real
-    if np.min(v1) <= 0 or np.min(v2) <= 0:
-        raise CgolabError("g factors must be strictly positive")
-    psi = physical_field(grid, np.log(v1) - np.log(v2))
-    grads = [to_physical(f).values.real for f in spectral_gradient(psi)]
-    dens = sum(gj * gj for gj in grads)
-    return float(np.sum(v1 * v2 * dens) * grid.measure)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cgolab as cg
-from cgolab.errors import InfeasibleGeometryError, NotContractiveError
+from cgolab.errors import InfeasibleGeometryError, NotContractiveError, SingularModeError
 from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice
 
 
@@ -15,20 +15,29 @@ def pair32():
 # 2/3 dealiasing and clamped modes dropped.
 
 
-def _oracle_psi_norm(q, zeta):
-    """(sum |p| |psihat|^2 h^3)^{1/2} over unclamped modes (|p| >= 1e-6 s) at
-    the fixed point psihat = mask23 * FFT(q (1 + psi)) / p.  The solver's step
-    ratio on the bump is ~1e-3, so 10 iterations from 0 reach rounding level."""
+def _oracle_psi(q, zeta, steps=10, dealias=True):
+    """psihat after `steps` steps from 0 of psihat = mask * FFT(q (1 + psi)) / p,
+    with mask the unclamped modes (|p| >= 1e-6 s), on the 2/3 cube when
+    dealias, and the symbol p.  The solver's step ratio on the bump is ~1e-3,
+    so 10 steps reach rounding level."""
     n = q.shape[0]
     _, modes = _oracle_lattice(n)
     p = -sum(m * m for m in modes) + 2j * sum(z * m for z, m in zip(zeta, modes))
     keep = np.abs(p) >= 1e-6 * np.linalg.norm(zeta.real)
-    for m in modes:
-        keep = keep & (np.abs(m) <= n // 3)
+    if dealias:
+        for m in modes:
+            keep = keep & (np.abs(m) <= n // 3)
     psihat = np.zeros(q.shape, dtype=complex)
-    for _ in range(10):
+    for _ in range(steps):
         rhs = np.fft.fftn(q * (1.0 + np.fft.ifftn(psihat, norm="ortho")), norm="ortho")
         psihat = np.where(keep, rhs / np.where(keep, p, 1.0), 0.0)
+    return psihat, p
+
+
+def _oracle_psi_norm(q, zeta):
+    """(sum |p| |psihat|^2 h^3)^{1/2} at the oracle fixed point."""
+    psihat, p = _oracle_psi(q, zeta)
+    n = q.shape[0]
     return float(np.sqrt(np.sum(np.abs(p) * np.abs(psihat) ** 2) * (TWO_PI / n) ** 3))
 
 
@@ -107,6 +116,45 @@ class TestSolvePsi:
         est = cg.mq_operator_ratio(bump32, pair32, seed=2, s_values=[pair32.s])
         bound = est.samples[0].lhs
         assert rep.contraction_estimates[-1] <= 2.0 * bound
+
+    @pytest.mark.parametrize("clamp_eps", [1e-6, 1e-2])
+    def test_psihat_zero_off_kept_modes(self, bump32, pair32, clamp_eps):
+        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=clamp_eps)
+        clamped = cg.clamped_mask(pair32.zeta1, bump32.grid, clamp_eps)
+        kept = ~clamped & bump32.grid.dealias_mask
+        assert rep.clamped_count == clamped.sum() > 0
+        assert np.all(psi.values[~kept] == 0.0)
+        assert np.all(psi.values[kept] != 0.0)
+
+    def test_full_lattice_matches_plain_fixed_point(self, bump32, pair32):
+        # dealias=False: the same iteration with no 2/3 mask, step for step.
+        # It starts from the solver's own q: the conftest q differs from it
+        # by 6e-14 (relative sup), which 1/p amplifies to 4e-13 in psihat
+        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, dealias=False)
+        q = bump32.q.values.real
+        expected, p = _oracle_psi(q, pair32.zeta1.value, rep.iterations, dealias=False)
+        assert rep.dealias_defect == 0.0
+        assert np.max(np.abs(psi.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+        norm = np.sqrt(np.sum(np.abs(p) * np.abs(expected) ** 2) * (TWO_PI / 32) ** 3)
+        assert rep.psi_norm_xdot == pytest.approx(norm, rel=1e-12)
+        # the 2/3 mask changes the answer, so the check above can see it
+        dealiased, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
+        assert np.max(np.abs(dealiased.values - expected)) > 1e-6 * np.max(np.abs(expected))
+
+    def test_zero_clamp_rejects_mass_on_zero_mode(self, bump32, uniform32, pair32, monkeypatch):
+        # p(0) = 0 for every zeta, and the mean of q is positive: the first
+        # step, which divides q_hat and transforms nothing, raises
+        bump32.q_hat
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("transformed past the first step")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "ifftn", forbidden)
+            with pytest.raises(SingularModeError):
+                cg.solve_psi(bump32, pair32.zeta1, clamp_eps=0.0)
+        _, rep = cg.solve_psi(uniform32, pair32.zeta1, clamp_eps=0.0)
+        assert rep.converged
 
     def test_invalid_tolerance(self, bump32, pair32):
         with pytest.raises(ValueError):

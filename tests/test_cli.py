@@ -5,6 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import cgolab.cli
+import cgolab.errors
+import cgolab.recovery
 from cgolab.cli import EXIT_CONFIG, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,6 +33,45 @@ def test_config_with_threads_exits_before_computing(tmp_path, capsys):
     assert main(["verify-estimates", "--config", str(path)]) == EXIT_CONFIG
     assert "threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, config",
+    [("recover", {}), ("uniqueness-gap", {"profiles": [{"kind": "gaussian"}] * 2})],
+)
+def test_main_term_gate_fails_before_any_solve(subcommand, config, tmp_path, capsys, monkeypatch):
+    # the default n=32 gaussian leaves a cutoff tail of 7e-6 ||q||_L1 at k = e_z
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed past the main-term gate")
+
+    monkeypatch.setattr(cgolab.recovery, "select_zeta_sequence", forbidden)
+    monkeypatch.setattr(cgolab.recovery, "solve_psi", forbidden)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+    assert main([subcommand, "--config", str(path)]) == 1
+    assert "main-term transform oracle mismatch" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_recover_gates_every_mode_before_the_first_solve(tmp_path, capsys, monkeypatch):
+    # n=64: the gaussian passes the gate at e_z; the second mode is made to fail
+    gate = cgolab.cli.pairing_weight
+
+    def failing_on_second(cond, k, phi):
+        if k[2] > 1.5:
+            raise cgolab.errors.CgolabError("main-term transform oracle mismatch: second mode")
+        return gate(cond, k, phi)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed past the main-term gate")
+
+    monkeypatch.setattr(cgolab.cli, "pairing_weight", failing_on_second)
+    monkeypatch.setattr(cgolab.recovery, "select_zeta_sequence", forbidden)
+    path = tmp_path / "c.json"
+    config = {"grid": {"n": 64}, "k_modes": [[0, 0, 1], [0, 0, 2]], "out_dir": str(tmp_path / "out")}
+    path.write_text(json.dumps(config))
+    assert main(["recover", "--config", str(path)]) == 1
+    assert "second mode" in capsys.readouterr().err
 
 
 SMOKE_CONFIG = {

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import cgolab as cg
+from cgolab.potential import _grad_log_sup
 from cgolab.symbol import lattice_symbol
 
 from conftest import random_field
@@ -33,12 +34,13 @@ def zeta16():
 
 class TestTransformCounts:
     def test_solver_step_takes_two_transforms(self, bump32, zeta16, fft_calls):
-        cg.potential_q(bump32)
+        bump32.q_hat
         fft_calls.clear()
         _, rep = cg.solve_psi(bump32, zeta16, tol=1e-10)
-        # one inverse and one forward per step, two for the residual
+        # none for the first step (it divides q_hat), one inverse and one
+        # forward per later step, two for the residual
         assert rep.iterations == 4
-        assert len(fft_calls) == 2 * rep.iterations + 2
+        assert fft_calls == ["ifftn", "fftn"] * rep.iterations
 
     def test_pairing_transforms_only_its_slots(self, bump32, fft_calls):
         cg.potential_q(bump32)
@@ -55,6 +57,16 @@ class TestTransformCounts:
         cg.averaged_decay(bump32.log_g, k, [8.0], 8, 8, phi)
         # f once, then per gradient component one product (16 at the parent)
         assert fft_calls == ["fftn"] + ["ifftn", "fftn"] * 3
+
+
+class TestLipschitzSeminorm:
+    def test_built_on_first_read(self, grid32, fft_calls):
+        cond = cg.make_conductivity(grid32, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
+        assert fft_calls == []
+        value = cond.lipschitz_seminorm
+        assert len(fft_calls) == 4  # log gamma forward, three gradients back
+        assert value == _grad_log_sup(grid32, cond.gamma.values.real)
+        assert cond.lipschitz_seminorm is value
 
 
 class TestSymbolData:
