@@ -12,9 +12,11 @@ contraction numerically).  psihat is carried as one vector over the kept
 modes K -- the 2/3 cube minus the clamped modes -- since it vanishes
 everywhere else.  The first step divides the transform of q itself by p;
 every later one scatters psihat into one reused buffer, forms the product
-in physical space in place and gathers K back, two transforms per step.
-The converged solution's residual is re-verified against the original
-equation with the forward multiplier and a plain (non-truncated) product.
+in physical space in place and gathers K back; with the 2/3 rule on, both
+transforms skip the lines the cube cannot reach (grid.cube_transform).
+One full transform of the fresh product q (1 + psi) at the returned psi
+re-verifies the residual on K, and the physical psi it was formed from
+is returned next to psihat, so the pairing transforms nothing.
 
 The exponential factor e^{x . zeta} is never materialized: it is not
 torus-periodic and overflows for large s.  Downstream pairings rely on
@@ -28,16 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import Field, dealias_23, physical_field, to_physical, to_spectral, SPECTRAL
+from .grid import PHYSICAL, SPECTRAL, Field, cube_transform
 from .potential import Conductivity
-from .spaces import (
-    DEFAULT_CLAMP_EPS,
-    _guard_zero_modes,
-    apply_delta_zeta,
-    clamped_mask,
-    inverse_symbol_sums,
-    xdot_norm,
-)
+from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamped_mask, inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
@@ -46,8 +41,10 @@ class IterationReport:
     """Diagnostics of one fixed-point solve.
 
     psi_norm_xdot is the homogeneous 1/2-norm of the returned psi,
-    (sum over unclamped xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}; psihat
-    is zero on clamped modes (see solve_psi).
+    (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}; psihat is
+    zero off the kept modes K.  residual_xdot, dealias_defect and
+    clamped_mass all come from one transform w of the fresh product
+    q (1 + psi) at the returned psi (see solve_psi).
     """
 
     iterations: int
@@ -63,6 +60,13 @@ class IterationReport:
     dealias_defect: float = 0.0
 
 
+def _guard_split(on_zero: np.ndarray, elsewhere: np.ndarray):
+    """_guard_zero_modes for one density given by its values on the exact
+    zeros of p and on the other modes it covers."""
+    row = np.concatenate([on_zero, elsewhere])
+    _guard_zero_modes(row[None, :], (np.arange(row.size) < on_zero.size)[None, :])
+
+
 def solve_psi(
     cond: Conductivity,
     zeta: Zeta,
@@ -70,10 +74,11 @@ def solve_psi(
     max_iter: int = 400,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
     dealias: bool = True,
-) -> tuple[Field, IterationReport]:
+) -> tuple[Field, IterationReport, Field]:
     """Iterate the fixed point until the weighted increment falls under
     tol * max(1, ||psi||), or raise NotContractiveError after five
-    consecutive non-contracting steps.
+    consecutive non-contracting steps.  Returns psihat, the report and
+    psi in physical space (formed for the residual check).
 
     Increments and psi_norm_xdot use the homogeneous 1/2-norm
     (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, where
@@ -82,12 +87,14 @@ def solve_psi(
     dealias=False) minus the clamped modes |p| < clamp_eps * s; psihat
     is zero off K.
 
-    residual_xdot is the homogeneous -1/2-norm, off clamped modes, of
-    the residual of the equation actually posed on the lattice (same
-    product convention as the iteration), re-evaluated independently
-    with the forward multiplier and a fresh product.  The defect on
-    clamped modes is reported as clamped_mass, and the 2/3-truncation
-    defect (when dealias=True) as dealias_defect.
+    The returned psi is re-checked against the equation posed on the
+    lattice with a fresh product w = FFT(q (1 + psi)): residual_xdot^2
+    = sum over K of |p psihat - w|^2 / |p| h^d (both terms vanish off
+    the posed band; clamped modes are dropped).  From the same w,
+    dealias_defect is the -1/2-norm of w on the unclamped modes off the
+    cube (0 when dealias=False), and clamped_mass its L2 mass on the
+    clamped modes of the posed band.  With clamp_eps = 0, residual or
+    defect mass on an exact zero of p raises SingularModeError.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -98,7 +105,8 @@ def solve_psi(
     keep = ~mask & grid.dealias_mask if dealias else ~mask
     kept = np.flatnonzero(keep)
     p_k = sym.p.reshape(-1)[kept]
-    weight_k = sym.pabs.reshape(-1)[kept] * grid.measure
+    pabs_k = sym.pabs.reshape(-1)[kept]
+    weight_k = pabs_k * grid.measure
 
     def xdot(v):
         return float(np.sqrt(weight_k @ (v.real * v.real + v.imag * v.imag)))
@@ -111,10 +119,20 @@ def solve_psi(
             _guard_zero_modes(dens.reshape(1, -1), mask.reshape(1, -1))
         return rhs.reshape(-1)[kept] / p_k
 
-    # psi_0 = 0, so the first right-hand side is the transform of q itself
-    psi = step(cond.q_hat.values)
     buf = np.empty(grid.shape, dtype=complex)
     flat = buf.reshape(-1)
+
+    def scatter_inverse(psi):
+        """buf <- psi in physical space."""
+        buf.fill(0.0)
+        flat[kept] = psi
+        if dealias:
+            cube_transform(grid, buf, "inverse")
+        else:
+            np.fft.ifftn(buf, norm="ortho", out=buf)
+
+    # psi_0 = 0, so the first right-hand side is the transform of q itself
+    psi = step(cond.q_hat.values)
     ratios: list = []
     prev_inc = None
     bad_streak = 0
@@ -126,12 +144,13 @@ def solve_psi(
 
     for iterations in range(1, max_iter + 1):
         if iterations > 1:
-            buf.fill(0.0)
-            flat[kept] = psi
-            np.fft.ifftn(buf, norm="ortho", out=buf)
+            scatter_inverse(psi)
             buf += 1.0
             buf *= qvals
-            np.fft.fftn(buf, norm="ortho", out=buf)
+            if dealias:
+                cube_transform(grid, buf, "forward")
+            else:
+                np.fft.fftn(buf, norm="ortho", out=buf)
             old, psi = psi, step(buf)
         inc = xdot(psi - old)
         if prev_inc is not None and prev_inc > 0:
@@ -146,21 +165,29 @@ def solve_psi(
             break
         prev_inc = inc
 
-    buf.fill(0.0)
-    flat[kept] = psi
-    psi = Field(grid, SPECTRAL, buf)
+    psihat = np.zeros(grid.shape, dtype=complex)
+    psihat.reshape(-1)[kept] = psi
+    scatter_inverse(psi)
+    # fresh product at the returned psi, transformed on the whole lattice
+    w = np.add(buf, 1.0)
+    w *= qvals
+    np.fft.fftn(w, norm="ortho", out=w)
 
-    # independent residual: forward multiplier against a fresh product,
-    # clamped modes excluded from the norm
-    psi_phys = to_physical(psi)
-    w_plain = to_spectral(physical_field(grid, qvals * (1.0 + psi_phys.values)))
-    w_posed = dealias_23(w_plain) if dealias else w_plain
-    forward = apply_delta_zeta(psi, zeta)
-    residual_xdot = xdot_norm(forward - w_posed, zeta, -0.5, clamp_eps, "drop")
-    dealias_defect = (
-        xdot_norm(w_plain - w_posed, zeta, -0.5, clamp_eps, "drop") if dealias else 0.0
-    )
-    clamped_mass = float(np.sqrt(np.sum(np.abs(w_posed.values[mask]) ** 2) * grid.measure))
+    res = p_k * psi - w.reshape(-1)[kept]
+    res_dens = res.real * res.real + res.imag * res.imag
+    band_clamped = mask & grid.dealias_mask if dealias else mask
+    w_clamped = np.abs(w[band_clamped]) ** 2
+    if clamp_eps == 0:
+        _guard_split(w_clamped, res_dens)
+    residual_xdot = float(np.sqrt(np.sum(res_dens / pabs_k) * grid.measure))
+    clamped_mass = float(np.sqrt(np.sum(w_clamped) * grid.measure))
+    dealias_defect = 0.0
+    if dealias:
+        off = ~grid.dealias_mask
+        if clamp_eps == 0:
+            _guard_split(np.abs(w[off & mask]) ** 2, np.abs(w[off & ~mask]) ** 2)
+        off &= ~mask
+        dealias_defect = float(np.sqrt(np.sum(np.abs(w[off]) ** 2 / sym.pabs[off]) * grid.measure))
 
     report = IterationReport(
         iterations=iterations,
@@ -175,7 +202,7 @@ def solve_psi(
         clamp_eps=clamp_eps,
         dealias_defect=dealias_defect,
     )
-    return psi, report
+    return Field(grid, SPECTRAL, psihat), report, Field(grid, PHYSICAL, buf)
 
 
 @dataclass

@@ -53,7 +53,7 @@ from .estimates import (
     schur_bound,
     singbound_quadrature,
 )
-from .grid import FrequencyGrid, to_physical
+from .grid import FrequencyGrid
 from .potential import make_conductivity, make_cutoff, read_gamma_file
 from .recovery import pairing_weight, recover_fourier_mode, uniqueness_gap
 from .symbol import zeta_pair_from_angle
@@ -124,7 +124,7 @@ def _run_solve_cgo(cfg: ExperimentConfig):
     cond = _conductivity(grid, cfg.profiles[0])
     k = _k_from_mode(grid, cfg.k_mode)
     pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
-    psi, rep = solve_psi(
+    _, rep, psi = solve_psi(
         cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter,
         clamp_eps=cfg.clamp_eps, dealias=cfg.dealias,
     )
@@ -145,7 +145,7 @@ def _run_solve_cgo(cfg: ExperimentConfig):
         "clamped_mass": rep.clamped_mass,
         "dealias_defect": rep.dealias_defect,
         "contraction_estimates": rep.contraction_estimates,
-        "psi_sup": float(np.max(np.abs(to_physical(psi).values))),
+        "psi_sup": float(np.max(np.abs(psi.values))),
     }
     header = [
         "iterations", "converged", "residual_xdot", "psi_norm_xdot",

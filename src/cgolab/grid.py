@@ -21,6 +21,7 @@ Field, so all of this is safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -256,6 +257,40 @@ def transform(f: Field, direction: str) -> Field:
             raise RepresentationError("inverse transform of a physical field")
         return Field(f.grid, PHYSICAL, np.fft.ifftn(f.values, norm="ortho"))
     raise ValueError(f"unknown direction {direction!r}")
+
+
+def cube_transform(grid: FrequencyGrid, values: np.ndarray, direction: str) -> np.ndarray:
+    """Unitary DFT, in place, of a lattice array when only the 2/3 cube of
+    its spectrum matters.
+
+    One-axis transforms run last axis first, in numpy's fftn/ifftn order,
+    on only the lines that can carry data.  The inverse expects a
+    spectrum that vanishes off the cube and skips the lines still zero;
+    the forward skips the lines whose output falls off the cube, so the
+    modes off the cube are left holding partial sums.  What the caller
+    keeps -- the whole inverse, the cube of the forward -- is
+    bit-identical to ifftn/fftn of the full array.  At n=64 each
+    direction does 71% of their work.
+    """
+    if values.shape != grid.shape:
+        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
+    if direction == "inverse":
+        fn, pruned = np.fft.ifftn, lambda axis: range(axis)
+    elif direction == "forward":
+        fn, pruned = np.fft.fftn, lambda axis: range(axis + 1, grid.d)
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    c = grid.n // 3
+    cube = (slice(0, c + 1), slice(grid.n - c, grid.n))  # |m| <= n//3 in FFT order
+    for axis in reversed(range(grid.d)):
+        axes = pruned(axis)
+        for blocks in itertools.product(cube, repeat=len(axes)):
+            index = [slice(None)] * grid.d
+            for ax, block in zip(axes, blocks):
+                index[ax] = block
+            view = values[tuple(index)]
+            fn(view, axes=(axis,), norm="ortho", out=view)
+    return values
 
 
 def to_physical(f: Field) -> Field:

@@ -127,7 +127,9 @@ def alessandrini_terms(
     psi2: Field,
 ) -> PairingBreakdown:
     """Three-term decomposition of the pairing at the weight's frequency
-    k, as sums of the weight w (see the module docstring)."""
+    k, as sums of the weight w (see the module docstring).  psi1 and psi2
+    are read in physical space (the third value of solve_psi); a
+    spectral psi is transformed first."""
     k = weight.k
     if np.max(np.abs(zeta_pair.k - k)) > 1e-9 * max(1.0, zeta_pair.s):
         raise FrameError("zeta pair was built for a different frequency k")
@@ -190,19 +192,16 @@ def recover_fourier_mode(
     """CGO-side estimate of the k-mode of q at one dyadic band.
 
     Checks the main term first (pairing_weight, unless its result is
-    given as weight), then selects the band-optimal zeta pair
-    (conductivity duplicated in the selection objective), solves both
-    remainders, and returns the full pairing with
-    |term_linear| + |term_bilinear| as the error bar.
+    given as weight), then selects the band-optimal zeta pair on the
+    one conductivity, solves both remainders, and returns the full
+    pairing with |term_linear| + |term_bilinear| as the error bar.
     """
     if weight is None:
         weight = pairing_weight(cond, k, make_cutoff(cond))
-    selection = select_zeta_sequence(
-        [cond, cond], k, [band], samples_per_band, seed, clamp_eps
-    )[0]
+    selection = select_zeta_sequence([cond], k, [band], samples_per_band, seed, clamp_eps)[0]
     pair = selection.pair
-    psi1, rep1 = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
-    psi2, rep2 = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+    _, rep1, psi1 = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+    _, rep2, psi2 = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
     breakdown = alessandrini_terms(weight, pair, psi1, psi2)
     error_bar = abs(breakdown.term_linear) + abs(breakdown.term_bilinear)
     diag = RecoveryDiagnostics(
@@ -262,8 +261,8 @@ def uniqueness_gap(
         errors = []
         qhats = []
         for cond, weight in zip(conds, k_weights):
-            psi1, _ = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
-            psi2, _ = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+            _, _, psi1 = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+            _, _, psi2 = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
             bd = alessandrini_terms(weight, pair, psi1, psi2)
             totals.append(bd.total)
             errors.append(abs(bd.term_linear) + abs(bd.term_bilinear))

@@ -37,10 +37,6 @@ DEFAULT_CLAMP_EPS = 1e-6
 
 _POLICIES = ("floor", "drop")
 
-# support points x zetas evaluated at once by inverse_symbol_sums
-# (2 MB per float64 temporary, which keeps a chunk in cache)
-_CHUNK_ELEMENTS = 1 << 18
-
 
 def smooth_bridge(rho):
     """Fixed smooth cutoff profile: 1 for |rho| <= 1, 0 for |rho| >= 2,
@@ -162,13 +158,14 @@ def inverse_symbol_sums(
     |p_z| < clamp_eps * s_z contribute nothing.  With dens = |uhat|^2,
     S * h^d is the squared homogeneous -1/2-norm of u at zeta_z.
 
-    Only lattice points where some row is nonzero are summed.  |p| comes
-    from real arithmetic, -Re p = |xi|^2 + 2 xi . Im zeta and
-    Im p = 2 xi . Re zeta (clamping compares |p|^2 with the squared
-    floor), over chunks of zetas under a fixed element budget; no
-    per-zeta symbol data is built or cached.  With clamp_eps = 0 exact
-    zeros of p are dropped, and density on one raises SingularModeError
-    (as xdot_norm does).
+    Only the tensor sub-lattice of the per-axis indices where some row is
+    nonzero is summed.  |p| comes from real arithmetic on it, one zeta at
+    a time: -Re p = sum_j xi_j (xi_j + 2 Im zeta_j) and
+    Im p = sum_j 2 Re zeta_j xi_j, broadcast from per-axis 1-d arrays
+    (clamping compares |p|^2 with the squared floor); no per-zeta symbol
+    data is built or cached.  With clamp_eps = 0 exact zeros of p are
+    dropped, and density on one raises SingularModeError (as xdot_norm
+    does).
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
@@ -179,41 +176,48 @@ def inverse_symbol_sums(
         raise ValueError("density must be nonnegative")
     if any(z.d != grid.d for z in zetas):
         raise ValueError("zeta dimension does not match the grid")
-    values = np.array([z.value for z in zetas], dtype=complex).reshape(len(zetas), grid.d)
-    floors_sq = (clamp_eps * np.array([z.s for z in zetas], dtype=float)[:, None]) ** 2
 
-    keep = np.any(rows != 0, axis=0)
-    rows = rows[:, keep]
-    keep = keep.reshape(grid.shape)
-    xi = np.stack([np.broadcast_to(grid._along(j, grid.xi_axis), grid.shape)[keep]
-                   for j in range(grid.d)])
-    xi_sq = grid.xi_sq[keep]
+    support = np.any(rows != 0, axis=0).reshape(grid.shape)
+    index = [
+        np.flatnonzero(support.any(axis=tuple(a for a in range(grid.d) if a != j)))
+        for j in range(grid.d)
+    ]
+    if any(ix.size < grid.n for ix in index):
+        sub = rows.reshape((len(rows),) + grid.shape)[(slice(None),) + np.ix_(*index)]
+        rows = sub.reshape(len(rows), -1)
+    xi = [grid.xi_axis[ix] for ix in index]
 
-    out = np.empty((len(rows), len(values)))
-    step = max(1, _CHUNK_ELEMENTS // max(1, xi_sq.size))
-    for lo in range(0, len(values), step):
-        chunk = slice(lo, lo + step)
-        # |p|^2 = (|xi|^2 + 2 xi . Im zeta)^2 + (2 xi . Re zeta)^2
-        psq = (2.0 * values[chunk].imag) @ xi
-        psq += xi_sq
+    def along(j, arr):
+        shape = [1] * grid.d
+        shape[j] = arr.size
+        return arr.reshape(shape)
+
+    out = np.empty((len(rows), len(zetas)))
+    for col, zeta in enumerate(zetas):
+        neg_re, im_p = 0.0, 0.0
+        for j, (x, z) in enumerate(zip(xi, zeta.value)):
+            neg_re = neg_re + along(j, x * (x + 2.0 * z.imag))
+            im_p = im_p + along(j, 2.0 * z.real * x)
+        # |p|^2 in place in the two sub-lattice arrays just built
+        psq, im_sq = neg_re.reshape(-1), im_p.reshape(-1)
         psq *= psq
-        im_p = (2.0 * values[chunk].real) @ xi
-        im_p *= im_p
-        psq += im_p
-        del im_p  # one full-size temporary per chunk from here on
+        im_sq *= im_sq
+        psq += im_sq
+        del im_p, im_sq
         dropped = None
         if clamp_eps == 0:
             dropped = psq == 0.0
-            _guard_zero_modes(rows, dropped)
+            _guard_zero_modes(rows, dropped[None, :])
         else:
+            floor_sq = (clamp_eps * zeta.s) ** 2
             if policy == "drop":
-                dropped = psq < floors_sq[chunk]
-            np.maximum(psq, floors_sq[chunk], out=psq)
+                dropped = psq < floor_sq
+            np.maximum(psq, floor_sq, out=psq)
         with np.errstate(divide="ignore"):
             weight = np.reciprocal(np.sqrt(psq, out=psq), out=psq)
         if dropped is not None:
             weight[dropped] = 0.0
-        out[:, chunk] = rows @ weight.T
+        out[:, col] = rows @ weight
     return out
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def _oracle_psi_norm(q, zeta):
 
 class TestSolvePsi:
     def test_uniform_gamma_trivial_path(self, uniform32, pair32):
-        psi, rep = cg.solve_psi(uniform32, pair32.zeta1)
+        psi, rep, _ = cg.solve_psi(uniform32, pair32.zeta1)
         assert rep.converged
         assert rep.iterations == 1
         assert rep.residual_xdot == 0.0
@@ -51,7 +53,7 @@ class TestSolvePsi:
         assert np.max(np.abs(psi.values)) == 0.0
 
     def test_smooth_bump_converges(self, bump32, pair32):
-        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
+        psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
         assert rep.converged
         assert rep.contraction_estimates
         assert rep.contraction_estimates[-1] < 1.0
@@ -61,7 +63,7 @@ class TestSolvePsi:
     def test_regression_baseline(self, bump32, bump64, pair32):
         # oracles: plain-numpy fixed point with spectral q, with analytic q, and at n=64
         zeta = pair32.zeta1.value
-        _, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
+        _, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
         # same discretization: measured gap 1.6e-13
         same = _oracle_psi_norm(_oracle_gaussian_q(32, spectral=True), zeta)
         assert rep.psi_norm_xdot == pytest.approx(same, rel=1e-9)
@@ -71,23 +73,34 @@ class TestSolvePsi:
         assert rep.psi_norm_xdot == pytest.approx(analytic, rel=1e-3)
         assert rep.iterations == 4
         # refinement: at n=64 the analytic-q gap falls to 4e-12
-        _, rep64 = cg.solve_psi(bump64, pair32.zeta1, tol=1e-10)
+        _, rep64, _ = cg.solve_psi(bump64, pair32.zeta1, tol=1e-10)
         analytic64 = _oracle_psi_norm(_oracle_gaussian_q(64, spectral=False), zeta)
         assert rep64.psi_norm_xdot == pytest.approx(analytic64, rel=1e-9)
 
     def test_residual_independent_of_solver_bookkeeping(self, bump32, pair32):
-        # re-derive the residual from scratch at the returned psi
-        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
-        q = cg.potential_q(bump32)
-        w = cg.physical_field(bump32.grid, q.values * (1.0 + cg.to_physical(psi).values))
-        posed = cg.dealias_23(cg.to_spectral(w))
-        res = cg.apply_delta_zeta(psi, pair32.zeta1) - posed
-        val = cg.xdot_norm(res, pair32.zeta1, -0.5, 1e-6, "drop")
-        assert val == pytest.approx(rep.residual_xdot, rel=1e-9)
+        # re-derive the residual from scratch at the returned psi, with the
+        # forward multiplier and the weighted norm.  At tol=1e-10 the
+        # residual (1.2e-14) is rounding of terms of size psi_norm_xdot,
+        # which SIMD and scalar loops round differently (measured gap
+        # 1.2e-7 relative, 8e-20 of psi_norm_xdot); at tol=1e-4 the solve
+        # stops after 2 steps with a residual of ~1e-8 (measured gap 2.5e-13)
+        for tol in (1e-10, 1e-4):
+            psi, rep, physical = cg.solve_psi(bump32, pair32.zeta1, tol=tol)
+            assert np.array_equal(physical.values, np.fft.ifftn(psi.values, norm="ortho"))
+            q = cg.potential_q(bump32)
+            w = cg.physical_field(bump32.grid, q.values * (1.0 + cg.to_physical(psi).values))
+            posed = cg.dealias_23(cg.to_spectral(w))
+            res = cg.apply_delta_zeta(psi, pair32.zeta1) - posed
+            val = cg.xdot_norm(res, pair32.zeta1, -0.5, 1e-6, "drop")
+            assert abs(val - rep.residual_xdot) <= 1e-15 * rep.psi_norm_xdot
+            defect = cg.xdot_norm(cg.to_spectral(w) - posed, pair32.zeta1, -0.5, 1e-6, "drop")
+            assert defect == pytest.approx(rep.dealias_defect, rel=1e-12, abs=0)
+        assert rep.iterations == 2 and rep.residual_xdot > 1e-9
+        assert val == pytest.approx(rep.residual_xdot, rel=1e-9, abs=0)
 
     def test_clamp_sensitivity_reevaluation(self, bump32, pair32):
-        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=1e-6)
-        psi2, rep2 = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=1e-7)
+        psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=1e-6)
+        psi2, rep2, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=1e-7)
         assert rep2.residual_xdot <= 2 * max(rep.residual_xdot, 1e-14)
 
     def test_divergence_raises_with_ratio(self, grid32):
@@ -105,21 +118,21 @@ class TestSolvePsi:
         for theta in np.linspace(0.0, np.pi, 4):
             pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 4.0, float(theta))
             try:
-                _, rep = cg.solve_psi(strong, pair.zeta1, tol=1e-10, max_iter=80)
+                _, rep, _ = cg.solve_psi(strong, pair.zeta1, tol=1e-10, max_iter=80)
                 outcomes.append(rep.converged)
             except NotContractiveError:
                 outcomes.append(False)
         assert any(outcomes) and not all(outcomes)
 
     def test_contraction_consistent_with_operator_estimate(self, bump32, pair32):
-        _, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
+        _, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
         est = cg.mq_operator_ratio(bump32, pair32, seed=2, s_values=[pair32.s])
         bound = est.samples[0].lhs
         assert rep.contraction_estimates[-1] <= 2.0 * bound
 
     @pytest.mark.parametrize("clamp_eps", [1e-6, 1e-2])
     def test_psihat_zero_off_kept_modes(self, bump32, pair32, clamp_eps):
-        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=clamp_eps)
+        psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=clamp_eps)
         clamped = cg.clamped_mask(pair32.zeta1, bump32.grid, clamp_eps)
         kept = ~clamped & bump32.grid.dealias_mask
         assert rep.clamped_count == clamped.sum() > 0
@@ -130,7 +143,7 @@ class TestSolvePsi:
         # dealias=False: the same iteration with no 2/3 mask, step for step.
         # It starts from the solver's own q: the conftest q differs from it
         # by 6e-14 (relative sup), which 1/p amplifies to 4e-13 in psihat
-        psi, rep = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, dealias=False)
+        psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, dealias=False)
         q = bump32.q.values.real
         expected, p = _oracle_psi(q, pair32.zeta1.value, rep.iterations, dealias=False)
         assert rep.dealias_defect == 0.0
@@ -138,7 +151,7 @@ class TestSolvePsi:
         norm = np.sqrt(np.sum(np.abs(p) * np.abs(expected) ** 2) * (TWO_PI / 32) ** 3)
         assert rep.psi_norm_xdot == pytest.approx(norm, rel=1e-12)
         # the 2/3 mask changes the answer, so the check above can see it
-        dealiased, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
+        dealiased, _, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
         assert np.max(np.abs(dealiased.values - expected)) > 1e-6 * np.max(np.abs(expected))
 
     def test_zero_clamp_rejects_mass_on_zero_mode(self, bump32, uniform32, pair32, monkeypatch):
@@ -153,8 +166,26 @@ class TestSolvePsi:
             patch.setattr(np.fft, "ifftn", forbidden)
             with pytest.raises(SingularModeError):
                 cg.solve_psi(bump32, pair32.zeta1, clamp_eps=0.0)
-        _, rep = cg.solve_psi(uniform32, pair32.zeta1, clamp_eps=0.0)
+        _, rep, _ = cg.solve_psi(uniform32, pair32.zeta1, clamp_eps=0.0)
         assert rep.converged
+
+    def test_zero_clamp_checks_the_residual(self, bump32, pair32):
+        # a q with no mass on the exact zeros of p (xi = 0 and -k) passes
+        # the first step's guard, and tol=1 stops there; the fresh product
+        # q (1 + psi) then has mass on them, which only the residual's
+        # guard can see
+        grid = bump32.grid
+        zeros = cg.clamped_mask(pair32.zeta1, grid, 0.0)
+        assert zeros.sum() == 2
+        qhat = np.where(zeros, 0.0, bump32.q_hat.values)
+        q = np.fft.ifftn(qhat, norm="ortho").real
+        stand_in = SimpleNamespace(
+            grid=grid, q=cg.physical_field(grid, q), q_hat=cg.spectral_field(grid, qhat)
+        )
+        _, rep, _ = cg.solve_psi(stand_in, pair32.zeta1, tol=1.0, clamp_eps=1e-6)
+        assert rep.iterations == 1 and rep.clamped_mass > 1e-8
+        with pytest.raises(SingularModeError):
+            cg.solve_psi(stand_in, pair32.zeta1, tol=1.0, clamp_eps=0.0)
 
     def test_invalid_tolerance(self, bump32, pair32):
         with pytest.raises(ValueError):

@@ -9,6 +9,28 @@ from cgolab.errors import RepresentationError
 from conftest import TWO_PI, random_field
 
 
+class TestCubeTransform:
+    @pytest.mark.parametrize("d, n", [(3, 32), (3, 64), (2, 16)])
+    def test_bit_identical_to_full_transforms(self, d, n):
+        grid = cg.FrequencyGrid(d, n, TWO_PI)
+        rng = np.random.default_rng(n)
+        noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        spec = noise * grid.dealias_mask
+        phys = cg.grid.cube_transform(grid, spec.copy(), "inverse")
+        np.testing.assert_array_equal(phys, np.fft.ifftn(spec, norm="ortho"))
+        # the forward is exact on the cube only
+        back = cg.grid.cube_transform(grid, noise.copy(), "forward")
+        full = np.fft.fftn(noise, norm="ortho")
+        np.testing.assert_array_equal(back[grid.dealias_mask], full[grid.dealias_mask])
+        assert not np.allclose(back, full)
+
+    def test_rejects_bad_input(self, grid16):
+        with pytest.raises(ValueError):
+            cg.grid.cube_transform(grid16, np.zeros((16, 16), dtype=complex), "inverse")
+        with pytest.raises(ValueError):
+            cg.grid.cube_transform(grid16, np.zeros(grid16.shape, dtype=complex), "sideways")
+
+
 class TestTransform:
     def test_dc_mode(self, grid16):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)

@@ -54,8 +54,8 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     k/2 is off the lattice, phi e^{ixk/2} in both when it is on it."""
     k = np.array(k)
     pair = cg.zeta_pair_from_angle(k, 64.0, 0.7)
-    psi1, _ = cg.solve_psi(bump64, pair.zeta1)
-    psi2, _ = cg.solve_psi(bump64, pair.zeta2)
+    psihat1, _, psi1 = cg.solve_psi(bump64, pair.zeta1)
+    psihat2, _, psi2 = cg.solve_psi(bump64, pair.zeta2)
     weight = pairing_weight(bump64, k, cg.make_cutoff(bump64))
     bd = cg.alessandrini_terms(weight, pair, psi1, psi2)
 
@@ -72,8 +72,9 @@ def test_terms_match_plain_four_term_sum(bump64, k):
         slot1 = slot2 = phi * wave(k / 2)
     else:
         slot1, slot2 = phi * phi * wave(k), np.ones(q.shape)
-    u1 = np.fft.ifftn(psi1.values, norm="ortho")
-    u2 = np.fft.ifftn(psi2.values, norm="ortho")
+    # the slots in physical space from psihat, apart from the psi the solver hands over
+    u1 = np.fft.ifftn(psihat1.values, norm="ortho")
+    u2 = np.fft.ifftn(psihat2.values, norm="ortho")
 
     def form(u, v):
         return complex(np.sum(q * u * v) * (2.0 * np.pi / 64) ** 3)

@@ -12,15 +12,33 @@ from cgolab.symbol import lattice_symbol
 from conftest import random_field
 
 
+class _Calls(list):
+    """Names of the transforms made, in order.  work holds one
+    (name, axes, points) per call: the axes passed (None for all) and the
+    points transformed, the array size times the number of axes."""
+
+    def __init__(self):
+        super().__init__()
+        self.work = []
+
+    def clear(self):
+        super().clear()
+        self.work.clear()
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Counts every numpy.fft.fftn / ifftn call made while the test runs."""
-    calls = []
+    calls = _Calls()
     for name in ("fftn", "ifftn"):
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls.append(_name)
+            axes = kwargs.get("axes")
+            data = np.asarray(args[0])
+            axes = None if axes is None else tuple(axes)
+            calls.work.append((_name, axes, data.size * (data.ndim if axes is None else len(axes))))
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -33,14 +51,48 @@ def zeta16():
 
 
 class TestTransformCounts:
-    def test_solver_step_takes_two_transforms(self, bump32, zeta16, fft_calls):
+    def test_solver_steps_transform_only_the_cube(self, bump32, bump64, zeta16, fft_calls):
+        # none for the first step (it divides q_hat); per later step a
+        # one-axis inverse on the 4 axis-2 blocks, the 2 axis-1 slabs and
+        # all of axis 0, then the mirrored forward; after the loop one
+        # such inverse and one full forward of the fresh product
+        inverse = ["ifftn"] * 7
+        forward = ["fftn"] * 7
+        axes = [(2,)] * 4 + [(1,)] * 2 + [(0,)] + [(2,)] + [(1,)] * 2 + [(0,)] * 4
+        for cond in (bump32, bump64):
+            cond.q_hat
+            fft_calls.clear()
+            _, rep, _ = cg.solve_psi(cond, zeta16, tol=1e-10)
+            assert rep.iterations >= 3
+            assert fft_calls == (inverse + forward) * (rep.iterations - 1) + inverse + ["fftn"]
+            assert [entry[1] for entry in fft_calls.work[:14]] == axes
+            full = 3 * cond.grid.size
+            assert fft_calls.work[-1] == ("fftn", None, full)
+            inverse_points = sum(entry[2] for entry in fft_calls.work[:7])
+            forward_points = sum(entry[2] for entry in fft_calls.work[7:14])
+            # 69.6% of a full transform at n=32, 70.8% at n=64
+            assert inverse_points == forward_points <= 0.71 * full
+
+    def test_full_lattice_solver_keeps_full_transforms(self, bump32, zeta16, fft_calls):
         bump32.q_hat
         fft_calls.clear()
-        _, rep = cg.solve_psi(bump32, zeta16, tol=1e-10)
-        # none for the first step (it divides q_hat), one inverse and one
-        # forward per later step, two for the residual
-        assert rep.iterations == 4
+        _, rep, _ = cg.solve_psi(bump32, zeta16, tol=1e-10, dealias=False)
         assert fft_calls == ["ifftn", "fftn"] * rep.iterations
+        assert all(entry[1] is None for entry in fft_calls.work)
+
+    def test_recovery_transforms_nothing_after_its_solves(self, bump64, fft_calls, monkeypatch):
+        solve = cg.recovery.solve_psi
+
+        def marked(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            fft_calls.append("solved")
+            return out
+
+        monkeypatch.setattr(cg.recovery, "solve_psi", marked)
+        cg.recover_fourier_mode(bump64, np.array([0.0, 0.0, 1.0]), 32.0, samples_per_band=2)
+        # the pairing reads the physical psi each solve hands over
+        assert fft_calls.count("solved") == 2
+        assert fft_calls[-1] == "solved"
 
     def test_pairing_transforms_only_its_slots(self, bump32, fft_calls):
         cg.potential_q(bump32)
