@@ -185,7 +185,7 @@ def solve_psi(
     if dealias:
         off = ~grid.dealias_mask
         if clamp_eps == 0:
-            _guard_split(np.abs(w[off & mask]) ** 2, np.abs(w[off & ~mask]) ** 2)
+            _guard_zero_modes((np.abs(w[off]) ** 2)[None, :], mask[off][None, :])
         off &= ~mask
         dealias_defect = float(np.sqrt(np.sum(np.abs(w[off]) ** 2 / sym.pabs[off]) * grid.measure))
 
