@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InfeasibleGeometryError, NotContractiveError
 from .grid import PHYSICAL, SPECTRAL, Field, cube_transform
 from .potential import Conductivity
-from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamped_mask, inverse_symbol_sums
+from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamped_mask, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
@@ -228,9 +228,10 @@ def select_zeta_sequence(
     zeta_j, with clamped modes dropped as in the solver.  Fixed seed =>
     identical selection (ties broken on (s, angle)).
 
-    All of a band's sample zetas go through one inverse_symbol_sums call
-    with one |qhat_i|^2 row per conductivity, so no per-sample symbol
-    data is built; each norm is (S h^d)^{1/2}.
+    Every band's pairs are drawn first, in band order, and all of them go
+    through one pair_inverse_symbol_sums call with one |qhat_i|^2 row per
+    conductivity, so no per-sample symbol data is built and only zeta1's
+    symbol is evaluated; each norm is (S h^d)^{1/2}.
     """
     conds = list(conds)
     if not conds:
@@ -248,27 +249,30 @@ def select_zeta_sequence(
     grid = conds[0].grid
     grid.mode_index(k)  # k must be on the frequency lattice
 
-    dens = np.stack([np.abs(c.q_hat.values) ** 2 for c in conds])
     plane = orthonormal_plane(k)
     rng = np.random.default_rng(seed)
-    out = []
+    draws, pairs = [], []
     for lam in bands:
         s_draws = rng.uniform(lam, 2.0 * lam, size=samples_per_band)
         angles = rng.uniform(0.0, 2.0 * np.pi, size=samples_per_band)
-        pairs = [
+        draws.append((s_draws, angles))
+        pairs += [
             zeta_pair_from_angle(k, float(s), float(theta), plane)
             for s, theta in zip(s_draws, angles)
         ]
-        zetas = [z for pair in pairs for z in (pair.zeta1, pair.zeta2)]
-        sums = inverse_symbol_sums(dens, zetas, grid, clamp_eps, "drop")
-        # norms[i, j, l]: conductivity i at zeta_l of sample j
-        norms = np.sqrt(sums * grid.measure).reshape(len(conds), samples_per_band, 2)
+    dens = np.stack([np.abs(c.q_hat.values) ** 2 for c in conds])
+    sums = pair_inverse_symbol_sums(dens, pairs, grid, clamp_eps, "drop")
+    # norms[i, j, l]: conductivity i at zeta_l of pair j
+    norms = np.sqrt(sums * grid.measure)
+    out = []
+    for b, (lam, (s_draws, angles)) in enumerate(zip(bands, draws)):
+        band = slice(b * samples_per_band, (b + 1) * samples_per_band)
         rows = [
             (float(s), float(theta), float(d_val))
-            for s, theta, d_val in zip(s_draws, angles, norms.sum(axis=(0, 2)))
+            for s, theta, d_val in zip(s_draws, angles, norms[:, band].sum(axis=(0, 2)))
         ]
         best = min(range(len(rows)), key=lambda i: (rows[i][2], rows[i][0], rows[i][1]))
         out.append(
-            BandSelection(lam=lam, pair=pairs[best], objective=rows[best][2], samples=rows)
+            BandSelection(lam=lam, pair=pairs[band][best], objective=rows[best][2], samples=rows)
         )
     return out

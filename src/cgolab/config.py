@@ -92,9 +92,34 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
         if not _is_real(self.clamp_eps) or not self.clamp_eps >= 0:
             raise ConfigError(f"clamp_eps must be a number >= 0, got {self.clamp_eps!r}")
-        if not _is_int(self.max_iter) or self.max_iter < 1:
-            raise ConfigError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        for name, least in {**_INT_MINIMUM, "singbound_m": self.grid.d + 2}.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, increasing in (("bands", True), ("s_values", False)):
+            values = getattr(self, name)
+            if (
+                not isinstance(values, list)
+                or not values
+                or not all(_is_real(v) and v > 0 for v in values)
+                or (increasing and any(b <= a for a, b in zip(values, values[1:])))
+            ):
+                shape = "strictly increasing " if increasing else ""
+                raise ConfigError(
+                    f"{name} must be a nonempty {shape}list of positive numbers, got {values!r}"
+                )
         return self
+
+
+# integer fields and their least value (singbound_m must be >= grid.d + 2)
+_INT_MINIMUM = {
+    "max_iter": 1,
+    "samples_per_band": 1,
+    "trials": 1,
+    "u_samples": 1,
+    "quad_s": 8,
+    "quad_eta": 8,
+}
 
 
 def _is_int(value) -> bool:

@@ -42,7 +42,7 @@ from .grid import (
     to_spectral,
 )
 from .potential import Conductivity, CutoffField, potential_q
-from .spaces import inverse_symbol_sums, project, x_norm, xdot_norm
+from .spaces import pair_inverse_symbol_sums, project, x_norm, xdot_norm
 from .symbol import Zeta, ZetaPair, char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
 HARNESS_CLAMP_POLICY = "drop"
@@ -359,20 +359,27 @@ def singbound_quadrature(
 ) -> float:
     """Lattice quadrature of  <xi - eta>^{-M} / dist(xi, Sigma)  with the
     distance floored at the frequency-cell scale (default dxi).  The
-    floored distance is computed once per (zeta, floor) and held by the
-    zeta's LatticeSymbol."""
+    inverse floored distance is computed once per (zeta, floor) and held
+    by the zeta's LatticeSymbol; <xi - eta>^M is a product of M // 2
+    factors 1 + |xi - eta|^2 (times one square root for odd M)."""
     if M < grid.d + 2:
         raise ValueError(f"decay order M must be >= d + 2 = {grid.d + 2}")
     eta = np.asarray(eta, dtype=float)
     floor = grid.freq_step if dist_floor is None else float(dist_floor)
-    dist = lattice_symbol(zeta, grid).derived(
-        ("char_distance", floor), lambda: np.maximum(char_distance_lattice(zeta, grid), floor)
+    inv_dist = lattice_symbol(zeta, grid).derived(
+        ("inv_char_distance", floor),
+        lambda: 1.0 / np.maximum(char_distance_lattice(zeta, grid), floor),
     )
-    shift_sq = np.zeros(grid.shape)
+    base = 1.0
     for j in range(grid.d):
-        shift_sq = shift_sq + (grid._along(j, grid.xi_axis) - eta[j]) ** 2
-    bracket = (1.0 + shift_sq) ** (-M / 2.0)
-    return float(np.sum(bracket / dist) * grid.freq_step ** grid.d)
+        base = base + grid._along(j, (grid.xi_axis - eta[j]) ** 2)
+    bracket = base.copy()
+    for _ in range(M // 2 - 1):
+        bracket *= base
+    if M % 2:
+        bracket *= np.sqrt(base, out=base)
+    np.reciprocal(bracket, out=bracket)
+    return float(bracket.reshape(-1) @ inv_dist.reshape(-1) * grid.freq_step ** grid.d)
 
 
 # -- operator decay of the bilinear form -------------------------------------
@@ -459,11 +466,12 @@ def averaged_decay(
     at both paired zetas (trapezoid in s, uniform in angle), with |p|
     floored at the cell scale.
 
-    The density sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta; with
-    dealias=True each product spectrum is cut by the 2/3 rule, so the
-    density vanishes outside that cube.  A band's (s, angle) nodes go
-    through one inverse_symbol_sums call, and A is the quadrature
-    weights dotted with its sums.  f is transformed once.
+    The density sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is
+    built one derivative at a time; with dealias=True each product
+    spectrum is cut by the 2/3 rule, so the density vanishes outside that
+    cube.  A band's (s, angle) pairs go through one pair_inverse_symbol_sums
+    call, which evaluates only zeta1's symbol, and A is the quadrature
+    weights dotted with its sums at both zetas.  f is transformed once.
 
     Per band the report carries A, A/lam, and A normalized against
     lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}.
@@ -482,7 +490,8 @@ def averaged_decay(
     # the (s, eta)-independent spectral density sum_j |(phi_B d_j f)^hat|^2
     fs = to_spectral(f)
     dens = np.zeros(grid.shape)
-    for gj in spectral_gradient(fs):
+    for mult in grid.deriv_multipliers:  # one derivative d_j f alive at a time
+        gj = spectral_field(grid, fs.values * mult)
         dens += np.abs(to_spectral(multiply(phi_B.field, gj)).values) ** 2
     if dealias:
         dens *= grid.dealias_mask
@@ -498,15 +507,14 @@ def averaged_decay(
         s_weights[-1] *= 0.5
         angles = 2.0 * np.pi * np.arange(quad_eta) / quad_eta
         a_weight = 2.0 * np.pi / quad_eta
-        zetas, weights = [], []
+        pairs, weights = [], []
         for s, ws in zip(s_nodes, s_weights):
             for theta in angles:
-                pair = zeta_pair_from_angle(k, float(s), float(theta), plane)
-                zetas += [pair.zeta1, pair.zeta2]
+                pairs.append(zeta_pair_from_angle(k, float(s), float(theta), plane))
                 weights += [ws * a_weight] * 2
         # the floor cell_floor(grid, s) is clamp_eps * s with clamp_eps = dxi / 2
-        sums = inverse_symbol_sums(dens, zetas, grid, cell_floor(grid, 1.0), "floor")[0]
-        total = float(np.dot(weights, sums) * grid.measure)
+        sums = pair_inverse_symbol_sums(dens, pairs, grid, cell_floor(grid, 1.0), "floor")[0]
+        total = float(np.dot(weights, sums.reshape(-1)) * grid.measure)
         row = {
             "lambda": lam,
             "A": total,

@@ -142,8 +142,7 @@ class FrequencyGrid:
     def xi_dot(self, vec) -> np.ndarray:
         """sum_j vec_j * xi_j on the lattice; complex if vec is complex."""
         vec = np.asarray(vec)
-        dtype = complex if np.iscomplexobj(vec) else float
-        out = np.zeros(self.shape, dtype=dtype)
+        out = 0.0  # broadcast axis by axis: one full-lattice pass at the last axis
         for j in range(self.d):
             out = out + vec[j] * self._along(j, self.xi_axis)
         return out

@@ -5,6 +5,11 @@ Norms.  The homogeneous norm weighs |fhat(xi)| by |p(xi)|^b and the
 inhomogeneous one by (|zeta| + |p(xi)|)^b with |zeta| = sqrt(2)*s.  Only
 b in {-1/2, 0, 1/2} is exercised by the experiments.
 
+Pair sums.  The zeta-band averages take the squared -1/2-norm at both
+zetas of many pairs zeta1 + zeta2 = ik (pair_inverse_symbol_sums).  For
+such a pair p_2(xi) = p_1(-xi - k) exactly, so only zeta1's symbol is
+evaluated, against each density row and its mirror image.
+
 Clamping.  On a lattice the zero set of the symbol always contains
 xi = 0 exactly (and occasionally other points), so |p|^{-1/2} and 1/p
 need a surrogate for the integrable continuum singularity.  Modes with
@@ -26,6 +31,7 @@ re-run at clamp_eps/10 and confirm insensitivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -145,27 +151,37 @@ def x_norm(u: Field, zeta: Zeta, b: float) -> float:
     return weighted_l2(u, w * w)
 
 
-def inverse_symbol_sums(
+# the pair kernel evaluates zeta1's weight in axis-0 slabs of about this
+# many box points, so each slab's temporaries stay in cache
+SLAB_POINTS = 2 ** 15
+
+
+def pair_inverse_symbol_sums(
     dens,
-    zetas,
+    pairs,
     grid: FrequencyGrid,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
     policy: str = "floor",
 ) -> np.ndarray:
-    """S[i, z] = sum_xi dens_i(xi) / |p_z(xi)| for density rows dens_i on
-    the lattice and a list of zetas, clamped as in SymbolWeight: under
-    "floor" |p_z| is floored at clamp_eps * s_z, under "drop" modes with
-    |p_z| < clamp_eps * s_z contribute nothing.  With dens = |uhat|^2,
-    S * h^d is the squared homogeneous -1/2-norm of u at zeta_z.
+    """S[i, j, l] = sum_xi dens_i(xi) / |p(xi)| at zeta1 (l = 0) and zeta2
+    (l = 1) of pair j, for density rows dens_i on the lattice and pairs
+    sharing one k, clamped as in SymbolWeight: under "floor" |p| is
+    floored at clamp_eps * s, under "drop" modes with |p| < clamp_eps * s
+    contribute nothing (both zetas of a pair have the same s).  With
+    dens = |uhat|^2, S * h^d is the squared homogeneous -1/2-norm of u.
 
-    Only the tensor sub-lattice of the per-axis indices where some row is
-    nonzero is summed.  |p| comes from real arithmetic on it, one zeta at
-    a time: -Re p = sum_j xi_j (xi_j + 2 Im zeta_j) and
-    Im p = sum_j 2 Re zeta_j xi_j, broadcast from per-axis 1-d arrays
-    (clamping compares |p|^2 with the squared floor); no per-zeta symbol
-    data is built or cached.  With clamp_eps = 0 exact zeros of p are
-    dropped, and density on one raises SingularModeError (as xdot_norm
-    does).
+    Only zeta1's symbol is evaluated: for eta1, eta2 orthogonal to k,
+    p_2(xi) = p_1(-xi - k), so the zeta2 sum is the zeta1 sum of the
+    mirrored row dens_i(-x - k).  Rows are summed on the box of integer
+    modes spanned by the support's per-axis range and its mirror about
+    -k/2 (so the mirror of a Nyquist plane is in it); the mirror reverses
+    the box along every axis.  Each weight is summed against all 2R rows
+    by one BLAS product per axis-0 slab of about SLAB_POINTS points, with
+    -Re p = sum_j x_j (x_j + 2 Im zeta_j) and Im p = sum_j 2 Re zeta_j x_j.
+    p_1(-k) = p_2(0) = 0, but off the coordinate axes rounding leaves
+    ~1e-16 at x = -k, so |p_1|^2 is set to 0 there.  With clamp_eps = 0 the zeros of p_1 are dropped, and
+    density on one, in a row or its mirror, raises SingularModeError (as
+    xdot_norm does).  No per-zeta symbol data is built or cached.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
@@ -174,50 +190,80 @@ def inverse_symbol_sums(
     rows = np.asarray(dens, dtype=float).reshape(-1, grid.size)
     if np.any(rows < 0):
         raise ValueError("density must be nonnegative")
-    if any(z.d != grid.d for z in zetas):
+    pairs = list(pairs)
+    if any(pair.zeta1.d != grid.d for pair in pairs):
         raise ValueError("zeta dimension does not match the grid")
-
+    out = np.zeros((len(rows), len(pairs), 2))
+    if not pairs:
+        return out
+    k = pairs[0].k
+    if any(not np.array_equal(pair.k, k) for pair in pairs):
+        raise ValueError("pairs must share one k")
+    grid.mode_index(k)  # k must be on the frequency lattice
     support = np.any(rows != 0, axis=0).reshape(grid.shape)
-    index = [
-        np.flatnonzero(support.any(axis=tuple(a for a in range(grid.d) if a != j)))
-        for j in range(grid.d)
-    ]
-    if any(ix.size < grid.n for ix in index):
-        sub = rows.reshape((len(rows),) + grid.shape)[(slice(None),) + np.ix_(*index)]
-        rows = sub.reshape(len(rows), -1)
-    xi = [grid.xi_axis[ix] for ix in index]
+    if not support.any():
+        return out
+    k_mode = np.rint(k / grid.freq_step).astype(int)
 
-    def along(j, arr):
-        shape = [1] * grid.d
-        shape[j] = arr.size
-        return arr.reshape(shape)
+    # the box [lo, -lo - k] of integer modes per axis, symmetric about -k/2
+    ranges, lo = [], []
+    for j in range(grid.d):
+        other = tuple(a for a in range(grid.d) if a != j)
+        m = grid.mode_axis[support.any(axis=other)]
+        ranges.append(np.arange(m.min(), m.max() + 1))
+        lo.append(min(m.min(), -m.max() - k_mode[j]))
+    lo = np.array(lo)
+    shape = tuple(-2 * lo - k_mode + 1)
+    n_rows = len(rows)
+    placed = np.zeros((2 * n_rows,) + shape)
+    sub = rows.reshape((n_rows,) + grid.shape)[(slice(None),) + np.ix_(*(r % grid.n for r in ranges))]
+    placed[(slice(0, n_rows),) + tuple(slice(r[0] - a, r[-1] - a + 1) for r, a in zip(ranges, lo))] = sub
+    placed[n_rows:] = placed[(slice(0, n_rows),) + (slice(None, None, -1),) * grid.d]
+    x = [grid.freq_step * np.arange(a, a + size) for a, size in zip(lo, shape)]
+    at = -k_mode - lo  # box index of x = -k
+    zero_at = int(np.ravel_multi_index(at, shape)) if np.all((at >= 0) & (at < shape)) else -1
 
-    out = np.empty((len(rows), len(zetas)))
-    for col, zeta in enumerate(zetas):
-        neg_re, im_p = 0.0, 0.0
-        for j, (x, z) in enumerate(zip(xi, zeta.value)):
-            neg_re = neg_re + along(j, x * (x + 2.0 * z.imag))
-            im_p = im_p + along(j, 2.0 * z.real * x)
-        # |p|^2 in place in the two sub-lattice arrays just built
-        psq, im_sq = neg_re.reshape(-1), im_p.reshape(-1)
-        psq *= psq
-        im_sq *= im_sq
-        psq += im_sq
-        del im_p, im_sq
-        dropped = None
-        if clamp_eps == 0:
-            dropped = psq == 0.0
-            _guard_zero_modes(rows, dropped[None, :])
-        else:
-            floor_sq = (clamp_eps * zeta.s) ** 2
-            if policy == "drop":
-                dropped = psq < floor_sq
-            np.maximum(psq, floor_sq, out=psq)
-        with np.errstate(divide="ignore"):
-            weight = np.reciprocal(np.sqrt(psq, out=psq), out=psq)
-        if dropped is not None:
-            weight[dropped] = 0.0
-        out[:, col] = rows @ weight
+    # per pair: -Re p_1 and Im p_1 along axis 0 and on the plane of the others
+    terms = []
+    for pair in pairs:
+        z = pair.zeta1.value
+        re = [xj * (xj + 2.0 * zj.imag) for xj, zj in zip(x, z)]
+        im = [2.0 * zj.real * xj for xj, zj in zip(x, z)]
+        terms.append((re[0], im[0], reduce(np.add.outer, re[1:]).ravel(),
+                      reduce(np.add.outer, im[1:]).ravel(), pair.zeta1.s))
+
+    plane = terms[0][2].size
+    step = max(1, SLAB_POINTS // plane)
+    psq_buf, im_buf = np.empty(step * plane), np.empty(step * plane)
+    zeros = np.zeros(placed[0].size, dtype=bool) if clamp_eps == 0 else None
+
+    for a in range(0, shape[0], step):
+        b = min(a + step, shape[0])
+        block = placed[:, a:b].reshape(2 * n_rows, -1)
+        psq = psq_buf[: block.shape[1]].reshape(b - a, plane)
+        im_sq = im_buf[: block.shape[1]].reshape(b - a, plane)
+        flat = psq.reshape(-1)
+        for j, (re0, im0, re_plane, im_plane, s) in enumerate(terms):
+            np.add(re0[a:b, None], re_plane, out=psq)
+            psq *= psq
+            np.add(im0[a:b, None], im_plane, out=im_sq)
+            im_sq *= im_sq
+            psq += im_sq
+            if a * plane <= zero_at < b * plane:
+                flat[zero_at - a * plane] = 0.0
+            floor_sq = (clamp_eps * s) ** 2
+            if policy == "drop" or clamp_eps == 0:
+                # a dropped mode gets |p|^2 = inf, so weight 0
+                low = np.flatnonzero(flat < floor_sq if clamp_eps > 0 else flat == 0.0)
+                flat[low] = np.inf
+                if zeros is not None:
+                    zeros[a * plane + low] = True
+            else:
+                np.maximum(flat, floor_sq, out=flat)
+            weight = np.reciprocal(np.sqrt(flat, out=flat), out=flat)
+            out[:, j, :] += (block @ weight).reshape(2, n_rows).T
+    if zeros is not None:
+        _guard_zero_modes(placed.reshape(2 * n_rows, -1), zeros[None, :])
     return out
 
 

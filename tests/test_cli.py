@@ -36,6 +36,23 @@ def test_config_with_threads_exits_before_computing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "subcommand, field, value",
+    [
+        ("select-zeta", "samples_per_band", "a"),
+        ("averaged-decay", "quad_s", 2),
+        ("singbound", "singbound_m", 4),
+        ("select-zeta", "bands", [64, 8]),
+    ],
+)
+def test_bad_sweep_field_exits_before_computing(subcommand, field, value, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({field: value, "out_dir": str(tmp_path / "out")}))
+    assert main([subcommand, "--config", str(path)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "subcommand, config",
     [("recover", {}), ("uniqueness-gap", {"profiles": [{"kind": "gaussian"}] * 2})],
 )

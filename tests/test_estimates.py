@@ -234,3 +234,33 @@ class TestAveragedDecay:
             expected = self.oracle_a(f, cut, lam, 8, 8)
             assert sample.params["A"] == pytest.approx(expected, rel=1e-12)
             assert sample.params["A_over_lambda"] == pytest.approx(expected / lam, rel=1e-12)
+
+
+class TestSingboundQuadrature:
+    @staticmethod
+    def oracle(zeta, eta, M, n, floor):
+        """sum_xi <xi - eta>^{-M} / max(dist(xi, Sigma), floor) on the integer
+        lattice of [0, 2pi)^3 (dxi = 1), with zeta = s (e1 - i e2) and
+        dist = | s - |xi - s e2| | + |xi . e1|."""
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+        s = np.linalg.norm(zeta.value.real)
+        e1, e2 = zeta.value.real / s, -zeta.value.imag / s
+        dist = np.abs(s - np.linalg.norm(xi - s * e2, axis=-1)) + np.abs(xi @ e1)
+        bracket = (1.0 + np.sum((xi - eta) ** 2, axis=-1)) ** (-M / 2.0)
+        return np.sum(bracket / np.maximum(dist, floor))
+
+    @pytest.mark.parametrize("M", [5, 6])
+    def test_matches_plain_numpy_oracle(self, grid16, M):
+        rng = np.random.default_rng(M)
+        zetas = [
+            cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 5.0, 0.7).zeta1,
+            cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0])),
+        ]
+        for zeta in zetas:
+            for floor in (None, 0.25):
+                for _ in range(3):
+                    eta = rng.normal(size=3) * 4.0
+                    value = cg.singbound_quadrature(zeta, eta, M, grid16, floor)
+                    expected = self.oracle(zeta, eta, M, 16, 1.0 if floor is None else floor)
+                    assert value == pytest.approx(expected, rel=1e-13)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.errors import SingularModeError
+from cgolab.spaces import pair_inverse_symbol_sums
 
 from conftest import TWO_PI, random_field
 
@@ -188,22 +189,28 @@ class TestInverse:
 
 
 class TestInverseSymbolSums:
-    """The batched -1/2 kernel against a per-zeta plain-numpy oracle."""
+    """The pair -1/2 kernel against a per-zeta plain-numpy oracle: sums at
+    zeta2 come from zeta1's symbol and the mirrored density row."""
 
     K = np.array([0.0, 0.0, 1.0])
+    KS = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 0.0]))
 
     @pytest.fixture(scope="class")
-    def zetas(self, zeta16):
-        # sampled pairs plus the lattice-aligned zeta, whose p vanishes on
-        # lattice points besides xi = 0
-        out = [zeta16]
-        for s, theta in ((4.0, 0.3), (5.5, 1.7), (7.9, 4.0)):
-            pair = cg.zeta_pair_from_angle(self.K, s, theta)
-            out += [pair.zeta1, pair.zeta2]
+    def pairs(self, zeta16):
+        # sampled pairs at each k, plus the k = 0 pair whose zeta1 is the
+        # lattice-aligned zeta16 (p vanishes on lattice points besides 0)
+        out = [[cg.make_zeta_pair(np.zeros(3), 2.0, [1.0, 0, 0], [0, -1.0, 0])]]
+        assert np.array_equal(out[0][0].zeta1.value, zeta16.value)
+        for k in self.KS:
+            out.append([
+                cg.zeta_pair_from_angle(k, s, theta)
+                for s, theta in ((4.0, 0.3), (5.5, 1.7), (7.9, 4.0))
+            ])
         return out
 
     @pytest.fixture(scope="class")
     def dens(self, grid16):
+        # a full row (the Nyquist planes m_j = -8 included) and a cube row
         rng = np.random.default_rng(3)
         full = rng.random(grid16.shape) + 0.5
         cube = rng.random(grid16.shape) * grid16.dealias_mask
@@ -211,51 +218,81 @@ class TestInverseSymbolSums:
 
     @staticmethod
     def oracle(dens, zeta, n, clamp_eps, policy):
-        """sum_xi dens(xi) w(xi), |p| = |-|xi|^2 + 2i zeta . xi| built per zeta."""
+        """sum_xi dens(xi) w(xi), |p| = |-|xi|^2 + 2i zeta . xi| built per
+        zeta; exact zeros are dropped when clamp_eps = 0."""
         m = np.fft.fftfreq(n, d=1.0 / n)
         xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ zeta.value))
         floor = clamp_eps * np.linalg.norm(zeta.value.real)
-        w = 1.0 / np.maximum(pabs, floor)
-        if policy == "drop":
-            w[pabs < floor] = 0.0
+        with np.errstate(divide="ignore"):
+            w = 1.0 / np.maximum(pabs, floor)
+        if policy == "drop" or clamp_eps == 0:
+            w[pabs < floor if clamp_eps > 0 else pabs == 0] = 0.0
         return np.sum(dens * w)
+
+    def check(self, sums, dens, pairs, clamp_eps, policy, rel=1e-13):
+        assert sums.shape == (len(dens), len(pairs), 2)
+        for i, row in enumerate(dens):
+            for j, pair in enumerate(pairs):
+                for l, zeta in enumerate((pair.zeta1, pair.zeta2)):
+                    expected = self.oracle(row, zeta, row.shape[0], clamp_eps, policy)
+                    assert sums[i, j, l] == pytest.approx(expected, rel=rel)
 
     @pytest.mark.parametrize("policy", ["floor", "drop"])
     @pytest.mark.parametrize("eps", ["1e-6", "cell"])
-    def test_matches_per_zeta_oracle(self, grid16, zetas, dens, policy, eps):
+    def test_matches_per_zeta_oracle(self, grid16, pairs, dens, policy, eps):
         clamp_eps = 1e-6 if eps == "1e-6" else grid16.freq_step / 2.0
-        sums = cg.spaces.inverse_symbol_sums(dens, zetas, grid16, clamp_eps, policy)
-        assert sums.shape == (2, len(zetas))
-        for i, row in enumerate(dens):
-            for j, zeta in enumerate(zetas):
-                expected = self.oracle(row, zeta, 16, clamp_eps, policy)
-                assert sums[i, j] == pytest.approx(expected, rel=1e-13)
+        for batch in pairs:
+            sums = pair_inverse_symbol_sums(dens, batch, grid16, clamp_eps, policy)
+            self.check(sums, dens, batch, clamp_eps, policy)
 
-    def test_value_independent_of_batch(self, grid16, dens):
-        # a zeta alone and among others, first, inside and last in the batch
-        zetas = []
-        for j in range(7):
-            pair = cg.zeta_pair_from_angle(self.K, 4.0 + 0.05 * j, 0.1 * j)
-            zetas += [pair.zeta1]
-        together = cg.spaces.inverse_symbol_sums(dens[0], zetas, grid16, 1e-6, "drop")
-        for j in (0, 3, 6):
-            alone = cg.spaces.inverse_symbol_sums(dens[0], [zetas[j]], grid16, 1e-6, "drop")
-            assert alone[0, 0] == pytest.approx(together[0, j], rel=1e-14)
+    def test_value_independent_of_batch(self, grid16, dens, monkeypatch):
+        # a pair alone and among others, first, inside and last in a batch,
+        # summed over six axis-0 slabs of the 17 x 17 x 16 box (the last partial)
+        monkeypatch.setattr(cg.spaces, "SLAB_POINTS", 3 * 17 * 16)
+        for k in self.KS:
+            batch = [cg.zeta_pair_from_angle(k, 4.0 + 0.05 * j, 0.1 * j) for j in range(7)]
+            together = pair_inverse_symbol_sums(dens, batch, grid16, 1e-6, "drop")
+            self.check(together, dens, batch, 1e-6, "drop")
+            for j in (0, 3, 6):
+                alone = pair_inverse_symbol_sums(dens, [batch[j]], grid16, 1e-6, "drop")
+                np.testing.assert_allclose(alone[:, 0], together[:, j], rtol=1e-14)
 
-    def test_zero_clamp_drops_empty_zero_modes(self, grid16, zeta16, dens):
-        # no density on p = 0 (xi = 0 among them): those modes are dropped
-        pabs = np.abs(cg.symbol_lattice(zeta16, grid16))
-        row = np.where(pabs == 0.0, 0.0, dens[0])
-        sums = cg.spaces.inverse_symbol_sums(row, [zeta16], grid16, 0.0)
-        assert sums[0, 0] == pytest.approx(np.sum(row[pabs > 0] / pabs[pabs > 0]), rel=1e-13)
+    def test_zero_clamp_drops_empty_zero_modes(self, grid16, pairs, dens):
+        # no density on the zeros of p_1 or p_2 (xi = 0 among them): they
+        # are dropped; density on a zero of either zeta raises
+        pair = pairs[0][0]
+        pabs = [np.abs(cg.symbol_lattice(z, grid16)) for z in (pair.zeta1, pair.zeta2)]
+        empty = (pabs[0] == 0.0) | (pabs[1] == 0.0)
+        row = np.where(empty, 0.0, dens[0])
+        sums = pair_inverse_symbol_sums(row, [pair], grid16, 0.0)
+        self.check(sums, row[None], [pair], 0.0, "floor")
         with pytest.raises(SingularModeError):
-            cg.spaces.inverse_symbol_sums(dens[0], [zeta16], grid16, 0.0)
+            pair_inverse_symbol_sums(dens[0], [pair], grid16, 0.0)
+        # p_2 = 0 at xi = (0, -4, 0) while p_1 = -32 there, and the other way
+        # round at (0, 4, 0): mass on either one raises
+        for m in ((0, -4, 0), (0, 4, 0)):
+            assert (pabs[0][m] == 0.0) != (pabs[1][m] == 0.0)
+            hit = row.copy()
+            hit[m] = 1.0
+            with pytest.raises(SingularModeError):
+                pair_inverse_symbol_sums(hit, [pair], grid16, 0.0)
+
+    def test_mirror_of_the_origin_is_a_zero(self, grid16):
+        # p_1(-k) = p_2(0) = 0; with a floor far under rounding (1e-20 s)
+        # both zetas see exactly the floored weight at xi = 0
+        row = np.zeros(grid16.shape)
+        row[0, 0, 0] = 1.0
+        for k in self.KS:
+            pair = cg.zeta_pair_from_angle(k, 5.0, 0.4)
+            sums = pair_inverse_symbol_sums(row, [pair], grid16, 1e-20)
+            np.testing.assert_allclose(sums[0, 0], 1e20 / pair.s, rtol=1e-13)
 
     def test_zero_clamp_selection_raises(self, bump32):
         # q has mass at xi = 0, where every p vanishes
-        with pytest.raises(SingularModeError):
-            cg.select_zeta_sequence([bump32], self.K, [8.0], 2, seed=0, clamp_eps=0.0)
+        for k in self.KS:
+            with pytest.raises(SingularModeError):
+                cg.select_zeta_sequence([bump32], k, [8.0], 2, seed=0, clamp_eps=0.0)
 
     def test_selection_builds_no_symbol_data(self, bump32, monkeypatch):
         pairs = []
@@ -272,6 +309,14 @@ class TestInverseSymbolSums:
             assert pair.zeta1._lattice_symbols == {}
             assert pair.zeta2._lattice_symbols == {}
 
-    def test_rejects_negative_density(self, grid16, zeta16):
+    def test_zero_density_gives_zeros(self, grid16, pairs):
+        sums = pair_inverse_symbol_sums(np.zeros((2,) + grid16.shape), pairs[1], grid16, 0.0)
+        assert sums.shape == (2, 3, 2) and not sums.any()
+
+    def test_rejects_pairs_with_different_k(self, grid16, pairs):
+        with pytest.raises(ValueError, match="share one k"):
+            pair_inverse_symbol_sums(np.ones(grid16.shape), pairs[1] + pairs[2], grid16)
+
+    def test_rejects_negative_density(self, grid16, pairs):
         with pytest.raises(ValueError):
-            cg.spaces.inverse_symbol_sums(-np.ones(grid16.shape), [zeta16], grid16)
+            pair_inverse_symbol_sums(-np.ones(grid16.shape), pairs[0], grid16)
