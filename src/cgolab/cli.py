@@ -30,7 +30,6 @@ from . import __version__
 from .cgo import select_zeta_sequence, solve_psi
 from .config import (
     ExperimentConfig,
-    canonical_json,
     config_from_file,
     config_hash,
     config_to_dict,

@@ -71,30 +71,37 @@ class ExperimentConfig:
     out_format: str = "both"  # json | csv | both
 
     def validate(self):
+        _check_types(self, _SCALAR_FIELDS)
+        _check_types(self.grid, GridConfig.__annotations__, "grid.")
+        if not isinstance(self.profiles, list) or not self.profiles:
+            raise ConfigError("profiles must be a nonempty list")
+        for i, prof in enumerate(self.profiles):
+            _check_types(prof, ProfileConfig.__annotations__, f"profiles[{i}].")
         if self.grid.d < 2:
             raise ConfigError("grid.d must be >= 2")
         if self.grid.n < 8 or self.grid.n % 2:
             raise ConfigError("grid.n must be even and >= 8")
-        if self.grid.L <= 0:
-            raise ConfigError("grid.L must be positive")
-        if not self.profiles:
-            raise ConfigError("at least one profile is required")
+        if not self.grid.L > 0:
+            raise ConfigError(f"grid.L must be positive, got {self.grid.L!r}")
         if self.out_format not in ("json", "csv", "both"):
             raise ConfigError(f"unknown out_format {self.out_format!r}")
-        if len(self.k_mode) != self.grid.d:
-            raise ConfigError("k_mode must have grid.d entries")
-        for km in self.k_modes:
-            if len(km) != self.grid.d:
-                raise ConfigError("every entry of k_modes must have grid.d entries")
+        if not _is_mode(self.k_mode, self.grid.d):
+            raise ConfigError(f"k_mode must be a list of grid.d integers, got {self.k_mode!r}")
+        if not isinstance(self.k_modes, list) or not all(
+            _is_mode(km, self.grid.d) for km in self.k_modes
+        ):
+            raise ConfigError(
+                f"k_modes must be a list of lists of grid.d integers, got {self.k_modes!r}"
+            )
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if not _is_real(self.tol) or not self.tol > 0:
+        if not self.tol > 0:
             raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
-        if not _is_real(self.clamp_eps) or not self.clamp_eps >= 0:
+        if not self.clamp_eps >= 0:
             raise ConfigError(f"clamp_eps must be a number >= 0, got {self.clamp_eps!r}")
         for name, least in {**_INT_MINIMUM, "singbound_m": self.grid.d + 2}.items():
             value = getattr(self, name)
-            if not _is_int(value) or value < least:
+            if value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name, increasing in (("bands", True), ("s_values", False)):
             values = getattr(self, name)
@@ -130,6 +137,28 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_mode(value, d: int) -> bool:
+    return isinstance(value, list) and len(value) == d and all(_is_int(m) for m in value)
+
+
+# the check for each scalar annotation: a bool is never a number, and an
+# int stands for a float
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a number"),
+    "bool": (lambda value: isinstance(value, bool), "true or false"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+}
+
+
+def _check_types(obj, annotations: dict, prefix: str = ""):
+    for name, annotation in annotations.items():
+        check, kind = _TYPE_CHECKS[annotation]
+        value = getattr(obj, name)
+        if not check(value):
+            raise ConfigError(f"{prefix}{name} must be {kind}, got {value!r}")
+
+
 _SCALAR_FIELDS = {
     f: t
     for f, t in ExperimentConfig.__annotations__.items()
@@ -144,6 +173,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if "grid" in data:
         gdata = data.pop("grid")
+        if not isinstance(gdata, dict):
+            raise ConfigError(f"grid must be an object, got {gdata!r}")
         unknown = set(gdata) - {"d", "n", "L"}
         if unknown:
             raise ConfigError(f"unknown grid field(s): {sorted(unknown)}")
@@ -154,6 +185,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise ConfigError("profiles must be a list")
         parsed = []
         for i, p in enumerate(profs):
+            if not isinstance(p, dict):
+                raise ConfigError(f"profiles[{i}] must be an object, got {p!r}")
             unknown = set(p) - {"kind", "amplitude", "width", "radius", "path"}
             if unknown:
                 raise ConfigError(f"profiles[{i}]: unknown field(s) {sorted(unknown)}")

@@ -40,6 +40,7 @@ from .grid import (
     sup_norm,
     to_physical,
     to_spectral,
+    weighted_l2,
 )
 from .potential import Conductivity, CutoffField, potential_q
 from .spaces import pair_inverse_symbol_sums, project, x_norm, xdot_norm
@@ -416,9 +417,10 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
     slots (cell-floored weights, exact zeros dropped, and the 2/3 band
     when dealiased).
 
-    The kernel is q: on the lattice the duality form of mq_bilinear is
-    exactly sum q u v h^d.  With a = sqrt(|p_1|) u and b = sqrt(|p_2|) v
-    in unitary spectral coordinates the form is b . M a, where
+    The kernel is q: on the lattice the duality form
+    -sum grad(g) . grad(g^{-1} u v) h^d is exactly sum q u v h^d (see
+    potential).  With a = sqrt(|p_1|) u and b = sqrt(|p_2|) v in
+    unitary spectral coordinates the form is b . M a, where
     M a = ifft(q ifft(a / sqrt|p_1|)) / sqrt|p_2| (the unitary DFT is
     symmetric), and its norm is that of M."""
     grid = cond.grid
@@ -446,10 +448,7 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
 
 def h_theta_norm(f: Field, theta: float) -> float:
     """Sobolev norm || <xi>^theta fhat ||_{L2} (spectral, h^d measure)."""
-    grid = f.grid
-    w = (1.0 + grid.xi_sq) ** theta
-    fs = to_spectral(f)
-    return float(np.sqrt(np.sum(w * np.abs(fs.values) ** 2) * grid.measure))
+    return weighted_l2(f, (1.0 + f.grid.xi_sq) ** theta)
 
 
 def averaged_decay(

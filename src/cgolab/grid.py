@@ -223,14 +223,6 @@ def spectral_field(grid: FrequencyGrid, values) -> Field:
     return Field(grid, SPECTRAL, np.asarray(values, dtype=complex))
 
 
-def zeros_field(grid: FrequencyGrid, representation: str = PHYSICAL) -> Field:
-    return Field(grid, representation, np.zeros(grid.shape, dtype=complex))
-
-
-def constant_field(grid: FrequencyGrid, value) -> Field:
-    return Field(grid, PHYSICAL, np.full(grid.shape, value, dtype=complex))
-
-
 def exp_ik_field(grid: FrequencyGrid, k) -> Field:
     """The plane wave e^{i x . k}; k must lie on the frequency lattice."""
     grid.mode_index(k)  # validates

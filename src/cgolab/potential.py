@@ -16,11 +16,8 @@ exactly its composition with itself, so
 
     - sum grad(g) . grad(w/g) h^d = sum (Lap g) (w/g) h^d = sum q w h^d
 
-up to rounding.  The Leibniz rule splits the same form into
-    - integral (grad g . grad g^{-1}) uv dx
-    - integral grad(log g) . grad(uv) dx,
-whose lattice evaluation is a genuinely different discretization; it is
-kept as mq_bilinear_split, an independent diagnostic.
+up to rounding.  The Alessandrini pairing (recovery.pairing_weight) and
+the operator norm of the form (estimates.mq_operator_ratio) both read q.
 
 Shipped profile families (amplitude a, centred at the torus centre):
 
@@ -48,9 +45,7 @@ from .errors import DomainError
 from .grid import (
     Field,
     FrequencyGrid,
-    integral,
     laplacian,
-    multiply,
     physical_field,
     spectral_gradient,
     to_physical,
@@ -206,58 +201,6 @@ def potential_q(cond: Conductivity) -> Field:
     return cond.q
 
 
-def mq_bilinear(
-    u: Field,
-    v: Field,
-    cond: Conductivity,
-    dealias: bool = False,
-    check_split: bool = False,
-    check_tol: float = 1e-9,
-) -> complex:
-    """<m_q(u), v> = - sum grad(g) . grad(g^{-1} u v) h^d  (duality form),
-    evaluated as the equal sum q u v h^d (see the module docstring).
-
-    The product u*v is formed in physical space (2/3-truncated when
-    dealias=True).  With check_split=True the Leibniz-split form is
-    evaluated too and must agree to check_tol relative error; this holds
-    for well-resolved data and is exercised by the tests.
-    """
-    w = multiply(u, v, dealias=dealias)
-    value = _mq_of_product(w, cond)
-    if check_split:
-        other = _mq_split_of_product(w, cond)
-        scale = max(abs(value), abs(other))
-        if scale > 0 and abs(value - other) > check_tol * scale:
-            raise DomainError(
-                f"duality and Leibniz-split forms disagree: {value} vs {other}"
-            )
-    return value
-
-
-def mq_bilinear_split(u: Field, v: Field, cond: Conductivity, dealias: bool = False) -> complex:
-    """Leibniz-split evaluation of the same bilinear form."""
-    w = multiply(u, v, dealias=dealias)
-    return _mq_split_of_product(w, cond)
-
-
-def _mq_of_product(w: Field, cond: Conductivity) -> complex:
-    """The duality form of the product w, as sum q w h^d."""
-    return complex(np.sum(cond.q.values.real * to_physical(w).values) * cond.grid.measure)
-
-
-def _mq_split_of_product(w: Field, cond: Conductivity) -> complex:
-    grid = cond.grid
-    g = cond.g
-    ginv = physical_field(grid, 1.0 / g.values.real)
-    grads_g = [to_physical(f).values.real for f in spectral_gradient(g)]
-    grads_ginv = [to_physical(f).values.real for f in spectral_gradient(ginv)]
-    grads_logg = [to_physical(f).values.real for f in spectral_gradient(cond.log_g)]
-    grads_w = [to_physical(f).values for f in spectral_gradient(w)]
-    cross = sum(np.sum(a * b * w.values) for a, b in zip(grads_g, grads_ginv))
-    trans = sum(np.sum(a * b) for a, b in zip(grads_logg, grads_w))
-    return complex(-(cross + trans) * grid.measure)
-
-
 def mollifier_bump(grid: FrequencyGrid, eps: float) -> Field:
     """Unit-mass smooth bump of width eps, centred at the origin (for
     circular convolution); normalized exactly on the grid."""
@@ -354,13 +297,3 @@ def read_gamma_file(path, smoothness_class: str = "smooth", premollify: bool = F
         raise DomainError(f"{path}: support radius {radius:.6g} exceeds L/4")
     return conductivity_from_array(grid, vals, radius, smoothness_class, premollify)
 
-
-def potential_mean_identity(cond: Conductivity) -> tuple[float, float]:
-    """Both sides of  integral q dx = integral g^{-2} |grad g|^2 dx  (>= 0)."""
-    q = potential_q(cond)
-    lhs = integral(q).real
-    g = cond.g
-    grads = [to_physical(f).values.real for f in spectral_gradient(g)]
-    dens = sum(gj * gj for gj in grads) / (g.values.real ** 2)
-    rhs = float(dens.sum() * cond.grid.measure)
-    return lhs, rhs

@@ -11,9 +11,9 @@ pairing of the two localized solutions splits as
 where phi = 1 on the supports.  The exponentials e^{x.zeta_i} are never
 materialized; only the periodic e^{ix.k} appears.
 
-On the lattice the m_q form of a product u v is sum q u v h^d (see
-potential), so every term depends on the slots only through their
-product and all four are sums of the one weight
+On the lattice the m_q form of a product u v is sum q u v h^d, so every
+term depends on the slots only through their product and all four are
+sums of the one weight
 
     w = q phi^2 e^{ix.k} h^d:
 

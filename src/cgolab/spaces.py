@@ -1,5 +1,5 @@
-"""Symbol-weighted norms, high/low projections, and the right inverse of
-the conjugated Laplacian as a spectral multiplier.
+"""Symbol-weighted norms, high/low projections, and the batched sums of
+the inverse symbol behind the zeta-band averages.
 
 Norms.  The homogeneous norm weighs |fhat(xi)| by |p(xi)|^b and the
 inhomogeneous one by (|zeta| + |p(xi)|)^b with |zeta| = sqrt(2)*s.  Only
@@ -11,21 +11,14 @@ such a pair p_2(xi) = p_1(-xi - k) exactly, so only zeta1's symbol is
 evaluated, against each density row and its mirror image.
 
 Clamping.  On a lattice the zero set of the symbol always contains
-xi = 0 exactly (and occasionally other points), so |p|^{-1/2} and 1/p
-need a surrogate for the integrable continuum singularity.  Modes with
-|p| < clamp_eps * s are "clamped"; two policies are offered:
+xi = 0 exactly (and occasionally other points), so |p|^b with b < 0
+needs a surrogate for the integrable continuum singularity.  Modes with
+|p| < clamp_eps * s are "clamped"; the weights offer two policies:
 
-* "floor"  -- |p| is floored at clamp_eps*s before exponentiation, and
-  the inverse divides by p rescaled to that magnitude (phase kept,
-  phase 1 where p = 0 exactly).  This is the default.
-* "drop"   -- clamped modes are excluded (weight zero / inverse zero).
-  The fixed-point solver uses this: flooring at the default eps
-  amplifies an exact-zero mode by 1/(eps*s), which injects a spurious
-  constant into the solution; dropping reproduces the continuum
-  compatibility instead.  The dropped defect is always reported.
-
-Every clamped-mode count and mass is observable so experiments can
-re-run at clamp_eps/10 and confirm insensitivity.
+* "floor"  -- |p| is floored at clamp_eps*s before exponentiation.
+  This is the default.
+* "drop"   -- clamped modes get weight zero, as they are dropped by the
+  fixed-point solver (cgo.solve_psi), which reports their mass.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ import numpy as np
 
 from .errors import SingularModeError
 from .grid import Field, FrequencyGrid, SPECTRAL, to_spectral, weighted_l2
-from .symbol import Zeta, lattice_symbol, symbol_lattice
+from .symbol import Zeta, lattice_symbol
 
 DEFAULT_CLAMP_EPS = 1e-6
 
@@ -78,10 +71,10 @@ def clamped_mask(zeta: Zeta, grid: FrequencyGrid, clamp_eps: float) -> np.ndarra
 class SymbolWeight:
     """Weight |p|^b (homogeneous) or (|zeta| + |p|)^b (inhomogeneous).
 
-    clamp_eps is a relative floor in units of s; the clamped-mode count
-    is exposed through clamped_mask/clamped_count.  Multipliers are
-    computed once per (grid, kind, b, clamp_eps, policy) and held
-    read-only by the zeta's LatticeSymbol (see symbol.lattice_symbol).
+    clamp_eps is a relative floor in units of s; the clamped modes are
+    those of clamped_mask.  Multipliers are computed once per (grid,
+    kind, b, clamp_eps, policy) and held read-only by the zeta's
+    LatticeSymbol (see symbol.lattice_symbol).
     """
 
     zeta: Zeta
@@ -120,9 +113,6 @@ class SymbolWeight:
         out = np.where(mask, 1.0, pabs) ** self.b
         out[mask] = 0.0
         return out
-
-    def clamped_count(self, grid: FrequencyGrid) -> int:
-        return int(np.count_nonzero(clamped_mask(self.zeta, grid, self.clamp_eps)))
 
 
 def _guard_singular(u: Field, mask: np.ndarray):
@@ -279,17 +269,6 @@ def _guard_zero_modes(rows: np.ndarray, zero: np.ndarray):
             )
 
 
-def clamped_mass_fraction(u: Field, zeta: Zeta, clamp_eps: float = DEFAULT_CLAMP_EPS) -> float:
-    """Fraction of the spectral L2 mass sitting on clamped modes."""
-    uhat = to_spectral(u).values
-    total = float(np.sqrt(np.sum(np.abs(uhat) ** 2)))
-    if total == 0.0:
-        return 0.0
-    mask = clamped_mask(zeta, u.grid, clamp_eps)
-    part = float(np.sqrt(np.sum(np.abs(uhat[mask]) ** 2)))
-    return part / total
-
-
 def project(u: Field, zeta: Zeta, part: str) -> Field:
     """Low/high frequency projection with multiplier chi(|xi|/(8s)).
 
@@ -308,52 +287,3 @@ def project(u: Field, zeta: Zeta, part: str) -> Field:
         return Field(u.grid, SPECTRAL, us.values * (1.0 - chi))
     raise ValueError(f"unknown part {part!r}")
 
-
-@dataclass(frozen=True)
-class InversionInfo:
-    """Diagnostics of one multiplier inversion."""
-
-    clamped_count: int
-    clamped_mass: float  # L2 mass (with measure) of the input on clamped modes
-
-
-def apply_delta_zeta(f: Field, zeta: Zeta) -> Field:
-    """Forward multiplier p(xi); the conjugated Laplacian."""
-    fs = to_spectral(f)
-    return Field(f.grid, SPECTRAL, fs.values * symbol_lattice(zeta, f.grid))
-
-
-def inverse_delta_zeta(
-    f: Field,
-    zeta: Zeta,
-    clamp_eps: float = DEFAULT_CLAMP_EPS,
-    policy: str = "floor",
-) -> tuple[Field, InversionInfo]:
-    """Right inverse: divide fhat by p off clamped modes.
-
-    On clamped modes the "floor" policy divides by p rescaled to
-    magnitude clamp_eps*s (phase kept; phase 1 where p = 0), while
-    "drop" zeroes them.  Returns the clamped-mode residual mass of the
-    input as a diagnostic.
-    """
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown clamp policy {policy!r}")
-    grid = f.grid
-    mask = clamped_mask(zeta, grid, clamp_eps)
-    if clamp_eps == 0:
-        _guard_singular(f, mask)
-    fs = to_spectral(f)
-    mass = float(np.sqrt(np.sum(np.abs(fs.values[mask]) ** 2) * grid.measure))
-
-    p = symbol_lattice(zeta, grid)
-    # clamped modes (p = 0 among them) are overwritten below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = fs.values / p
-    if clamp_eps > 0 and policy == "floor":
-        pabs = np.abs(p[mask])
-        safe = np.where(pabs > 0, pabs, 1.0)
-        phase = np.where(pabs > 0, p[mask] / safe, 1.0 + 0.0j)
-        out[mask] = fs.values[mask] / (phase * (clamp_eps * zeta.s))
-    else:
-        out[mask] = 0.0
-    return Field(grid, SPECTRAL, out), InversionInfo(int(mask.sum()), mass)

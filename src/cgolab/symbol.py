@@ -80,11 +80,6 @@ class Zeta:
         return {}
 
 
-def adapted_frame(zeta: Zeta) -> tuple:
-    """(e1, e2, s) with zeta = s (e1 - i e2); reconstruction is exact."""
-    return zeta.e1, zeta.e2, zeta.s
-
-
 @dataclass(frozen=True, eq=False)
 class ZetaPair:
     """A pair (zeta1, zeta2) with zeta1 + zeta2 = i*k.
@@ -178,26 +173,6 @@ def zeta_pair_from_angle(k, s: float, theta: float, plane=None) -> ZetaPair:
     return make_zeta_pair(k, s, eta1, eta2)
 
 
-def symbol_p(zeta: Zeta, xi) -> complex | np.ndarray:
-    """p(xi) = -|xi|^2 + 2i zeta . xi for a point or an (..., d) array."""
-    xi = np.asarray(xi, dtype=float)
-    sq = np.sum(xi * xi, axis=-1)
-    dot = np.tensordot(xi, zeta.value, axes=([-1], [0]))
-    out = -sq + 2j * dot
-    return complex(out) if out.ndim == 0 else out
-
-
-def symbol_p_adapted(zeta: Zeta, xi) -> complex | np.ndarray:
-    """Adapted-frame form (s^2 - |xi - s e2|^2) + 2is (xi . e1)."""
-    xi = np.asarray(xi, dtype=float)
-    s = zeta.s
-    shifted = xi - s * zeta.e2
-    real = s * s - np.sum(shifted * shifted, axis=-1)
-    imag = 2.0 * s * np.tensordot(xi, zeta.e1, axes=([-1], [0]))
-    out = real + 1j * imag
-    return complex(out) if out.ndim == 0 else out
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -243,36 +218,9 @@ def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> LatticeSymbol:
     return data
 
 
-def symbol_lattice(zeta: Zeta, grid: FrequencyGrid, form: str = "direct") -> np.ndarray:
-    """p(xi) on the full frequency lattice (FFT order).
-
-    The "direct" form is the read-only array held by the zeta's
-    LatticeSymbol (see lattice_symbol): repeated calls return the same
-    array.  The "adapted" form is evaluated afresh.
-    """
-    if zeta.d != grid.d:
-        raise ValueError("zeta dimension does not match the grid")
-    if form == "direct":
-        return lattice_symbol(zeta, grid).p
-    if form == "adapted":
-        s = zeta.s
-        shifted_sq = grid.xi_sq - 2.0 * s * grid.xi_dot(zeta.e2) + s * s
-        return (s * s - shifted_sq) + 2j * s * grid.xi_dot(zeta.e1)
-    raise ValueError(f"unknown form {form!r}")
-
-
-def char_distance(zeta: Zeta, xi) -> float | np.ndarray:
-    """Comparable distance | s - |xi - s e2| | + |xi . e1| to the zero set."""
-    xi = np.asarray(xi, dtype=float)
-    s = zeta.s
-    shifted = xi - s * zeta.e2
-    radial = np.abs(s - np.sqrt(np.sum(shifted * shifted, axis=-1)))
-    planar = np.abs(np.tensordot(xi, zeta.e1, axes=([-1], [0])))
-    out = radial + planar
-    return float(out) if out.ndim == 0 else out
-
-
 def char_distance_lattice(zeta: Zeta, grid: FrequencyGrid) -> np.ndarray:
+    """Comparable distance | s - |xi - s e2| | + |xi . e1| to the zero set,
+    on the full frequency lattice (FFT order)."""
     s = zeta.s
     shifted_sq = grid.xi_sq - 2.0 * s * grid.xi_dot(zeta.e2) + s * s
     shifted_sq = np.maximum(shifted_sq, 0.0)

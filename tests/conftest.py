@@ -83,18 +83,37 @@ def _oracle_gaussian_q(n, spectral):
     return lap_gamma / (2.0 * gamma) - grad_sq / (4.0 * gamma ** 2)
 
 
-def _oracle_duality_form(gamma, w, L):
-    """-sum grad g . grad(w/g) h^d with g = gamma^{1/2}: the m_q form of the
-    product w, from numpy.fft gradients whose Nyquist row is zeroed."""
-    n, d = gamma.shape[0], gamma.ndim
+def _oracle_gradient(f, L):
+    """Per-axis spectral derivatives of the lattice array f on [0, L)^d, from
+    numpy.fft with the multipliers i xi_j and the Nyquist row zeroed."""
+    n, d = f.shape[0], f.ndim
     xi = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n)
     xi[n // 2] = 0.0
-    g = np.sqrt(gamma)
-    g_hat, inner_hat = np.fft.fftn(g), np.fft.fftn(w / g)
-    acc = 0.0
+    f_hat = np.fft.fftn(f)
+    out = []
     for j in range(d):
         shape = [1] * d
         shape[j] = n
-        mult = 1j * xi.reshape(shape)
-        acc += np.sum(np.fft.ifftn(mult * g_hat).real * np.fft.ifftn(mult * inner_hat))
-    return complex(-acc * (L / n) ** d)
+        out.append(np.fft.ifftn(1j * xi.reshape(shape) * f_hat))
+    return out
+
+
+def _oracle_duality_form(gamma, w, L):
+    """-sum grad g . grad(w/g) h^d with g = gamma^{1/2}: the m_q form of the
+    product w."""
+    n, d = gamma.shape[0], gamma.ndim
+    g = np.sqrt(gamma)
+    pairs = zip(_oracle_gradient(g, L), _oracle_gradient(w / g, L))
+    return complex(-sum(np.sum(a.real * b) for a, b in pairs) * (L / n) ** d)
+
+
+def _oracle_leibniz_form(gamma, w, L):
+    """-sum (grad g . grad g^{-1}) w h^d - sum grad(log g) . grad(w) h^d: the
+    Leibniz split of the same form, a different lattice discretization."""
+    n, d = gamma.shape[0], gamma.ndim
+    g = np.sqrt(gamma)
+    grad_g, grad_ginv = _oracle_gradient(g, L), _oracle_gradient(1.0 / g, L)
+    grad_log, grad_w = _oracle_gradient(0.5 * np.log(gamma), L), _oracle_gradient(w, L)
+    cross = sum(np.sum(a.real * b.real * w) for a, b in zip(grad_g, grad_ginv))
+    trans = sum(np.sum(a.real * b) for a, b in zip(grad_log, grad_w))
+    return complex(-(cross + trans) * (L / n) ** d)

@@ -1,0 +1,65 @@
+"""The package namespace: what the CLI subcommands call, the objects they
+return, the error taxonomy and the Field constructors and transforms.
+Any addition or removal shows here."""
+
+import types
+
+import cgolab
+
+PUBLIC = [
+    "BandSelection",
+    "CgolabError",
+    "Conductivity",
+    "ConfigError",
+    "CutoffField",
+    "DomainError",
+    "EstimateReport",
+    "EstimateSample",
+    "Field",
+    "FrameError",
+    "FrequencyGrid",
+    "GapRow",
+    "InfeasibleGeometryError",
+    "IterationReport",
+    "NotContractiveError",
+    "PairingBreakdown",
+    "PairingWeight",
+    "RecoveryDiagnostics",
+    "RepresentationError",
+    "SchurBound",
+    "SingularModeError",
+    "Zeta",
+    "ZetaPair",
+    "averaged_decay",
+    "bilinear_ratio",
+    "draw_colored_field",
+    "exp_ik_field",
+    "localization_ratios",
+    "make_conductivity",
+    "make_cutoff",
+    "mq_operator_ratio",
+    "pairing_weight",
+    "physical_field",
+    "potential_q",
+    "read_gamma_file",
+    "recover_fourier_mode",
+    "schur_bound",
+    "select_zeta_sequence",
+    "singbound_quadrature",
+    "solve_psi",
+    "spectral_field",
+    "to_physical",
+    "to_spectral",
+    "transform",
+    "uniqueness_gap",
+    "zeta_pair_from_angle",
+]
+
+
+def test_public_namespace_is_pinned():
+    names = sorted(
+        name
+        for name, value in vars(cgolab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC

@@ -5,6 +5,9 @@ import pytest
 
 import cgolab as cg
 from cgolab.errors import InfeasibleGeometryError, NotContractiveError, SingularModeError
+from cgolab.spaces import clamped_mask, xdot_norm
+from cgolab.symbol import lattice_symbol
+
 from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice
 
 
@@ -79,21 +82,24 @@ class TestSolvePsi:
 
     def test_residual_independent_of_solver_bookkeeping(self, bump32, pair32):
         # re-derive the residual from scratch at the returned psi, with the
-        # forward multiplier and the weighted norm.  At tol=1e-10 the
-        # residual (1.2e-14) is rounding of terms of size psi_norm_xdot,
-        # which SIMD and scalar loops round differently (measured gap
-        # 1.2e-7 relative, 8e-20 of psi_norm_xdot); at tol=1e-4 the solve
-        # stops after 2 steps with a residual of ~1e-8 (measured gap 2.5e-13)
+        # forward multiplier p psihat, the 2/3 mask and the weighted norm.
+        # At tol=1e-10 the residual (1.2e-14) is rounding of terms of size
+        # psi_norm_xdot, which SIMD and scalar loops round differently
+        # (measured gap 1.2e-7 relative, 8e-20 of psi_norm_xdot); at
+        # tol=1e-4 the solve stops after 2 steps with a residual of ~1e-8
+        # (measured gap 2.5e-13)
         for tol in (1e-10, 1e-4):
             psi, rep, physical = cg.solve_psi(bump32, pair32.zeta1, tol=tol)
             assert np.array_equal(physical.values, np.fft.ifftn(psi.values, norm="ortho"))
+            grid = bump32.grid
             q = cg.potential_q(bump32)
-            w = cg.physical_field(bump32.grid, q.values * (1.0 + cg.to_physical(psi).values))
-            posed = cg.dealias_23(cg.to_spectral(w))
-            res = cg.apply_delta_zeta(psi, pair32.zeta1) - posed
-            val = cg.xdot_norm(res, pair32.zeta1, -0.5, 1e-6, "drop")
+            w = cg.physical_field(grid, q.values * (1.0 + cg.to_physical(psi).values))
+            posed = cg.spectral_field(grid, cg.to_spectral(w).values * grid.dealias_mask)
+            p = lattice_symbol(pair32.zeta1, grid).p
+            res = cg.spectral_field(grid, p * psi.values) - posed
+            val = xdot_norm(res, pair32.zeta1, -0.5, 1e-6, "drop")
             assert abs(val - rep.residual_xdot) <= 1e-15 * rep.psi_norm_xdot
-            defect = cg.xdot_norm(cg.to_spectral(w) - posed, pair32.zeta1, -0.5, 1e-6, "drop")
+            defect = xdot_norm(cg.to_spectral(w) - posed, pair32.zeta1, -0.5, 1e-6, "drop")
             assert defect == pytest.approx(rep.dealias_defect, rel=1e-12, abs=0)
         assert rep.iterations == 2 and rep.residual_xdot > 1e-9
         assert val == pytest.approx(rep.residual_xdot, rel=1e-9, abs=0)
@@ -133,7 +139,7 @@ class TestSolvePsi:
     @pytest.mark.parametrize("clamp_eps", [1e-6, 1e-2])
     def test_psihat_zero_off_kept_modes(self, bump32, pair32, clamp_eps):
         psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=clamp_eps)
-        clamped = cg.clamped_mask(pair32.zeta1, bump32.grid, clamp_eps)
+        clamped = clamped_mask(pair32.zeta1, bump32.grid, clamp_eps)
         kept = ~clamped & bump32.grid.dealias_mask
         assert rep.clamped_count == clamped.sum() > 0
         assert np.all(psi.values[~kept] == 0.0)
@@ -175,7 +181,7 @@ class TestSolvePsi:
         # q (1 + psi) then has mass on them, which only the residual's
         # guard can see
         grid = bump32.grid
-        zeros = cg.clamped_mask(pair32.zeta1, grid, 0.0)
+        zeros = clamped_mask(pair32.zeta1, grid, 0.0)
         assert zeros.sum() == 2
         qhat = np.where(zeros, 0.0, bump32.q_hat.values)
         q = np.fft.ifftn(qhat, norm="ortho").real

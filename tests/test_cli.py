@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import cgolab.cli
 import cgolab.errors
 import cgolab.recovery
 from cgolab.cli import EXIT_CONFIG, build_parser, main
+from cgolab.config import ExperimentConfig, GridConfig, ProfileConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,6 +52,38 @@ def test_bad_sweep_field_exits_before_computing(subcommand, field, value, tmp_pa
     assert main([subcommand, "--config", str(path)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _wrong_typed_fields():
+    """(name in the error, config): one wrong-typed value for every field of
+    the config tree, plus values that once ran or crashed."""
+    wrong = {"int": 16.0, "float": "a", "bool": "no", "str": 5, "list": 5, "GridConfig": 5}
+    cases = [(f.name, {f.name: wrong[f.type]}) for f in dataclasses.fields(ExperimentConfig)]
+    cases += [
+        (f"grid.{f.name}", {"grid": {f.name: wrong[f.type]}}) for f in dataclasses.fields(GridConfig)
+    ]
+    cases += [
+        (f"profiles[0].{f.name}", {"profiles": [{f.name: wrong[f.type]}]})
+        for f in dataclasses.fields(ProfileConfig)
+    ]
+    cases += [
+        ("k_mode", {"k_mode": [0, 0, 0.5]}),
+        ("k_modes", {"k_modes": [[0, 0, 1], [0, True, 1]]}),
+        ("grid.n", {"grid": {"n": "a"}}),
+        ("seed", {"seed": True}),
+        ("profiles[1]", {"profiles": [{"kind": "gaussian"}, 5]}),
+    ]
+    return [pytest.param(name, config, id=json.dumps(config)) for name, config in cases]
+
+
+@pytest.mark.parametrize("field, config", _wrong_typed_fields())
+def test_wrong_typed_field_exits_before_computing(field, config, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["solve-cgo", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

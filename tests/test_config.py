@@ -53,3 +53,9 @@ def test_singbound_m_bound_follows_grid_dimension():
     config_from_dict({"grid": {"d": 2}, "k_mode": [0, 1], "singbound_m": 4})
     with pytest.raises(ConfigError, match="singbound_m"):
         config_from_dict({"grid": {"d": 5}, "k_mode": [0, 0, 0, 0, 1]})
+
+
+def test_nan_period_rejected():
+    # a NaN passes "L <= 0" and would reach FrequencyGrid as a ValueError
+    with pytest.raises(ConfigError, match="grid.L"):
+        config_from_dict({"grid": {"L": float("nan")}})

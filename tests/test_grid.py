@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.errors import RepresentationError
+from cgolab.grid import dealias_23, l2_norm, multiply, spectral_gradient, weighted_l2
 
 from conftest import TWO_PI, random_field
 
@@ -34,7 +35,7 @@ class TestCubeTransform:
 class TestTransform:
     def test_dc_mode(self, grid16):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
-        fs = cg.transform(cg.constant_field(grid, 1.0), "forward")
+        fs = cg.transform(cg.physical_field(grid, np.ones(grid.shape)), "forward")
         assert fs.values[0, 0, 0] == pytest.approx(8 ** 1.5, rel=1e-13)
         rest = np.abs(fs.values).copy()
         rest[0, 0, 0] = 0.0
@@ -61,10 +62,10 @@ class TestTransform:
     def test_plancherel(self, seed):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
         f = random_field(grid, seed)
-        assert cg.l2_norm(f) == pytest.approx(cg.l2_norm(cg.to_spectral(f)), rel=1e-12)
+        assert l2_norm(f) == pytest.approx(l2_norm(cg.to_spectral(f)), rel=1e-12)
 
     def test_direction_mismatch_raises(self, grid16):
-        f = cg.constant_field(grid16, 1.0)
+        f = cg.physical_field(grid16, np.ones(grid16.shape))
         fs = cg.transform(f, "forward")
         with pytest.raises(RepresentationError):
             cg.transform(fs, "forward")
@@ -80,7 +81,7 @@ class TestTransform:
 
 class TestGradient:
     def test_constant_gradient_zero(self, grid16):
-        grads = cg.spectral_gradient(cg.constant_field(grid16, 3.7))
+        grads = spectral_gradient(cg.physical_field(grid16, np.full(grid16.shape, 3.7)))
         for gj in grads:
             assert np.max(np.abs(gj.values)) < 1e-12
 
@@ -89,7 +90,7 @@ class TestGradient:
         x = grid16.x_axis
         vals = np.sin(TWO_PI * x / L)[:, None, None] * np.ones(grid16.shape)
         f = cg.physical_field(grid16, vals)
-        grads = [cg.to_physical(g) for g in cg.spectral_gradient(f)]
+        grads = [cg.to_physical(g) for g in spectral_gradient(f)]
         expected = (TWO_PI / L) * np.cos(TWO_PI * x / L)[:, None, None]
         assert np.max(np.abs(grads[0].values - expected)) < 1e-12
         assert np.max(np.abs(grads[1].values)) < 1e-12
@@ -111,7 +112,7 @@ class TestGradient:
         for n in (32, 64):
             grid = cg.FrequencyGrid(3, n, TWO_PI)
             f = build(grid)
-            gspec = cg.to_physical(cg.spectral_gradient(f)[0]).values
+            gspec = cg.to_physical(spectral_gradient(f)[0]).values
             vals = f.values
             gfd = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * grid.h)
             errs.append(np.max(np.abs(gspec - gfd)))
@@ -131,10 +132,10 @@ class TestGradient:
             return cg.to_physical(cg.spectral_field(grid16, spec))
 
         f, g = bl_field(1), bl_field(2)
-        prod = cg.multiply(f, g)
-        lhs = [cg.to_physical(t).values for t in cg.spectral_gradient(prod)]
-        df = [cg.to_physical(t).values for t in cg.spectral_gradient(f)]
-        dg = [cg.to_physical(t).values for t in cg.spectral_gradient(g)]
+        prod = multiply(f, g)
+        lhs = [cg.to_physical(t).values for t in spectral_gradient(prod)]
+        df = [cg.to_physical(t).values for t in spectral_gradient(f)]
+        dg = [cg.to_physical(t).values for t in spectral_gradient(g)]
         scale = max(np.max(np.abs(x)) for x in lhs)
         for j in range(3):
             rhs = df[j] * g.values + f.values * dg[j]
@@ -145,7 +146,7 @@ class TestWeightedL2:
     def test_unit_weight_is_physical_l2(self, grid16):
         f = random_field(grid16, 7)
         w = np.ones(grid16.shape)
-        assert cg.weighted_l2(f, w) == pytest.approx(cg.l2_norm(f), rel=1e-13)
+        assert weighted_l2(f, w) == pytest.approx(l2_norm(f), rel=1e-13)
 
     def test_single_mode_one_term_sum(self, grid16):
         k = grid16.lattice_frequency([1, 2, 0])
@@ -156,7 +157,7 @@ class TestWeightedL2:
         w = np.full(grid16.shape, 0.25)
         w[idx] = 9.0
         expected = 3.0 * np.sqrt(grid16.measure)
-        assert cg.weighted_l2(f, w) == pytest.approx(expected, rel=1e-13)
+        assert weighted_l2(f, w) == pytest.approx(expected, rel=1e-13)
 
     def test_gradient_weight_matches_gradient_norm(self, grid16):
         # |xi|^2 weight with each axis's Nyquist row zeroed, matching the
@@ -164,15 +165,15 @@ class TestWeightedL2:
         f = random_field(grid16, 9)
         w = sum(np.abs(m) ** 2 for m in grid16.deriv_multipliers)
         w = np.broadcast_to(w, grid16.shape)
-        grad_norm = np.sqrt(sum(cg.l2_norm(g) ** 2 for g in cg.spectral_gradient(f)))
-        assert cg.weighted_l2(f, w) == pytest.approx(grad_norm, rel=1e-10)
+        grad_norm = np.sqrt(sum(l2_norm(g) ** 2 for g in spectral_gradient(f)))
+        assert weighted_l2(f, w) == pytest.approx(grad_norm, rel=1e-10)
 
     def test_negative_weight_rejected(self, grid16):
         f = random_field(grid16, 1)
         w = np.ones(grid16.shape)
         w[0, 0, 0] = -1e-9
         with pytest.raises(ValueError):
-            cg.weighted_l2(f, w)
+            weighted_l2(f, w)
 
 
 class TestFieldAlgebra:
@@ -194,7 +195,7 @@ class TestFieldAlgebra:
         assert grid16.n // 2 not in modes.tolist()
 
     def test_field_immutable(self, grid16):
-        f = cg.constant_field(grid16, 1.0)
+        f = cg.physical_field(grid16, np.ones(grid16.shape))
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
@@ -206,11 +207,11 @@ class TestFieldAlgebra:
 
     def test_dealias_removes_high_modes(self, grid16):
         f = random_field(grid16, 13, representation="spectral")
-        cut = cg.dealias_23(f)
+        cut = dealias_23(f)
         assert np.all(cut.values[~grid16.dealias_mask] == 0)
         assert np.array_equal(cut.values[grid16.dealias_mask], f.values[grid16.dealias_mask])
 
     def test_pointwise_product_requires_multiply(self, grid16):
-        f = cg.constant_field(grid16, 1.0)
+        f = cg.physical_field(grid16, np.ones(grid16.shape))
         with pytest.raises(TypeError):
             f * f

@@ -4,14 +4,18 @@ from scipy.integrate import quad
 
 import cgolab as cg
 from cgolab.errors import DomainError
-from cgolab.potential import mollifier_bump, potential_mean_identity
+from cgolab.grid import integral, laplacian, multiply, spectral_gradient
+from cgolab.potential import conductivity_from_array, mollifier_bump, mollify, write_gamma_file
+from cgolab.spaces import smooth_bridge
 
 from conftest import (
     BUMP_AMPLITUDE,
     BUMP_WIDTH,
     TWO_PI,
     _oracle_duality_form,
+    _oracle_gradient,
     _oracle_lattice,
+    _oracle_leibniz_form,
     random_field,
 )
 
@@ -46,12 +50,12 @@ class TestProfiles:
         vals = np.ones(grid32.shape)
         vals[0, 0, 0] = -0.5
         with pytest.raises(DomainError):
-            cg.conductivity_from_array(grid32, vals, grid32.L / 4)
+            conductivity_from_array(grid32, vals, grid32.L / 4)
 
     def test_support_guard(self, grid32):
         vals = 1.0 + 0.1 * np.ones(grid32.shape)  # deviates everywhere
         with pytest.raises(DomainError):
-            cg.conductivity_from_array(grid32, vals, grid32.L / 4)
+            conductivity_from_array(grid32, vals, grid32.L / 4)
 
     def test_unknown_kind(self, grid32):
         with pytest.raises(DomainError):
@@ -87,7 +91,7 @@ class TestPotential:
         # q built from c * gamma equals q built from gamma, identically
         c = 2.7
         g_scaled = cg.physical_field(bump32.grid, np.sqrt(c * bump32.gamma.values.real))
-        lap = cg.to_physical(cg.laplacian(g_scaled))
+        lap = cg.to_physical(laplacian(g_scaled))
         q_scaled = lap.values.real / g_scaled.values.real
         q = cg.potential_q(bump32).values.real
         assert np.max(np.abs(q_scaled - q)) < 1e-12 * max(1.0, np.max(np.abs(q)))
@@ -95,34 +99,49 @@ class TestPotential:
     def test_mean_identity_discrete_exact(self, bump32):
         # integral q dx = -sum grad(g).grad(1/g) h^d holds to rounding
         grid = bump32.grid
-        lhs = cg.integral(cg.potential_q(bump32)).real
+        lhs = integral(cg.potential_q(bump32)).real
         ginv = cg.physical_field(grid, 1.0 / bump32.g.values.real)
-        gg = [cg.to_physical(f).values.real for f in cg.spectral_gradient(bump32.g)]
-        gi = [cg.to_physical(f).values.real for f in cg.spectral_gradient(ginv)]
+        gg = [cg.to_physical(f).values.real for f in spectral_gradient(bump32.g)]
+        gi = [cg.to_physical(f).values.real for f in spectral_gradient(ginv)]
         rhs = -sum(np.sum(a * b) for a, b in zip(gg, gi)) * grid.measure
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert lhs > 0
 
+    @staticmethod
+    def mean_identity(cond):
+        """Both sides of  integral q dx = integral g^{-2} |grad g|^2 dx (>= 0),
+        the right one in plain numpy from gamma."""
+        grid = cond.grid
+        lhs = float(np.sum(cond.q.values.real) * grid.measure)
+        g = np.sqrt(cond.gamma.values.real)
+        dens = sum(gj.real ** 2 for gj in _oracle_gradient(g, grid.L)) / g ** 2
+        return lhs, float(np.sum(dens) * grid.measure)
+
     def test_mean_identity_pointwise_form(self, bump64):
-        lhs, rhs = potential_mean_identity(bump64)
+        lhs, rhs = self.mean_identity(bump64)
         assert lhs == pytest.approx(rhs, rel=1e-9)
         assert lhs > 0
 
     def test_mean_identity_zero_iff_constant(self, uniform32):
-        lhs, rhs = potential_mean_identity(uniform32)
+        lhs, rhs = self.mean_identity(uniform32)
         assert abs(lhs) < 1e-13 and abs(rhs) < 1e-13
+
+
+def mq_form(u, v, cond):
+    """The m_q form of physical u, v as the pairing reads it: sum q u v h^d."""
+    return complex(np.sum(cond.q.values.real * (u.values * v.values)) * cond.grid.measure)
 
 
 class TestMqBilinear:
     def test_uniform_gamma_vanishes(self, uniform32, grid32):
         u, v = random_field(grid32, 1), random_field(grid32, 2)
-        assert cg.mq_bilinear(u, v, uniform32) == 0
+        assert mq_form(u, v, uniform32) == 0
 
     def test_bilinearity(self, bump32, grid32):
         u, v = random_field(grid32, 3), random_field(grid32, 4)
         alpha = 1.3 - 0.4j
-        a = cg.mq_bilinear(u * alpha, v, bump32, dealias=False)
-        b = cg.mq_bilinear(u, v, bump32, dealias=False) * alpha
+        a = mq_form(u * alpha, v, bump32)
+        b = mq_form(u, v, bump32) * alpha
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_matches_direct_quadrature(self, bump32, grid32):
@@ -132,16 +151,14 @@ class TestMqBilinear:
         deltas, _ = _oracle_lattice(32)
         gamma = 1.0 + BUMP_AMPLITUDE * np.exp(-sum(dl * dl for dl in deltas) / BUMP_WIDTH ** 2)
         direct = _oracle_duality_form(gamma, u.values * v.values, TWO_PI)
-        val = cg.mq_bilinear(u, v, bump32, dealias=False)
-        assert val == pytest.approx(direct, rel=1e-8)
+        assert mq_form(u, v, bump32) == pytest.approx(direct, rel=1e-8)
 
     def test_two_forms_agree_on_smooth_data(self, bump64):
         grid = bump64.grid
         u = cg.exp_ik_field(grid, grid.lattice_frequency([1, 0, 0]))
         v = cg.exp_ik_field(grid, grid.lattice_frequency([0, 2, 0]))
-        a = cg.mq_bilinear(u, v, bump64, dealias=False, check_split=True, check_tol=1e-9)
-        b = cg.mq_bilinear_split(u, v, bump64, dealias=False)
-        assert a == pytest.approx(b, rel=1e-9)
+        split = _oracle_leibniz_form(bump64.gamma.values.real, u.values * v.values, grid.L)
+        assert mq_form(u, v, bump64) == pytest.approx(split, rel=1e-9)
 
     def test_localization_invariance(self, bump64):
         # phi = 1 on supp q, so inserting the cutoff changes nothing
@@ -149,37 +166,35 @@ class TestMqBilinear:
         phi = cg.make_cutoff(bump64)
         u = cg.exp_ik_field(grid, grid.lattice_frequency([1, 1, 0]))
         v = cg.exp_ik_field(grid, grid.lattice_frequency([0, 0, 2]))
-        plain = cg.mq_bilinear(u, v, bump64, dealias=False)
-        localized = cg.mq_bilinear(
-            cg.multiply(phi.field, u), cg.multiply(phi.field, v), bump64, dealias=False
-        )
+        plain = mq_form(u, v, bump64)
+        localized = mq_form(multiply(phi.field, u), multiply(phi.field, v), bump64)
         assert localized == pytest.approx(plain, rel=1e-9)
 
 
 class TestMollify:
     def test_constant_unchanged(self, grid16):
-        f = cg.constant_field(grid16, 2.5)
-        out = cg.mollify(f, 4 * grid16.h)
+        f = cg.physical_field(grid16, np.full(grid16.shape, 2.5))
+        out = mollify(f, 4 * grid16.h)
         assert np.max(np.abs(out.values - 2.5)) < 1e-12
 
     def test_mass_preserved(self, grid32):
         f = random_field(grid32, 17)
-        out = cg.mollify(f, 4 * grid32.h)
-        assert cg.integral(out) == pytest.approx(cg.integral(f), rel=1e-12)
+        out = mollify(f, 4 * grid32.h)
+        assert integral(out) == pytest.approx(integral(f), rel=1e-12)
 
     def test_below_grid_scale_warns_noop(self, grid16):
         f = random_field(grid16, 18)
         with pytest.warns(UserWarning):
-            out = cg.mollify(f, 0.5 * grid16.h)
+            out = mollify(f, 0.5 * grid16.h)
         assert out is f
 
     def test_flattening_monotone_in_width(self, grid32):
         r = grid32.radius_from_center
         f = cg.physical_field(grid32, np.exp(-((r / 0.5) ** 2)))
-        mean = cg.integral(f).real / grid32.L ** 3
+        mean = integral(f).real / grid32.L ** 3
         devs = []
         for eps in (2 * grid32.h, 4 * grid32.h, 8 * grid32.h):
-            out = cg.mollify(f, eps)
+            out = mollify(f, eps)
             devs.append(np.max(np.abs(out.values - mean)))
         assert devs[0] > devs[1] > devs[2]
 
@@ -193,8 +208,8 @@ class TestMollify:
         grad_sup_exact = a / radius
         eps = 8 * grid.h
 
-        smooth = cg.mollify(cone, eps)
-        grads = [cg.to_physical(g).values.real for g in cg.spectral_gradient(smooth)]
+        smooth = mollify(cone, eps)
+        grads = [cg.to_physical(g).values.real for g in spectral_gradient(smooth)]
         grad_sup = np.max(np.sqrt(sum(g * g for g in grads)))
         assert grad_sup <= grad_sup_exact * (1 + 1e-6)
 
@@ -209,14 +224,14 @@ class TestMollify:
         c_const = 4 * np.pi * quad(lambda t: dphi(t) * t * t, 0, 1, limit=200)[0] / mass
         hess_sup = 0.0
         for i in range(3):
-            gi = cg.spectral_gradient(smooth)[i]
-            for gj in cg.spectral_gradient(gi):
+            gi = spectral_gradient(smooth)[i]
+            for gj in spectral_gradient(gi):
                 hess_sup = max(hess_sup, np.max(np.abs(cg.to_physical(gj).values.real)))
         assert hess_sup <= (c_const / eps) * grad_sup_exact * 1.05
 
     def test_bump_kernel_unit_mass(self, grid16):
         bump = mollifier_bump(grid16, 3 * grid16.h)
-        assert cg.integral(bump).real == pytest.approx(1.0, rel=1e-13)
+        assert integral(bump).real == pytest.approx(1.0, rel=1e-13)
 
 
 class TestCutoff:
@@ -243,9 +258,9 @@ class TestCutoff:
         # oracle: sup |bridge'| by dense numerical differentiation
         phi = cg.make_cutoff(bump32)
         rho = np.linspace(1.0, 2.0, 200001)
-        chi = cg.smooth_bridge(rho)
+        chi = smooth_bridge(rho)
         c_bridge = np.max(np.abs(np.diff(chi))) / (rho[1] - rho[0])
-        grads = [cg.to_physical(g).values.real for g in cg.spectral_gradient(phi.field)]
+        grads = [cg.to_physical(g).values.real for g in spectral_gradient(phi.field)]
         grad_sup = np.max(np.sqrt(sum(g * g for g in grads)))
         assert grad_sup <= (c_bridge / phi.inner_radius) * 1.05
 
@@ -253,7 +268,7 @@ class TestCutoff:
 class TestGammaFile:
     def test_round_trip(self, bump32, tmp_path):
         path = tmp_path / "gamma.bin"
-        cg.write_gamma_file(path, bump32)
+        write_gamma_file(path, bump32)
         back = cg.read_gamma_file(path)
         assert back.grid == bump32.grid
         assert np.max(np.abs(back.gamma.values - bump32.gamma.values)) == 0.0
@@ -261,7 +276,7 @@ class TestGammaFile:
 
     def test_truncated_file_rejected(self, bump32, tmp_path):
         path = tmp_path / "gamma.bin"
-        cg.write_gamma_file(path, bump32)
+        write_gamma_file(path, bump32)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(DomainError):
@@ -271,7 +286,7 @@ class TestGammaFile:
         import struct
 
         path = tmp_path / "gamma.bin"
-        cg.write_gamma_file(path, bump32)
+        write_gamma_file(path, bump32)
         with open(path, "rb") as fh:
             d, n, L = struct.unpack("<IId", fh.read(16))
         assert (d, n) == (3, 32)

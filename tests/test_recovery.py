@@ -6,7 +6,8 @@ import pytest
 import cgolab as cg
 import cgolab.recovery
 from cgolab.errors import CgolabError
-from cgolab.recovery import pairing_weight
+from cgolab.recovery import alessandrini_terms, fourier_mode, pairing_weight
+from cgolab.spaces import smooth_bridge
 
 from conftest import _oracle_gaussian_q, _oracle_lattice
 
@@ -42,7 +43,7 @@ def test_recovered_mode_within_error_bar(bump64, k):
     # measured: |recovered - exact| / |exact| = 2.9e-4 and 6.8e-4, equal to the error bar
     assert abs(recovered - exact) <= diag.error_bar + 1e-5 * abs(exact)
     assert abs(diag.oracle - exact) <= 1e-5 * abs(exact)
-    assert diag.oracle == cg.fourier_mode(cg.potential_q(bump64), k)
+    assert diag.oracle == fourier_mode(cg.potential_q(bump64), k)
     parts = bd.term_main + bd.term_linear + bd.term_bilinear
     assert abs(bd.total - parts) <= 1e-12 * abs(bd.total)
 
@@ -57,11 +58,11 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     psihat1, _, psi1 = cg.solve_psi(bump64, pair.zeta1)
     psihat2, _, psi2 = cg.solve_psi(bump64, pair.zeta2)
     weight = pairing_weight(bump64, k, cg.make_cutoff(bump64))
-    bd = cg.alessandrini_terms(weight, pair, psi1, psi2)
+    bd = alessandrini_terms(weight, pair, psi1, psi2)
 
     q = _oracle_gaussian_q(64, spectral=True)
     deltas, _ = _oracle_lattice(64)
-    phi = cg.smooth_bridge(np.sqrt(sum(dl * dl for dl in deltas)) / (np.pi / 2.0))
+    phi = smooth_bridge(np.sqrt(sum(dl * dl for dl in deltas)) / (np.pi / 2.0))
     x = (2.0 * np.pi / 64) * np.arange(64)
     axes = [x.reshape(sh) for sh in ((64, 1, 1), (1, 64, 1), (1, 1, 64))]
 
@@ -88,3 +89,19 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     }
     for name, value in expected.items():
         assert abs(getattr(bd, name) - value) <= 1e-13 * abs(value), name
+
+
+def test_uniqueness_gap_symmetric_under_swap(bump64):
+    # two gaussians of one width: the shared selection makes the table
+    # exactly symmetric under swapping the conductivities
+    grid = bump64.grid
+    other = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.08, "width": 0.3})
+    k_set = [np.array([1.0, 2.0, 0.0])]
+    (row,) = cg.uniqueness_gap(bump64, other, k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
+    (swapped,) = cg.uniqueness_gap(other, bump64, k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
+    assert (swapped.pairing1, swapped.pairing2) == (row.pairing2, row.pairing1)
+    assert (swapped.qhat1, swapped.qhat2) == (row.qhat2, row.qhat1)
+    for name in ("gap", "qhat_gap", "error_bar"):
+        assert getattr(swapped, name) == getattr(row, name), name
+    assert row.gap == abs(row.pairing1 - row.pairing2)
+    assert row.pairing1 != row.pairing2

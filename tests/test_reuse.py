@@ -7,9 +7,8 @@ import pytest
 
 import cgolab as cg
 from cgolab.potential import _grad_log_sup
+from cgolab.spaces import SymbolWeight, clamped_mask
 from cgolab.symbol import lattice_symbol
-
-from conftest import random_field
 
 
 class _Calls(list):
@@ -94,14 +93,6 @@ class TestTransformCounts:
         assert fft_calls.count("solved") == 2
         assert fft_calls[-1] == "solved"
 
-    def test_pairing_transforms_only_its_slots(self, bump32, fft_calls):
-        cg.potential_q(bump32)
-        u = random_field(bump32.grid, 1, "spectral")
-        v = random_field(bump32.grid, 2, "spectral")
-        fft_calls.clear()
-        cg.mq_bilinear(u, v, bump32)
-        assert fft_calls == ["ifftn", "ifftn"]
-
     def test_averaged_decay_transforms_f_once(self, bump32, fft_calls):
         phi = cg.make_cutoff(bump32)
         k = np.array([0.0, 0.0, 1.0])
@@ -123,8 +114,8 @@ class TestLipschitzSeminorm:
 
 class TestSymbolData:
     def test_symbol_is_computed_once_and_exact(self, grid32, zeta16):
-        p = cg.symbol_lattice(zeta16, grid32)
-        assert cg.symbol_lattice(zeta16, grid32) is p
+        p = lattice_symbol(zeta16, grid32).p
+        assert lattice_symbol(zeta16, grid32).p is p
         assert not p.flags.writeable
         # -|xi|^2 + 2i zeta . xi, accumulated axis by axis from the lattice
         xi = [grid32.xi_axis.reshape(shape) for shape in ((32, 1, 1), (1, 32, 1), (1, 1, 32))]
@@ -135,24 +126,24 @@ class TestSymbolData:
         np.testing.assert_array_equal(p, -sq + 2j * dot)
 
     def test_derived_arrays_shared_per_key(self, grid32, zeta16):
-        weight = cg.SymbolWeight(zeta16, "homogeneous", 0.5, 1e-6)
+        weight = SymbolWeight(zeta16, "homogeneous", 0.5, 1e-6)
         first = weight.multiplier(grid32, "drop")
-        assert cg.SymbolWeight(zeta16, "homogeneous", 0.5, 1e-6).multiplier(grid32, "drop") is first
+        assert SymbolWeight(zeta16, "homogeneous", 0.5, 1e-6).multiplier(grid32, "drop") is first
         assert weight.multiplier(grid32, "floor") is not first
-        mask = cg.clamped_mask(zeta16, grid32, 1e-6)
-        assert cg.clamped_mask(zeta16, grid32, 1e-6) is mask
-        assert cg.clamped_mask(zeta16, grid32, 1e-7) is not mask
+        mask = clamped_mask(zeta16, grid32, 1e-6)
+        assert clamped_mask(zeta16, grid32, 1e-6) is mask
+        assert clamped_mask(zeta16, grid32, 1e-7) is not mask
         # the data belongs to the zeta: an equal zeta builds its own
         twin = cg.Zeta(zeta16.value.copy())
-        assert cg.symbol_lattice(twin, grid32) is not cg.symbol_lattice(zeta16, grid32)
+        assert lattice_symbol(twin, grid32).p is not lattice_symbol(zeta16, grid32).p
 
     def test_cached_arrays_reject_writes(self, grid32, zeta16):
         sym = lattice_symbol(zeta16, grid32)
         arrays = [
             sym.p,
             sym.pabs,
-            cg.clamped_mask(zeta16, grid32, 1e-6),
-            cg.SymbolWeight(zeta16, "inhomogeneous", -0.5).multiplier(grid32),
+            clamped_mask(zeta16, grid32, 1e-6),
+            SymbolWeight(zeta16, "inhomogeneous", -0.5).multiplier(grid32),
         ]
         for arr in arrays:
             with pytest.raises(ValueError):

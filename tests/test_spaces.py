@@ -5,7 +5,17 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.errors import SingularModeError
-from cgolab.spaces import pair_inverse_symbol_sums
+from cgolab.grid import l2_norm, spectral_gradient
+from cgolab.spaces import (
+    SymbolWeight,
+    clamped_mask,
+    pair_inverse_symbol_sums,
+    project,
+    smooth_bridge,
+    x_norm,
+    xdot_norm,
+)
+from cgolab.symbol import lattice_symbol, make_zeta_pair
 
 from conftest import TWO_PI, random_field
 
@@ -17,6 +27,11 @@ def zeta16():
 
 
 @pytest.fixture(scope="module")
+def bump16(grid16):
+    return cg.make_conductivity(grid16, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
+
+
+@pytest.fixture(scope="module")
 def pair16():
     return cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 6.0, 0.3)
 
@@ -24,13 +39,13 @@ def pair16():
 class TestBridge:
     def test_plateaus(self):
         rho = np.array([0.0, 0.3, 1.0, 2.0, 2.5, 100.0])
-        chi = cg.smooth_bridge(rho)
+        chi = smooth_bridge(rho)
         assert np.all(chi[:3] == 1.0)
         assert np.all(chi[3:] == 0.0)
 
     def test_monotone_transition(self):
         rho = np.linspace(1.0, 2.0, 513)
-        chi = cg.smooth_bridge(rho)
+        chi = smooth_bridge(rho)
         assert np.all(np.diff(chi) <= 1e-15)
         assert 0.0 < chi[256] < 1.0
 
@@ -38,8 +53,8 @@ class TestBridge:
 class TestNorms:
     def test_b_zero_is_l2(self, grid16, zeta16):
         f = random_field(grid16, 5)
-        assert cg.xdot_norm(f, zeta16, 0.0) == pytest.approx(cg.l2_norm(f), rel=1e-13)
-        assert cg.x_norm(f, zeta16, 0.0) == pytest.approx(cg.l2_norm(f), rel=1e-13)
+        assert xdot_norm(f, zeta16, 0.0) == pytest.approx(l2_norm(f), rel=1e-13)
+        assert x_norm(f, zeta16, 0.0) == pytest.approx(l2_norm(f), rel=1e-13)
 
     def test_single_mode_value(self, grid16, zeta16):
         # |p| = 4 at xi = (0, 2, 0): homogeneous 1/2-norm is 2 sqrt(measure)
@@ -47,48 +62,52 @@ class TestNorms:
         spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
         f = cg.spectral_field(grid16, spec)
         expected = 2.0 * np.sqrt(grid16.measure)
-        assert cg.xdot_norm(f, zeta16, 0.5) == pytest.approx(expected, rel=1e-12)
+        assert xdot_norm(f, zeta16, 0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_mode_error(self, grid16, zeta16):
-        f = cg.constant_field(grid16, 1.0)
+        f = cg.physical_field(grid16, np.ones(grid16.shape))
         with pytest.raises(SingularModeError):
-            cg.xdot_norm(f, zeta16, -0.5, clamp_eps=0.0)
+            xdot_norm(f, zeta16, -0.5, clamp_eps=0.0)
 
     def test_zero_clamp_allows_vanishing_mass(self, grid16, zeta16):
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
         f = cg.spectral_field(grid16, spec)
         expected = 0.5 * np.sqrt(grid16.measure)
-        assert cg.xdot_norm(f, zeta16, -0.5, clamp_eps=0.0) == pytest.approx(expected, rel=1e-12)
+        assert xdot_norm(f, zeta16, -0.5, clamp_eps=0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_x_norm_zero_mode(self, grid16, zeta16):
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[0, 0, 0] = 1.0
         f = cg.spectral_field(grid16, spec)
         expected = (np.sqrt(2.0) * zeta16.s) ** -0.5 * np.sqrt(grid16.measure)
-        assert cg.x_norm(f, zeta16, -0.5) == pytest.approx(expected, rel=1e-12)
+        assert x_norm(f, zeta16, -0.5) == pytest.approx(expected, rel=1e-12)
 
     @given(seed=st.integers(0, 500))
     def test_inhomogeneous_dominated_by_homogeneous(self, seed):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
         zeta = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
         f = random_field(grid, seed)
-        assert cg.x_norm(f, zeta, -0.5) <= cg.xdot_norm(f, zeta, -0.5) * (1 + 1e-12)
+        assert x_norm(f, zeta, -0.5) <= xdot_norm(f, zeta, -0.5) * (1 + 1e-12)
 
     def test_clamped_mass_fraction(self, grid16, zeta16):
-        f = cg.constant_field(grid16, 1.0)  # all mass at xi = 0
-        assert cg.clamped_mass_fraction(f, zeta16) == pytest.approx(1.0)
+        # the share of the L2 mass on the clamped modes, in plain numpy
+        def fraction(spec):
+            return np.linalg.norm(spec[clamped_mask(zeta16, grid16, 1e-6)]) / np.linalg.norm(spec)
+
+        f = cg.to_spectral(cg.physical_field(grid16, np.ones(grid16.shape)))  # all mass at xi = 0
+        assert fraction(f.values) == pytest.approx(1.0)
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
-        assert cg.clamped_mass_fraction(cg.spectral_field(grid16, spec), zeta16) == 0.0
+        assert fraction(spec) == 0.0
 
 
 class TestProjections:
     def test_partition_of_identity(self, grid16, pair16):
         f = random_field(grid16, 8)
         z = pair16.zeta1
-        low = cg.project(f, z, "low")
-        high = cg.project(f, z, "high")
+        low = project(f, z, "low")
+        high = project(f, z, "high")
         fs = cg.to_spectral(f)
         assert np.max(np.abs(low.values + high.values - fs.values)) < 1e-13
 
@@ -96,29 +115,29 @@ class TestProjections:
         # s = 1: the low projector vanishes beyond |xi| = 16
         zeta = cg.Zeta(np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0]))
         f = random_field(grid16, 9)
-        low = cg.project(f, zeta, "low")
+        low = project(f, zeta, "low")
         outside = grid16.xi_sq > (16.0 * zeta.s) ** 2
         assert np.all(low.values[outside] == 0)
 
     def test_high_vanishes_inside_ball(self, grid16, pair16):
         f = random_field(grid16, 10)
         z = pair16.zeta1
-        high = cg.project(f, z, "high")
+        high = project(f, z, "high")
         inside = grid16.xi_sq <= (8.0 * z.s) ** 2
         assert np.all(high.values[inside] == 0)
 
     def test_band_limited_input_passes_low(self, grid16, pair16):
         z = pair16.zeta1  # 8s = 48 covers the whole n=16 lattice
         f = random_field(grid16, 11)
-        assert np.max(np.abs(cg.project(f, z, "high").values)) == 0.0
-        low = cg.project(f, z, "low")
+        assert np.max(np.abs(project(f, z, "high").values)) == 0.0
+        low = project(f, z, "low")
         assert np.max(np.abs(low.values - cg.to_spectral(f).values)) < 1e-14
 
     def test_idempotent_on_plateaus(self, grid16):
         zeta = cg.Zeta(np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0]))
         f = random_field(grid16, 12)
-        low1 = cg.project(f, zeta, "low")
-        low2 = cg.project(low1, zeta, "low")
+        low1 = project(f, zeta, "low")
+        low2 = project(low1, zeta, "low")
         rho_sq = grid16.xi_sq / (8.0 * zeta.s) ** 2
         plateau = (rho_sq <= 1.0) | (rho_sq >= 4.0)
         assert np.array_equal(low1.values[plateau], low2.values[plateau])
@@ -126,66 +145,61 @@ class TestProjections:
     def test_finite_band_property(self, grid16):
         zeta = cg.Zeta(np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0]))
         f = random_field(grid16, 13)
-        low = cg.project(f, zeta, "low")
-        grad_norm = np.sqrt(sum(cg.l2_norm(g) ** 2 for g in cg.spectral_gradient(low)))
-        assert grad_norm <= 16.0 * zeta.s * cg.l2_norm(low) * (1 + 1e-12)
+        low = project(f, zeta, "low")
+        grad_norm = np.sqrt(sum(l2_norm(g) ** 2 for g in spectral_gradient(low)))
+        assert grad_norm <= 16.0 * zeta.s * l2_norm(low) * (1 + 1e-12)
 
 
 class TestInverse:
-    def test_single_mode_division(self, grid16, zeta16):
-        spec = np.zeros(grid16.shape, dtype=complex)
-        idx = grid16.mode_index(np.array([0.0, 2.0, 0.0]))
-        spec[idx] = 1.0
-        f = cg.spectral_field(grid16, spec)
-        out, info = cg.inverse_delta_zeta(f, zeta16)
-        assert out.values[idx] == pytest.approx(0.25, rel=1e-14)
-        assert info.clamped_mass == 0.0
+    """The inverse of the conjugated Laplacian is the solver's: its first
+    step from psi_0 = 0 is psi_1 = InvDelta_zeta(q), which divides qhat by
+    p on the kept modes K (the 2/3 cube minus the clamped modes) and is
+    zero elsewhere."""
 
-    def test_right_inverse_identity_off_clamped(self, grid16, pair16):
-        z = pair16.zeta1
-        f = random_field(grid16, 14, representation="spectral")
-        mask = cg.clamped_mask(z, grid16, 1e-6)
-        clean = cg.spectral_field(grid16, np.where(mask, 0, f.values))
-        out, info = cg.inverse_delta_zeta(clean, z)
-        assert info.clamped_mass == 0.0
-        back = cg.apply_delta_zeta(out, z)
-        assert np.max(np.abs(back.values - clean.values)) <= 1e-11 * np.max(np.abs(clean.values))
+    @staticmethod
+    def first_step(cond, zeta, **kwargs):
+        psi, rep, _ = cg.solve_psi(cond, zeta, max_iter=1, **kwargs)
+        clamped = clamped_mask(zeta, cond.grid, kwargs.get("clamp_eps", 1e-6))
+        return psi.values, rep, ~clamped & cond.grid.dealias_mask
 
-    def test_norm_isometry(self, grid16, pair16):
+    def test_single_mode_division(self, bump16, zeta16):
+        # p((0, 2, 0)) = 4 for the lattice-aligned zeta
+        psi, _, _ = self.first_step(bump16, zeta16)
+        idx = bump16.grid.mode_index(np.array([0.0, 2.0, 0.0]))
+        assert psi[idx] == pytest.approx(0.25 * bump16.q_hat.values[idx], rel=1e-14)
+
+    def test_right_inverse_identity_off_clamped(self, bump16, pair16):
         z = pair16.zeta1
-        f = random_field(grid16, 15, representation="spectral")
-        mask = cg.clamped_mask(z, grid16, 1e-6)
-        clean = cg.spectral_field(grid16, np.where(mask, 0, f.values))
-        out, _ = cg.inverse_delta_zeta(clean, z)
-        lhs = cg.xdot_norm(out, z, 0.5)
-        rhs = cg.xdot_norm(clean, z, -0.5)
+        psi, _, kept = self.first_step(bump16, z)
+        qhat = bump16.q_hat.values
+        back = lattice_symbol(z, bump16.grid).p * psi
+        assert np.max(np.abs(back[kept] - qhat[kept])) <= 1e-11 * np.max(np.abs(qhat[kept]))
+        assert np.all(psi[~kept] == 0.0)
+
+    def test_norm_isometry(self, bump16, pair16):
+        z = pair16.zeta1
+        psi, _, kept = self.first_step(bump16, z)
+        clean = cg.spectral_field(bump16.grid, np.where(kept, bump16.q_hat.values, 0))
+        lhs = xdot_norm(cg.spectral_field(bump16.grid, psi), z, 0.5)
+        rhs = xdot_norm(clean, z, -0.5)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
-    def test_zero_clamp_singular_error(self, grid16, zeta16):
-        f = cg.constant_field(grid16, 1.0)
+    def test_zero_clamp_singular_error(self, bump16, zeta16):
+        # q has mass at xi = 0, where p vanishes
         with pytest.raises(SingularModeError):
-            cg.inverse_delta_zeta(f, zeta16, clamp_eps=0.0)
+            self.first_step(bump16, zeta16, clamp_eps=0.0)
 
-    def test_floor_policy_reports_mass(self, grid16, zeta16):
-        f = cg.constant_field(grid16, 1.0)
-        out, info = cg.inverse_delta_zeta(f, zeta16, clamp_eps=1e-6, policy="floor")
-        assert info.clamped_count >= 1
-        assert info.clamped_mass > 0
-        # the exact zero mode is divided by the floor with phase 1
-        expected = grid16.n ** 1.5 / (1e-6 * zeta16.s)
-        assert out.values[0, 0, 0] == pytest.approx(expected, rel=1e-12)
-
-    def test_drop_policy_zeroes(self, grid16, zeta16):
-        f = cg.constant_field(grid16, 1.0)
-        out, info = cg.inverse_delta_zeta(f, zeta16, clamp_eps=1e-6, policy="drop")
-        assert out.values[0, 0, 0] == 0.0
-        assert info.clamped_mass > 0
+    def test_drop_policy_zeroes(self, bump16, zeta16):
+        psi, rep, _ = self.first_step(bump16, zeta16, clamp_eps=1e-6)
+        assert bump16.q_hat.values[0, 0, 0] != 0.0
+        assert psi[0, 0, 0] == 0.0
+        assert rep.clamped_mass > 0
 
     def test_weight_type_validation(self, zeta16):
         with pytest.raises(ValueError):
-            cg.SymbolWeight(zeta16, "bogus", 0.5)
+            SymbolWeight(zeta16, "bogus", 0.5)
         with pytest.raises(ValueError):
-            cg.SymbolWeight(zeta16, "homogeneous", 0.5, clamp_eps=-1.0)
+            SymbolWeight(zeta16, "homogeneous", 0.5, clamp_eps=-1.0)
 
 
 class TestInverseSymbolSums:
@@ -199,7 +213,7 @@ class TestInverseSymbolSums:
     def pairs(self, zeta16):
         # sampled pairs at each k, plus the k = 0 pair whose zeta1 is the
         # lattice-aligned zeta16 (p vanishes on lattice points besides 0)
-        out = [[cg.make_zeta_pair(np.zeros(3), 2.0, [1.0, 0, 0], [0, -1.0, 0])]]
+        out = [[make_zeta_pair(np.zeros(3), 2.0, [1.0, 0, 0], [0, -1.0, 0])]]
         assert np.array_equal(out[0][0].zeta1.value, zeta16.value)
         for k in self.KS:
             out.append([
@@ -262,7 +276,7 @@ class TestInverseSymbolSums:
         # no density on the zeros of p_1 or p_2 (xi = 0 among them): they
         # are dropped; density on a zero of either zeta raises
         pair = pairs[0][0]
-        pabs = [np.abs(cg.symbol_lattice(z, grid16)) for z in (pair.zeta1, pair.zeta2)]
+        pabs = [lattice_symbol(z, grid16).pabs for z in (pair.zeta1, pair.zeta2)]
         empty = (pabs[0] == 0.0) | (pabs[1] == 0.0)
         row = np.where(empty, 0.0, dens[0])
         sums = pair_inverse_symbol_sums(row, [pair], grid16, 0.0)

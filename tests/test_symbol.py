@@ -5,20 +5,21 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.errors import FrameError, InfeasibleGeometryError
+from cgolab.symbol import char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane
 
 from conftest import TWO_PI
 
 
 class TestZetaPairConstruction:
     def test_k_zero_symmetry(self):
-        pair = cg.make_zeta_pair(np.zeros(3), 1.0, [1, 0, 0], [0, 1, 0])
+        pair = make_zeta_pair(np.zeros(3), 1.0, [1, 0, 0], [0, 1, 0])
         assert np.allclose(pair.zeta1.value, [1, 1j, 0])
         assert np.allclose(pair.zeta2.value, [-1, -1j, 0])
         assert np.allclose(pair.zeta1.value + pair.zeta2.value, 0)
 
     def test_worked_example(self):
         # independent arithmetic: r = sqrt(4 - 1) and the two displays
-        pair = cg.make_zeta_pair([0.0, 0.0, 2.0], 2.0, [1, 0, 0], [0, 1, 0])
+        pair = make_zeta_pair([0.0, 0.0, 2.0], 2.0, [1, 0, 0], [0, 1, 0])
         assert pair.r == pytest.approx(np.sqrt(3.0), rel=1e-15)
         z1 = np.array([2.0, 1j * np.sqrt(3.0), 1j])
         z2 = np.array([-2.0, -1j * np.sqrt(3.0), 1j])
@@ -31,15 +32,15 @@ class TestZetaPairConstruction:
 
     def test_infeasible_geometry(self):
         with pytest.raises(InfeasibleGeometryError):
-            cg.make_zeta_pair([0.0, 0.0, 4.0], 1.0, [1, 0, 0], [0, 1, 0])
+            make_zeta_pair([0.0, 0.0, 4.0], 1.0, [1, 0, 0], [0, 1, 0])
 
     def test_frame_errors(self):
         with pytest.raises(FrameError):
-            cg.make_zeta_pair([0.0, 0.0, 1.0], 2.0, [1, 0, 0], [1, 0, 0])
+            make_zeta_pair([0.0, 0.0, 1.0], 2.0, [1, 0, 0], [1, 0, 0])
         with pytest.raises(FrameError):
-            cg.make_zeta_pair([0.0, 0.0, 1.0], 2.0, [2, 0, 0], [0, 1, 0])
+            make_zeta_pair([0.0, 0.0, 1.0], 2.0, [2, 0, 0], [0, 1, 0])
         with pytest.raises(FrameError):
-            cg.make_zeta_pair([1.0, 0.0, 0.0], 2.0, [1, 0, 0], [0, 1, 0])
+            make_zeta_pair([1.0, 0.0, 0.0], 2.0, [1, 0, 0], [0, 1, 0])
 
     @given(
         mx=st.integers(-4, 4),
@@ -64,62 +65,84 @@ class TestZetaPairConstruction:
         assert abs(np.dot(pair.k, pair.eta2)) < 1e-10 * max(1, np.linalg.norm(k))
 
 
+def _adapted_form(zeta, xi):
+    """(s^2 - |xi - s e2|^2) + 2is (xi . e1) for points xi of shape (..., d),
+    from the zeta's frame in plain numpy."""
+    s = zeta.s
+    shifted = xi - s * zeta.e2
+    return (s * s - np.sum(shifted * shifted, axis=-1)) + 2j * s * (xi @ zeta.e1)
+
+
 class TestSymbol:
+    """p(xi) = -|xi|^2 + 2i zeta . xi read at lattice points (L = 2 pi, so
+    the lattice is the integer one)."""
+
     ZETA = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
 
-    def test_origin_is_characteristic(self):
+    @staticmethod
+    def p_at(zeta, grid, xi):
+        return lattice_symbol(zeta, grid).p[grid.mode_index(np.array(xi))]
+
+    def test_origin_is_characteristic(self, grid16):
         pair = cg.zeta_pair_from_angle(np.array([0, 0, 1.0]), 5.0, 0.7)
-        assert cg.symbol_p(pair.zeta1, np.zeros(3)) == 0
+        assert self.p_at(pair.zeta1, grid16, [0.0, 0.0, 0.0]) == 0
 
-    def test_hand_evaluated_point_on_sphere(self):
+    def test_hand_evaluated_point_on_sphere(self, grid16):
         # -16 + 2i*(zeta . xi) with zeta . xi = -8i gives exactly 0
-        val = cg.symbol_p(self.ZETA, [0.0, 4.0, 0.0])
-        assert val == pytest.approx(0.0, abs=1e-13)
-        assert cg.symbol_p_adapted(self.ZETA, [0.0, 4.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        xi = [0.0, 4.0, 0.0]
+        assert self.p_at(self.ZETA, grid16, xi) == pytest.approx(0.0, abs=1e-13)
+        assert _adapted_form(self.ZETA, np.array(xi)) == pytest.approx(0.0, abs=1e-12)
 
-    def test_sphere_center_value(self):
-        assert cg.symbol_p(self.ZETA, [0.0, 2.0, 0.0]) == pytest.approx(4.0, rel=1e-14)
-        assert cg.symbol_p_adapted(self.ZETA, [0.0, 2.0, 0.0]) == pytest.approx(4.0, rel=1e-10)
+    def test_sphere_center_value(self, grid16):
+        xi = [0.0, 2.0, 0.0]
+        assert self.p_at(self.ZETA, grid16, xi) == pytest.approx(4.0, rel=1e-14)
+        assert _adapted_form(self.ZETA, np.array(xi)) == pytest.approx(4.0, rel=1e-10)
 
     def test_two_forms_agree_on_lattice(self, grid16):
+        m = np.fft.fftfreq(16, d=1.0 / 16)
+        xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         rng = np.random.default_rng(21)
         for _ in range(5):
             k = grid16.lattice_frequency(rng.integers(-3, 4, size=3))
             s = rng.uniform(max(1.0, np.linalg.norm(k)), 20.0)
             pair = cg.zeta_pair_from_angle(k, s, rng.uniform(0, TWO_PI))
-            direct = cg.symbol_lattice(pair.zeta1, grid16, form="direct")
-            adapted = cg.symbol_lattice(pair.zeta1, grid16, form="adapted")
+            direct = lattice_symbol(pair.zeta1, grid16).p
+            adapted = _adapted_form(pair.zeta1, xi)
             scale = np.maximum(np.abs(direct), s * s)
             assert np.max(np.abs(direct - adapted) / scale) < 1e-10
 
 
 class TestCharDistance:
+    """| s - |xi - s e2| | + |xi . e1| read at lattice points."""
+
     ZETA = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
 
-    def test_zero_on_characteristic_set(self):
-        assert cg.char_distance(self.ZETA, [0.0, 4.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-        assert cg.char_distance(self.ZETA, [0.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    def dist_at(self, grid, xi):
+        return char_distance_lattice(self.ZETA, grid)[grid.mode_index(np.array(xi))]
 
-    def test_sphere_center(self):
-        assert cg.char_distance(self.ZETA, [0.0, 2.0, 0.0]) == pytest.approx(2.0, rel=1e-14)
+    def test_zero_on_characteristic_set(self, grid16):
+        assert self.dist_at(grid16, [0.0, 4.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        assert self.dist_at(grid16, [0.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_hand_formula(self):
+    def test_sphere_center(self, grid16):
+        assert self.dist_at(grid16, [0.0, 2.0, 0.0]) == pytest.approx(2.0, rel=1e-14)
+
+    def test_hand_formula(self, grid16):
         expected = abs(2.0 - np.sqrt(5.0)) + 1.0
-        assert cg.char_distance(self.ZETA, [1.0, 0.0, 0.0]) == pytest.approx(expected, rel=1e-14)
+        assert self.dist_at(grid16, [1.0, 0.0, 0.0]) == pytest.approx(expected, rel=1e-14)
 
 
 class TestAdaptedFrame:
     def test_trivial_frame(self):
         s0 = 3.5
         zeta = cg.Zeta(s0 * np.array([1.0, 0, 0]) - 1j * s0 * np.array([0, -1.0, 0]))
-        e1, e2, s = cg.adapted_frame(zeta)
-        assert s == pytest.approx(s0, rel=1e-15)
-        assert np.allclose(e1, [1, 0, 0])
-        assert np.allclose(e2, [0, -1, 0])
+        assert zeta.s == pytest.approx(s0, rel=1e-15)
+        assert np.allclose(zeta.e1, [1, 0, 0])
+        assert np.allclose(zeta.e2, [0, -1, 0])
 
     def test_pair_frame_example(self):
-        pair = cg.make_zeta_pair([0.0, 0.0, 2.0], 2.0, [1, 0, 0], [0, 1, 0])
-        e1, e2, s = cg.adapted_frame(pair.zeta1)
+        pair = make_zeta_pair([0.0, 0.0, 2.0], 2.0, [1, 0, 0], [0, 1, 0])
+        e1, e2, s = pair.zeta1.e1, pair.zeta1.e2, pair.zeta1.s
         assert s == pytest.approx(2.0, rel=1e-14)
         assert np.allclose(e1, [1, 0, 0], atol=1e-14)
         assert np.allclose(e2, -np.array([0, np.sqrt(3.0), 1.0]) / 2.0, atol=1e-14)
@@ -145,7 +168,7 @@ class TestComparability:
             s = rng.uniform(1.0, 4.0)
             pair = cg.zeta_pair_from_angle(np.zeros(3), s, rng.uniform(0, TWO_PI))
             for zeta in (pair.zeta1, pair.zeta2):
-                pabs = np.abs(cg.symbol_lattice(zeta, grid))
+                pabs = lattice_symbol(zeta, grid).pabs
                 xi_sq = grid.xi_sq
                 region = xi_sq >= (8.0 * s) ** 2
                 assert region.sum() > 0
@@ -161,8 +184,8 @@ class TestComparability:
             grid = cg.FrequencyGrid(3, 32, TWO_PI * 8.0 / s)
             pair = cg.zeta_pair_from_angle(np.zeros(3), s, 0.37)
             zeta = pair.zeta1
-            pabs = np.abs(cg.symbol_lattice(zeta, grid))
-            dist = cg.char_distance_lattice(zeta, grid)
+            pabs = lattice_symbol(zeta, grid).pabs
+            dist = char_distance_lattice(zeta, grid)
             keep = dist >= grid.h
             ratio = pabs[keep] / (s * dist[keep])
             stats[s] = (ratio.min(), ratio.max())
@@ -175,8 +198,8 @@ class TestComparability:
 class TestOrthonormalPlane:
     def test_deterministic_and_orthogonal(self):
         k = np.array([0.0, 0.0, 3.0])
-        p1, p2 = cg.orthonormal_plane(k)
-        q1, q2 = cg.orthonormal_plane(k)
+        p1, p2 = orthonormal_plane(k)
+        q1, q2 = orthonormal_plane(k)
         assert np.array_equal(p1, q1) and np.array_equal(p2, q2)
         for v in (p1, p2):
             assert abs(np.linalg.norm(v) - 1) < 1e-12
@@ -184,9 +207,9 @@ class TestOrthonormalPlane:
         assert abs(np.dot(p1, p2)) < 1e-12
 
     def test_k_zero_gives_axes(self):
-        p1, p2 = cg.orthonormal_plane(np.zeros(3))
+        p1, p2 = orthonormal_plane(np.zeros(3))
         assert np.allclose(p1, [1, 0, 0]) and np.allclose(p2, [0, 1, 0])
 
     def test_two_dimensional_nonzero_k_rejected(self):
         with pytest.raises(InfeasibleGeometryError):
-            cg.orthonormal_plane(np.array([1.0, 0.0]))
+            orthonormal_plane(np.array([1.0, 0.0]))
