@@ -93,6 +93,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"k_modes must be a list of lists of grid.d integers, got {self.k_modes!r}"
             )
+        half = self.grid.n // 2
+        for name, modes in (("k_mode", [self.k_mode]), ("k_modes", self.k_modes)):
+            for mode in modes:
+                if not all(-half <= m < half for m in mode):
+                    raise ConfigError(
+                        f"{name} entries must lie in [-grid.n/2, grid.n/2) = [{-half}, {half}), "
+                        f"got {mode!r}"
+                    )
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if not self.tol > 0:

@@ -33,13 +33,15 @@ from .errors import InfeasibleGeometryError
 from .grid import (
     Field,
     FrequencyGrid,
+    complete_spectrum,
     l2_norm,
     multiply,
+    real_forward,
+    real_inverse,
     spectral_field,
     spectral_gradient,
     sup_norm,
     to_physical,
-    to_spectral,
     weighted_l2,
 )
 from .potential import Conductivity, CutoffField, potential_q
@@ -451,6 +453,24 @@ def h_theta_norm(f: Field, theta: float) -> float:
     return weighted_l2(f, (1.0 + f.grid.xi_sq) ** theta)
 
 
+def _decay_density(
+    grid: FrequencyGrid, f_half: np.ndarray, phi_B: CutoffField, dealias: bool
+) -> np.ndarray:
+    """The (s, eta)-independent density sum_j |(phi_B d_j f)^hat|^2 on the
+    full lattice, from the half spectrum of a real f.  Each d_j f and its
+    product with phi_B is real, so one derivative at a time goes back and
+    forth through the real pair; the even density is completed once."""
+    phi = phi_B.field.values.real
+    half_dens = np.zeros(f_half.shape)
+    for mult in grid.half_deriv_multipliers:
+        prod = real_inverse(grid, f_half * mult)
+        prod *= phi
+        half_dens += np.abs(real_forward(prod)) ** 2
+    if dealias:
+        half_dens *= grid.dealias_mask[..., : grid.n // 2 + 1]
+    return complete_spectrum(grid, half_dens)
+
+
 def averaged_decay(
     f: Field,
     k,
@@ -465,12 +485,14 @@ def averaged_decay(
     at both paired zetas (trapezoid in s, uniform in angle), with |p|
     floored at the cell scale.
 
-    The density sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is
-    built one derivative at a time; with dealias=True each product
-    spectrum is cut by the 2/3 rule, so the density vanishes outside that
-    cube.  A band's (s, angle) pairs go through one pair_inverse_symbol_sums
-    call, which evaluates only zeta1's symbol, and A is the quadrature
-    weights dotted with its sums at both zetas.  f is transformed once.
+    f must be real (ValueError otherwise).  The density
+    sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is built one
+    derivative at a time on the half spectrum (_decay_density); with
+    dealias=True each product spectrum is cut by the 2/3 rule, so the
+    density vanishes outside that cube.  A band's (s, angle) pairs go
+    through one pair_inverse_symbol_sums call, which evaluates only
+    zeta1's symbol, and A is the quadrature weights dotted with its sums
+    at both zetas.  f is transformed once.
 
     Per band the report carries A, A/lam, and A normalized against
     lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}.
@@ -486,14 +508,12 @@ def averaged_decay(
     grid = f.grid
     grid.mode_index(k)
 
-    # the (s, eta)-independent spectral density sum_j |(phi_B d_j f)^hat|^2
-    fs = to_spectral(f)
-    dens = np.zeros(grid.shape)
-    for mult in grid.deriv_multipliers:  # one derivative d_j f alive at a time
-        gj = spectral_field(grid, fs.values * mult)
-        dens += np.abs(to_spectral(multiply(phi_B.field, gj)).values) ** 2
-    if dealias:
-        dens *= grid.dealias_mask
+    fp = to_physical(f).values
+    if np.max(np.abs(fp.imag)) > 1e-13 * max(1.0, np.max(np.abs(fp.real))):
+        raise ValueError("averaged_decay needs a real field f")
+    f_half = real_forward(fp.real)
+    dens = _decay_density(grid, f_half, phi_B, dealias)
+    fs = spectral_field(grid, complete_spectrum(grid, f_half))
 
     plane = orthonormal_plane(k)
     h_norms = {theta: h_theta_norm(fs, theta) for theta in (0.0, 0.5, 1.0)}

@@ -11,6 +11,14 @@ Conventions, fixed once for the whole package:
   measure is applied to weighted spectral sums, which makes physical and
   spectral L2 norms coincide exactly.
 * Spectral differentiation zeroes the asymmetric Nyquist row m_j = -n/2.
+* Real fields -- gamma, g, log g, q, the mollifier bump and each
+  derivative of a real field -- take the real transform pair
+  real_forward / real_inverse, which holds the half spectrum: the last
+  axis keeps m_d = 0..n/2 (numpy rfftn order, shape (n, ..., n/2 + 1)),
+  the others the full FFT order.  The modes it omits follow from
+  X(-m) = conj X(m), and complete_spectrum restores them where a full
+  FFT-order spectrum is needed.  Multipliers on the half lattice are the
+  [..., :n//2 + 1] slices of the full ones.
 * Compactly supported data is expected to live in the ball of radius
   L/4 around the torus centre (L/2, ..., L/2), keeping periodization
   error at spectral accuracy.
@@ -115,6 +123,11 @@ class FrequencyGrid:
         for j in range(self.d):
             mult.append(1j * self._along(j, axis))
         return tuple(mult)
+
+    @property
+    def half_deriv_multipliers(self) -> tuple:
+        """deriv_multipliers on the half lattice (views, last axis m = 0..n/2)."""
+        return tuple(m[..., : self.n // 2 + 1] for m in self.deriv_multipliers)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -224,13 +237,16 @@ def spectral_field(grid: FrequencyGrid, values) -> Field:
 
 
 def exp_ik_field(grid: FrequencyGrid, k) -> Field:
-    """The plane wave e^{i x . k}; k must lie on the frequency lattice."""
+    """The plane wave e^{i x . k}; k must lie on the frequency lattice.
+
+    Formed as the product of the d one-axis waves e^{i x_j k_j}, so only
+    d*n exponentials are evaluated."""
     grid.mode_index(k)  # validates
     k = np.asarray(k, dtype=float)
-    phase = np.zeros(grid.shape)
+    wave = 1.0
     for j in range(grid.d):
-        phase = phase + k[j] * grid._along(j, grid.x_axis)
-    return Field(grid, PHYSICAL, np.exp(1j * phase))
+        wave = wave * grid._along(j, np.exp(1j * k[j] * grid.x_axis))
+    return Field(grid, PHYSICAL, wave)
 
 
 def transform(f: Field, direction: str) -> Field:
@@ -242,12 +258,48 @@ def transform(f: Field, direction: str) -> Field:
     if direction == "forward":
         if f.is_spectral:
             raise RepresentationError("forward transform of a spectral field")
-        return Field(f.grid, SPECTRAL, np.fft.fftn(f.values, norm="ortho"))
-    if direction == "inverse":
+        fn, representation = np.fft.fftn, SPECTRAL
+    elif direction == "inverse":
         if f.is_physical:
             raise RepresentationError("inverse transform of a physical field")
-        return Field(f.grid, PHYSICAL, np.fft.ifftn(f.values, norm="ortho"))
-    raise ValueError(f"unknown direction {direction!r}")
+        fn, representation = np.fft.ifftn, PHYSICAL
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    # one output for all axes; without out= numpy allocates one per axis
+    out = fn(f.values, norm="ortho", out=np.empty_like(f.values))
+    return Field(f.grid, representation, out)
+
+
+def real_forward(values: np.ndarray) -> np.ndarray:
+    """Unitary DFT of a real lattice array, on the half spectrum."""
+    return np.fft.rfftn(values, norm="ortho")
+
+
+def real_inverse(grid: FrequencyGrid, half: np.ndarray) -> np.ndarray:
+    """The real lattice array whose real_forward is the half spectrum."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.d)), norm="ortho")
+
+
+def complete_spectrum(grid: FrequencyGrid, half: np.ndarray) -> np.ndarray:
+    """The full FFT-order spectrum X of a real field from its half
+    spectrum, with X(-m) = conj X(m) exactly.
+
+    The last-axis planes m_d = 0 and m_d = n/2 are their own mirrors; the
+    half transform leaves them Hermitian only to rounding, so each is
+    replaced by the mean of itself and its conjugate mirror.  A real
+    half array (an even density) is completed the same way.
+    """
+    n, half_n = grid.n, grid.n // 2
+    neg = (-np.arange(n)) % n  # FFT-order index of -m
+    out = np.empty(grid.shape, dtype=half.dtype)
+    out[..., : half_n + 1] = half
+    for plane in (0, half_n):
+        face = out[..., plane]
+        face[...] = 0.5 * (face + np.conj(face[np.ix_(*[neg] * (grid.d - 1))]))
+    # m_d = n/2 + 1 .. n - 1 mirror m_d = n/2 - 1 .. 1 on the half lattice
+    mirror = np.ix_(*[neg] * (grid.d - 1), np.arange(half_n - 1, 0, -1))
+    out[..., half_n + 1 :] = np.conj(half[mirror])
+    return out
 
 
 def cube_transform(grid: FrequencyGrid, values: np.ndarray, direction: str) -> np.ndarray:

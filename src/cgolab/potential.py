@@ -45,9 +45,11 @@ from .errors import DomainError
 from .grid import (
     Field,
     FrequencyGrid,
-    laplacian,
+    complete_spectrum,
     physical_field,
-    spectral_gradient,
+    real_forward,
+    real_inverse,
+    spectral_field,
     to_physical,
     to_spectral,
 )
@@ -87,14 +89,20 @@ class Conductivity:
 
     @cached_property
     def q(self) -> Field:
-        """q = (Lap g)/g with the spectral Laplacian; real, ball-supported."""
-        lap = to_physical(laplacian(self.g))
-        return physical_field(self.grid, lap.values.real / self.g.values.real)
+        """q = (Lap g)/g with the spectral Laplacian; real, ball-supported.
+        The Laplacian multiplier is -sum_j xi_j^2 with Nyquist rows zeroed,
+        applied on the half spectrum of g."""
+        g = self.g.values.real
+        half = real_forward(g)
+        half *= -sum(mult.imag ** 2 for mult in self.grid.half_deriv_multipliers)
+        return physical_field(self.grid, real_inverse(self.grid, half) / g)
 
     @cached_property
     def q_hat(self) -> Field:
-        """q in the spectral representation, transformed once."""
-        return to_spectral(self.q)
+        """q in the spectral representation: transformed once on the half
+        spectrum and completed to the full lattice."""
+        half = real_forward(self.q.values.real)
+        return spectral_field(self.grid, complete_spectrum(self.grid, half))
 
 
 def _validate_gamma(grid: FrequencyGrid, values: np.ndarray, support_radius: float):
@@ -117,8 +125,8 @@ def _validate_gamma(grid: FrequencyGrid, values: np.ndarray, support_radius: flo
 
 
 def _grad_log_sup(grid: FrequencyGrid, gamma_vals: np.ndarray) -> float:
-    logg = physical_field(grid, np.log(gamma_vals))
-    grads = [to_physical(gj).values.real for gj in spectral_gradient(logg)]
+    half = real_forward(np.log(gamma_vals))
+    grads = [real_inverse(grid, half * mult) for mult in grid.half_deriv_multipliers]
     return float(np.max(np.sqrt(sum(g * g for g in grads))))
 
 
@@ -138,7 +146,8 @@ def conductivity_from_array(
     if premollify:
         width = 2.0 * grid.h
         field = mollify(field, width)
-        # circular convolution leaves rounding-level imaginary dust
+        # a complex input is convolved by complex transforms, which leave
+        # rounding-level imaginary dust
         field = physical_field(grid, field.values.real)
         support_radius = support_radius + width
         vals = field.values
@@ -222,7 +231,9 @@ def mollify(f: Field, eps: float) -> Field:
     """Convolve with the unit-mass bump of width eps (spectrally).
 
     Below the grid scale (eps < 2h) mollification is a documented no-op
-    and emits a warning.  The mean of f is preserved exactly.
+    and emits a warning.  The mean of f is preserved exactly.  A field
+    with real physical values is convolved through the real transforms
+    and stays exactly real.
     """
     grid = f.grid
     if eps < 2.0 * grid.h:
@@ -231,10 +242,14 @@ def mollify(f: Field, eps: float) -> Field:
             stacklevel=2,
         )
         return f
-    bump = mollifier_bump(grid, eps)
-    fp = to_physical(f)
-    conv = np.fft.ifftn(np.fft.fftn(fp.values) * np.fft.fftn(bump.values)) * grid.measure
-    out = physical_field(grid, conv)
+    bump = mollifier_bump(grid, eps).values.real
+    fp = to_physical(f).values
+    if fp.imag.any():
+        conv = np.fft.ifftn(np.fft.fftn(fp) * np.fft.fftn(bump))
+    else:  # a real field: the real pair, on the half spectrum
+        axes = tuple(range(grid.d))
+        conv = np.fft.irfftn(np.fft.rfftn(fp.real) * np.fft.rfftn(bump), s=grid.shape, axes=axes)
+    out = physical_field(grid, conv * grid.measure)
     return out if f.is_physical else to_spectral(out)
 
 
@@ -244,10 +259,6 @@ class CutoffField:
 
     field: Field
     inner_radius: float
-
-    @property
-    def outer_radius(self) -> float:
-        return 2.0 * self.inner_radius
 
 
 def make_cutoff(cond: Conductivity) -> CutoffField:

@@ -86,6 +86,23 @@ def test_wrong_typed_field_exits_before_computing(field, config, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["select-zeta", "recover", "solve-cgo"])
+@pytest.mark.parametrize(
+    "field, config",
+    [
+        ("k_mode", {"grid": {"n": 16}, "k_mode": [0, 0, 9]}),
+        ("k_modes", {"grid": {"n": 16}, "k_modes": [[0, 0, 1], [-9, 0, 0]]}),
+    ],
+)
+def test_mode_outside_lattice_exits_before_computing(subcommand, field, config, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "subcommand, config",
     [("recover", {}), ("uniqueness-gap", {"profiles": [{"kind": "gaussian"}] * 2})],

@@ -59,3 +59,21 @@ def test_nan_period_rejected():
     # a NaN passes "L <= 0" and would reach FrequencyGrid as a ValueError
     with pytest.raises(ConfigError, match="grid.L"):
         config_from_dict({"grid": {"L": float("nan")}})
+
+
+@pytest.mark.parametrize(
+    "field, config",
+    [
+        ("k_mode", {"k_mode": [0, 0, 8]}),
+        ("k_mode", {"k_mode": [-9, 0, 0]}),
+        ("k_modes", {"k_modes": [[0, 0, 1], [0, 8, 0]]}),
+    ],
+)
+def test_mode_outside_lattice_rejected(field, config):
+    # modes m_j must lie in [-n/2, n/2); the grid here has n = 16
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict({"grid": {"n": 16}, **config})
+
+
+def test_mode_range_boundary_accepted():
+    config_from_dict({"grid": {"n": 16}, "k_mode": [-8, 7, 0], "k_modes": [[7, -8, 1]]})

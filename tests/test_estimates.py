@@ -194,22 +194,31 @@ class TestAveragedDecay:
     K = np.array([0.0, 0.0, 1.0])
 
     @staticmethod
-    def oracle_a(f, phi, lam, quad_s, quad_eta):
-        """A(lam) re-derived per zeta in plain numpy on [0, 2pi)^3, from the
-        physical arrays of f and the cutoff: density sum_j |2/3-cut
-        (phi d_j f)^hat|^2, trapezoid in s, uniform angle in the plane of
-        e_x, e_y (orthogonal to k = e_z), |p| floored at s dxi / 2."""
+    def oracle_density(f, phi, dealias=True):
+        """sum_j |(phi d_j f)^hat|^2 (2/3-cut with dealias) in plain numpy
+        on [0, 2pi)^3, with complex transforms of the physical arrays."""
         n = f.shape[0]
         m = np.fft.fftfreq(n, d=1.0 / n)
         deriv = np.where(m == -(n // 2), 0.0, m)
         axes = [(n, 1, 1), (1, n, 1), (1, 1, n)]
-        keep = np.abs(m) <= n // 3
+        keep = np.abs(m) <= n // 3 if dealias else np.ones(n, dtype=bool)
         cube = keep.reshape(axes[0]) & keep.reshape(axes[1]) & keep.reshape(axes[2])
         fhat = np.fft.fftn(f, norm="ortho")
         dens = 0.0
         for shape in axes:
             grad = np.fft.ifftn(1j * deriv.reshape(shape) * fhat, norm="ortho")
             dens = dens + np.abs(np.fft.fftn(phi * grad, norm="ortho") * cube) ** 2
+        return dens
+
+    @classmethod
+    def oracle_a(cls, f, phi, lam, quad_s, quad_eta):
+        """A(lam) re-derived per zeta in plain numpy on [0, 2pi)^3, from the
+        physical arrays of f and the cutoff: oracle_density, trapezoid in
+        s, uniform angle in the plane of e_x, e_y (orthogonal to k = e_z),
+        |p| floored at s dxi / 2."""
+        n = f.shape[0]
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        dens = cls.oracle_density(f, phi)
         xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         xi_sq = np.sum(xi * xi, axis=-1)
         ex, ey, k = np.eye(3)
@@ -226,6 +235,27 @@ class TestAveragedDecay:
                     pabs = np.abs(-xi_sq + 2j * (xi @ zeta))
                     total += ws * (2.0 * np.pi / quad_eta) * np.sum(dens / np.maximum(pabs, 0.5 * s))
         return total * (2.0 * np.pi / n) ** 3
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_density_matches_complex_transforms(self, n, dealias):
+        # the half-spectrum density against complex fftn of the same real data
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 0.7})
+        phi = cg.make_cutoff(cone)
+        f = cone.log_g.values.real
+        dens = estimates._decay_density(grid, cg.grid.real_forward(f), phi, dealias)
+        expected = self.oracle_density(f, phi.field.values.real, dealias)
+        assert np.max(np.abs(dens - expected)) <= 1e-13 * np.max(expected)
+        # completed as an exactly even density
+        neg = (-np.arange(n)) % n
+        np.testing.assert_array_equal(dens, dens[np.ix_(neg, neg, neg)])
+
+    def test_complex_field_rejected(self, bump32):
+        phi = cg.make_cutoff(bump32)
+        f = cg.physical_field(bump32.grid, bump32.log_g.values * (1 + 1j))
+        with pytest.raises(ValueError, match="real"):
+            cg.averaged_decay(f, self.K, [8.0], 8, 8, phi)
 
     def test_matches_per_zeta_oracle(self, grid32):
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})

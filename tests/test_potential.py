@@ -171,6 +171,50 @@ class TestMqBilinear:
         assert localized == pytest.approx(plain, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"kind": "gaussian", "amplitude": 0.05, "width": 0.3},
+        # mollified at 2h, the support must stay within L/4 at n = 16
+        {"kind": "cone", "amplitude": 0.5, "radius": 0.7},
+    ],
+    ids=["gaussian", "cone"],
+)
+class TestRealPath:
+    """q, q_hat and mollify go through the real transforms on the half
+    spectrum; the oracles are complex numpy transforms of the same real data."""
+
+    @staticmethod
+    def close(value, expected):
+        assert np.max(np.abs(value - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_q_matches_complex_transforms(self, n, profile):
+        cond = cg.make_conductivity(cg.FrequencyGrid(3, n, TWO_PI), profile)
+        g = cond.g.values.real
+        _, modes = _oracle_lattice(n)
+        lap = -sum(np.where(m == -(n // 2), 0.0, m) ** 2 for m in modes)
+        self.close(cond.q.values, np.fft.ifftn(lap * np.fft.fftn(g)).real / g)
+
+    def test_q_hat_matches_complex_transform(self, n, profile):
+        cond = cg.make_conductivity(cg.FrequencyGrid(3, n, TWO_PI), profile)
+        self.close(cond.q_hat.values, np.fft.fftn(cond.q.values.real, norm="ortho"))
+
+    def test_q_hat_is_hermitian_bit_for_bit(self, n, profile):
+        q_hat = cg.make_conductivity(cg.FrequencyGrid(3, n, TWO_PI), profile).q_hat.values
+        neg = (-np.arange(n)) % n  # -m in FFT order; fixes 0 and the Nyquist n/2
+        np.testing.assert_array_equal(q_hat[np.ix_(neg, neg, neg)], np.conj(q_hat))
+
+    def test_real_mollify_matches_complex_transforms(self, n, profile):
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        f = cg.make_conductivity(grid, profile).gamma.values.real
+        eps = 4 * grid.h
+        bump = mollifier_bump(grid, eps).values.real
+        out = mollify(cg.physical_field(grid, f), eps).values
+        assert not out.imag.any()
+        self.close(out, np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(bump)).real * grid.measure)
+
+
 class TestMollify:
     def test_constant_unchanged(self, grid16):
         f = cg.physical_field(grid16, np.full(grid16.shape, 2.5))

@@ -27,9 +27,10 @@ class _Calls(list):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts every numpy.fft.fftn / ifftn call made while the test runs."""
+    """Counts every numpy.fft.fftn / ifftn / rfftn / irfftn call made while
+    the test runs."""
     calls = _Calls()
-    for name in ("fftn", "ifftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -98,8 +99,16 @@ class TestTransformCounts:
         k = np.array([0.0, 0.0, 1.0])
         fft_calls.clear()
         cg.averaged_decay(bump32.log_g, k, [8.0], 8, 8, phi)
-        # f once, then per gradient component one product (16 at the parent)
-        assert fft_calls == ["fftn"] + ["ifftn", "fftn"] * 3
+        # f once, then per gradient component one real product, all on
+        # the half spectrum
+        assert fft_calls == ["rfftn"] + ["irfftn", "rfftn"] * 3
+
+    def test_cone_with_q_hat_takes_only_real_transforms(self, grid32, fft_calls):
+        cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
+        cone.q_hat
+        # mollify: gamma and the bump forward, the product back; q: g
+        # forward, Lap g back; q_hat: q forward
+        assert fft_calls == ["rfftn", "rfftn", "irfftn"] + ["rfftn", "irfftn"] + ["rfftn"]
 
 
 class TestLipschitzSeminorm:
