@@ -267,10 +267,10 @@ def _run_singbound(cfg: ExperimentConfig):
     rows = []
     for s in cfg.s_values:
         pair = zeta_pair_from_angle(k, float(s), cfg.angle)
-        for trial in range(max(1, cfg.trials // len(cfg.s_values))):
-            eta = rng.normal(size=grid.d) * s
-            val = singbound_quadrature(pair.zeta1, eta, cfg.singbound_m, grid)
-            rows.append([float(s), trial, cfg.singbound_m, *(float(e) for e in eta), val])
+        etas = rng.normal(size=(max(1, cfg.trials // len(cfg.s_values)), grid.d)) * s
+        values = singbound_quadrature(pair.zeta1, etas, cfg.singbound_m, grid)
+        for trial, (eta, val) in enumerate(zip(etas, values)):
+            rows.append([float(s), trial, cfg.singbound_m, *(float(e) for e in eta), float(val)])
     header = ["s", "trial", "M", *[f"eta_{j}" for j in range(grid.d)], "value"]
     payload = {"rows": [dict(zip(header, r)) for r in rows]}
     return payload, {"singbound": (header, rows)}

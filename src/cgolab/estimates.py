@@ -20,11 +20,15 @@ Estimate identifiers (semantic, stable across the CSV/JSON schema):
 Integrability-sensitive quadratures floor the symbol magnitude at the
 frequency-cell scale s*dxi/2 (the lattice surrogate of averaging |p|
 over one cell); the adversarial sampler uses the same floor.
+
+singbound takes all etas of a zeta in one slab pass and caches nothing on
+the zeta; avg_decay's Sobolev norms use the half spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -42,11 +46,10 @@ from .grid import (
     spectral_gradient,
     sup_norm,
     to_physical,
-    weighted_l2,
 )
 from .potential import Conductivity, CutoffField, potential_q
-from .spaces import pair_inverse_symbol_sums, project, x_norm, xdot_norm
-from .symbol import Zeta, ZetaPair, char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
+from .spaces import SLAB_POINTS, pair_inverse_symbol_sums, project, x_norm, xdot_norm
+from .symbol import Zeta, ZetaPair, char_distance, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
 HARNESS_CLAMP_POLICY = "drop"
 
@@ -359,30 +362,44 @@ def singbound_quadrature(
     M: int,
     grid: FrequencyGrid,
     dist_floor: Optional[float] = None,
-) -> float:
-    """Lattice quadrature of  <xi - eta>^{-M} / dist(xi, Sigma)  with the
-    distance floored at the frequency-cell scale (default dxi).  The
-    inverse floored distance is computed once per (zeta, floor) and held
-    by the zeta's LatticeSymbol; <xi - eta>^M is a product of M // 2
-    factors 1 + |xi - eta|^2 (times one square root for odd M)."""
+) -> np.ndarray:
+    """Lattice quadrature of  <xi - eta>^{-M} / dist(xi, Sigma), one value
+    per row of the (T, d) array eta, with dist floored at dist_floor
+    (default the frequency-cell scale dxi).
+
+    One pass over axis-0 slabs of about SLAB_POINTS points in three reused
+    buffers: per slab the inverse floored distance (char_distance) is dotted
+    with each eta's <xi - eta>^{-M}, a product of M // 2 factors
+    1 + |xi - eta|^2 (times one square root for odd M).  A value does not
+    depend on the other rows; nothing is cached on the zeta.
+    """
     if M < grid.d + 2:
         raise ValueError(f"decay order M must be >= d + 2 = {grid.d + 2}")
-    eta = np.asarray(eta, dtype=float)
+    etas = np.asarray(eta, dtype=float)
+    if etas.ndim != 2 or etas.shape[1] != grid.d:
+        raise ValueError(f"eta must be a (T, {grid.d}) array")
     floor = grid.freq_step if dist_floor is None else float(dist_floor)
-    inv_dist = lattice_symbol(zeta, grid).derived(
-        ("inv_char_distance", floor),
-        lambda: 1.0 / np.maximum(char_distance_lattice(zeta, grid), floor),
-    )
-    base = 1.0
-    for j in range(grid.d):
-        base = base + grid._along(j, (grid.xi_axis - eta[j]) ** 2)
-    bracket = base.copy()
-    for _ in range(M // 2 - 1):
-        bracket *= base
-    if M % 2:
-        bracket *= np.sqrt(base, out=base)
-    np.reciprocal(bracket, out=bracket)
-    return float(bracket.reshape(-1) @ inv_dist.reshape(-1) * grid.freq_step ** grid.d)
+    x, plane = grid.xi_axis, grid.size // grid.n
+    step = max(1, SLAB_POINTS // plane)
+    # 1 + |xi - eta|^2 per eta: the axis-0 term, then those of the plane
+    terms = [[1.0 + (x - e[0]) ** 2] + [(x - ej) ** 2 for ej in e[1:]] for e in etas]
+    bufs = np.empty((3, step * plane))
+    out = np.zeros(len(etas))
+    for a in range(0, grid.n, step):
+        b = min(a + step, grid.n)
+        inv, base, bracket = (buf[: (b - a) * plane].reshape(b - a, plane) for buf in bufs)
+        char_distance(zeta, [x[a:b]] + [x] * (grid.d - 1), inv, base)
+        np.reciprocal(np.maximum(inv, floor, out=inv), out=inv)
+        for i, (axis_term, *others) in enumerate(terms):
+            # the plane is rebuilt per slab, so memory does not grow with T
+            np.add(axis_term[a:b, None], reduce(np.add.outer, others).reshape(-1), out=base)
+            np.copyto(bracket, base)
+            for _ in range(M // 2 - 1):
+                bracket *= base
+            if M % 2:
+                bracket *= np.sqrt(base, out=base)
+            out[i] += np.reciprocal(bracket, out=bracket).reshape(-1) @ inv.reshape(-1)
+    return out * grid.freq_step ** grid.d
 
 
 # -- operator decay of the bilinear form -------------------------------------
@@ -448,11 +465,6 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
 # -- averaged decay over (s, eta1) bands -------------------------------------
 
 
-def h_theta_norm(f: Field, theta: float) -> float:
-    """Sobolev norm || <xi>^theta fhat ||_{L2} (spectral, h^d measure)."""
-    return weighted_l2(f, (1.0 + f.grid.xi_sq) ** theta)
-
-
 def _decay_density(
     grid: FrequencyGrid, f_half: np.ndarray, phi_B: CutoffField, dealias: bool
 ) -> np.ndarray:
@@ -513,10 +525,13 @@ def averaged_decay(
         raise ValueError("averaged_decay needs a real field f")
     f_half = real_forward(fp.real)
     dens = _decay_density(grid, f_half, phi_B, dealias)
-    fs = spectral_field(grid, complete_spectrum(grid, f_half))
+    # ||f||_{H^theta}^2 on the half spectrum; planes 0 < m_d < n/2 count twice
+    f_sq = np.abs(f_half) ** 2
+    f_sq[..., 1 : grid.n // 2] *= 2.0
+    bracket_sq = 1.0 + grid.xi_sq[..., : grid.n // 2 + 1]
+    h_sq = {theta: float(np.sum(f_sq * bracket_sq ** theta) * grid.measure) for theta in (0.0, 0.5, 1.0)}
 
     plane = orthonormal_plane(k)
-    h_norms = {theta: h_theta_norm(fs, theta) for theta in (0.0, 0.5, 1.0)}
     report = EstimateReport("avg_decay")
     a_over_lam = []
     for lam in bands:
@@ -539,8 +554,8 @@ def averaged_decay(
             "A": total,
             "A_over_lambda": total / lam,
         }
-        for theta, hn in h_norms.items():
-            denom = lam ** (1.0 - theta) * hn ** 2
+        for theta, norm_sq in h_sq.items():
+            denom = lam ** (1.0 - theta) * norm_sq
             row[f"normalized_theta_{theta:g}"] = total / denom if denom > 0 else 0.0
         report.add(row, total / lam, 1.0)
         a_over_lam.append(total / lam)

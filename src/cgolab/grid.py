@@ -11,11 +11,11 @@ Conventions, fixed once for the whole package:
   measure is applied to weighted spectral sums, which makes physical and
   spectral L2 norms coincide exactly.
 * Spectral differentiation zeroes the asymmetric Nyquist row m_j = -n/2.
-* Real fields -- gamma, g, log g, q, the mollifier bump and each
-  derivative of a real field -- take the real transform pair
-  real_forward / real_inverse, which holds the half spectrum: the last
-  axis keeps m_d = 0..n/2 (numpy rfftn order, shape (n, ..., n/2 + 1)),
-  the others the full FFT order.  The modes it omits follow from
+* Real fields -- gamma, g, log g, q and each derivative of a real
+  field -- take the real transform pair real_forward / real_inverse,
+  which holds the half spectrum: the last axis keeps m_d = 0..n/2
+  (numpy rfftn order, shape (n, ..., n/2 + 1)), the others the full FFT
+  order.  The modes it omits follow from
   X(-m) = conj X(m), and complete_spectrum restores them where a full
   FFT-order spectrum is needed.  Multipliers on the half lattice are the
   [..., :n//2 + 1] slices of the full ones.

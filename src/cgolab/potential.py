@@ -36,7 +36,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +106,6 @@ class Conductivity:
 
 
 def _validate_gamma(grid: FrequencyGrid, values: np.ndarray, support_radius: float):
-    if np.max(np.abs(values.imag)) > 1e-13 * max(1.0, np.max(np.abs(values.real))):
-        raise DomainError("conductivity must be real")
     vals = values.real
     if np.min(vals) <= 0:
         raise DomainError("conductivity must be strictly positive")
@@ -141,14 +139,13 @@ def conductivity_from_array(
     if smoothness_class not in SMOOTHNESS_CLASSES:
         raise DomainError(f"unknown smoothness class {smoothness_class!r}")
     vals = np.asarray(values, dtype=complex)
+    if np.max(np.abs(vals.imag)) > 1e-13 * max(1.0, np.max(np.abs(vals.real))):
+        raise DomainError("conductivity must be real")
     width = 0.0
     field = physical_field(grid, vals)
     if premollify:
         width = 2.0 * grid.h
         field = mollify(field, width)
-        # a complex input is convolved by complex transforms, which leave
-        # rounding-level imaginary dust
-        field = physical_field(grid, field.values.real)
         support_radius = support_radius + width
         vals = field.values
     _validate_gamma(grid, vals, support_radius)
@@ -210,30 +207,39 @@ def potential_q(cond: Conductivity) -> Field:
     return cond.q
 
 
-def mollifier_bump(grid: FrequencyGrid, eps: float) -> Field:
-    """Unit-mass smooth bump of width eps, centred at the origin (for
-    circular convolution); normalized exactly on the grid."""
-    r = np.zeros(grid.shape)
-    for j in range(grid.d):
-        delta = np.minimum(grid.x_axis, grid.L - grid.x_axis)
-        r = r + grid._along(j, delta) ** 2
-    rho_sq = r / (eps * eps)
-    vals = np.zeros(grid.shape)
+def _bump_spectrum(grid: FrequencyGrid, eps: float, half: bool) -> np.ndarray:
+    """Unnormalized DFT, on the half spectrum if half, of the unit-mass
+    smooth bump B of width eps at the origin, normalized exactly on the
+    grid.  B lives on offsets -R..R per axis, R = ceil(eps / h), clipped to
+    one period -n/2..n/2 - 1.  Being even per coordinate, its DFT is
+    sum_o B(o) prod_j cos(2 pi m_j o_j / n) (sin(pi m_j) = 0 covers the
+    unmirrored -n/2): one contraction per axis with a cosine table."""
+    radius = int(np.ceil(eps / grid.h))
+    offsets = np.arange(max(-radius, -grid.n // 2), min(radius, grid.n // 2 - 1) + 1)
+    x = grid.x_axis[offsets % grid.n]
+    rho_sq = reduce(np.add.outer, [np.minimum(x, grid.L - x) ** 2] * grid.d) / (eps * eps)
+    spec = np.zeros(rho_sq.shape)
     inside = rho_sq < 1.0
-    vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho_sq[inside]))
-    total = vals.sum() * grid.measure
+    spec[inside] = np.exp(1.0 - 1.0 / (1.0 - rho_sq[inside]))
+    total = spec.sum() * grid.measure
     if total <= 0:
         raise DomainError(f"mollifier width {eps:.3g} is below grid resolution")
-    return physical_field(grid, vals / total)
+    spec /= total
+    table = np.cos((2.0 * np.pi / grid.n) * (np.outer(grid.mode_axis, offsets) % grid.n))
+    for j in range(grid.d):
+        rows = table[: grid.n // 2 + 1] if half and j == grid.d - 1 else table
+        spec = np.tensordot(spec, rows, axes=([0], [1]))  # mode axes collect at the end
+    return spec
 
 
 def mollify(f: Field, eps: float) -> Field:
     """Convolve with the unit-mass bump of width eps (spectrally).
 
     Below the grid scale (eps < 2h) mollification is a documented no-op
-    and emits a warning.  The mean of f is preserved exactly.  A field
-    with real physical values is convolved through the real transforms
-    and stays exactly real.
+    and emits a warning.  The mean of f is preserved exactly.  The bump's
+    spectrum comes from its support clipped to one period (exact at any
+    width); no full-grid bump is formed.  A real field goes through the
+    real transforms and stays exactly real.
     """
     grid = f.grid
     if eps < 2.0 * grid.h:
@@ -242,13 +248,12 @@ def mollify(f: Field, eps: float) -> Field:
             stacklevel=2,
         )
         return f
-    bump = mollifier_bump(grid, eps).values.real
     fp = to_physical(f).values
     if fp.imag.any():
-        conv = np.fft.ifftn(np.fft.fftn(fp) * np.fft.fftn(bump))
+        conv = np.fft.ifftn(np.fft.fftn(fp) * _bump_spectrum(grid, eps, half=False))
     else:  # a real field: the real pair, on the half spectrum
-        axes = tuple(range(grid.d))
-        conv = np.fft.irfftn(np.fft.rfftn(fp.real) * np.fft.rfftn(bump), s=grid.shape, axes=axes)
+        spec = _bump_spectrum(grid, eps, half=True)
+        conv = np.fft.irfftn(np.fft.rfftn(fp.real) * spec, s=grid.shape, axes=tuple(range(grid.d)))
     out = physical_field(grid, conv * grid.measure)
     return out if f.is_physical else to_spectral(out)
 

@@ -21,7 +21,7 @@ to the Euclidean distance in the regime that matters).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -181,7 +181,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class LatticeSymbol:
     """p(xi) of one zeta on one frequency lattice, with |p| and the arrays
     derived from them (clamp masks, weight multipliers, the projection
-    profile, the characteristic distance), each computed on first request.
+    profile), each computed on first request.
 
     Held by its Zeta, so it lives exactly as long as the zeta does; all
     arrays are read-only.
@@ -218,10 +218,20 @@ def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> LatticeSymbol:
     return data
 
 
-def char_distance_lattice(zeta: Zeta, grid: FrequencyGrid) -> np.ndarray:
-    """Comparable distance | s - |xi - s e2| | + |xi . e1| to the zero set,
-    on the full frequency lattice (FFT order)."""
+def char_distance(zeta: Zeta, axes, out=None, work=None) -> np.ndarray:
+    """Comparable distance | s - |xi - s e2| | + |xi . e1| to the zero set
+    on the product of the 1-d frequency arrays axes (the lattice or an
+    axis-0 slab), from per-axis terms of |xi - s e2|^2 - s^2 and xi . e1.
+    out receives it, work (as many points) holds |xi . e1|; both default new."""
     s = zeta.s
-    shifted_sq = grid.xi_sq - 2.0 * s * grid.xi_dot(zeta.e2) + s * s
-    shifted_sq = np.maximum(shifted_sq, 0.0)
-    return np.abs(s - np.sqrt(shifted_sq)) + np.abs(grid.xi_dot(zeta.e1))
+    out, work = (np.empty([x.size for x in axes]) if a is None else a for a in (out, work))
+    for arr, terms in ((out, [x * (x - 2.0 * s * c) for x, c in zip(axes, zeta.e2)]),
+                       (work, [c * x for x, c in zip(axes, zeta.e1)])):
+        # axis-0 term + the plane of the others: numpy buffers short last axes
+        plane = reduce(np.add.outer, terms[1:]).reshape(-1)
+        np.add(terms[0][:, None], plane, out=arr.reshape(axes[0].size, -1))
+    out += s * s
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+    np.abs(np.subtract(s, out, out=out), out=out)
+    out += np.abs(work, out=work)
+    return out

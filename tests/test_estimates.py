@@ -251,6 +251,21 @@ class TestAveragedDecay:
         neg = (-np.arange(n)) % n
         np.testing.assert_array_equal(dens, dens[np.ix_(neg, neg, neg)])
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_sobolev_norms_match_full_spectrum(self, n):
+        # the half-spectrum H^theta norms against weighted sums over fftn
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 0.7})
+        lam = 8.0
+        params = cg.averaged_decay(cone.log_g, self.K, [lam], 8, 8, cg.make_cutoff(cone)).samples[0].params
+        fhat_sq = np.abs(np.fft.fftn(cone.log_g.values.real, norm="ortho")) ** 2
+        m = np.fft.fftfreq(n, d=1.0 / n)
+        xi_sq = m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
+        for theta in (0.0, 0.5, 1.0):
+            norm_sq = np.sum((1.0 + xi_sq) ** theta * fhat_sq) * (TWO_PI / n) ** 3
+            expected = params["A"] / (lam ** (1.0 - theta) * norm_sq)
+            assert params[f"normalized_theta_{theta:g}"] == pytest.approx(expected, rel=1e-13)
+
     def test_complex_field_rejected(self, bump32):
         phi = cg.make_cutoff(bump32)
         f = cg.physical_field(bump32.grid, bump32.log_g.values * (1 + 1j))
@@ -282,17 +297,34 @@ class TestSingboundQuadrature:
         bracket = (1.0 + np.sum((xi - eta) ** 2, axis=-1)) ** (-M / 2.0)
         return np.sum(bracket / np.maximum(dist, floor))
 
-    @pytest.mark.parametrize("M", [5, 6])
-    def test_matches_plain_numpy_oracle(self, grid16, M):
+    @pytest.mark.parametrize("M", [5, 6, 8])
+    def test_matches_plain_numpy_oracle(self, M):
         rng = np.random.default_rng(M)
         zetas = [
             cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 5.0, 0.7).zeta1,
             cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0])),
         ]
-        for zeta in zetas:
-            for floor in (None, 0.25):
-                for _ in range(3):
-                    eta = rng.normal(size=3) * 4.0
-                    value = cg.singbound_quadrature(zeta, eta, M, grid16, floor)
-                    expected = self.oracle(zeta, eta, M, 16, 1.0 if floor is None else floor)
-                    assert value == pytest.approx(expected, rel=1e-13)
+        for n in (16, 32):
+            grid = cg.FrequencyGrid(3, n, TWO_PI)
+            for zeta in zetas:
+                for floor in (None, 0.25):
+                    etas = rng.normal(size=(3, 3)) * 4.0
+                    values = cg.singbound_quadrature(zeta, etas, M, grid, floor)
+                    for eta, value in zip(etas, values):
+                        expected = self.oracle(zeta, eta, M, n, 1.0 if floor is None else floor)
+                        assert value == pytest.approx(expected, rel=1e-13)
+
+    def test_partial_slabs_match_oracle(self, grid32, monkeypatch):
+        # slabs of 3 axis-0 rows: ten full ones and a last one of 2 rows
+        monkeypatch.setattr(estimates, "SLAB_POINTS", 3 * 32 * 32)
+        zeta = cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 5.0, 0.7).zeta1
+        etas = np.random.default_rng(9).normal(size=(2, 3)) * 4.0
+        for M in (5, 6):
+            values = cg.singbound_quadrature(zeta, etas, M, grid32)
+            for eta, value in zip(etas, values):
+                assert value == pytest.approx(self.oracle(zeta, eta, M, 32, 1.0), rel=1e-13)
+
+    def test_eta_must_be_a_batch(self, grid16):
+        zeta = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
+        with pytest.raises(ValueError, match="eta"):
+            cg.singbound_quadrature(zeta, np.zeros(3), 6, grid16)

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 import cgolab as cg
 from cgolab.errors import DomainError
 from cgolab.grid import integral, laplacian, multiply, spectral_gradient
-from cgolab.potential import conductivity_from_array, mollifier_bump, mollify, write_gamma_file
+from cgolab.potential import _bump_spectrum, conductivity_from_array, mollify, write_gamma_file
 from cgolab.spaces import smooth_bridge
 
 from conftest import (
@@ -18,6 +18,20 @@ from conftest import (
     _oracle_leibniz_form,
     random_field,
 )
+
+
+def oracle_bump(grid, eps):
+    """The unit-mass bump exp(1 - 1/(1 - r^2/eps^2)) on the whole grid, at
+    minimum-image radii r from the origin, normalized on the grid."""
+    delta = np.minimum(grid.x_axis, grid.L - grid.x_axis)
+    rho_sq = sum(
+        (delta ** 2).reshape([-1 if j == axis else 1 for j in range(grid.d)])
+        for axis in range(grid.d)
+    ) / eps ** 2
+    vals = np.zeros(grid.shape)
+    inside = rho_sq < 1.0
+    vals[inside] = np.exp(1.0 - 1.0 / (1.0 - rho_sq[inside]))
+    return vals / (vals.sum() * grid.measure)
 
 
 class TestProfiles:
@@ -51,6 +65,14 @@ class TestProfiles:
         vals[0, 0, 0] = -0.5
         with pytest.raises(DomainError):
             conductivity_from_array(grid32, vals, grid32.L / 4)
+
+    @pytest.mark.parametrize("premollify", [False, True])
+    def test_complex_gamma_rejected(self, grid32, premollify):
+        # premollify must not drop the imaginary part before the check
+        inside = grid32.radius_from_center < 1.0
+        vals = np.where(inside, 1.2 + 0.5j, 1.0)
+        with pytest.raises(DomainError, match="real"):
+            conductivity_from_array(grid32, vals, 1.0, premollify=premollify)
 
     def test_support_guard(self, grid32):
         vals = 1.0 + 0.1 * np.ones(grid32.shape)  # deviates everywhere
@@ -209,7 +231,7 @@ class TestRealPath:
         grid = cg.FrequencyGrid(3, n, TWO_PI)
         f = cg.make_conductivity(grid, profile).gamma.values.real
         eps = 4 * grid.h
-        bump = mollifier_bump(grid, eps).values.real
+        bump = oracle_bump(grid, eps)
         out = mollify(cg.physical_field(grid, f), eps).values
         assert not out.imag.any()
         self.close(out, np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(bump)).real * grid.measure)
@@ -274,8 +296,21 @@ class TestMollify:
         assert hess_sup <= (c_const / eps) * grad_sup_exact * 1.05
 
     def test_bump_kernel_unit_mass(self, grid16):
-        bump = mollifier_bump(grid16, 3 * grid16.h)
-        assert integral(bump).real == pytest.approx(1.0, rel=1e-13)
+        # the zero mode of the unnormalized DFT is the bump's sum
+        spec = _bump_spectrum(grid16, 3 * grid16.h, half=True)
+        assert spec[0, 0, 0] * grid16.measure == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("width", ["2h", "3h", "4h", "0.6L"])
+    def test_bump_spectrum_matches_transforms(self, n, width):
+        # 0.6 L reaches past half a period, so the box is clipped to one
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        eps = 0.6 * grid.L if width == "0.6L" else int(width[0]) * grid.h
+        bump = oracle_bump(grid, eps)
+        for half, expected in ((True, np.fft.rfftn(bump)), (False, np.fft.fftn(bump))):
+            spec = _bump_spectrum(grid, eps, half)
+            assert spec.shape == expected.shape
+            assert np.max(np.abs(spec - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestCutoff:

@@ -1,6 +1,8 @@
 """Work that must be done only once: transforms per solver step, per
 pairing and per averaged decay, the per-zeta symbol data, and the
-characteristic distance of the singular-integral quadrature."""
+singular-integral quadrature's one slab pass per zeta for all its etas."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,9 +108,10 @@ class TestTransformCounts:
     def test_cone_with_q_hat_takes_only_real_transforms(self, grid32, fft_calls):
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
         cone.q_hat
-        # mollify: gamma and the bump forward, the product back; q: g
-        # forward, Lap g back; q_hat: q forward
-        assert fft_calls == ["rfftn", "rfftn", "irfftn"] + ["rfftn", "irfftn"] + ["rfftn"]
+        # mollify: gamma forward, the product with the bump spectrum back
+        # (the bump is not transformed); q: g forward, Lap g back; q_hat:
+        # q forward
+        assert fft_calls == ["rfftn", "irfftn"] + ["rfftn", "irfftn"] + ["rfftn"]
 
 
 class TestLipschitzSeminorm:
@@ -160,19 +163,25 @@ class TestSymbolData:
 
 
 class TestSingbound:
-    def test_distance_computed_once_per_zeta(self, grid32, zeta16, monkeypatch):
-        calls = []
-        distance = cg.estimates.char_distance_lattice
+    def test_batch_matches_single_eta_calls(self, grid32, zeta16):
+        etas = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0], [4.0, 0.0, 2.5]])
+        for M, floor in ((6, None), (7, 0.25)):
+            batch = cg.singbound_quadrature(zeta16, etas, M, grid32, floor)
+            assert batch.shape == (3,)
+            for eta, value in zip(etas, batch):
+                assert cg.singbound_quadrature(zeta16, eta[None], M, grid32, floor)[0] == value
+        # nothing is held by the zeta between calls
+        assert zeta16._lattice_symbols == {}
 
-        def counted(zeta, grid):
-            calls.append(zeta)
-            return distance(zeta, grid)
-
-        monkeypatch.setattr(cg.estimates, "char_distance_lattice", counted)
-        etas = [np.array([1.0, -2.0, 0.5]), np.array([0.0, 3.0, -1.0])]
-        values = [cg.singbound_quadrature(zeta16, eta, 6, grid32) for eta in etas]
-        assert calls == [zeta16]
-        # the cached distance gives the rows of a fresh evaluation bit for bit
-        for eta, value in zip(etas, values):
-            fresh = cg.Zeta(zeta16.value.copy())
-            assert cg.singbound_quadrature(fresh, eta, 6, grid32) == value
+    def test_one_call_peaks_below_half_a_lattice_array(self):
+        grid = cg.FrequencyGrid(3, 64, 2.0 * np.pi)
+        zeta = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 32.0, 0.3).zeta1
+        etas = np.random.default_rng(0).normal(size=(4, 3)) * 32.0
+        grid.xi_axis  # the grid's own cached axis is not the call's memory
+        tracemalloc.start()
+        try:
+            cg.singbound_quadrature(zeta, etas, 6, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * grid.size * 8

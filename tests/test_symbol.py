@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.errors import FrameError, InfeasibleGeometryError
-from cgolab.symbol import char_distance_lattice, lattice_symbol, make_zeta_pair, orthonormal_plane
+from cgolab.symbol import char_distance, lattice_symbol, make_zeta_pair, orthonormal_plane
 
 from conftest import TWO_PI
 
@@ -118,7 +118,7 @@ class TestCharDistance:
     ZETA = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
 
     def dist_at(self, grid, xi):
-        return char_distance_lattice(self.ZETA, grid)[grid.mode_index(np.array(xi))]
+        return char_distance(self.ZETA, [grid.xi_axis] * grid.d)[grid.mode_index(np.array(xi))]
 
     def test_zero_on_characteristic_set(self, grid16):
         assert self.dist_at(grid16, [0.0, 4.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
@@ -185,7 +185,7 @@ class TestComparability:
             pair = cg.zeta_pair_from_angle(np.zeros(3), s, 0.37)
             zeta = pair.zeta1
             pabs = lattice_symbol(zeta, grid).pabs
-            dist = char_distance_lattice(zeta, grid)
+            dist = char_distance(zeta, [grid.xi_axis] * grid.d)
             keep = dist >= grid.h
             ratio = pabs[keep] / (s * dist[keep])
             stats[s] = (ratio.min(), ratio.max())
