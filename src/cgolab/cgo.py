@@ -18,6 +18,13 @@ One full transform of the fresh product q (1 + psi) at the returned psi
 re-verifies the residual on K, and the physical psi it was formed from
 is returned next to psihat, so the pairing transforms nothing.
 
+Each solve forms its own symbol and leaves nothing on the zeta: p is
+dropped once gathered on K, and only |p| stays, for the defect off the
+cube.  The final stage runs in memory order -- the fresh product w, then
+|w|^2 in its place, then psihat -- so no full-lattice symbol is held at
+the solve's peak, and the two solves of a pair fit side by side
+(recovery._solve_pair).
+
 The exponential factor e^{x . zeta} is never materialized: it is not
 torus-periodic and overflows for large s.  Downstream pairings rely on
 the algebraic cancellation of the two exponentials instead.
@@ -32,8 +39,8 @@ import numpy as np
 from .errors import InfeasibleGeometryError, NotContractiveError
 from .grid import PHYSICAL, SPECTRAL, Field, cube_transform
 from .potential import Conductivity
-from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamped_mask, pair_inverse_symbol_sums
-from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
+from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamp_rule, pair_inverse_symbol_sums
+from .symbol import LatticeSymbol, Zeta, ZetaPair, orthonormal_plane, zeta_pair_from_angle
 
 
 @dataclass
@@ -95,17 +102,23 @@ def solve_psi(
     cube (0 when dealias=False), and clamped_mass its L2 mass on the
     clamped modes of the posed band.  With clamp_eps = 0, residual or
     defect mass on an exact zero of p raises SingularModeError.
+
+    The symbol is formed for this call only (zeta keeps no LatticeSymbol),
+    and the final stage holds one full-lattice array at a time besides the
+    returned psi and |p|: w, then |w|^2, then psihat.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = cond.grid
     qvals = cond.q.values.real
-    sym = lattice_symbol(zeta, grid)
-    mask = clamped_mask(zeta, grid, clamp_eps)
-    keep = ~mask & grid.dealias_mask if dealias else ~mask
-    kept = np.flatnonzero(keep)
+    # p goes once gathered on K; |p| stays for the off-cube defect
+    sym = LatticeSymbol(zeta, grid)
+    pabs = sym.pabs
+    mask = clamp_rule(pabs, clamp_eps, zeta.s)
+    kept = np.flatnonzero(~mask & grid.dealias_mask if dealias else ~mask)
     p_k = sym.p.reshape(-1)[kept]
-    pabs_k = sym.pabs.reshape(-1)[kept]
+    del sym
+    pabs_k = pabs.reshape(-1)[kept]
     weight_k = pabs_k * grid.measure
 
     def xdot(v):
@@ -165,18 +178,19 @@ def solve_psi(
             break
         prev_inc = inc
 
-    psihat = np.zeros(grid.shape, dtype=complex)
-    psihat.reshape(-1)[kept] = psi
+    # the final stage in memory order: w, then |w|^2 in its place, then psihat
     scatter_inverse(psi)
     # fresh product at the returned psi, transformed on the whole lattice
     w = np.add(buf, 1.0)
     w *= qvals
     np.fft.fftn(w, norm="ortho", out=w)
-
     res = p_k * psi - w.reshape(-1)[kept]
+    w_sq = np.abs(w)
+    del w
+    w_sq *= w_sq
+
     res_dens = res.real * res.real + res.imag * res.imag
-    band_clamped = mask & grid.dealias_mask if dealias else mask
-    w_clamped = np.abs(w[band_clamped]) ** 2
+    w_clamped = w_sq[mask & grid.dealias_mask if dealias else mask]
     if clamp_eps == 0:
         _guard_split(w_clamped, res_dens)
     residual_xdot = float(np.sqrt(np.sum(res_dens / pabs_k) * grid.measure))
@@ -185,9 +199,13 @@ def solve_psi(
     if dealias:
         off = ~grid.dealias_mask
         if clamp_eps == 0:
-            _guard_zero_modes((np.abs(w[off]) ** 2)[None, :], mask[off][None, :])
+            _guard_zero_modes(w_sq[off][None, :], mask[off][None, :])
         off &= ~mask
-        dealias_defect = float(np.sqrt(np.sum(np.abs(w[off]) ** 2 / sym.pabs[off]) * grid.measure))
+        np.divide(w_sq, pabs, out=w_sq, where=off)
+        dealias_defect = float(np.sqrt(np.sum(w_sq[off]) * grid.measure))
+    del w_sq, pabs
+    psihat = np.zeros(grid.shape, dtype=complex)
+    psihat.reshape(-1)[kept] = psi
 
     report = IterationReport(
         iterations=iterations,

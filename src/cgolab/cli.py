@@ -265,9 +265,11 @@ def _run_singbound(cfg: ExperimentConfig):
     k = _k_from_mode(grid, cfg.k_mode)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for s in cfg.s_values:
+    # exactly cfg.trials rows: the first trials % len(s_values) values of s take one more
+    per_s, extra = divmod(cfg.trials, len(cfg.s_values))
+    for i, s in enumerate(cfg.s_values):
         pair = zeta_pair_from_angle(k, float(s), cfg.angle)
-        etas = rng.normal(size=(max(1, cfg.trials // len(cfg.s_values)), grid.d)) * s
+        etas = rng.normal(size=(per_s + (i < extra), grid.d)) * s
         values = singbound_quadrature(pair.zeta1, etas, cfg.singbound_m, grid)
         for trial, (eta, val) in enumerate(zip(etas, values)):
             rows.append([float(s), trial, cfg.singbound_m, *(float(e) for e in eta), float(val)])

@@ -123,6 +123,11 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name} must be a nonempty {shape}list of positive numbers, got {values!r}"
                 )
+        if self.trials < len(self.s_values):
+            raise ConfigError(
+                f"trials must be at least one per s_values entry ({len(self.s_values)}), "
+                f"got {self.trials!r}"
+            )
         return self
 
 

@@ -24,7 +24,11 @@ Conventions, fixed once for the whole package:
   error at spectral accuracy.
 
 Fields are immutable after construction; every operation returns a new
-Field, so all of this is safe to call from concurrent workers.
+Field (cube_transform works in place on the caller's own array), and a
+grid's cached lattice arrays are only read once built, so all of this is
+safe to call from concurrent workers.  recovery._solve_pair does: it runs
+the two solves of a zeta pair on one grid at once, after building the
+cached arrays they read.
 """
 
 from __future__ import annotations

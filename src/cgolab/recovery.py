@@ -34,6 +34,16 @@ and uniqueness_gap fail on them before any zeta selection or solve.
 recover_fourier_mode returns total as the CGO-side estimate of the
 k-mode of q; |term_linear| + |term_bilinear| is its error bar.  All
 products here are left untruncated so the identities hold to rounding.
+
+The two remainders of a pair are independent fixed points, so both
+callers solve them at once (_solve_pair): zeta_2 in one worker thread
+while zeta_1 runs in the calling thread.  Their transforms and
+full-lattice ufuncs release the GIL, so the two overlap on two cores.
+The calling thread takes one of the solves because a second worker
+would bring its own malloc arena and raise the peak memory.  The
+conductivity's q and q_hat and the grid's |xi|^2 and 2/3 mask are
+built before the worker starts, so no cached array is first built in
+two threads.  Each solve is the sequential one, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,6 +177,22 @@ def alessandrini_terms(
     )
 
 
+def _solve_pair(cond: Conductivity, pair: ZetaPair, **solver_kwargs):
+    """solve_psi at zeta_1 in this thread and at zeta_2 in one worker,
+    returned as the two (psihat, report, psi) triples.  An error of the
+    zeta_1 solve is raised after the worker has finished; one of zeta_2
+    alone is raised by its result()."""
+    # imported on first use: at module load it would add 8-10 ms to the CLI import
+    from concurrent.futures import ThreadPoolExecutor
+
+    grid = cond.grid
+    cond.q, cond.q_hat, grid.xi_sq, grid.dealias_mask  # built here, not in both threads
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        second = worker.submit(solve_psi, cond, pair.zeta2, **solver_kwargs)
+        first = solve_psi(cond, pair.zeta1, **solver_kwargs)
+    return first, second.result()
+
+
 @dataclass
 class RecoveryDiagnostics:
     breakdown: PairingBreakdown
@@ -200,8 +226,9 @@ def recover_fourier_mode(
         weight = pairing_weight(cond, k, make_cutoff(cond))
     selection = select_zeta_sequence([cond], k, [band], samples_per_band, seed, clamp_eps)[0]
     pair = selection.pair
-    _, rep1, psi1 = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
-    _, rep2, psi2 = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+    (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(
+        cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
+    )
     breakdown = alessandrini_terms(weight, pair, psi1, psi2)
     error_bar = abs(breakdown.term_linear) + abs(breakdown.term_bilinear)
     diag = RecoveryDiagnostics(
@@ -261,8 +288,9 @@ def uniqueness_gap(
         errors = []
         qhats = []
         for cond, weight in zip(conds, k_weights):
-            _, _, psi1 = solve_psi(cond, pair.zeta1, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
-            _, _, psi2 = solve_psi(cond, pair.zeta2, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+            (_, _, psi1), (_, _, psi2) = _solve_pair(
+                cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
+            )
             bd = alessandrini_terms(weight, pair, psi1, psi2)
             totals.append(bd.total)
             errors.append(abs(bd.term_linear) + abs(bd.term_bilinear))

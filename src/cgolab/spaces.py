@@ -54,17 +54,19 @@ def smooth_bridge(rho):
     return float(out[0]) if scalar else out
 
 
+def clamp_rule(pabs: np.ndarray, clamp_eps: float, s: float) -> np.ndarray:
+    """The clamped modes of |p| = pabs at a zeta of magnitude parameter s:
+    |p| < clamp_eps * s, or the exact zeros of p when clamp_eps = 0."""
+    if clamp_eps > 0:
+        return pabs < clamp_eps * s
+    return pabs == 0.0
+
+
 def clamped_mask(zeta: Zeta, grid: FrequencyGrid, clamp_eps: float) -> np.ndarray:
-    """Modes whose symbol magnitude falls under the clamp floor
-    (read-only, held by the zeta's LatticeSymbol)."""
+    """clamp_rule on the lattice (read-only, held by the zeta's
+    LatticeSymbol)."""
     sym = lattice_symbol(zeta, grid)
-
-    def build():
-        if clamp_eps > 0:
-            return sym.pabs < clamp_eps * zeta.s
-        return sym.pabs == 0.0
-
-    return sym.derived(("mask", clamp_eps), build)
+    return sym.derived(("mask", clamp_eps), lambda: clamp_rule(sym.pabs, clamp_eps, zeta.s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +102,13 @@ class SymbolWeight:
         if self.kind == "inhomogeneous":
             return (self.zeta.magnitude + pabs) ** self.b
         floor = self.clamp_eps * self.zeta.s
-        if floor > 0:
-            mask = pabs < floor
-            if policy == "floor":
-                return np.maximum(pabs, floor) ** self.b
-            out = np.where(mask, 1.0, np.maximum(pabs, floor)) ** self.b
-            out[mask] = 0.0
-            return out
-        # clamp_eps == 0: exact zeros contribute nothing; caller must have
-        # verified there is no spectral mass there (see xdot_norm).
-        mask = pabs == 0.0
-        out = np.where(mask, 1.0, pabs) ** self.b
+        if floor > 0 and policy == "floor":
+            return np.maximum(pabs, floor) ** self.b
+        # dropped modes, and with clamp_eps == 0 the exact zeros, contribute
+        # nothing; for the zeros the caller must have verified there is no
+        # spectral mass there (see xdot_norm).
+        mask = clamp_rule(pabs, self.clamp_eps, self.zeta.s)
+        out = np.where(mask, 1.0, np.maximum(pabs, floor)) ** self.b
         out[mask] = 0.0
         return out
 

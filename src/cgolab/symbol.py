@@ -183,11 +183,14 @@ class LatticeSymbol:
     derived from them (clamp masks, weight multipliers, the projection
     profile), each computed on first request.
 
-    Held by its Zeta, so it lives exactly as long as the zeta does; all
-    arrays are read-only.
+    Held by its Zeta when built by lattice_symbol, so it lives exactly as
+    long as the zeta does; a LatticeSymbol built directly is held by no one
+    else.  All arrays are read-only.
     """
 
     def __init__(self, zeta: Zeta, grid: FrequencyGrid):
+        if zeta.d != grid.d:
+            raise ValueError("zeta dimension does not match the grid")
         self._value = zeta.value
         self._grid = grid
         self._derived: dict = {}
@@ -210,8 +213,6 @@ class LatticeSymbol:
 
 def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> LatticeSymbol:
     """The LatticeSymbol of (zeta, grid), built on first request."""
-    if zeta.d != grid.d:
-        raise ValueError("zeta dimension does not match the grid")
     data = zeta._lattice_symbols.get(grid)
     if data is None:
         data = zeta._lattice_symbols[grid] = LatticeSymbol(zeta, grid)

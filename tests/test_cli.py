@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cgolab.cli
@@ -44,6 +45,7 @@ def test_config_with_threads_exits_before_computing(tmp_path, capsys):
         ("averaged-decay", "quad_s", 2),
         ("singbound", "singbound_m", 4),
         ("select-zeta", "bands", [64, 8]),
+        ("singbound", "trials", 3),
     ],
 )
 def test_bad_sweep_field_exits_before_computing(subcommand, field, value, tmp_path, capsys):
@@ -205,3 +207,23 @@ def test_verify_estimates_reports_mq_operator_norm(smoke_config, tmp_path):
     (mq,) = [e for e in result["estimates"] if e["estimate_id"] == "mq_decay"]
     assert [row["params"]["s"] for row in mq["samples"]] == SMOKE_CONFIG["s_values"]
     assert result["schur"]["operator_norm"] <= result["schur"]["value"]
+
+
+@pytest.mark.parametrize("trials, per_s", [(10, [3, 3, 2, 2]), (5, [2, 1, 1, 1]), (16, [4, 4, 4, 4])])
+def test_singbound_writes_exactly_trials_rows(trials, per_s, tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"n": 16}, "trials": trials, "seed": 5}))
+    out = tmp_path / "out"
+    assert main(["singbound", "--config", str(path), "--out", str(out)]) == 0
+    (report,) = out.glob("*/report.json")
+    rows = json.loads(report.read_text())["result"]["rows"]
+    s_values = ExperimentConfig().s_values
+    assert len(rows) == trials
+    assert [(r["s"], r["trial"]) for r in rows] == [
+        (s, t) for s, count in zip(s_values, per_s) for t in range(count)
+    ]
+    # the etas come from one seeded stream, drawn per s in s order, so the
+    # default (16 trials, 4 values of s) draws what it always drew
+    rng = np.random.default_rng(5)
+    etas = np.concatenate([rng.normal(size=(count, 3)) * s for s, count in zip(s_values, per_s)])
+    np.testing.assert_array_equal([[r[f"eta_{j}"] for j in range(3)] for r in rows], etas)

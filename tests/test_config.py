@@ -44,9 +44,18 @@ def test_sweep_field_rejected(field, values):
             config_from_dict({field: value})
     # the boundary values are accepted
     config_from_dict({
-        "samples_per_band": 1, "trials": 1, "u_samples": 1, "quad_s": 8, "quad_eta": 8,
+        "samples_per_band": 1, "trials": 2, "u_samples": 1, "quad_s": 8, "quad_eta": 8,
         "singbound_m": 5, "bands": [0.5], "s_values": [16.0, 8.0],
     })
+
+
+def test_trials_below_one_per_s_value_rejected():
+    # singbound runs at least one trial per s
+    with pytest.raises(ConfigError, match="trials"):
+        config_from_dict({"trials": 3})  # four default s_values
+    with pytest.raises(ConfigError, match="trials"):
+        config_from_dict({"trials": 2, "s_values": [8.0, 16.0, 32.0]})
+    config_from_dict({"trials": 3, "s_values": [8.0, 16.0, 32.0]})
 
 
 def test_singbound_m_bound_follows_grid_dimension():

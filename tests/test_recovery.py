@@ -1,12 +1,16 @@
-"""Fourier-mode recovery against the closed-form q of the gaussian bump."""
+"""Fourier-mode recovery against the closed-form q of the gaussian bump,
+and the two-thread solve of a zeta pair against sequential solves."""
+
+import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 import cgolab as cg
 import cgolab.recovery
-from cgolab.errors import CgolabError
-from cgolab.recovery import alessandrini_terms, fourier_mode, pairing_weight
+from cgolab.errors import CgolabError, NotContractiveError
+from cgolab.recovery import _solve_pair, alessandrini_terms, fourier_mode, pairing_weight
 from cgolab.spaces import smooth_bridge
 
 from conftest import _oracle_gaussian_q, _oracle_lattice
@@ -105,3 +109,127 @@ def test_uniqueness_gap_symmetric_under_swap(bump64):
         assert getattr(swapped, name) == getattr(row, name), name
     assert row.gap == abs(row.pairing1 - row.pairing2)
     assert row.pairing1 != row.pairing2
+
+
+# -- the pair on two threads ---------------------------------------------------
+
+CONE = {"kind": "cone", "amplitude": 0.5, "radius": 1.1}
+
+
+@pytest.mark.parametrize("profile", ["gaussian", "cone"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_pair_solve_equals_sequential_solves(profile, n, bump32, bump64):
+    cond = {32: bump32, 64: bump64}[n]
+    if profile == "cone":
+        cond = cg.make_conductivity(cond.grid, CONE)
+    pair = cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 16.0, 0.3)
+    threaded = _solve_pair(cond, pair, tol=1e-10)
+    for zeta, (psihat, rep, psi) in zip((pair.zeta1, pair.zeta2), threaded):
+        psihat_seq, rep_seq, psi_seq = cg.solve_psi(cond, zeta, tol=1e-10)
+        np.testing.assert_array_equal(psihat.values, psihat_seq.values)
+        np.testing.assert_array_equal(psi.values, psi_seq.values)
+        assert dataclasses.asdict(rep) == dataclasses.asdict(rep_seq)
+        assert rep.converged
+
+
+def test_pair_solves_zeta2_in_a_worker_thread(bump32, monkeypatch):
+    solve = cgolab.recovery.solve_psi
+    threads = {}
+
+    def recorded(cond, zeta, **kwargs):
+        threads[id(zeta)] = threading.current_thread()
+        return solve(cond, zeta, **kwargs)
+
+    monkeypatch.setattr(cgolab.recovery, "solve_psi", recorded)
+    pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 16.0, 0.3)
+    _solve_pair(bump32, pair)
+    assert threads[id(pair.zeta1)] is threading.current_thread()
+    assert threads[id(pair.zeta2)] is not threading.current_thread()
+
+
+@pytest.fixture(scope="module")
+def strong_pairs(grid32):
+    """The strong cone of test_cgo (amplitude 30) with the zetas of three
+    pairs at k = e_z: s = 4 at angle pi/8 converges; s = 4 and s = 6 at
+    angle 0 stop contracting, at different ratios."""
+    strong = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 30.0, "radius": 1.1})
+    k = np.array([0.0, 0.0, 1.0])
+    good = cg.zeta_pair_from_angle(k, 4.0, np.pi / 8)
+    bad4 = cg.zeta_pair_from_angle(k, 4.0, 0.0)
+    bad6 = cg.zeta_pair_from_angle(k, 6.0, 0.0)
+    return strong, good, bad4, bad6
+
+
+def _ratio(cond, zeta):
+    with pytest.raises(NotContractiveError) as err:
+        cg.solve_psi(cond, zeta, tol=1e-10, max_iter=80)
+    return err.value.ratio
+
+
+@pytest.mark.parametrize("second", ["good", "bad6"])
+def test_pair_raises_the_zeta1_error_after_the_worker(strong_pairs, second, monkeypatch):
+    strong, good, bad4, bad6 = strong_pairs
+    pair = dataclasses.replace(bad4, zeta2={"good": good, "bad6": bad6}[second].zeta2)
+    expected = _ratio(strong, pair.zeta1)
+    assert expected != _ratio(strong, bad6.zeta2)
+    solve = cgolab.recovery.solve_psi
+    finished = []
+
+    def logged(cond, zeta, **kwargs):
+        try:
+            return solve(cond, zeta, **kwargs)
+        finally:
+            finished.append(zeta)
+
+    monkeypatch.setattr(cgolab.recovery, "solve_psi", logged)
+    with pytest.raises(NotContractiveError) as err:
+        _solve_pair(strong, pair, tol=1e-10, max_iter=80)
+    assert err.value.ratio == expected
+    # the worker's solve had ended before the error left the pair
+    assert any(zeta is pair.zeta2 for zeta in finished)
+
+
+def test_pair_surfaces_an_error_of_zeta2_alone(strong_pairs):
+    strong, good, _, bad6 = strong_pairs
+    pair = dataclasses.replace(good, zeta2=bad6.zeta2)
+    cg.solve_psi(strong, pair.zeta1, tol=1e-10, max_iter=80)  # converges
+    with pytest.raises(NotContractiveError) as err:
+        _solve_pair(strong, pair, tol=1e-10, max_iter=80)
+    assert err.value.ratio == _ratio(strong, pair.zeta2)
+
+
+def test_solve_forbidden_in_the_worker_fails_recovery(bump64, monkeypatch):
+    # a gate test that forbids recovery.solve_psi still sees a solve run
+    # in the worker thread: its error surfaces in the caller
+    solve = cgolab.recovery.solve_psi
+
+    def forbidden_in_worker(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise AssertionError("solved in the worker thread")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cgolab.recovery, "solve_psi", forbidden_in_worker)
+    with pytest.raises(AssertionError, match="worker thread"):
+        cg.recover_fourier_mode(bump64, np.array([0.0, 0.0, 1.0]), 32.0, samples_per_band=2)
+
+
+def test_uniqueness_gap_rows_equal_sequential_recomputation(bump64):
+    grid = bump64.grid
+    other = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.08, "width": 0.3})
+    k_set = [np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.0, 1.0])]
+    rows = cg.uniqueness_gap(bump64, other, k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
+    assert len(rows) == len(k_set)
+    for row, k in zip(rows, k_set):
+        pair = cg.select_zeta_sequence([bump64, other], k, [BAND], SAMPLES, SEED)[0].pair
+        breakdowns = []
+        for cond in (bump64, other):
+            psis = [cg.solve_psi(cond, zeta)[2] for zeta in (pair.zeta1, pair.zeta2)]
+            weight = pairing_weight(cond, k, cg.make_cutoff(cond))
+            breakdowns.append(alessandrini_terms(weight, pair, *psis))
+        bd1, bd2 = breakdowns
+        np.testing.assert_array_equal(row.k, k)
+        assert (row.pairing1, row.pairing2) == (bd1.total, bd2.total)
+        assert (row.qhat1, row.qhat2) == (bd1.main_oracle, bd2.main_oracle)
+        assert row.gap == abs(bd1.total - bd2.total)
+        assert row.qhat_gap == abs(bd1.main_oracle - bd2.main_oracle)
+        assert row.error_bar == sum(abs(bd.term_linear) + abs(bd.term_bilinear) for bd in breakdowns)

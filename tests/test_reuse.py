@@ -124,6 +124,33 @@ class TestLipschitzSeminorm:
         assert cond.lipschitz_seminorm is value
 
 
+class TestSolverMemory:
+    def test_solve_leaves_no_symbol_on_the_zeta(self, bump32, zeta16):
+        cg.solve_psi(bump32, zeta16, tol=1e-10)
+        assert zeta16._lattice_symbols == {}
+
+    def test_pair_solve_leaves_no_symbol_on_either_zeta(self, bump32):
+        pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 16.0, 0.3)
+        cg.recovery._solve_pair(bump32, pair)
+        assert pair.zeta1._lattice_symbols == {}
+        assert pair.zeta2._lattice_symbols == {}
+
+    def test_one_n64_solve_peaks_under_24_mb(self, bump64):
+        # measured 19.8 MB; 31.9 MB when the zeta kept its symbol and
+        # psihat was allocated before the fresh product w
+        grid = bump64.grid
+        zeta = cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 64.0, 0.7).zeta1
+        # the conductivity's and the grid's cached arrays are not the call's memory
+        bump64.q, bump64.q_hat, grid.xi_sq, grid.dealias_mask
+        tracemalloc.start()
+        try:
+            cg.solve_psi(bump64, zeta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+
 class TestSymbolData:
     def test_symbol_is_computed_once_and_exact(self, grid32, zeta16):
         p = lattice_symbol(zeta16, grid32).p
