@@ -18,7 +18,7 @@ One full transform of the fresh product q (1 + psi) at the returned psi
 re-verifies the residual on K, and the physical psi it was formed from
 is returned next to psihat, so the pairing transforms nothing.
 
-Each solve forms its own symbol and leaves nothing on the zeta: p is
+Each solve evaluates the symbol once (symbol.lattice_symbol): p is
 dropped once gathered on K, and only |p| stays, for the defect off the
 cube.  The final stage runs in memory order -- the fresh product w, then
 |w|^2 in its place, then psihat -- so no full-lattice symbol is held at
@@ -40,7 +40,7 @@ from .errors import InfeasibleGeometryError, NotContractiveError
 from .grid import PHYSICAL, SPECTRAL, Field, cube_transform
 from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamp_rule, pair_inverse_symbol_sums
-from .symbol import LatticeSymbol, Zeta, ZetaPair, orthonormal_plane, zeta_pair_from_angle
+from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
 @dataclass
@@ -103,21 +103,21 @@ def solve_psi(
     clamped modes of the posed band.  With clamp_eps = 0, residual or
     defect mass on an exact zero of p raises SingularModeError.
 
-    The symbol is formed for this call only (zeta keeps no LatticeSymbol),
-    and the final stage holds one full-lattice array at a time besides the
-    returned psi and |p|: w, then |w|^2, then psihat.
+    The symbol is formed for this call only, and the final stage holds one
+    full-lattice array at a time besides the returned psi and |p|: w, then
+    |w|^2, then psihat.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     grid = cond.grid
     qvals = cond.q.values.real
     # p goes once gathered on K; |p| stays for the off-cube defect
-    sym = LatticeSymbol(zeta, grid)
-    pabs = sym.pabs
+    p = lattice_symbol(zeta, grid)
+    pabs = np.abs(p)
     mask = clamp_rule(pabs, clamp_eps, zeta.s)
     kept = np.flatnonzero(~mask & grid.dealias_mask if dealias else ~mask)
-    p_k = sym.p.reshape(-1)[kept]
-    del sym
+    p_k = p.reshape(-1)[kept]
+    del p
     pabs_k = pabs.reshape(-1)[kept]
     weight_k = pabs_k * grid.measure
 

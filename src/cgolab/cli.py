@@ -99,10 +99,6 @@ def _conductivity(grid, prof):
     return make_conductivity(grid, prof.as_profile())
 
 
-def _k_from_mode(grid, mode):
-    return grid.lattice_frequency(mode)
-
-
 def _json_default(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -121,7 +117,7 @@ def _json_default(obj):
 def _run_solve_cgo(cfg: ExperimentConfig):
     grid = _grid(cfg)
     cond = _conductivity(grid, cfg.profiles[0])
-    k = _k_from_mode(grid, cfg.k_mode)
+    k = grid.lattice_frequency(cfg.k_mode)
     pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
     _, rep, psi = solve_psi(
         cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter,
@@ -159,7 +155,7 @@ def _run_solve_cgo(cfg: ExperimentConfig):
 def _run_select_zeta(cfg: ExperimentConfig):
     grid = _grid(cfg)
     conds = [_conductivity(grid, p) for p in cfg.profiles]
-    k = _k_from_mode(grid, cfg.k_mode)
+    k = grid.lattice_frequency(cfg.k_mode)
     sels = select_zeta_sequence(
         conds, k, cfg.bands, cfg.samples_per_band, cfg.seed, cfg.clamp_eps
     )
@@ -185,7 +181,7 @@ def _run_select_zeta(cfg: ExperimentConfig):
 def _run_verify_estimates(cfg: ExperimentConfig):
     grid = _grid(cfg)
     cond = _conductivity(grid, cfg.profiles[0])
-    k = _k_from_mode(grid, cfg.k_mode)
+    k = grid.lattice_frequency(cfg.k_mode)
     pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
     phi = make_cutoff(cond)
     rng = np.random.default_rng(cfg.seed)
@@ -238,7 +234,7 @@ def _run_verify_estimates(cfg: ExperimentConfig):
 def _run_averaged_decay(cfg: ExperimentConfig):
     grid = _grid(cfg)
     cond = _conductivity(grid, cfg.profiles[0])
-    k = _k_from_mode(grid, cfg.k_mode)
+    k = grid.lattice_frequency(cfg.k_mode)
     phi = make_cutoff(cond)
     rep = averaged_decay(
         cond.log_g, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi, dealias=cfg.dealias
@@ -262,7 +258,7 @@ def _run_averaged_decay(cfg: ExperimentConfig):
 
 def _run_singbound(cfg: ExperimentConfig):
     grid = _grid(cfg)
-    k = _k_from_mode(grid, cfg.k_mode)
+    k = grid.lattice_frequency(cfg.k_mode)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     # exactly cfg.trials rows: the first trials % len(s_values) values of s take one more
@@ -283,7 +279,7 @@ def _run_recover(cfg: ExperimentConfig):
     cond = _conductivity(grid, cfg.profiles[0])
     band = float(cfg.bands[-1])
     k_modes = cfg.k_modes or [cfg.k_mode]
-    ks = [_k_from_mode(grid, mode) for mode in k_modes]
+    ks = [grid.lattice_frequency(mode) for mode in k_modes]
     # every mode's main-term gate runs before any mode is solved
     phi = make_cutoff(cond)
     weights = [pairing_weight(cond, k, phi) for k in ks]
@@ -340,7 +336,7 @@ def _run_uniqueness_gap(cfg: ExperimentConfig):
     cond2 = _conductivity(grid, cfg.profiles[1])
     band = float(cfg.bands[-1])
     k_modes = cfg.k_modes or [cfg.k_mode]
-    k_set = [_k_from_mode(grid, m) for m in k_modes]
+    k_set = [grid.lattice_frequency(m) for m in k_modes]
     table = uniqueness_gap(
         cond1, cond2, k_set, band,
         samples_per_band=cfg.samples_per_band, seed=cfg.seed,

@@ -17,12 +17,15 @@ Estimate identifiers (semantic, stable across the CSV/JSON schema):
   singbound         lattice integral of <xi-eta>^{-M} / dist(xi, Sigma)
   avg_decay         band quadrature of || phi_B grad f ||^2 (hom. -1/2)
 
-Integrability-sensitive quadratures floor the symbol magnitude at the
-frequency-cell scale s*dxi/2 (the lattice surrogate of averaging |p|
-over one cell); the adversarial sampler uses the same floor.
+The symbol magnitude is cut at the frequency-cell scale s*dxi/2 (the
+lattice surrogate of averaging |p| over one cell).  The homogeneous
+norms of the cutoff and bilinear estimates drop the modes under that
+floor; the adversarial sampler, mq_decay and avg_decay floor |p| there.
+Each norm is grid.weighted_l2 with a weight that _norm_weights builds
+once per call from one evaluation of |p|.
 
-singbound takes all etas of a zeta in one slab pass and caches nothing on
-the zeta; avg_decay's Sobolev norms use the half spectrum.
+singbound takes all etas of a zeta in one slab pass; avg_decay's Sobolev
+norms use the half spectrum.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ from .grid import (
     spectral_gradient,
     sup_norm,
     to_physical,
+    to_spectral,
+    weighted_l2,
 )
 from .potential import Conductivity, CutoffField, potential_q
-from .spaces import SLAB_POINTS, pair_inverse_symbol_sums, project, x_norm, xdot_norm
+from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from .symbol import Zeta, ZetaPair, char_distance, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
-
-HARNESS_CLAMP_POLICY = "drop"
 
 
 def cell_floor(grid: FrequencyGrid, s: float) -> float:
@@ -109,7 +112,7 @@ def draw_colored_field(
         if zeta is None:
             raise ValueError("near-characteristic sampling needs a zeta")
         alpha = float(kind.rsplit("_", 1)[1])
-        pabs = lattice_symbol(zeta, grid).pabs
+        pabs = np.abs(lattice_symbol(zeta, grid))
         dens = np.maximum(pabs, cell_floor(grid, zeta.s)) ** (-0.5)
         dens = dens * (1.0 + grid.xi_sq) ** (-alpha / 2.0)
         coef = coef * dens
@@ -278,6 +281,28 @@ LOCALIZATION_IDS = (
 )
 
 
+def _norm_weights(zeta: Zeta, grid: FrequencyGrid) -> tuple:
+    """The weights of the harness norms at zeta, all from one |p|: dicts
+    over b = 1/2, -1/2 of the squared homogeneous weight |p|^{2b}, zero on
+    the modes under the cell floor (they are dropped, not floored), and of
+    the squared inhomogeneous weight (|zeta| + |p|)^{2b}; and the
+    high-pass amplitude 1 - chi(|xi| / 8s), chi = smooth_bridge, which
+    vanishes for |xi| <= 8s and is 1 for |xi| >= 16s."""
+    s = zeta.s
+    eps_cell = cell_floor(grid, s) / s  # relative floor, units of s
+    floor = eps_cell * s
+    pabs = np.abs(lattice_symbol(zeta, grid))
+    dropped = clamp_rule(pabs, eps_cell, s)
+    hom, inh = {}, {}
+    for b in (0.5, -0.5):
+        w = np.where(dropped, 1.0, np.maximum(pabs, floor)) ** b
+        w[dropped] = 0.0
+        hom[b] = w * w
+        w = (zeta.magnitude + pabs) ** b
+        inh[b] = w * w
+    return hom, inh, 1.0 - smooth_bridge(np.sqrt(grid.xi_sq) / (8.0 * s))
+
+
 def localization_ratios(
     u_samples: int,
     zeta: Zeta,
@@ -288,12 +313,13 @@ def localization_ratios(
     """Empirical constants of the five cutoff-localization estimates.
 
     Samples cycle through the near-characteristic densities (alpha in
-    {0, 1, 2}) and white noise.  Norm clamping floors at the cell scale
-    with the "drop" policy for the lattice-exact zeros.
+    {0, 1, 2}) and white noise.  The homogeneous norms drop the modes
+    whose |p| lies under the cell floor (the lattice-exact zeros among
+    them); the weights are built once per call (_norm_weights).
     """
     grid = phi_B.field.grid
     s = zeta.s
-    eps_cell = cell_floor(grid, s) / s  # relative floor, units of s
+    hom, inh, high_pass = _norm_weights(zeta, grid)
     rng = np.random.default_rng(seed)
     reports = {eid: EstimateReport(eid) for eid in LOCALIZATION_IDS}
     for i in range(u_samples):
@@ -302,19 +328,17 @@ def localization_ratios(
         u_b = multiply(phi_B.field, u, dealias=dealias)
         params = {"sample": i, "kind": kind}
 
-        rhs_dot_half = xdot_norm(u, zeta, 0.5, eps_cell, HARNESS_CLAMP_POLICY)
+        rhs_dot_half = weighted_l2(u, hom[0.5])
         reports["cutoff_neg_half"].add(
-            params,
-            xdot_norm(u_b, zeta, -0.5, eps_cell, HARNESS_CLAMP_POLICY),
-            x_norm(u, zeta, -0.5),
+            params, weighted_l2(u_b, hom[-0.5]), weighted_l2(u, inh[-0.5])
         )
         reports["cutoff_pos_half"].add(
-            params, x_norm(u_b, zeta, 0.5), rhs_dot_half
+            params, weighted_l2(u_b, inh[0.5]), rhs_dot_half
         )
         reports["cutoff_l2"].add(
             params, l2_norm(u_b), rhs_dot_half / np.sqrt(s)
         )
-        high = project(u_b, zeta, "high")
+        high = spectral_field(grid, to_spectral(u_b).values * high_pass)
         grad_high = np.sqrt(
             sum(l2_norm(gj) ** 2 for gj in spectral_gradient(high))
         )
@@ -332,25 +356,24 @@ def bilinear_ratio(
     dealias: bool = True,
 ) -> float:
     """Empirical constant  s |int f u_B v_B| / (||f||_inf ||u|| ||v||)
-    with the homogeneous 1/2-norms of u, v at the two zetas."""
+    with the homogeneous 1/2-norms of u, v at the two zetas (the modes
+    under the cell floor dropped, as in localization_ratios)."""
     z1, z2 = zeta_pair.zeta1, zeta_pair.zeta2
     if abs(z1.magnitude - z2.magnitude) > 1e-9 * z1.magnitude:
         raise InfeasibleGeometryError("paired zetas must share |zeta|")
     grid = f.grid
-    s = zeta_pair.s
-    eps_cell = cell_floor(grid, s) / s
     u_b = multiply(phi_B.field, u, dealias=dealias)
     v_b = multiply(phi_B.field, v, dealias=dealias)
     prod = to_physical(f).values * to_physical(u_b).values * to_physical(v_b).values
     lhs = abs(complex(prod.sum() * grid.measure))
     denom = (
         sup_norm(f)
-        * xdot_norm(u, z1, 0.5, eps_cell, HARNESS_CLAMP_POLICY)
-        * xdot_norm(v, z2, 0.5, eps_cell, HARNESS_CLAMP_POLICY)
+        * weighted_l2(u, _norm_weights(z1, grid)[0][0.5])
+        * weighted_l2(v, _norm_weights(z2, grid)[0][0.5])
     )
     if denom == 0.0:
         return 0.0
-    return float(lhs * s / denom)
+    return float(lhs * zeta_pair.s / denom)
 
 
 # -- singular integral over the characteristic set ---------------------------
@@ -447,8 +470,8 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
     band = grid.dealias_mask if dealias else np.ones(grid.shape, dtype=bool)
     scales = []
     for z in (pair.zeta1, pair.zeta2):
-        pabs = lattice_symbol(z, grid).pabs
-        keep = band & ~(pabs < 1e-6 * z.s)
+        pabs = np.abs(lattice_symbol(z, grid))
+        keep = band & ~clamp_rule(pabs, DEFAULT_CLAMP_EPS, z.s)
         scales.append(np.where(keep, 1.0 / np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))), 0.0))
     inv_w1, inv_w2 = scales
 

@@ -1,21 +1,19 @@
-"""Symbol-weighted norms, high/low projections, and the batched sums of
-the inverse symbol behind the zeta-band averages.
+"""The smooth cutoff profile, the clamp rule for the zeros of the symbol,
+and the batched sums of the inverse symbol behind the zeta-band averages.
 
-Norms.  The homogeneous norm weighs |fhat(xi)| by |p(xi)|^b and the
-inhomogeneous one by (|zeta| + |p(xi)|)^b with |zeta| = sqrt(2)*s.  Only
-b in {-1/2, 0, 1/2} is exercised by the experiments.
-
-Pair sums.  The zeta-band averages take the squared -1/2-norm at both
-zetas of many pairs zeta1 + zeta2 = ik (pair_inverse_symbol_sums).  For
-such a pair p_2(xi) = p_1(-xi - k) exactly, so only zeta1's symbol is
-evaluated, against each density row and its mirror image.
+Pair sums.  The zeta-band averages take the squared -1/2-norm
+(sum |uhat|^2 / |p| h^d) at both zetas of many pairs zeta1 + zeta2 = ik
+(pair_inverse_symbol_sums).  For such a pair p_2(xi) = p_1(-xi - k)
+exactly, so only zeta1's symbol is evaluated, against each density row
+and its mirror image.
 
 Clamping.  On a lattice the zero set of the symbol always contains
-xi = 0 exactly (and occasionally other points), so |p|^b with b < 0
-needs a surrogate for the integrable continuum singularity.  Modes with
-|p| < clamp_eps * s are "clamped"; the weights offer two policies:
+xi = 0 exactly (and occasionally other points), so |p|^{-1} needs a
+surrogate for the integrable continuum singularity.  Modes with
+|p| < clamp_eps * s are "clamped" (clamp_rule); the pair sums offer two
+policies:
 
-* "floor"  -- |p| is floored at clamp_eps*s before exponentiation.
+* "floor"  -- |p| is floored at clamp_eps*s before inversion.
   This is the default.
 * "drop"   -- clamped modes get weight zero, as they are dropped by the
   fixed-point solver (cgo.solve_psi), which reports their mass.
@@ -23,14 +21,12 @@ needs a surrogate for the integrable continuum singularity.  Modes with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import SingularModeError
-from .grid import Field, FrequencyGrid, SPECTRAL, to_spectral, weighted_l2
-from .symbol import Zeta, lattice_symbol
+from .grid import FrequencyGrid
 
 DEFAULT_CLAMP_EPS = 1e-6
 
@@ -62,83 +58,6 @@ def clamp_rule(pabs: np.ndarray, clamp_eps: float, s: float) -> np.ndarray:
     return pabs == 0.0
 
 
-def clamped_mask(zeta: Zeta, grid: FrequencyGrid, clamp_eps: float) -> np.ndarray:
-    """clamp_rule on the lattice (read-only, held by the zeta's
-    LatticeSymbol)."""
-    sym = lattice_symbol(zeta, grid)
-    return sym.derived(("mask", clamp_eps), lambda: clamp_rule(sym.pabs, clamp_eps, zeta.s))
-
-
-@dataclass(frozen=True, eq=False)
-class SymbolWeight:
-    """Weight |p|^b (homogeneous) or (|zeta| + |p|)^b (inhomogeneous).
-
-    clamp_eps is a relative floor in units of s; the clamped modes are
-    those of clamped_mask.  Multipliers are computed once per (grid,
-    kind, b, clamp_eps, policy) and held read-only by the zeta's
-    LatticeSymbol (see symbol.lattice_symbol).
-    """
-
-    zeta: Zeta
-    kind: str
-    b: float
-    clamp_eps: float = DEFAULT_CLAMP_EPS
-
-    def __post_init__(self):
-        if self.kind not in ("homogeneous", "inhomogeneous"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.clamp_eps < 0:
-            raise ValueError("clamp_eps must be >= 0")
-
-    def multiplier(self, grid: FrequencyGrid, policy: str = "floor") -> np.ndarray:
-        """Amplitude multiplier applied to |fhat|; squared by the norms."""
-        if policy not in _POLICIES:
-            raise ValueError(f"unknown clamp policy {policy!r}")
-        sym = lattice_symbol(self.zeta, grid)
-        key = ("weight", self.kind, self.b, self.clamp_eps, policy)
-        return sym.derived(key, lambda: self._build(sym.pabs, policy))
-
-    def _build(self, pabs: np.ndarray, policy: str) -> np.ndarray:
-        if self.kind == "inhomogeneous":
-            return (self.zeta.magnitude + pabs) ** self.b
-        floor = self.clamp_eps * self.zeta.s
-        if floor > 0 and policy == "floor":
-            return np.maximum(pabs, floor) ** self.b
-        # dropped modes, and with clamp_eps == 0 the exact zeros, contribute
-        # nothing; for the zeros the caller must have verified there is no
-        # spectral mass there (see xdot_norm).
-        mask = clamp_rule(pabs, self.clamp_eps, self.zeta.s)
-        out = np.where(mask, 1.0, np.maximum(pabs, floor)) ** self.b
-        out[mask] = 0.0
-        return out
-
-
-def _guard_singular(u: Field, mask: np.ndarray):
-    if mask.any():
-        dens = np.abs(to_spectral(u).values) ** 2
-        _guard_zero_modes(dens.reshape(1, -1), mask.reshape(1, -1))
-
-
-def xdot_norm(
-    u: Field,
-    zeta: Zeta,
-    b: float,
-    clamp_eps: float = DEFAULT_CLAMP_EPS,
-    policy: str = "floor",
-) -> float:
-    """Homogeneous symbol-weighted norm || |p|^b uhat ||_{L2}."""
-    if b < 0 and clamp_eps == 0:
-        _guard_singular(u, clamped_mask(zeta, u.grid, 0.0))
-    w = SymbolWeight(zeta, "homogeneous", b, clamp_eps).multiplier(u.grid, policy)
-    return weighted_l2(u, w * w)
-
-
-def x_norm(u: Field, zeta: Zeta, b: float) -> float:
-    """Inhomogeneous norm || (|zeta| + |p|)^b uhat ||_{L2}; never singular."""
-    w = SymbolWeight(zeta, "inhomogeneous", b).multiplier(u.grid)
-    return weighted_l2(u, w * w)
-
-
 # the pair kernel evaluates zeta1's weight in axis-0 slabs of about this
 # many box points, so each slab's temporaries stay in cache
 SLAB_POINTS = 2 ** 15
@@ -153,7 +72,7 @@ def pair_inverse_symbol_sums(
 ) -> np.ndarray:
     """S[i, j, l] = sum_xi dens_i(xi) / |p(xi)| at zeta1 (l = 0) and zeta2
     (l = 1) of pair j, for density rows dens_i on the lattice and pairs
-    sharing one k, clamped as in SymbolWeight: under "floor" |p| is
+    sharing one k, clamped as clamp_rule defines: under "floor" |p| is
     floored at clamp_eps * s, under "drop" modes with |p| < clamp_eps * s
     contribute nothing (both zetas of a pair have the same s).  With
     dens = |uhat|^2, S * h^d is the squared homogeneous -1/2-norm of u.
@@ -168,8 +87,8 @@ def pair_inverse_symbol_sums(
     -Re p = sum_j x_j (x_j + 2 Im zeta_j) and Im p = sum_j 2 Re zeta_j x_j.
     p_1(-k) = p_2(0) = 0, but off the coordinate axes rounding leaves
     ~1e-16 at x = -k, so |p_1|^2 is set to 0 there.  With clamp_eps = 0 the zeros of p_1 are dropped, and
-    density on one, in a row or its mirror, raises SingularModeError (as
-    xdot_norm does).  No per-zeta symbol data is built or cached.
+    density on one, in a row or its mirror, raises SingularModeError.  No
+    full-lattice symbol is built.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
@@ -265,23 +184,4 @@ def _guard_zero_modes(rows: np.ndarray, zero: np.ndarray):
             raise SingularModeError(
                 "spectral mass on a zero-symbol mode with clamp_eps = 0"
             )
-
-
-def project(u: Field, zeta: Zeta, part: str) -> Field:
-    """Low/high frequency projection with multiplier chi(|xi|/(8s)).
-
-    chi is smooth_bridge: low + high = identity exactly, the low part is
-    band-limited to |xi| < 16s, and the high part vanishes for
-    |xi| <= 8s.
-    """
-    us = to_spectral(u)
-    grid = u.grid
-    chi = lattice_symbol(zeta, grid).derived(
-        ("low_pass",), lambda: smooth_bridge(np.sqrt(grid.xi_sq) / (8.0 * zeta.s))
-    )
-    if part == "low":
-        return Field(u.grid, SPECTRAL, us.values * chi)
-    if part == "high":
-        return Field(u.grid, SPECTRAL, us.values * (1.0 - chi))
-    raise ValueError(f"unknown part {part!r}")
 

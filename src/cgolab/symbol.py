@@ -16,6 +16,10 @@ the hyperplane xi . e1 = 0.  The comparable distance proxy
 
 is adopted here as the definition (closed form, cheap, and equivalent
 to the Euclidean distance in the regime that matters).
+
+lattice_symbol evaluates p on the whole frequency lattice on every call;
+a Zeta holds no lattice data.  char_distance evaluates the distance on
+the lattice or on one slab of it.
 """
 
 from __future__ import annotations
@@ -73,11 +77,6 @@ class Zeta:
     def magnitude(self) -> float:
         """|zeta| = sqrt(2) * s."""
         return float(np.sqrt(2.0) * self.s)
-
-    @cached_property
-    def _lattice_symbols(self) -> dict:
-        """LatticeSymbol per grid (see lattice_symbol); dies with the zeta."""
-        return {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,50 +172,12 @@ def zeta_pair_from_angle(k, s: float, theta: float, plane=None) -> ZetaPair:
     return make_zeta_pair(k, s, eta1, eta2)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-class LatticeSymbol:
-    """p(xi) of one zeta on one frequency lattice, with |p| and the arrays
-    derived from them (clamp masks, weight multipliers, the projection
-    profile), each computed on first request.
-
-    Held by its Zeta when built by lattice_symbol, so it lives exactly as
-    long as the zeta does; a LatticeSymbol built directly is held by no one
-    else.  All arrays are read-only.
-    """
-
-    def __init__(self, zeta: Zeta, grid: FrequencyGrid):
-        if zeta.d != grid.d:
-            raise ValueError("zeta dimension does not match the grid")
-        self._value = zeta.value
-        self._grid = grid
-        self._derived: dict = {}
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        return _read_only(-self._grid.xi_sq + 2j * self._grid.xi_dot(self._value))
-
-    @cached_property
-    def pabs(self) -> np.ndarray:
-        return _read_only(np.abs(self.p))
-
-    def derived(self, key, build) -> np.ndarray:
-        """The array build() under key; built once, then shared read-only."""
-        arr = self._derived.get(key)
-        if arr is None:
-            arr = self._derived[key] = _read_only(build())
-        return arr
-
-
-def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> LatticeSymbol:
-    """The LatticeSymbol of (zeta, grid), built on first request."""
-    data = zeta._lattice_symbols.get(grid)
-    if data is None:
-        data = zeta._lattice_symbols[grid] = LatticeSymbol(zeta, grid)
-    return data
+def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> np.ndarray:
+    """p(xi) = -|xi|^2 + 2i zeta . xi on the frequency lattice (FFT order),
+    computed afresh on every call."""
+    if zeta.d != grid.d:
+        raise ValueError("zeta dimension does not match the grid")
+    return -grid.xi_sq + 2j * grid.xi_dot(zeta.value)
 
 
 def char_distance(zeta: Zeta, axes, out=None, work=None) -> np.ndarray:

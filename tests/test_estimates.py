@@ -5,6 +5,7 @@ import cgolab as cg
 from cgolab import estimates
 from cgolab.estimates import mq_operator_ratio, top_singular_value
 from cgolab.potential import conductivity_from_array
+from cgolab.spaces import smooth_bridge
 
 from conftest import TWO_PI, _oracle_duality_form, random_field
 
@@ -188,6 +189,119 @@ class TestMqKernel:
         majorant = np.sum(np.abs(q * u.values * v.values)) * cond.grid.measure
         form = np.sum(q * (u.values * v.values)) * cond.grid.measure
         assert abs(form - duality) <= 1e-12 * majorant
+
+
+class TestHarnessNorms:
+    """Plain-numpy oracle for the localization and bilinear norms at n=16
+    (L = 2 pi, so the lattice is the integer one, dxi = 1 and the cell
+    floor is s/2): |p| from its formula, the homogeneous weights |p|^{2b}
+    with the modes under the cell floor dropped, the inhomogeneous
+    (sqrt(2) s + |p|)^{2b}, b = +-1/2, and the high pass 1 - chi(|xi|/8s)."""
+
+    N = 16
+    K = np.array([0.0, 0.0, 1.0])
+    SAMPLES = 8
+
+    @pytest.fixture(scope="class")
+    def setup(self, grid16):
+        cond = cg.make_conductivity(grid16, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
+        # 8s = 6.4 lies inside the 2/3 cube, so the high pass keeps modes
+        return cg.zeta_pair_from_angle(self.K, 0.8, 0.3), cg.make_cutoff(cond)
+
+    @classmethod
+    def lattice(cls):
+        m = np.fft.fftfreq(cls.N, d=1.0 / cls.N)
+        return np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+
+    @classmethod
+    def norm(cls, uhat, weight=1.0):
+        return float(np.sqrt(np.sum(weight * np.abs(uhat) ** 2) * (TWO_PI / cls.N) ** 3))
+
+    @classmethod
+    def weights(cls, zeta):
+        """|p|, s and the squared homogeneous and inhomogeneous weights."""
+        xi = cls.lattice()
+        pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ zeta.value))
+        s = np.linalg.norm(zeta.value.real)
+        kept = pabs >= 0.5 * s
+        dot = {b: np.where(kept, pabs, 1.0) ** (2 * b) * kept for b in (0.5, -0.5)}
+        inh = {b: (np.sqrt(2.0) * s + pabs) ** (2 * b) for b in (0.5, -0.5)}
+        return pabs, s, dot, inh
+
+    @classmethod
+    def cube(cls):
+        return np.all(np.abs(cls.lattice()) <= cls.N // 3, axis=-1)
+
+    @classmethod
+    def localize(cls, phi, uhat, dealias):
+        """(phi u)^hat, cut to the 2/3 cube when dealiased."""
+        out = np.fft.fftn(phi * np.fft.ifftn(uhat, norm="ortho"), norm="ortho")
+        return out * cls.cube() if dealias else out
+
+    @classmethod
+    def draws(cls, zeta, seed):
+        """The sampler's spectra: complex normal noise times
+        max(|p|, s/2)^{-1/2} <xi>^{-alpha} for alpha = 0, 1, 2, then flat,
+        cut to the 2/3 cube."""
+        rng = np.random.default_rng(seed)
+        xi_sq = np.sum(cls.lattice() ** 2, axis=-1)
+        pabs, s, _, _ = cls.weights(zeta)
+        shape = (cls.N,) * 3
+        out = []
+        for i in range(cls.SAMPLES):
+            coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            alpha = i % 4
+            if alpha < 3:
+                coef = coef * np.maximum(pabs, 0.5 * s) ** -0.5 * (1.0 + xi_sq) ** (-alpha / 2.0)
+            out.append(coef * cls.cube())
+        return out
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
+    def test_localization_samples_match_oracle(self, setup, dealias):
+        pair, phi_B = setup
+        zeta = pair.zeta1
+        reports = estimates.localization_ratios(self.SAMPLES, zeta, phi_B, 5, dealias)
+        assert [rep.estimate_id for rep in reports] == list(estimates.LOCALIZATION_IDS)
+        phi = phi_B.field.values.real
+        _, s, dot, inh = self.weights(zeta)
+        xi = self.lattice()
+        xi_nyq = np.where(xi == -(self.N // 2), 0.0, xi)
+        high_pass = 1.0 - smooth_bridge(np.sqrt(np.sum(xi * xi, axis=-1)) / (8.0 * s))
+        assert 0.0 < high_pass[self.cube()].max()
+        for i, uhat in enumerate(self.draws(zeta, 5)):
+            u_b = self.localize(phi, uhat, dealias)
+            high = high_pass * u_b
+            rhs_half = self.norm(uhat, dot[0.5])
+            expected = {
+                "cutoff_neg_half": (self.norm(u_b, dot[-0.5]), self.norm(uhat, inh[-0.5])),
+                "cutoff_pos_half": (self.norm(u_b, inh[0.5]), rhs_half),
+                "cutoff_l2": (self.norm(u_b), rhs_half / np.sqrt(s)),
+                "cutoff_high_grad": (self.norm(high, np.sum(xi_nyq ** 2, axis=-1)), rhs_half),
+                "cutoff_high_l2": (self.norm(high), rhs_half / s),
+            }
+            for rep in reports:
+                sample = rep.samples[i]
+                assert sample.params == {"sample": i, "kind": estimates.SAMPLER_KINDS[i % 4]}
+                lhs, rhs = expected[rep.estimate_id]
+                assert sample.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+                assert sample.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
+    def test_bilinear_ratio_matches_oracle(self, setup, dealias):
+        pair, phi_B = setup
+        grid = phi_B.field.grid
+        f = cg.physical_field(grid, random_field(grid, 21).values.real)
+        u, v = random_field(grid, 22), random_field(grid, 23)
+        ratio = cg.bilinear_ratio(f, pair, u, v, phi_B, dealias=dealias)
+        phi = phi_B.field.values.real
+        u_b, v_b = (np.fft.ifftn(self.localize(phi, np.fft.fftn(w.values, norm="ortho"), dealias),
+                                 norm="ortho") for w in (u, v))
+        lhs = abs(np.sum(f.values.real * u_b * v_b)) * (TWO_PI / self.N) ** 3
+        denom = np.max(np.abs(f.values)) * np.prod([
+            self.norm(np.fft.fftn(w.values, norm="ortho"), self.weights(z)[2][0.5])
+            for w, z in ((u, pair.zeta1), (v, pair.zeta2))
+        ])
+        assert ratio == pytest.approx(lhs * pair.s / denom, rel=1e-12, abs=0)
 
 
 class TestAveragedDecay:

@@ -1,5 +1,5 @@
 """Work that must be done only once: transforms per solver step, per
-pairing and per averaged decay, the per-zeta symbol data, and the
+pairing and per averaged decay, the harness's symbol evaluations, and the
 singular-integral quadrature's one slab pass per zeta for all its etas."""
 
 import tracemalloc
@@ -9,7 +9,6 @@ import pytest
 
 import cgolab as cg
 from cgolab.potential import _grad_log_sup
-from cgolab.spaces import SymbolWeight, clamped_mask
 from cgolab.symbol import lattice_symbol
 
 
@@ -125,16 +124,6 @@ class TestLipschitzSeminorm:
 
 
 class TestSolverMemory:
-    def test_solve_leaves_no_symbol_on_the_zeta(self, bump32, zeta16):
-        cg.solve_psi(bump32, zeta16, tol=1e-10)
-        assert zeta16._lattice_symbols == {}
-
-    def test_pair_solve_leaves_no_symbol_on_either_zeta(self, bump32):
-        pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 16.0, 0.3)
-        cg.recovery._solve_pair(bump32, pair)
-        assert pair.zeta1._lattice_symbols == {}
-        assert pair.zeta2._lattice_symbols == {}
-
     def test_one_n64_solve_peaks_under_24_mb(self, bump64):
         # measured 19.8 MB; 31.9 MB when the zeta kept its symbol and
         # psihat was allocated before the fresh product w
@@ -152,10 +141,8 @@ class TestSolverMemory:
 
 
 class TestSymbolData:
-    def test_symbol_is_computed_once_and_exact(self, grid32, zeta16):
-        p = lattice_symbol(zeta16, grid32).p
-        assert lattice_symbol(zeta16, grid32).p is p
-        assert not p.flags.writeable
+    def test_symbol_is_exact(self, grid32, zeta16):
+        p = lattice_symbol(zeta16, grid32)
         # -|xi|^2 + 2i zeta . xi, accumulated axis by axis from the lattice
         xi = [grid32.xi_axis.reshape(shape) for shape in ((32, 1, 1), (1, 32, 1), (1, 1, 32))]
         sq, dot = np.zeros(grid32.shape), np.zeros(grid32.shape, dtype=complex)
@@ -164,29 +151,24 @@ class TestSymbolData:
             dot = dot + z * x
         np.testing.assert_array_equal(p, -sq + 2j * dot)
 
-    def test_derived_arrays_shared_per_key(self, grid32, zeta16):
-        weight = SymbolWeight(zeta16, "homogeneous", 0.5, 1e-6)
-        first = weight.multiplier(grid32, "drop")
-        assert SymbolWeight(zeta16, "homogeneous", 0.5, 1e-6).multiplier(grid32, "drop") is first
-        assert weight.multiplier(grid32, "floor") is not first
-        mask = clamped_mask(zeta16, grid32, 1e-6)
-        assert clamped_mask(zeta16, grid32, 1e-6) is mask
-        assert clamped_mask(zeta16, grid32, 1e-7) is not mask
-        # the data belongs to the zeta: an equal zeta builds its own
-        twin = cg.Zeta(zeta16.value.copy())
-        assert lattice_symbol(twin, grid32).p is not lattice_symbol(zeta16, grid32).p
+    def test_harness_evaluates_the_symbol_once_per_zeta_and_draw(self, grid16, monkeypatch):
+        # localization_ratios: once for its weights, once per
+        # near-characteristic draw (3 of every 4); bilinear_ratio: once per zeta
+        calls = []
 
-    def test_cached_arrays_reject_writes(self, grid32, zeta16):
-        sym = lattice_symbol(zeta16, grid32)
-        arrays = [
-            sym.p,
-            sym.pabs,
-            clamped_mask(zeta16, grid32, 1e-6),
-            SymbolWeight(zeta16, "inhomogeneous", -0.5).multiplier(grid32),
-        ]
-        for arr in arrays:
-            with pytest.raises(ValueError):
-                arr[0, 0, 0] = 1
+        def counted(zeta, grid):
+            calls.append(zeta)
+            return lattice_symbol(zeta, grid)
+
+        monkeypatch.setattr(cg.estimates, "lattice_symbol", counted)
+        cond = cg.make_conductivity(grid16, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
+        phi = cg.make_cutoff(cond)
+        pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 2.0, 0.3)
+        cg.localization_ratios(8, pair.zeta1, phi, seed=0)
+        assert len(calls) == 1 + 6
+        calls.clear()
+        cg.bilinear_ratio(cond.gamma, pair, cond.gamma, cond.gamma, phi)
+        assert calls == [pair.zeta1, pair.zeta2]
 
 
 class TestSingbound:
@@ -197,8 +179,6 @@ class TestSingbound:
             assert batch.shape == (3,)
             for eta, value in zip(etas, batch):
                 assert cg.singbound_quadrature(zeta16, eta[None], M, grid32, floor)[0] == value
-        # nothing is held by the zeta between calls
-        assert zeta16._lattice_symbols == {}
 
     def test_one_call_peaks_below_half_a_lattice_array(self):
         grid = cg.FrequencyGrid(3, 64, 2.0 * np.pi)

@@ -5,16 +5,9 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.errors import SingularModeError
-from cgolab.grid import l2_norm, spectral_gradient
-from cgolab.spaces import (
-    SymbolWeight,
-    clamped_mask,
-    pair_inverse_symbol_sums,
-    project,
-    smooth_bridge,
-    x_norm,
-    xdot_norm,
-)
+from cgolab.estimates import _norm_weights
+from cgolab.grid import dealias_23, l2_norm, spectral_gradient, weighted_l2
+from cgolab.spaces import clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from cgolab.symbol import lattice_symbol, make_zeta_pair
 
 from conftest import TWO_PI, random_field
@@ -51,49 +44,56 @@ class TestBridge:
 
 
 class TestNorms:
+    """The harness norms: grid.weighted_l2 with the squared weights of
+    estimates._norm_weights, which drop the modes under the cell floor s/2."""
+
     def test_b_zero_is_l2(self, grid16, zeta16):
+        # the weights of b = 1/2 and -1/2 multiply to the L2 weight, zero
+        # on the dropped modes for the homogeneous pair
         f = random_field(grid16, 5)
-        assert xdot_norm(f, zeta16, 0.0) == pytest.approx(l2_norm(f), rel=1e-13)
-        assert x_norm(f, zeta16, 0.0) == pytest.approx(l2_norm(f), rel=1e-13)
+        hom, inh, _ = _norm_weights(zeta16, grid16)
+        kept = hom[0.5] > 0
+        assert not kept[0, 0, 0]
+        np.testing.assert_allclose(hom[0.5] * hom[-0.5], kept, rtol=1e-14, atol=0)
+        assert weighted_l2(f, inh[0.5] * inh[-0.5]) == pytest.approx(l2_norm(f), rel=1e-13)
 
     def test_single_mode_value(self, grid16, zeta16):
-        # |p| = 4 at xi = (0, 2, 0): homogeneous 1/2-norm is 2 sqrt(measure)
+        # |p| = 4 at xi = (0, 2, 0): the 1/2-norm is 2 sqrt(measure), the
+        # -1/2-norm a quarter of that
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
         f = cg.spectral_field(grid16, spec)
+        hom, _, _ = _norm_weights(zeta16, grid16)
         expected = 2.0 * np.sqrt(grid16.measure)
-        assert xdot_norm(f, zeta16, 0.5) == pytest.approx(expected, rel=1e-12)
-
-    def test_singular_mode_error(self, grid16, zeta16):
-        f = cg.physical_field(grid16, np.ones(grid16.shape))
-        with pytest.raises(SingularModeError):
-            xdot_norm(f, zeta16, -0.5, clamp_eps=0.0)
-
-    def test_zero_clamp_allows_vanishing_mass(self, grid16, zeta16):
-        spec = np.zeros(grid16.shape, dtype=complex)
-        spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
-        f = cg.spectral_field(grid16, spec)
-        expected = 0.5 * np.sqrt(grid16.measure)
-        assert xdot_norm(f, zeta16, -0.5, clamp_eps=0.0) == pytest.approx(expected, rel=1e-12)
+        assert weighted_l2(f, hom[0.5]) == pytest.approx(expected, rel=1e-12)
+        assert weighted_l2(f, hom[-0.5]) == pytest.approx(expected / 4.0, rel=1e-12)
 
     def test_x_norm_zero_mode(self, grid16, zeta16):
+        # p(0) = 0: the inhomogeneous weight is |zeta|^{-1}, the homogeneous
+        # one drops the mode
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[0, 0, 0] = 1.0
         f = cg.spectral_field(grid16, spec)
+        hom, inh, _ = _norm_weights(zeta16, grid16)
         expected = (np.sqrt(2.0) * zeta16.s) ** -0.5 * np.sqrt(grid16.measure)
-        assert x_norm(f, zeta16, -0.5) == pytest.approx(expected, rel=1e-12)
+        assert weighted_l2(f, inh[-0.5]) == pytest.approx(expected, rel=1e-12)
+        assert weighted_l2(f, hom[-0.5]) == 0.0
 
     @given(seed=st.integers(0, 500))
     def test_inhomogeneous_dominated_by_homogeneous(self, seed):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
         zeta = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
-        f = random_field(grid, seed)
-        assert x_norm(f, zeta, -0.5) <= xdot_norm(f, zeta, -0.5) * (1 + 1e-12)
+        hom, inh, _ = _norm_weights(zeta, grid)
+        # off the dropped modes
+        f = cg.spectral_field(grid, cg.to_spectral(random_field(grid, seed)).values * (hom[0.5] > 0))
+        assert weighted_l2(f, inh[-0.5]) <= weighted_l2(f, hom[-0.5]) * (1 + 1e-12)
 
     def test_clamped_mass_fraction(self, grid16, zeta16):
         # the share of the L2 mass on the clamped modes, in plain numpy
+        clamped = clamp_rule(np.abs(lattice_symbol(zeta16, grid16)), 1e-6, zeta16.s)
+
         def fraction(spec):
-            return np.linalg.norm(spec[clamped_mask(zeta16, grid16, 1e-6)]) / np.linalg.norm(spec)
+            return np.linalg.norm(spec[clamped]) / np.linalg.norm(spec)
 
         f = cg.to_spectral(cg.physical_field(grid16, np.ones(grid16.shape)))  # all mass at xi = 0
         assert fraction(f.values) == pytest.approx(1.0)
@@ -103,51 +103,51 @@ class TestNorms:
 
 
 class TestProjections:
-    def test_partition_of_identity(self, grid16, pair16):
-        f = random_field(grid16, 8)
-        z = pair16.zeta1
-        low = project(f, z, "low")
-        high = project(f, z, "high")
-        fs = cg.to_spectral(f)
-        assert np.max(np.abs(low.values + high.values - fs.values)) < 1e-13
+    """The high-pass amplitude 1 - chi(|xi| / 8s) of estimates._norm_weights."""
+
+    @staticmethod
+    def zeta(s):
+        return cg.Zeta(s * (np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0])))
+
+    @staticmethod
+    def high_pass(zeta, grid):
+        return _norm_weights(zeta, grid)[2]
+
+    def test_partition_of_identity(self, grid16):
+        high = self.high_pass(self.zeta(1.0), grid16)
+        low = smooth_bridge(np.sqrt(grid16.xi_sq) / 8.0)
+        assert np.max(np.abs(low + high - 1.0)) < 1e-15
 
     def test_low_supported_in_double_ball(self, grid16):
-        # s = 1: the low projector vanishes beyond |xi| = 16
-        zeta = cg.Zeta(np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0]))
-        f = random_field(grid16, 9)
-        low = project(f, zeta, "low")
-        outside = grid16.xi_sq > (16.0 * zeta.s) ** 2
-        assert np.all(low.values[outside] == 0)
+        # s = 1/2: the high pass is the identity beyond |xi| = 16 s
+        high = self.high_pass(self.zeta(0.5), grid16)
+        outside = grid16.xi_sq >= 8.0 ** 2
+        assert outside.any() and np.all(high[outside] == 1.0)
 
-    def test_high_vanishes_inside_ball(self, grid16, pair16):
-        f = random_field(grid16, 10)
-        z = pair16.zeta1
-        high = project(f, z, "high")
-        inside = grid16.xi_sq <= (8.0 * z.s) ** 2
-        assert np.all(high.values[inside] == 0)
+    def test_high_vanishes_inside_ball(self, grid16):
+        high = self.high_pass(self.zeta(1.0), grid16)
+        inside = grid16.xi_sq <= 8.0 ** 2
+        assert np.all(high[inside] == 0.0) and high[~inside].any()
 
     def test_band_limited_input_passes_low(self, grid16, pair16):
-        z = pair16.zeta1  # 8s = 48 covers the whole n=16 lattice
-        f = random_field(grid16, 11)
-        assert np.max(np.abs(project(f, z, "high").values)) == 0.0
-        low = project(f, z, "low")
-        assert np.max(np.abs(low.values - cg.to_spectral(f).values)) < 1e-14
+        # 8s = 48 covers the whole n=16 lattice
+        assert not self.high_pass(pair16.zeta1, grid16).any()
 
     def test_idempotent_on_plateaus(self, grid16):
-        zeta = cg.Zeta(np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0]))
-        f = random_field(grid16, 12)
-        low1 = project(f, zeta, "low")
-        low2 = project(low1, zeta, "low")
-        rho_sq = grid16.xi_sq / (8.0 * zeta.s) ** 2
+        high = self.high_pass(self.zeta(1.0), grid16)
+        rho_sq = grid16.xi_sq / 8.0 ** 2
         plateau = (rho_sq <= 1.0) | (rho_sq >= 4.0)
-        assert np.array_equal(low1.values[plateau], low2.values[plateau])
+        assert np.array_equal(high[plateau] * high[plateau], high[plateau])
 
     def test_finite_band_property(self, grid16):
-        zeta = cg.Zeta(np.array([1.0, 0, 0]) - 1j * np.array([0, 1.0, 0]))
-        f = random_field(grid16, 13)
-        low = project(f, zeta, "low")
-        grad_norm = np.sqrt(sum(l2_norm(g) ** 2 for g in spectral_gradient(low)))
-        assert grad_norm <= 16.0 * zeta.s * l2_norm(low) * (1 + 1e-12)
+        # the high part of a 2/3-cube field lives at |xi| > 8s, off the
+        # Nyquist planes, so its gradient is at least 8s times its L2 norm
+        zeta = self.zeta(1.0)
+        f = cg.to_spectral(dealias_23(random_field(grid16, 13)))
+        high = cg.spectral_field(grid16, f.values * self.high_pass(zeta, grid16))
+        grad_norm = np.sqrt(sum(l2_norm(g) ** 2 for g in spectral_gradient(high)))
+        assert l2_norm(high) > 0
+        assert grad_norm >= 8.0 * zeta.s * l2_norm(high) * (1 - 1e-12)
 
 
 class TestInverse:
@@ -159,7 +159,8 @@ class TestInverse:
     @staticmethod
     def first_step(cond, zeta, **kwargs):
         psi, rep, _ = cg.solve_psi(cond, zeta, max_iter=1, **kwargs)
-        clamped = clamped_mask(zeta, cond.grid, kwargs.get("clamp_eps", 1e-6))
+        pabs = np.abs(lattice_symbol(zeta, cond.grid))
+        clamped = clamp_rule(pabs, kwargs.get("clamp_eps", 1e-6), zeta.s)
         return psi.values, rep, ~clamped & cond.grid.dealias_mask
 
     def test_single_mode_division(self, bump16, zeta16):
@@ -172,16 +173,21 @@ class TestInverse:
         z = pair16.zeta1
         psi, _, kept = self.first_step(bump16, z)
         qhat = bump16.q_hat.values
-        back = lattice_symbol(z, bump16.grid).p * psi
+        back = lattice_symbol(z, bump16.grid) * psi
         assert np.max(np.abs(back[kept] - qhat[kept])) <= 1e-11 * np.max(np.abs(qhat[kept]))
         assert np.all(psi[~kept] == 0.0)
 
     def test_norm_isometry(self, bump16, pair16):
+        # ||psi_1|| in the 1/2-norm is ||q|| in the -1/2-norm on K, with
+        # |p| = |-|xi|^2 + 2i zeta . xi| on the integer lattice (L = 2 pi)
         z = pair16.zeta1
         psi, _, kept = self.first_step(bump16, z)
-        clean = cg.spectral_field(bump16.grid, np.where(kept, bump16.q_hat.values, 0))
-        lhs = xdot_norm(cg.spectral_field(bump16.grid, psi), z, 0.5)
-        rhs = xdot_norm(clean, z, -0.5)
+        m = np.fft.fftfreq(16, d=1.0 / 16)
+        xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
+        pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ z.value))
+        qhat = bump16.q_hat.values[kept]
+        lhs = np.sqrt(np.sum(pabs * np.abs(psi) ** 2) * bump16.grid.measure)
+        rhs = np.sqrt(np.sum(np.abs(qhat) ** 2 / pabs[kept]) * bump16.grid.measure)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
     def test_zero_clamp_singular_error(self, bump16, zeta16):
@@ -194,12 +200,6 @@ class TestInverse:
         assert bump16.q_hat.values[0, 0, 0] != 0.0
         assert psi[0, 0, 0] == 0.0
         assert rep.clamped_mass > 0
-
-    def test_weight_type_validation(self, zeta16):
-        with pytest.raises(ValueError):
-            SymbolWeight(zeta16, "bogus", 0.5)
-        with pytest.raises(ValueError):
-            SymbolWeight(zeta16, "homogeneous", 0.5, clamp_eps=-1.0)
 
 
 class TestInverseSymbolSums:
@@ -276,7 +276,7 @@ class TestInverseSymbolSums:
         # no density on the zeros of p_1 or p_2 (xi = 0 among them): they
         # are dropped; density on a zero of either zeta raises
         pair = pairs[0][0]
-        pabs = [lattice_symbol(z, grid16).pabs for z in (pair.zeta1, pair.zeta2)]
+        pabs = [np.abs(lattice_symbol(z, grid16)) for z in (pair.zeta1, pair.zeta2)]
         empty = (pabs[0] == 0.0) | (pabs[1] == 0.0)
         row = np.where(empty, 0.0, dens[0])
         sums = pair_inverse_symbol_sums(row, [pair], grid16, 0.0)
@@ -309,19 +309,15 @@ class TestInverseSymbolSums:
                 cg.select_zeta_sequence([bump32], k, [8.0], 2, seed=0, clamp_eps=0.0)
 
     def test_selection_builds_no_symbol_data(self, bump32, monkeypatch):
-        pairs = []
-        build = cg.cgo.zeta_pair_from_angle
+        # the sums evaluate zeta1's symbol in slabs; no full-lattice symbol
+        # is formed for any sample
+        def forbidden(*args):
+            raise AssertionError("a full-lattice symbol was formed")
 
-        def recorded(*args):
-            pairs.append(build(*args))
-            return pairs[-1]
-
-        monkeypatch.setattr(cg.cgo, "zeta_pair_from_angle", recorded)
-        cg.select_zeta_sequence([bump32, bump32], self.K, [8.0, 16.0], 3, seed=1)
-        assert len(pairs) == 6
-        for pair in pairs:
-            assert pair.zeta1._lattice_symbols == {}
-            assert pair.zeta2._lattice_symbols == {}
+        for module in (cg.symbol, cg.cgo, cg.estimates):
+            monkeypatch.setattr(module, "lattice_symbol", forbidden)
+        selection = cg.select_zeta_sequence([bump32, bump32], self.K, [8.0, 16.0], 3, seed=1)
+        assert [len(band.samples) for band in selection] == [3, 3]
 
     def test_zero_density_gives_zeros(self, grid16, pairs):
         sums = pair_inverse_symbol_sums(np.zeros((2,) + grid16.shape), pairs[1], grid16, 0.0)
