@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleGeometryError,
     NotContractiveError,
     RepresentationError,
-    SingularModeError,
 )
 from .grid import (
     Field,
@@ -31,7 +30,6 @@ from .grid import (
 from .symbol import Zeta, ZetaPair, zeta_pair_from_angle
 from .potential import (
     Conductivity,
-    CutoffField,
     make_conductivity,
     make_cutoff,
     potential_q,

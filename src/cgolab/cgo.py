@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InfeasibleGeometryError, NotContractiveError
 from .grid import PHYSICAL, SPECTRAL, Field, cube_transform
 from .potential import Conductivity
-from .spaces import DEFAULT_CLAMP_EPS, _guard_zero_modes, clamp_rule, pair_inverse_symbol_sums
+from .spaces import DEFAULT_CLAMP_EPS, clamp_rule, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
@@ -62,16 +62,7 @@ class IterationReport:
     converged: bool
     clamped_count: int = 0
     final_increment: float = float("nan")
-    tol: float = float("nan")
-    clamp_eps: float = float("nan")
     dealias_defect: float = 0.0
-
-
-def _guard_split(on_zero: np.ndarray, elsewhere: np.ndarray):
-    """_guard_zero_modes for one density given by its values on the exact
-    zeros of p and on the other modes it covers."""
-    row = np.concatenate([on_zero, elsewhere])
-    _guard_zero_modes(row[None, :], (np.arange(row.size) < on_zero.size)[None, :])
 
 
 def solve_psi(
@@ -92,7 +83,8 @@ def solve_psi(
     p(xi) = -|xi|^2 + 2i zeta . xi and h^d is the grid's cell measure.
     The kept modes K are the 2/3 cube (the whole lattice when
     dealias=False) minus the clamped modes |p| < clamp_eps * s; psihat
-    is zero off K.
+    is zero off K.  clamp_eps must be positive: the lattice symbol
+    vanishes at xi = 0, where q has its mean.
 
     The returned psi is re-checked against the equation posed on the
     lattice with a fresh product w = FFT(q (1 + psi)): residual_xdot^2
@@ -100,8 +92,7 @@ def solve_psi(
     the posed band; clamped modes are dropped).  From the same w,
     dealias_defect is the -1/2-norm of w on the unclamped modes off the
     cube (0 when dealias=False), and clamped_mass its L2 mass on the
-    clamped modes of the posed band.  With clamp_eps = 0, residual or
-    defect mass on an exact zero of p raises SingularModeError.
+    clamped modes of the posed band.
 
     The symbol is formed for this call only, and the final stage holds one
     full-lattice array at a time besides the returned psi and |p|: w, then
@@ -109,6 +100,8 @@ def solve_psi(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if not clamp_eps > 0:
+        raise ValueError("clamp_eps must be positive")
     grid = cond.grid
     qvals = cond.q.values.real
     # p goes once gathered on K; |p| stays for the off-cube defect
@@ -125,11 +118,6 @@ def solve_psi(
         return float(np.sqrt(weight_k @ (v.real * v.real + v.imag * v.imag)))
 
     def step(rhs):
-        if clamp_eps == 0 and mask.any():
-            dens = np.abs(rhs) ** 2
-            if dealias:
-                dens *= grid.dealias_mask
-            _guard_zero_modes(dens.reshape(1, -1), mask.reshape(1, -1))
         return rhs.reshape(-1)[kept] / p_k
 
     buf = np.empty(grid.shape, dtype=complex)
@@ -191,16 +179,11 @@ def solve_psi(
 
     res_dens = res.real * res.real + res.imag * res.imag
     w_clamped = w_sq[mask & grid.dealias_mask if dealias else mask]
-    if clamp_eps == 0:
-        _guard_split(w_clamped, res_dens)
     residual_xdot = float(np.sqrt(np.sum(res_dens / pabs_k) * grid.measure))
     clamped_mass = float(np.sqrt(np.sum(w_clamped) * grid.measure))
     dealias_defect = 0.0
     if dealias:
-        off = ~grid.dealias_mask
-        if clamp_eps == 0:
-            _guard_zero_modes(w_sq[off][None, :], mask[off][None, :])
-        off &= ~mask
+        off = ~grid.dealias_mask & ~mask
         np.divide(w_sq, pabs, out=w_sq, where=off)
         dealias_defect = float(np.sqrt(np.sum(w_sq[off]) * grid.measure))
     del w_sq, pabs
@@ -216,8 +199,6 @@ def solve_psi(
         converged=converged,
         clamped_count=int(mask.sum()),
         final_increment=float(inc),
-        tol=tol,
-        clamp_eps=clamp_eps,
         dealias_defect=dealias_defect,
     )
     return Field(grid, SPECTRAL, psihat), report, Field(grid, PHYSICAL, buf)

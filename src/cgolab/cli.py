@@ -9,8 +9,8 @@ significant digits, so identical config + seed reproduces the CSV bytes
 on the same platform.  Outputs are written only after the computation
 finishes; a failed run leaves no partial output directory.
 
-Exit codes: 0 ok, 2 config error, 3 infeasible geometry (incl. frame
-and domain errors), 4 divergence / non-convergence, 5 singular mode.
+Exit codes: 0 ok, 1 other package error, 2 config error, 3 infeasible
+geometry (incl. frame and domain errors), 4 divergence / non-convergence.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import (
     FrameError,
     InfeasibleGeometryError,
     NotContractiveError,
-    SingularModeError,
 )
 from .estimates import (
     averaged_decay,
@@ -71,7 +70,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_DIVERGENCE = 4
-EXIT_SINGULAR = 5
 
 
 def _fmt(x) -> str:
@@ -290,7 +288,7 @@ def _run_recover(cfg: ExperimentConfig):
             cond, k, band,
             samples_per_band=cfg.samples_per_band, seed=cfg.seed,
             tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
-            weight=weight,
+            weight=weight, dealias=cfg.dealias,
         )
         bd = diag.breakdown
         rows.append(
@@ -341,6 +339,7 @@ def _run_uniqueness_gap(cfg: ExperimentConfig):
         cond1, cond2, k_set, band,
         samples_per_band=cfg.samples_per_band, seed=cfg.seed,
         tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
+        dealias=cfg.dealias,
     )
     rows = []
     payload = {"rows": []}
@@ -450,9 +449,6 @@ def main(argv=None) -> int:
     except NotContractiveError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except SingularModeError as exc:
-        print(f"singular mode: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except CgolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -105,8 +105,8 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if not self.tol > 0:
             raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
-        if not self.clamp_eps >= 0:
-            raise ConfigError(f"clamp_eps must be a number >= 0, got {self.clamp_eps!r}")
+        if not self.clamp_eps > 0:
+            raise ConfigError(f"clamp_eps must be a positive number, got {self.clamp_eps!r}")
         for name, least in {**_INT_MINIMUM, "singbound_m": self.grid.d + 2}.items():
             value = getattr(self, name)
             if value < least:

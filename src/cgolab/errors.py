@@ -21,10 +21,6 @@ class InfeasibleGeometryError(CgolabError):
     """Geometric preconditions violated (e.g. |k| >= 2s, band too small)."""
 
 
-class SingularModeError(CgolabError):
-    """Spectral mass sits on a zero of the symbol while clamping is off."""
-
-
 class NotContractiveError(CgolabError):
     """Fixed-point iteration diverged; carries the last observed ratio."""
 

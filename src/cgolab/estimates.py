@@ -52,7 +52,7 @@ from .grid import (
     to_spectral,
     weighted_l2,
 )
-from .potential import Conductivity, CutoffField, potential_q
+from .potential import Conductivity, potential_q
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from .symbol import Zeta, ZetaPair, char_distance, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
@@ -306,7 +306,7 @@ def _norm_weights(zeta: Zeta, grid: FrequencyGrid) -> tuple:
 def localization_ratios(
     u_samples: int,
     zeta: Zeta,
-    phi_B: CutoffField,
+    phi_B: Field,
     seed: int,
     dealias: bool = True,
 ) -> list[EstimateReport]:
@@ -317,7 +317,7 @@ def localization_ratios(
     whose |p| lies under the cell floor (the lattice-exact zeros among
     them); the weights are built once per call (_norm_weights).
     """
-    grid = phi_B.field.grid
+    grid = phi_B.grid
     s = zeta.s
     hom, inh, high_pass = _norm_weights(zeta, grid)
     rng = np.random.default_rng(seed)
@@ -325,7 +325,7 @@ def localization_ratios(
     for i in range(u_samples):
         kind = SAMPLER_KINDS[i % len(SAMPLER_KINDS)]
         u = draw_colored_field(grid, rng, zeta, kind)
-        u_b = multiply(phi_B.field, u, dealias=dealias)
+        u_b = multiply(phi_B, u, dealias=dealias)
         params = {"sample": i, "kind": kind}
 
         rhs_dot_half = weighted_l2(u, hom[0.5])
@@ -352,7 +352,7 @@ def bilinear_ratio(
     zeta_pair: ZetaPair,
     u: Field,
     v: Field,
-    phi_B: CutoffField,
+    phi_B: Field,
     dealias: bool = True,
 ) -> float:
     """Empirical constant  s |int f u_B v_B| / (||f||_inf ||u|| ||v||)
@@ -362,8 +362,8 @@ def bilinear_ratio(
     if abs(z1.magnitude - z2.magnitude) > 1e-9 * z1.magnitude:
         raise InfeasibleGeometryError("paired zetas must share |zeta|")
     grid = f.grid
-    u_b = multiply(phi_B.field, u, dealias=dealias)
-    v_b = multiply(phi_B.field, v, dealias=dealias)
+    u_b = multiply(phi_B, u, dealias=dealias)
+    v_b = multiply(phi_B, v, dealias=dealias)
     prod = to_physical(f).values * to_physical(u_b).values * to_physical(v_b).values
     lhs = abs(complex(prod.sum() * grid.measure))
     denom = (
@@ -489,13 +489,13 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
 
 
 def _decay_density(
-    grid: FrequencyGrid, f_half: np.ndarray, phi_B: CutoffField, dealias: bool
+    grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field, dealias: bool
 ) -> np.ndarray:
     """The (s, eta)-independent density sum_j |(phi_B d_j f)^hat|^2 on the
     full lattice, from the half spectrum of a real f.  Each d_j f and its
     product with phi_B is real, so one derivative at a time goes back and
     forth through the real pair; the even density is completed once."""
-    phi = phi_B.field.values.real
+    phi = phi_B.values.real
     half_dens = np.zeros(f_half.shape)
     for mult in grid.half_deriv_multipliers:
         prod = real_inverse(grid, f_half * mult)
@@ -512,7 +512,7 @@ def averaged_decay(
     bands,
     quad_s: int,
     quad_eta: int,
-    phi_B: CutoffField,
+    phi_B: Field,
     dealias: bool = True,
 ) -> EstimateReport:
     """Band quadrature  A(lam) = int_{S^1} int_lam^{2 lam}

@@ -209,27 +209,12 @@ class Field:
     def is_spectral(self) -> bool:
         return self.representation == SPECTRAL
 
-    def __add__(self, other: "Field") -> "Field":
-        _check_compatible(self, other)
-        return Field(self.grid, self.representation, self.values + other.values)
-
-    def __sub__(self, other: "Field") -> "Field":
-        _check_compatible(self, other)
-        return Field(self.grid, self.representation, self.values - other.values)
-
     def __mul__(self, scalar) -> "Field":
         if isinstance(scalar, Field):
             raise TypeError("use grid.multiply() for pointwise field products")
         return Field(self.grid, self.representation, self.values * scalar)
 
     __rmul__ = __mul__
-
-
-def _check_compatible(f: Field, g: Field):
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    if f.representation != g.representation:
-        raise RepresentationError("fields have different representations")
 
 
 def physical_field(grid: FrequencyGrid, values) -> Field:

@@ -50,8 +50,6 @@ from .grid import (
     real_forward,
     real_inverse,
     spectral_field,
-    to_physical,
-    to_spectral,
 )
 from .spaces import smooth_bridge
 
@@ -145,7 +143,8 @@ def conductivity_from_array(
     field = physical_field(grid, vals)
     if premollify:
         width = 2.0 * grid.h
-        field = mollify(field, width)
+        # real to rounding by the check above; mollify takes it exactly real
+        field = mollify(physical_field(grid, vals.real), width)
         support_radius = support_radius + width
         vals = field.values
     _validate_gamma(grid, vals, support_radius)
@@ -207,8 +206,8 @@ def potential_q(cond: Conductivity) -> Field:
     return cond.q
 
 
-def _bump_spectrum(grid: FrequencyGrid, eps: float, half: bool) -> np.ndarray:
-    """Unnormalized DFT, on the half spectrum if half, of the unit-mass
+def _bump_spectrum(grid: FrequencyGrid, eps: float) -> np.ndarray:
+    """Unnormalized DFT, on the half spectrum, of the unit-mass
     smooth bump B of width eps at the origin, normalized exactly on the
     grid.  B lives on offsets -R..R per axis, R = ceil(eps / h), clipped to
     one period -n/2..n/2 - 1.  Being even per coordinate, its DFT is
@@ -227,19 +226,19 @@ def _bump_spectrum(grid: FrequencyGrid, eps: float, half: bool) -> np.ndarray:
     spec /= total
     table = np.cos((2.0 * np.pi / grid.n) * (np.outer(grid.mode_axis, offsets) % grid.n))
     for j in range(grid.d):
-        rows = table[: grid.n // 2 + 1] if half and j == grid.d - 1 else table
+        rows = table[: grid.n // 2 + 1] if j == grid.d - 1 else table
         spec = np.tensordot(spec, rows, axes=([0], [1]))  # mode axes collect at the end
     return spec
 
 
 def mollify(f: Field, eps: float) -> Field:
-    """Convolve with the unit-mass bump of width eps (spectrally).
+    """Convolve a real physical field with the unit-mass bump of width eps
+    (spectrally, through the real transforms); the result is exactly real.
 
     Below the grid scale (eps < 2h) mollification is a documented no-op
     and emits a warning.  The mean of f is preserved exactly.  The bump's
     spectrum comes from its support clipped to one period (exact at any
-    width); no full-grid bump is formed.  A real field goes through the
-    real transforms and stays exactly real.
+    width); no full-grid bump is formed.
     """
     grid = f.grid
     if eps < 2.0 * grid.h:
@@ -248,31 +247,21 @@ def mollify(f: Field, eps: float) -> Field:
             stacklevel=2,
         )
         return f
-    fp = to_physical(f).values
-    if fp.imag.any():
-        conv = np.fft.ifftn(np.fft.fftn(fp) * _bump_spectrum(grid, eps, half=False))
-    else:  # a real field: the real pair, on the half spectrum
-        spec = _bump_spectrum(grid, eps, half=True)
-        conv = np.fft.irfftn(np.fft.rfftn(fp.real) * spec, s=grid.shape, axes=tuple(range(grid.d)))
-    out = physical_field(grid, conv * grid.measure)
-    return out if f.is_physical else to_spectral(out)
+    if not f.is_physical or f.values.imag.any():
+        raise ValueError("mollify takes a real physical field")
+    spec = _bump_spectrum(grid, eps)
+    conv = np.fft.irfftn(np.fft.rfftn(f.values.real) * spec, s=grid.shape, axes=tuple(range(grid.d)))
+    return physical_field(grid, conv * grid.measure)
 
 
-@dataclass(frozen=True, eq=False)
-class CutoffField:
+def make_cutoff(cond: Conductivity) -> Field:
     """Smooth radial cutoff: 1 on the support ball, 0 outside twice it."""
-
-    field: Field
-    inner_radius: float
-
-
-def make_cutoff(cond: Conductivity) -> CutoffField:
     grid = cond.grid
     radius = cond.support_radius
     if radius > grid.L / 4.0 + 1e-12:
         raise DomainError("cutoff needs support radius <= L/4")
     vals = smooth_bridge(grid.radius_from_center / radius)
-    return CutoffField(physical_field(grid, vals), radius)
+    return physical_field(grid, vals)
 
 
 # -- raw grid file format ---------------------------------------------------

@@ -55,7 +55,7 @@ import numpy as np
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
 from .errors import CgolabError, FrameError
 from .grid import Field, FrequencyGrid, exp_ik_field, pairing, to_physical, to_spectral
-from .potential import Conductivity, CutoffField, make_cutoff
+from .potential import Conductivity, make_cutoff
 from .spaces import DEFAULT_CLAMP_EPS
 from .symbol import ZetaPair
 
@@ -101,7 +101,7 @@ class PairingWeight:
     main_oracle: complex
 
 
-def pairing_weight(cond: Conductivity, k, phi: CutoffField) -> PairingWeight:
+def pairing_weight(cond: Conductivity, k, phi: Field) -> PairingWeight:
     """Form w and check the main term: the two direct-transform routes to
     the k-mode of q must agree to 1e-12, and sum w must match them to
     _MAIN_ORACLE_TOL, both relative to the L1 majorant of q.  Raises
@@ -110,7 +110,7 @@ def pairing_weight(cond: Conductivity, k, phi: CutoffField) -> PairingWeight:
     k = np.asarray(k, dtype=float)
     q = cond.q
     e_k = exp_ik_field(grid, k)  # validates k on the lattice
-    phi_vals = phi.field.values.real
+    phi_vals = phi.values.real
     w = e_k.values * (q.values.real * phi_vals * phi_vals * grid.measure)
     term_main = complex(np.sum(w))
 
@@ -214,20 +214,22 @@ def recover_fourier_mode(
     max_iter: int = 600,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
     weight: PairingWeight | None = None,
+    dealias: bool = True,
 ) -> tuple[complex, RecoveryDiagnostics]:
     """CGO-side estimate of the k-mode of q at one dyadic band.
 
     Checks the main term first (pairing_weight, unless its result is
     given as weight), then selects the band-optimal zeta pair on the
-    one conductivity, solves both remainders, and returns the full
-    pairing with |term_linear| + |term_bilinear| as the error bar.
+    one conductivity, solves both remainders (with the 2/3 rule when
+    dealias), and returns the full pairing with |term_linear| +
+    |term_bilinear| as the error bar.
     """
     if weight is None:
         weight = pairing_weight(cond, k, make_cutoff(cond))
     selection = select_zeta_sequence([cond], k, [band], samples_per_band, seed, clamp_eps)[0]
     pair = selection.pair
     (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(
-        cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
+        cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps, dealias=dealias
     )
     breakdown = alessandrini_terms(weight, pair, psi1, psi2)
     error_bar = abs(breakdown.term_linear) + abs(breakdown.term_bilinear)
@@ -266,6 +268,7 @@ def uniqueness_gap(
     tol: float = 1e-10,
     max_iter: int = 600,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
+    dealias: bool = True,
 ) -> list[GapRow]:
     """Per k: the two full pairings side by side with the direct
     transform gap.  The zeta selection is shared between the two
@@ -289,7 +292,7 @@ def uniqueness_gap(
         qhats = []
         for cond, weight in zip(conds, k_weights):
             (_, _, psi1), (_, _, psi2) = _solve_pair(
-                cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
+                cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps, dealias=dealias
             )
             bd = alessandrini_terms(weight, pair, psi1, psi2)
             totals.append(bd.total)

@@ -10,8 +10,9 @@ and its mirror image.
 Clamping.  On a lattice the zero set of the symbol always contains
 xi = 0 exactly (and occasionally other points), so |p|^{-1} needs a
 surrogate for the integrable continuum singularity.  Modes with
-|p| < clamp_eps * s are "clamped" (clamp_rule); the pair sums offer two
-policies:
+|p| < clamp_eps * s are "clamped" (clamp_rule); clamp_eps must be
+positive, since q = (Lap g)/g has nonzero mean, hence mass on xi = 0,
+for every non-constant conductivity.  The pair sums offer two policies:
 
 * "floor"  -- |p| is floored at clamp_eps*s before inversion.
   This is the default.
@@ -25,7 +26,6 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import SingularModeError
 from .grid import FrequencyGrid
 
 DEFAULT_CLAMP_EPS = 1e-6
@@ -52,10 +52,8 @@ def smooth_bridge(rho):
 
 def clamp_rule(pabs: np.ndarray, clamp_eps: float, s: float) -> np.ndarray:
     """The clamped modes of |p| = pabs at a zeta of magnitude parameter s:
-    |p| < clamp_eps * s, or the exact zeros of p when clamp_eps = 0."""
-    if clamp_eps > 0:
-        return pabs < clamp_eps * s
-    return pabs == 0.0
+    |p| < clamp_eps * s."""
+    return pabs < clamp_eps * s
 
 
 # the pair kernel evaluates zeta1's weight in axis-0 slabs of about this
@@ -86,14 +84,13 @@ def pair_inverse_symbol_sums(
     by one BLAS product per axis-0 slab of about SLAB_POINTS points, with
     -Re p = sum_j x_j (x_j + 2 Im zeta_j) and Im p = sum_j 2 Re zeta_j x_j.
     p_1(-k) = p_2(0) = 0, but off the coordinate axes rounding leaves
-    ~1e-16 at x = -k, so |p_1|^2 is set to 0 there.  With clamp_eps = 0 the zeros of p_1 are dropped, and
-    density on one, in a row or its mirror, raises SingularModeError.  No
-    full-lattice symbol is built.
+    ~1e-16 at x = -k, so |p_1|^2 is set to 0 there.  No full-lattice
+    symbol is built.
     """
     if policy not in _POLICIES:
         raise ValueError(f"unknown clamp policy {policy!r}")
-    if clamp_eps < 0:
-        raise ValueError("clamp_eps must be >= 0")
+    if not clamp_eps > 0:
+        raise ValueError("clamp_eps must be positive")
     rows = np.asarray(dens, dtype=float).reshape(-1, grid.size)
     if np.any(rows < 0):
         raise ValueError("density must be nonnegative")
@@ -142,7 +139,6 @@ def pair_inverse_symbol_sums(
     plane = terms[0][2].size
     step = max(1, SLAB_POINTS // plane)
     psq_buf, im_buf = np.empty(step * plane), np.empty(step * plane)
-    zeros = np.zeros(placed[0].size, dtype=bool) if clamp_eps == 0 else None
 
     for a in range(0, shape[0], step):
         b = min(a + step, shape[0])
@@ -159,29 +155,11 @@ def pair_inverse_symbol_sums(
             if a * plane <= zero_at < b * plane:
                 flat[zero_at - a * plane] = 0.0
             floor_sq = (clamp_eps * s) ** 2
-            if policy == "drop" or clamp_eps == 0:
+            if policy == "drop":
                 # a dropped mode gets |p|^2 = inf, so weight 0
-                low = np.flatnonzero(flat < floor_sq if clamp_eps > 0 else flat == 0.0)
-                flat[low] = np.inf
-                if zeros is not None:
-                    zeros[a * plane + low] = True
+                flat[flat < floor_sq] = np.inf
             else:
                 np.maximum(flat, floor_sq, out=flat)
             weight = np.reciprocal(np.sqrt(flat, out=flat), out=flat)
             out[:, j, :] += (block @ weight).reshape(2, n_rows).T
-    if zeros is not None:
-        _guard_zero_modes(placed.reshape(2 * n_rows, -1), zeros[None, :])
     return out
-
-
-def _guard_zero_modes(rows: np.ndarray, zero: np.ndarray):
-    """Raise if a density row |uhat|^2 exceeds (1e-13 max(1, max |uhat|))^2
-    on a column where some row of zero is set (an exact zero of p)."""
-    hit = zero.any(axis=0)
-    if hit.any():
-        peak = rows[:, hit].max(axis=1)
-        if np.any(peak > 1e-26 * np.maximum(1.0, rows.max(axis=1))):
-            raise SingularModeError(
-                "spectral mass on a zero-symbol mode with clamp_eps = 0"
-            )
-

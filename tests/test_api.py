@@ -11,7 +11,6 @@ PUBLIC = [
     "CgolabError",
     "Conductivity",
     "ConfigError",
-    "CutoffField",
     "DomainError",
     "EstimateReport",
     "EstimateSample",
@@ -27,7 +26,6 @@ PUBLIC = [
     "RecoveryDiagnostics",
     "RepresentationError",
     "SchurBound",
-    "SingularModeError",
     "Zeta",
     "ZetaPair",
     "averaged_decay",

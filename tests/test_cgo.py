@@ -1,10 +1,8 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 import cgolab as cg
-from cgolab.errors import InfeasibleGeometryError, NotContractiveError, SingularModeError
+from cgolab.errors import InfeasibleGeometryError, NotContractiveError
 from cgolab.spaces import clamp_rule
 from cgolab.symbol import lattice_symbol
 
@@ -168,38 +166,17 @@ class TestSolvePsi:
         dealiased, _, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
         assert np.max(np.abs(dealiased.values - expected)) > 1e-6 * np.max(np.abs(expected))
 
-    def test_zero_clamp_rejects_mass_on_zero_mode(self, bump32, uniform32, pair32, monkeypatch):
-        # p(0) = 0 for every zeta, and the mean of q is positive: the first
-        # step, which divides q_hat and transforms nothing, raises
-        bump32.q_hat
-
+    def test_nonpositive_clamp_rejected(self, bump32, uniform32, pair32, monkeypatch):
+        # p(0) = 0 for every zeta, and q has mass there unless gamma is
+        # constant: clamp_eps > 0 is checked before the symbol is formed
         def forbidden(*args, **kwargs):
-            raise AssertionError("transformed past the first step")
+            raise AssertionError("computed before checking clamp_eps")
 
-        with monkeypatch.context() as patch:
-            patch.setattr(np.fft, "ifftn", forbidden)
-            with pytest.raises(SingularModeError):
-                cg.solve_psi(bump32, pair32.zeta1, clamp_eps=0.0)
-        _, rep, _ = cg.solve_psi(uniform32, pair32.zeta1, clamp_eps=0.0)
-        assert rep.converged
-
-    def test_zero_clamp_checks_the_residual(self, bump32, pair32):
-        # a q with no mass on the exact zeros of p (xi = 0 and -k) passes
-        # the first step's guard, and tol=1 stops there; the fresh product
-        # q (1 + psi) then has mass on them, which only the residual's
-        # guard can see
-        grid = bump32.grid
-        zeros = clamp_rule(np.abs(lattice_symbol(pair32.zeta1, grid)), 0.0, pair32.zeta1.s)
-        assert zeros.sum() == 2
-        qhat = np.where(zeros, 0.0, bump32.q_hat.values)
-        q = np.fft.ifftn(qhat, norm="ortho").real
-        stand_in = SimpleNamespace(
-            grid=grid, q=cg.physical_field(grid, q), q_hat=cg.spectral_field(grid, qhat)
-        )
-        _, rep, _ = cg.solve_psi(stand_in, pair32.zeta1, tol=1.0, clamp_eps=1e-6)
-        assert rep.iterations == 1 and rep.clamped_mass > 1e-8
-        with pytest.raises(SingularModeError):
-            cg.solve_psi(stand_in, pair32.zeta1, tol=1.0, clamp_eps=0.0)
+        monkeypatch.setattr(cg.cgo, "lattice_symbol", forbidden)
+        for cond in (bump32, uniform32):
+            for clamp_eps in (0.0, -1e-6, float("nan")):
+                with pytest.raises(ValueError, match="clamp_eps"):
+                    cg.solve_psi(cond, pair32.zeta1, clamp_eps=clamp_eps)
 
     def test_invalid_tolerance(self, bump32, pair32):
         with pytest.raises(ValueError):

@@ -105,6 +105,43 @@ def test_mode_outside_lattice_exits_before_computing(subcommand, field, config, 
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("subcommand", ["solve-cgo", "select-zeta", "recover", "uniqueness-gap"])
+@pytest.mark.parametrize("clamp_eps", [0.0, -1e-6])
+def test_nonpositive_clamp_exits_before_computing(subcommand, clamp_eps, tmp_path, capsys, monkeypatch):
+    # p(0) = 0 for every zeta and q has mass there: an unclamped run has no
+    # finite -1/2-norm, so clamp_eps > 0 is checked with the config
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before checking clamp_eps")
+
+    monkeypatch.setattr(cgolab.cli, "_grid", forbidden)
+    path = tmp_path / "c.json"
+    config = {"profiles": [{"kind": "gaussian"}] * 2, "clamp_eps": clamp_eps}
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "clamp_eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, n_conds", [("recover", 1), ("uniqueness-gap", 2)])
+def test_pair_solves_follow_dealias(subcommand, n_conds, tmp_path, monkeypatch):
+    # both zetas of every pair are solved with the configured 2/3 rule
+    solve = cgolab.recovery.solve_psi
+    flags = []
+
+    def recorded(cond, zeta, **kwargs):
+        flags.append(kwargs["dealias"])
+        return solve(cond, zeta, **kwargs)
+
+    monkeypatch.setattr(cgolab.recovery, "solve_psi", recorded)
+    profiles = [{"kind": "gaussian", "amplitude": a} for a in (0.05, 0.04)][:n_conds]
+    config = {"grid": {"n": 64}, "profiles": profiles, "samples_per_band": 2, "dealias": False}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert flags == [False] * (2 * n_conds)
+
 @pytest.mark.parametrize(
     "subcommand, config",
     [("recover", {}), ("uniqueness-gap", {"profiles": [{"kind": "gaussian"}] * 2})],

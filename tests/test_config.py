@@ -13,7 +13,7 @@ def test_unknown_threads_field_rejected():
     "field, values",
     [
         ("tol", [0.0, -1.0, "a"]),
-        ("clamp_eps", [-1e-6, "a"]),
+        ("clamp_eps", [0.0, -1e-6, float("nan"), "a"]),
         ("max_iter", [0, -3, 2.5]),
     ],
 )
@@ -22,7 +22,7 @@ def test_solver_field_rejected(field, values):
         with pytest.raises(ConfigError, match=field):
             config_from_dict({field: value})
     # the boundary values are accepted
-    config_from_dict({"tol": 1e-14, "clamp_eps": 0.0, "max_iter": 1})
+    config_from_dict({"tol": 1e-14, "clamp_eps": 1e-300, "max_iter": 1})
 
 
 @pytest.mark.parametrize(

@@ -262,7 +262,7 @@ class TestHarnessNorms:
         zeta = pair.zeta1
         reports = estimates.localization_ratios(self.SAMPLES, zeta, phi_B, 5, dealias)
         assert [rep.estimate_id for rep in reports] == list(estimates.LOCALIZATION_IDS)
-        phi = phi_B.field.values.real
+        phi = phi_B.values.real
         _, s, dot, inh = self.weights(zeta)
         xi = self.lattice()
         xi_nyq = np.where(xi == -(self.N // 2), 0.0, xi)
@@ -289,11 +289,11 @@ class TestHarnessNorms:
     @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
     def test_bilinear_ratio_matches_oracle(self, setup, dealias):
         pair, phi_B = setup
-        grid = phi_B.field.grid
+        grid = phi_B.grid
         f = cg.physical_field(grid, random_field(grid, 21).values.real)
         u, v = random_field(grid, 22), random_field(grid, 23)
         ratio = cg.bilinear_ratio(f, pair, u, v, phi_B, dealias=dealias)
-        phi = phi_B.field.values.real
+        phi = phi_B.values.real
         u_b, v_b = (np.fft.ifftn(self.localize(phi, np.fft.fftn(w.values, norm="ortho"), dealias),
                                  norm="ortho") for w in (u, v))
         lhs = abs(np.sum(f.values.real * u_b * v_b)) * (TWO_PI / self.N) ** 3
@@ -359,7 +359,7 @@ class TestAveragedDecay:
         phi = cg.make_cutoff(cone)
         f = cone.log_g.values.real
         dens = estimates._decay_density(grid, cg.grid.real_forward(f), phi, dealias)
-        expected = self.oracle_density(f, phi.field.values.real, dealias)
+        expected = self.oracle_density(f, phi.values.real, dealias)
         assert np.max(np.abs(dens - expected)) <= 1e-13 * np.max(expected)
         # completed as an exactly even density
         neg = (-np.arange(n)) % n
@@ -390,7 +390,7 @@ class TestAveragedDecay:
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
         phi = cg.make_cutoff(cone)
         rep = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, 8, phi)
-        f, cut = cone.log_g.values.real, phi.field.values.real
+        f, cut = cone.log_g.values.real, phi.values.real
         for sample, lam in zip(rep.samples, (8.0, 16.0)):
             expected = self.oracle_a(f, cut, lam, 8, 8)
             assert sample.params["A"] == pytest.approx(expected, rel=1e-12)

@@ -74,6 +74,13 @@ class TestProfiles:
         with pytest.raises(DomainError, match="real"):
             conductivity_from_array(grid32, vals, 1.0, premollify=premollify)
 
+    def test_rounding_level_imaginary_part_premollified(self, grid32):
+        # the realness check allows 1e-13 relative; mollify gets the real part
+        vals = np.where(grid32.radius_from_center < 1.0, 1.2, 1.0)
+        cond = conductivity_from_array(grid32, vals + 1e-15j, 1.0, premollify=True)
+        real = conductivity_from_array(grid32, vals, 1.0, premollify=True)
+        np.testing.assert_array_equal(cond.gamma.values, real.gamma.values)
+
     def test_support_guard(self, grid32):
         vals = 1.0 + 0.1 * np.ones(grid32.shape)  # deviates everywhere
         with pytest.raises(DomainError):
@@ -189,7 +196,7 @@ class TestMqBilinear:
         u = cg.exp_ik_field(grid, grid.lattice_frequency([1, 1, 0]))
         v = cg.exp_ik_field(grid, grid.lattice_frequency([0, 0, 2]))
         plain = mq_form(u, v, bump64)
-        localized = mq_form(multiply(phi.field, u), multiply(phi.field, v), bump64)
+        localized = mq_form(multiply(phi, u), multiply(phi, v), bump64)
         assert localized == pytest.approx(plain, rel=1e-9)
 
 
@@ -238,21 +245,32 @@ class TestRealPath:
 
 
 class TestMollify:
+    @staticmethod
+    def real_field(grid, seed):
+        return cg.physical_field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+
     def test_constant_unchanged(self, grid16):
         f = cg.physical_field(grid16, np.full(grid16.shape, 2.5))
         out = mollify(f, 4 * grid16.h)
         assert np.max(np.abs(out.values - 2.5)) < 1e-12
 
     def test_mass_preserved(self, grid32):
-        f = random_field(grid32, 17)
+        f = self.real_field(grid32, 17)
         out = mollify(f, 4 * grid32.h)
         assert integral(out) == pytest.approx(integral(f), rel=1e-12)
 
     def test_below_grid_scale_warns_noop(self, grid16):
-        f = random_field(grid16, 18)
+        f = self.real_field(grid16, 18)
         with pytest.warns(UserWarning):
             out = mollify(f, 0.5 * grid16.h)
         assert out is f
+
+    def test_complex_or_spectral_field_rejected(self, grid16):
+        # conductivity_from_array rejects complex gamma before mollifying
+        f = self.real_field(grid16, 19)
+        for bad in (random_field(grid16, 19), cg.to_spectral(f)):
+            with pytest.raises(ValueError, match="real physical"):
+                mollify(bad, 4 * grid16.h)
 
     def test_flattening_monotone_in_width(self, grid32):
         r = grid32.radius_from_center
@@ -297,7 +315,7 @@ class TestMollify:
 
     def test_bump_kernel_unit_mass(self, grid16):
         # the zero mode of the unnormalized DFT is the bump's sum
-        spec = _bump_spectrum(grid16, 3 * grid16.h, half=True)
+        spec = _bump_spectrum(grid16, 3 * grid16.h)
         assert spec[0, 0, 0] * grid16.measure == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("n", [16, 32])
@@ -306,11 +324,10 @@ class TestMollify:
         # 0.6 L reaches past half a period, so the box is clipped to one
         grid = cg.FrequencyGrid(3, n, TWO_PI)
         eps = 0.6 * grid.L if width == "0.6L" else int(width[0]) * grid.h
-        bump = oracle_bump(grid, eps)
-        for half, expected in ((True, np.fft.rfftn(bump)), (False, np.fft.fftn(bump))):
-            spec = _bump_spectrum(grid, eps, half)
-            assert spec.shape == expected.shape
-            assert np.max(np.abs(spec - expected)) <= 1e-13 * np.max(np.abs(expected))
+        expected = np.fft.rfftn(oracle_bump(grid, eps))
+        spec = _bump_spectrum(grid, eps)
+        assert spec.shape == expected.shape
+        assert np.max(np.abs(spec - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 class TestCutoff:
@@ -322,16 +339,16 @@ class TestCutoff:
         cond = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
         phi = cg.make_cutoff(cond)
         q = cg.potential_q(cond)
-        leak = (1.0 - phi.field.values.real) * q.values.real
+        leak = (1.0 - phi.values.real) * q.values.real
         assert np.max(np.abs(leak)) <= 1e-10 * np.max(np.abs(q.values))
 
     def test_center_value_and_range(self, bump32):
         phi = cg.make_cutoff(bump32)
         grid = bump32.grid
         center_idx = (grid.n // 2,) * 3
-        assert phi.field.values.real[center_idx] == 1.0
-        assert np.all(phi.field.values.real >= 0)
-        assert np.all(phi.field.values.real <= 1)
+        assert phi.values.real[center_idx] == 1.0
+        assert np.all(phi.values.real >= 0)
+        assert np.all(phi.values.real <= 1)
 
     def test_gradient_bound_from_bridge_profile(self, bump32):
         # oracle: sup |bridge'| by dense numerical differentiation
@@ -339,9 +356,9 @@ class TestCutoff:
         rho = np.linspace(1.0, 2.0, 200001)
         chi = smooth_bridge(rho)
         c_bridge = np.max(np.abs(np.diff(chi))) / (rho[1] - rho[0])
-        grads = [cg.to_physical(g).values.real for g in spectral_gradient(phi.field)]
+        grads = [cg.to_physical(g).values.real for g in spectral_gradient(phi)]
         grad_sup = np.max(np.sqrt(sum(g * g for g in grads)))
-        assert grad_sup <= (c_bridge / phi.inner_radius) * 1.05
+        assert grad_sup <= (c_bridge / bump32.support_radius) * 1.05
 
 
 class TestGammaFile:

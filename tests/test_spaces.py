@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cgolab as cg
-from cgolab.errors import SingularModeError
 from cgolab.estimates import _norm_weights
 from cgolab.grid import dealias_23, l2_norm, spectral_gradient, weighted_l2
 from cgolab.spaces import clamp_rule, pair_inverse_symbol_sums, smooth_bridge
@@ -190,11 +189,6 @@ class TestInverse:
         rhs = np.sqrt(np.sum(np.abs(qhat) ** 2 / pabs[kept]) * bump16.grid.measure)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
-    def test_zero_clamp_singular_error(self, bump16, zeta16):
-        # q has mass at xi = 0, where p vanishes
-        with pytest.raises(SingularModeError):
-            self.first_step(bump16, zeta16, clamp_eps=0.0)
-
     def test_drop_policy_zeroes(self, bump16, zeta16):
         psi, rep, _ = self.first_step(bump16, zeta16, clamp_eps=1e-6)
         assert bump16.q_hat.values[0, 0, 0] != 0.0
@@ -233,15 +227,14 @@ class TestInverseSymbolSums:
     @staticmethod
     def oracle(dens, zeta, n, clamp_eps, policy):
         """sum_xi dens(xi) w(xi), |p| = |-|xi|^2 + 2i zeta . xi| built per
-        zeta; exact zeros are dropped when clamp_eps = 0."""
+        zeta."""
         m = np.fft.fftfreq(n, d=1.0 / n)
         xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ zeta.value))
         floor = clamp_eps * np.linalg.norm(zeta.value.real)
-        with np.errstate(divide="ignore"):
-            w = 1.0 / np.maximum(pabs, floor)
-        if policy == "drop" or clamp_eps == 0:
-            w[pabs < floor if clamp_eps > 0 else pabs == 0] = 0.0
+        w = 1.0 / np.maximum(pabs, floor)
+        if policy == "drop":
+            w[pabs < floor] = 0.0
         return np.sum(dens * w)
 
     def check(self, sums, dens, pairs, clamp_eps, policy, rel=1e-13):
@@ -272,26 +265,6 @@ class TestInverseSymbolSums:
                 alone = pair_inverse_symbol_sums(dens, [batch[j]], grid16, 1e-6, "drop")
                 np.testing.assert_allclose(alone[:, 0], together[:, j], rtol=1e-14)
 
-    def test_zero_clamp_drops_empty_zero_modes(self, grid16, pairs, dens):
-        # no density on the zeros of p_1 or p_2 (xi = 0 among them): they
-        # are dropped; density on a zero of either zeta raises
-        pair = pairs[0][0]
-        pabs = [np.abs(lattice_symbol(z, grid16)) for z in (pair.zeta1, pair.zeta2)]
-        empty = (pabs[0] == 0.0) | (pabs[1] == 0.0)
-        row = np.where(empty, 0.0, dens[0])
-        sums = pair_inverse_symbol_sums(row, [pair], grid16, 0.0)
-        self.check(sums, row[None], [pair], 0.0, "floor")
-        with pytest.raises(SingularModeError):
-            pair_inverse_symbol_sums(dens[0], [pair], grid16, 0.0)
-        # p_2 = 0 at xi = (0, -4, 0) while p_1 = -32 there, and the other way
-        # round at (0, 4, 0): mass on either one raises
-        for m in ((0, -4, 0), (0, 4, 0)):
-            assert (pabs[0][m] == 0.0) != (pabs[1][m] == 0.0)
-            hit = row.copy()
-            hit[m] = 1.0
-            with pytest.raises(SingularModeError):
-                pair_inverse_symbol_sums(hit, [pair], grid16, 0.0)
-
     def test_mirror_of_the_origin_is_a_zero(self, grid16):
         # p_1(-k) = p_2(0) = 0; with a floor far under rounding (1e-20 s)
         # both zetas see exactly the floored weight at xi = 0
@@ -302,11 +275,14 @@ class TestInverseSymbolSums:
             sums = pair_inverse_symbol_sums(row, [pair], grid16, 1e-20)
             np.testing.assert_allclose(sums[0, 0], 1e20 / pair.s, rtol=1e-13)
 
-    def test_zero_clamp_selection_raises(self, bump32):
-        # q has mass at xi = 0, where every p vanishes
-        for k in self.KS:
-            with pytest.raises(SingularModeError):
-                cg.select_zeta_sequence([bump32], k, [8.0], 2, seed=0, clamp_eps=0.0)
+    def test_nonpositive_clamp_rejected(self, grid16, pairs, dens, bump32):
+        # a positive clamp is a precondition of the sums and of the
+        # selection built on them
+        for clamp_eps in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError, match="clamp_eps"):
+                pair_inverse_symbol_sums(dens, pairs[1], grid16, clamp_eps)
+            with pytest.raises(ValueError, match="clamp_eps"):
+                cg.select_zeta_sequence([bump32], self.K, [8.0], 2, seed=0, clamp_eps=clamp_eps)
 
     def test_selection_builds_no_symbol_data(self, bump32, monkeypatch):
         # the sums evaluate zeta1's symbol in slabs; no full-lattice symbol
@@ -320,7 +296,7 @@ class TestInverseSymbolSums:
         assert [len(band.samples) for band in selection] == [3, 3]
 
     def test_zero_density_gives_zeros(self, grid16, pairs):
-        sums = pair_inverse_symbol_sums(np.zeros((2,) + grid16.shape), pairs[1], grid16, 0.0)
+        sums = pair_inverse_symbol_sums(np.zeros((2,) + grid16.shape), pairs[1], grid16, 1e-6)
         assert sums.shape == (2, 3, 2) and not sums.any()
 
     def test_rejects_pairs_with_different_k(self, grid16, pairs):
