@@ -103,7 +103,6 @@ def solve_psi(
     if not clamp_eps > 0:
         raise ValueError("clamp_eps must be positive")
     grid = cond.grid
-    qvals = cond.q.values.real
     # p goes once gathered on K; |p| stays for the off-cube defect
     p = lattice_symbol(zeta, grid)
     pabs = np.abs(p)
@@ -147,7 +146,7 @@ def solve_psi(
         if iterations > 1:
             scatter_inverse(psi)
             buf += 1.0
-            buf *= qvals
+            buf *= cond.q.values
             if dealias:
                 cube_transform(grid, buf, "forward")
             else:
@@ -170,7 +169,7 @@ def solve_psi(
     scatter_inverse(psi)
     # fresh product at the returned psi, transformed on the whole lattice
     w = np.add(buf, 1.0)
-    w *= qvals
+    w *= cond.q.values
     np.fft.fftn(w, norm="ortho", out=w)
     res = p_k * psi - w.reshape(-1)[kept]
     w_sq = np.abs(w)

@@ -51,7 +51,7 @@ from .estimates import (
     schur_bound,
     singbound_quadrature,
 )
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, physical_field
 from .potential import make_conductivity, make_cutoff, read_gamma_file
 from .recovery import pairing_weight, recover_fourier_mode, uniqueness_gap
 from .symbol import zeta_pair_from_angle
@@ -188,7 +188,7 @@ def _run_verify_estimates(cfg: ExperimentConfig):
     mq_rep = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values, dealias=cfg.dealias)
     u = draw_colored_field(grid, rng, pair.zeta1, "near_char_1")
     v = draw_colored_field(grid, rng, pair.zeta2, "near_char_1")
-    f_one = make_conductivity(grid, {"kind": "uniform"}).gamma
+    f_one = physical_field(grid, np.ones(grid.shape))
     bil = bilinear_ratio(f_one, pair, u, v, phi, dealias=cfg.dealias)
 
     sb = schur_bound(

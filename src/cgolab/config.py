@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -147,7 +148,8 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a finite float: json parses NaN and Infinity."""
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 def _is_mode(value, d: int) -> bool:
@@ -158,7 +160,7 @@ def _is_mode(value, d: int) -> bool:
 # int stands for a float
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
-    "float": (_is_real, "a number"),
+    "float": (_is_real, "a finite number"),
     "bool": (lambda value: isinstance(value, bool), "true or false"),
     "str": (lambda value: isinstance(value, str), "a string"),
 }

@@ -466,7 +466,7 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
     M a = ifft(q ifft(a / sqrt|p_1|)) / sqrt|p_2| (the unitary DFT is
     symmetric), and its norm is that of M."""
     grid = cond.grid
-    kernel = potential_q(cond).values.real
+    kernel = potential_q(cond).values
     band = grid.dealias_mask if dealias else np.ones(grid.shape, dtype=bool)
     scales = []
     for z in (pair.zeta1, pair.zeta2):
@@ -495,7 +495,7 @@ def _decay_density(
     full lattice, from the half spectrum of a real f.  Each d_j f and its
     product with phi_B is real, so one derivative at a time goes back and
     forth through the real pair; the even density is completed once."""
-    phi = phi_B.values.real
+    phi = phi_B.values
     half_dens = np.zeros(f_half.shape)
     for mult in grid.half_deriv_multipliers:
         prod = real_inverse(grid, f_half * mult)
@@ -520,7 +520,7 @@ def averaged_decay(
     at both paired zetas (trapezoid in s, uniform in angle), with |p|
     floored at the cell scale.
 
-    f must be real (ValueError otherwise).  The density
+    f must be a real physical field (ValueError otherwise).  The density
     sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is built one
     derivative at a time on the half spectrum (_decay_density); with
     dealias=True each product spectrum is cut by the 2/3 rule, so the
@@ -543,10 +543,9 @@ def averaged_decay(
     grid = f.grid
     grid.mode_index(k)
 
-    fp = to_physical(f).values
-    if np.max(np.abs(fp.imag)) > 1e-13 * max(1.0, np.max(np.abs(fp.real))):
-        raise ValueError("averaged_decay needs a real field f")
-    f_half = real_forward(fp.real)
+    if not f.is_physical or np.iscomplexobj(f.values):
+        raise ValueError("averaged_decay needs a real physical field f")
+    f_half = real_forward(f.values)
     dens = _decay_density(grid, f_half, phi_B, dealias)
     # ||f||_{H^theta}^2 on the half spectrum; planes 0 < m_d < n/2 count twice
     f_sq = np.abs(f_half) ** 2

@@ -11,14 +11,14 @@ Conventions, fixed once for the whole package:
   measure is applied to weighted spectral sums, which makes physical and
   spectral L2 norms coincide exactly.
 * Spectral differentiation zeroes the asymmetric Nyquist row m_j = -n/2.
-* Real fields -- gamma, g, log g, q and each derivative of a real
-  field -- take the real transform pair real_forward / real_inverse,
-  which holds the half spectrum: the last axis keeps m_d = 0..n/2
-  (numpy rfftn order, shape (n, ..., n/2 + 1)), the others the full FFT
-  order.  The modes it omits follow from
-  X(-m) = conj X(m), and complete_spectrum restores them where a full
-  FFT-order spectrum is needed.  Multipliers on the half lattice are the
-  [..., :n//2 + 1] slices of the full ones.
+* Real fields -- gamma, g, log g, q, the cutoff, each derivative of a
+  real field -- are float64 arrays.  They take the real transform pair
+  real_forward / real_inverse on the half spectrum: the last axis keeps
+  m_d = 0..n/2 (numpy rfftn order, shape (n, ..., n/2 + 1)), the others
+  the full FFT order.  The modes it omits follow from X(-m) = conj X(m),
+  and complete_spectrum restores them where a full FFT-order spectrum is
+  needed.  Multipliers on the half lattice are the [..., :n//2 + 1]
+  slices of the full ones.
 * Compactly supported data is expected to live in the ball of radius
   L/4 around the torus centre (L/2, ..., L/2), keeping periodization
   error at spectral accuracy.
@@ -65,8 +65,8 @@ class FrequencyGrid:
             raise ValueError("grid dimension d must be >= 2")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError("points per axis n must be even and >= 8")
-        if not self.L > 0:
-            raise ValueError("period L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError("period L must be positive and finite")
 
     @property
     def h(self) -> float:
@@ -186,7 +186,8 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Field:
-    """A scalar complex function on the grid, physical or spectral."""
+    """A scalar function on the grid, physical or spectral: float64 for real
+    physical values, else complex128 (cast, and copied, only if the dtype differs)."""
 
     grid: FrequencyGrid
     representation: str
@@ -195,7 +196,8 @@ class Field:
     def __post_init__(self):
         if self.representation not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown representation {self.representation!r}")
-        vals = np.ascontiguousarray(self.values, dtype=complex)
+        real = self.representation == PHYSICAL and not np.iscomplexobj(self.values)
+        vals = np.ascontiguousarray(self.values, dtype=float if real else complex)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         vals.flags.writeable = False
@@ -218,11 +220,11 @@ class Field:
 
 
 def physical_field(grid: FrequencyGrid, values) -> Field:
-    return Field(grid, PHYSICAL, np.asarray(values, dtype=complex))
+    return Field(grid, PHYSICAL, values)
 
 
 def spectral_field(grid: FrequencyGrid, values) -> Field:
-    return Field(grid, SPECTRAL, np.asarray(values, dtype=complex))
+    return Field(grid, SPECTRAL, values)
 
 
 def exp_ik_field(grid: FrequencyGrid, k) -> Field:
@@ -254,8 +256,8 @@ def transform(f: Field, direction: str) -> Field:
         fn, representation = np.fft.ifftn, PHYSICAL
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    # one output for all axes; without out= numpy allocates one per axis
-    out = fn(f.values, norm="ortho", out=np.empty_like(f.values))
+    # one complex output for all axes; without out= numpy allocates one per axis
+    out = fn(f.values, norm="ortho", out=np.empty(f.grid.shape, dtype=complex))
     return Field(f.grid, representation, out)
 
 

@@ -28,7 +28,8 @@ Shipped profile families (amplitude a, centred at the torus centre):
 
 Non-smooth profiles ("c1_cap", "cone") are pre-mollified at width 2h
 before any spectral differentiation; the width is recorded on the
-Conductivity.
+Conductivity.  gamma, g, log g, q, mollified fields and the cutoff are
+float64 Fields; q_hat, the spectrum of q, is complex.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .grid import (
     Field,
     FrequencyGrid,
@@ -74,23 +75,23 @@ class Conductivity:
     @cached_property
     def lipschitz_seminorm(self) -> float:
         """sup |grad log gamma| with the spectral gradient."""
-        return _grad_log_sup(self.grid, self.gamma.values.real)
+        return _grad_log_sup(self.grid, self.gamma.values)
 
-    @cached_property
+    @property
     def g(self) -> Field:
-        """gamma^{1/2}, physical representation."""
-        return physical_field(self.grid, np.sqrt(self.gamma.values.real))
+        """gamma^{1/2}, physical representation (formed on each read)."""
+        return physical_field(self.grid, np.sqrt(self.gamma.values))
 
     @cached_property
     def log_g(self) -> Field:
-        return physical_field(self.grid, 0.5 * np.log(self.gamma.values.real))
+        return physical_field(self.grid, 0.5 * np.log(self.gamma.values))
 
     @cached_property
     def q(self) -> Field:
         """q = (Lap g)/g with the spectral Laplacian; real, ball-supported.
         The Laplacian multiplier is -sum_j xi_j^2 with Nyquist rows zeroed,
         applied on the half spectrum of g."""
-        g = self.g.values.real
+        g = self.g.values
         half = real_forward(g)
         half *= -sum(mult.imag ** 2 for mult in self.grid.half_deriv_multipliers)
         return physical_field(self.grid, real_inverse(self.grid, half) / g)
@@ -99,12 +100,11 @@ class Conductivity:
     def q_hat(self) -> Field:
         """q in the spectral representation: transformed once on the half
         spectrum and completed to the full lattice."""
-        half = real_forward(self.q.values.real)
+        half = real_forward(self.q.values)
         return spectral_field(self.grid, complete_spectrum(self.grid, half))
 
 
-def _validate_gamma(grid: FrequencyGrid, values: np.ndarray, support_radius: float):
-    vals = values.real
+def _validate_gamma(grid: FrequencyGrid, vals: np.ndarray, support_radius: float):
     if np.min(vals) <= 0:
         raise DomainError("conductivity must be strictly positive")
     if support_radius > grid.L / 4.0 + 1e-12:
@@ -133,25 +133,29 @@ def conductivity_from_array(
     smoothness_class: str = "smooth",
     premollify: bool = False,
 ) -> Conductivity:
-    """Build and validate a conductivity from raw grid values."""
+    """Build and validate a conductivity from a copy of raw grid values: a
+    complex input must be real to 1e-13 relative, and every value finite."""
     if smoothness_class not in SMOOTHNESS_CLASSES:
         raise DomainError(f"unknown smoothness class {smoothness_class!r}")
-    vals = np.asarray(values, dtype=complex)
-    if np.max(np.abs(vals.imag)) > 1e-13 * max(1.0, np.max(np.abs(vals.real))):
-        raise DomainError("conductivity must be real")
+    vals = np.asarray(values)
+    if np.iscomplexobj(vals):
+        if np.max(np.abs(vals.imag)) > 1e-13 * max(1.0, np.max(np.abs(vals.real))):
+            raise DomainError("conductivity must be real")
+        vals = vals.real
+    vals = np.array(vals, dtype=float)  # a Field makes its values read-only
+    bad = vals.size - np.count_nonzero(np.isfinite(vals))
+    if bad:
+        raise DomainError(f"conductivity has {bad} non-finite values")
     width = 0.0
-    field = physical_field(grid, vals)
     if premollify:
         width = 2.0 * grid.h
-        # real to rounding by the check above; mollify takes it exactly real
-        field = mollify(physical_field(grid, vals.real), width)
+        vals = mollify(physical_field(grid, vals), width).values
         support_radius = support_radius + width
-        vals = field.values
     _validate_gamma(grid, vals, support_radius)
     return Conductivity(
-        gamma=field,
+        gamma=physical_field(grid, vals),
         support_radius=float(support_radius),
-        lower_bound=float(np.min(vals.real)),
+        lower_bound=float(np.min(vals)),
         smoothness_class=smoothness_class,
         mollification_width=width,
     )
@@ -232,8 +236,8 @@ def _bump_spectrum(grid: FrequencyGrid, eps: float) -> np.ndarray:
 
 
 def mollify(f: Field, eps: float) -> Field:
-    """Convolve a real physical field with the unit-mass bump of width eps
-    (spectrally, through the real transforms); the result is exactly real.
+    """Convolve a real physical field (ValueError otherwise) with the
+    unit-mass bump of width eps, spectrally through the real transforms.
 
     Below the grid scale (eps < 2h) mollification is a documented no-op
     and emits a warning.  The mean of f is preserved exactly.  The bump's
@@ -247,10 +251,10 @@ def mollify(f: Field, eps: float) -> Field:
             stacklevel=2,
         )
         return f
-    if not f.is_physical or f.values.imag.any():
+    if not f.is_physical or np.iscomplexobj(f.values):
         raise ValueError("mollify takes a real physical field")
     spec = _bump_spectrum(grid, eps)
-    conv = np.fft.irfftn(np.fft.rfftn(f.values.real) * spec, s=grid.shape, axes=tuple(range(grid.d)))
+    conv = np.fft.irfftn(np.fft.rfftn(f.values) * spec, s=grid.shape, axes=tuple(range(grid.d)))
     return physical_field(grid, conv * grid.measure)
 
 
@@ -277,17 +281,24 @@ def write_gamma_file(path, cond: Conductivity):
     grid = cond.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(grid.d, grid.n, grid.L))
-        cond.gamma.values.real.astype("<f8").tofile(fh)
+        cond.gamma.values.astype("<f8").tofile(fh)
 
 
 def read_gamma_file(path, smoothness_class: str = "smooth", premollify: bool = False) -> Conductivity:
     path = Path(path)
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read gamma file {path}: {exc.strerror or exc}") from exc
+    with fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise DomainError(f"{path}: truncated header")
         d, n, L = _HEADER.unpack(header)
-        grid = FrequencyGrid(d=int(d), n=int(n), L=float(L))
+        try:
+            grid = FrequencyGrid(d=int(d), n=int(n), L=float(L))
+        except ValueError as exc:
+            raise DomainError(f"{path}: header names no valid grid: {exc}") from exc
         data = np.fromfile(fh, dtype="<f8", count=grid.size)
     if data.size != grid.size:
         raise DomainError(f"{path}: expected {grid.size} samples, found {data.size}")

@@ -110,8 +110,7 @@ def pairing_weight(cond: Conductivity, k, phi: Field) -> PairingWeight:
     k = np.asarray(k, dtype=float)
     q = cond.q
     e_k = exp_ik_field(grid, k)  # validates k on the lattice
-    phi_vals = phi.values.real
-    w = e_k.values * (q.values.real * phi_vals * phi_vals * grid.measure)
+    w = e_k.values * (q.values * phi.values * phi.values * grid.measure)
     term_main = complex(np.sum(w))
 
     main_oracle = pairing(q, e_k)  # fourier_mode(q, k), with the plane wave at hand

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import cgolab.cli
 import cgolab.errors
 import cgolab.recovery
-from cgolab.cli import EXIT_CONFIG, build_parser, main
+from cgolab.cli import EXIT_CONFIG, EXIT_GEOMETRY, build_parser, main
 from cgolab.config import ExperimentConfig, GridConfig, ProfileConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,6 +86,79 @@ def test_wrong_typed_field_exits_before_computing(field, config, tmp_path, capsy
     out = tmp_path / "out"
     assert main(["solve-cgo", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["solve-cgo", "verify-estimates"])
+@pytest.mark.parametrize(
+    "field, config",
+    [
+        ("angle", {"angle": float("nan")}),
+        ("angle", {"angle": float("inf")}),
+        ("s", {"s": -float("inf")}),
+        ("tol", {"tol": float("inf")}),
+        ("grid.L", {"grid": {"L": float("inf")}}),
+        ("profiles[0].amplitude", {"profiles": [{"amplitude": float("nan")}]}),
+        ("profiles[0].radius", {"profiles": [{"kind": "cone", "radius": float("nan")}]}),
+        ("bands", {"bands": [8.0, float("inf")]}),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_non_finite_number_exits_before_computing(subcommand, field, config, tmp_path, capsys, monkeypatch):
+    # json parses NaN and Infinity, and NaN compares false with every bound
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed on a non-finite number")
+
+    monkeypatch.setattr(cgolab.cli, "_grid", forbidden)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"n": 16}, **config}))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _write_gamma(path, d, n, values=None, L=2.0 * np.pi):
+    """A raw gamma file: uint32 d, uint32 n, float64 L, then the values."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IId", d, n, L))
+        if values is not None:
+            np.asarray(values, dtype="<f8").tofile(fh)
+
+
+@pytest.mark.parametrize("subcommand", ["select-zeta", "solve-cgo"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_gamma_file_exits_before_computing(subcommand, bad, tmp_path, capsys):
+    # NaN compares false with every bound; inf is positive
+    gamma = np.ones((16,) * 3)
+    gamma[8, 8, 8] = bad
+    path = tmp_path / "gamma.bin"
+    _write_gamma(path, 3, 16, gamma)
+    config = {"grid": {"n": 16}, "profiles": [{"kind": "file", "path": str(path)}]}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(tmp_path / "c.json"), "--out", str(out)]) == EXIT_GEOMETRY
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "header, code, message",
+    [(None, EXIT_CONFIG, "missing.bin"), ((3, 15, 1.0), EXIT_GEOMETRY, "n must be even"),
+     ((1, 16, 1.0), EXIT_GEOMETRY, "dimension d"), ((3, 16, np.inf), EXIT_GEOMETRY, "period L")],
+    ids=["missing", "odd-n", "d1", "infinite-L"],
+)
+def test_bad_gamma_file_exits_without_traceback(header, code, message, tmp_path, capsys):
+    path = tmp_path / "missing.bin"
+    if header is not None:
+        d, n, L = header
+        _write_gamma(path, d, n, np.ones(n ** d), L)
+    config = {"grid": {"n": 16}, "profiles": [{"kind": "file", "path": str(path)}]}
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["select-zeta", "--config", str(tmp_path / "c.json"), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
     assert not out.exists()
 
 

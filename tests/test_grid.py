@@ -186,6 +186,9 @@ class TestFieldAlgebra:
             cg.FrequencyGrid(1, 16, TWO_PI)
         with pytest.raises(ValueError):
             cg.FrequencyGrid(3, 16, -1.0)
+        for period in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="period L"):
+                cg.FrequencyGrid(3, 16, period)
 
     def test_lattice_negation_closure_except_nyquist(self, grid16):
         modes = grid16.mode_axis
@@ -215,3 +218,36 @@ class TestFieldAlgebra:
         f = cg.physical_field(grid16, np.ones(grid16.shape))
         with pytest.raises(TypeError):
             f * f
+
+
+class TestDtypeRule:
+    """Real physical data is held as float64; spectral and complex data as
+    complex128."""
+
+    def test_only_real_physical_data_is_float64(self, grid16):
+        real = np.random.default_rng(1).standard_normal(grid16.shape)
+        f = cg.physical_field(grid16, real)
+        assert f.values.dtype == np.float64
+        assert np.shares_memory(f.values, real)  # cast only when the dtype differs
+        assert cg.spectral_field(grid16, real).values.dtype == np.complex128
+        assert cg.Field(grid16, "spectral", real).values.dtype == np.complex128
+        assert random_field(grid16, 1).values.dtype == np.complex128
+        wave = cg.exp_ik_field(grid16, grid16.lattice_frequency([1, 0, 2]))
+        assert wave.values.dtype == np.complex128
+        assert (f * 1j).values.dtype == np.complex128
+
+    def test_transform_of_a_real_field_is_complex(self, grid16):
+        f = cg.physical_field(grid16, np.random.default_rng(2).standard_normal(grid16.shape))
+        assert f.values.dtype == np.float64
+        fs = cg.transform(f, "forward")
+        assert fs.values.dtype == np.complex128
+        assert cg.transform(fs, "inverse").values.dtype == np.complex128
+
+    @pytest.mark.parametrize("d, n", [(3, 16), (3, 32), (2, 16)])
+    def test_real_forward_bit_identical_to_complex_cast(self, d, n):
+        grid = cg.FrequencyGrid(d, n, TWO_PI)
+        real = np.random.default_rng(n).standard_normal(grid.shape)
+        f = cg.physical_field(grid, real)
+        assert f.values.dtype == np.float64
+        expected = np.fft.fftn(real.astype(complex), norm="ortho")
+        np.testing.assert_array_equal(cg.transform(f, "forward").values, expected)

@@ -81,6 +81,31 @@ class TestProfiles:
         real = conductivity_from_array(grid32, vals, 1.0, premollify=True)
         np.testing.assert_array_equal(cond.gamma.values, real.gamma.values)
 
+    @pytest.mark.parametrize("premollify", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["centre", "corner"])
+    def test_non_finite_gamma_rejected_before_computing(self, grid32, premollify, bad, where, monkeypatch):
+        # NaN compares false with every bound, so the positivity and support
+        # tests alone let it through
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mollified a non-finite gamma")
+
+        monkeypatch.setattr(cg.potential, "mollify", forbidden)
+        vals = np.where(grid32.radius_from_center < 1.0, 1.2, 1.0)
+        vals[(grid32.n // 2,) * 3 if where == "centre" else (0, 0, 0)] = bad
+        with pytest.raises(DomainError, match="1 non-finite"):
+            conductivity_from_array(grid32, vals, 1.0, premollify=premollify)
+
+    @pytest.mark.parametrize("premollify", [False, True])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_caller_array_stays_writable(self, grid32, premollify, dtype):
+        # the conductivity holds its own copy; the caller's array is not made read-only
+        vals = np.where(grid32.radius_from_center < 1.0, 1.2, 1.0).astype(dtype)
+        cond = conductivity_from_array(grid32, vals, 1.0, premollify=premollify)
+        assert vals.flags.writeable
+        assert not np.shares_memory(vals, cond.gamma.values)
+        assert cond.gamma.values.dtype == np.float64
+
     def test_support_guard(self, grid32):
         vals = 1.0 + 0.1 * np.ones(grid32.shape)  # deviates everywhere
         with pytest.raises(DomainError):
@@ -242,6 +267,25 @@ class TestRealPath:
         out = mollify(cg.physical_field(grid, f), eps).values
         assert not out.imag.any()
         self.close(out, np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(bump)).real * grid.measure)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"kind": "gaussian", "amplitude": 0.05, "width": 0.3},
+        {"kind": "cone", "amplitude": 0.5, "radius": 1.1},
+    ],
+    ids=["gaussian", "cone"],
+)
+def test_real_data_is_float64_and_q_hat_complex(grid32, profile):
+    cond = cg.make_conductivity(grid32, profile)
+    real = {
+        "gamma": cond.gamma, "g": cond.g, "log_g": cond.log_g, "q": cond.q,
+        "potential_q": cg.potential_q(cond), "cutoff": cg.make_cutoff(cond),
+        "mollify": mollify(cond.gamma, 4 * grid32.h),
+    }
+    assert {name: f.values.dtype for name, f in real.items()} == {name: np.float64 for name in real}
+    assert cond.q_hat.values.dtype == np.complex128
 
 
 class TestMollify:

@@ -11,6 +11,8 @@ import cgolab as cg
 from cgolab.potential import _grad_log_sup
 from cgolab.symbol import lattice_symbol
 
+from conftest import BUMP_AMPLITUDE, BUMP_WIDTH
+
 
 class _Calls(list):
     """Names of the transforms made, in order.  work holds one
@@ -138,6 +140,26 @@ class TestSolverMemory:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+
+class TestConductivityMemory:
+    def test_n64_conductivity_with_q_q_hat_and_cutoff_holds_10_mib(self, bump64):
+        # float64 gamma, q and cutoff (2 MiB each) and the complex q_hat
+        # (4 MiB) hold 10.0 MiB; 20.0 MiB when every real field was held
+        # complex and g was cached
+        grid = bump64.grid
+        grid.radius_from_center, grid.deriv_multipliers  # the grid's cached arrays
+        profile = {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH}
+        tracemalloc.start()
+        try:
+            cond = cg.make_conductivity(grid, profile)
+            cond.q, cond.q_hat
+            phi = cg.make_cutoff(cond)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert phi.values.size == cond.q.values.size == grid.size
+        assert held <= 10.5 * 2 ** 20
 
 
 class TestSymbolData:
