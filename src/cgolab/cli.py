@@ -4,10 +4,18 @@ Subcommands: solve-cgo, select-zeta, verify-estimates, averaged-decay,
 singbound, recover, uniqueness-gap.
 
 Every run writes a JSON report (full diagnostics) and CSV tables into
-<out>/<subcommand>_<confighash>/; numeric CSV cells are printed with 15
-significant digits, so identical config + seed reproduces the CSV bytes
-on the same platform.  Outputs are written only after the computation
-finishes; a failed run leaves no partial output directory.
+<out>/<subcommand>_<confighash>/.  One record per row: each CSV table is
+a column view of records in the report's "result" block, naming the
+fields it shows in column order.  The sample tables of select-zeta and
+verify-estimates take the inner sample records with their parent's key
+merged in (band, estimate_id); select-zeta's "selected" marks the sample
+whose s and objective are its band's.  A complex field becomes two columns
+<name>_re and <name>_im, a list (a k vector) one cell joined with ";", a
+dict one cell of sorted-key JSON, and None an empty cell.  Numeric CSV
+cells are printed with 15 significant digits, so identical config + seed
+reproduces the CSV bytes on the same platform.  Outputs are written only
+after the computation finishes; a failed run leaves no partial output
+directory.
 
 Exit codes: 0 ok, 1 other package error, 2 config error, 3 infeasible
 geometry (incl. frame and domain errors), 4 divergence / non-convergence.
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -79,9 +88,23 @@ def _fmt(x) -> str:
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".15g")
-    if isinstance(x, complex):
-        return f"{x.real:.15g}{x.imag:+.15g}j"
     return str(x)
+
+
+def _cells(record, columns):
+    """The CSV cells of one record as (column, cell) pairs, in column order."""
+    cells = []
+    for name in columns:
+        value = record[name]
+        if isinstance(value, complex):
+            cells += [(f"{name}_re", _fmt(value.real)), (f"{name}_im", _fmt(value.imag))]
+        elif isinstance(value, list):
+            cells.append((name, ";".join(_fmt(x) for x in value)))
+        elif isinstance(value, dict):
+            cells.append((name, json.dumps(value, sort_keys=True)))
+        else:
+            cells.append((name, "" if value is None else _fmt(value)))
+    return cells
 
 
 def _grid(cfg: ExperimentConfig) -> FrequencyGrid:
@@ -110,6 +133,9 @@ def _json_default(obj):
 
 
 # -- runners ------------------------------------------------------------------
+# Each runner returns (result, tables): result is the report's "result"
+# block, and tables maps a CSV name to (columns, records), the records being
+# dicts whose named fields are that table's cells.
 
 
 def _run_solve_cgo(cfg: ExperimentConfig):
@@ -121,33 +147,16 @@ def _run_solve_cgo(cfg: ExperimentConfig):
         cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter,
         clamp_eps=cfg.clamp_eps, dealias=cfg.dealias,
     )
-    if not rep.converged:
-        raise NotContractiveError(
-            rep.contraction_estimates[-1] if rep.contraction_estimates else float("nan"),
-            f"no convergence within {cfg.max_iter} iterations",
-        )
-    payload = {
-        "s": cfg.s,
-        "angle": cfg.angle,
-        "iterations": rep.iterations,
-        "converged": rep.converged,
-        "residual_xdot": rep.residual_xdot,
-        "psi_norm_xdot": rep.psi_norm_xdot,
-        "final_increment": rep.final_increment,
-        "clamped_count": rep.clamped_count,
-        "clamped_mass": rep.clamped_mass,
-        "dealias_defect": rep.dealias_defect,
-        "contraction_estimates": rep.contraction_estimates,
-        "psi_sup": float(np.max(np.abs(psi.values))),
-    }
-    header = [
-        "iterations", "converged", "residual_xdot", "psi_norm_xdot",
-        "final_increment", "clamped_mass", "final_ratio",
-    ]
     final_ratio = rep.contraction_estimates[-1] if rep.contraction_estimates else float("nan")
-    rows = [[rep.iterations, rep.converged, rep.residual_xdot, rep.psi_norm_xdot,
-             rep.final_increment, rep.clamped_mass, final_ratio]]
-    return payload, {"solve": (header, rows)}
+    if not rep.converged:
+        raise NotContractiveError(final_ratio, f"no convergence within {cfg.max_iter} iterations")
+    result = {
+        "s": cfg.s, "angle": cfg.angle, **dataclasses.asdict(rep),
+        "final_ratio": final_ratio, "psi_sup": float(np.max(np.abs(psi.values))),
+    }
+    columns = ["iterations", "converged", "residual_xdot", "psi_norm_xdot",
+               "final_increment", "clamped_mass", "final_ratio"]
+    return result, {"solve": (columns, [result])}
 
 
 def _run_select_zeta(cfg: ExperimentConfig):
@@ -157,23 +166,16 @@ def _run_select_zeta(cfg: ExperimentConfig):
     sels = select_zeta_sequence(
         conds, k, cfg.bands, cfg.samples_per_band, cfg.seed, cfg.clamp_eps
     )
-    payload = {"bands": []}
-    rows = []
-    for sel in sels:
-        payload["bands"].append(
-            {
-                "lambda": sel.lam,
-                "objective": sel.objective,
-                "s": sel.pair.s,
-                "samples": [
-                    {"s": s, "angle": a, "objective": d} for (s, a, d) in sel.samples
-                ],
-            }
-        )
-        for (s, a, d) in sel.samples:
-            rows.append([sel.lam, s, a, d, int(s == sel.pair.s and d == sel.objective)])
-    header = ["band", "s", "angle", "objective", "selected"]
-    return payload, {"samples": (header, rows)}
+    bands = [
+        {"lambda": sel.lam, "objective": sel.objective, "s": sel.pair.s,
+         "samples": [{"s": s, "angle": a, "objective": d} for (s, a, d) in sel.samples]}
+        for sel in sels
+    ]
+    samples = [
+        {**x, "band": b["lambda"], "selected": int(x["s"] == b["s"] and x["objective"] == b["objective"])}
+        for b in bands for x in b["samples"]
+    ]
+    return {"bands": bands}, {"samples": (["band", "s", "angle", "objective", "selected"], samples)}
 
 
 def _run_verify_estimates(cfg: ExperimentConfig):
@@ -199,33 +201,18 @@ def _run_verify_estimates(cfg: ExperimentConfig):
         seed=cfg.seed,
     )
 
-    rows = []
-    payload = {"estimates": [], "bilinear_linf": bil,
-               "schur": {"value": sb.value, "operator_norm": sb.operator_norm}}
-    for rep in reports + [mq_rep]:
-        payload["estimates"].append(
-            {
-                "estimate_id": rep.estimate_id,
-                "max_ratio": rep.max_ratio,
-                "trend": rep.trend,
-                "samples": [
-                    {"params": s.params, "lhs": s.lhs, "rhs": s.rhs, "ratio": s.ratio}
-                    for s in rep.samples
-                ],
-            }
-        )
-        for s in rep.samples:
-            rows.append(
-                [rep.estimate_id, json.dumps(s.params, sort_keys=True), s.lhs, s.rhs, s.ratio]
-            )
-    header = ["estimate_id", "params", "lhs", "rhs", "ratio"]
-    summary = [
-        [rep.estimate_id, rep.max_ratio, "" if rep.trend is None else rep.trend]
+    estimates = [
+        {"estimate_id": rep.estimate_id, "max_ratio": rep.max_ratio, "trend": rep.trend,
+         "samples": [{"params": s.params, "lhs": s.lhs, "rhs": s.rhs, "ratio": s.ratio}
+                     for s in rep.samples]}
         for rep in reports + [mq_rep]
     ]
-    return payload, {
-        "samples": (header, rows),
-        "summary": (["estimate_id", "max_ratio", "trend"], summary),
+    result = {"estimates": estimates, "bilinear_linf": bil,
+              "schur": {"value": sb.value, "operator_norm": sb.operator_norm}}
+    samples = [{**x, "estimate_id": e["estimate_id"]} for e in estimates for x in e["samples"]]
+    return result, {
+        "samples": (["estimate_id", "params", "lhs", "rhs", "ratio"], samples),
+        "summary": (["estimate_id", "max_ratio", "trend"], estimates),
     }
 
 
@@ -237,21 +224,10 @@ def _run_averaged_decay(cfg: ExperimentConfig):
     rep = averaged_decay(
         cond.log_g, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi, dealias=cfg.dealias
     )
-    rows = [
-        [
-            s.params["lambda"],
-            s.params["A"],
-            s.params["A_over_lambda"],
-            s.params["normalized_theta_0"],
-            s.params["normalized_theta_0.5"],
-            s.params["normalized_theta_1"],
-        ]
-        for s in rep.samples
-    ]
-    header = ["lambda", "A", "A_over_lambda", "normalized_theta_0",
-              "normalized_theta_0.5", "normalized_theta_1"]
-    payload = {"trend": rep.trend, "bands": [dict(s.params) for s in rep.samples]}
-    return payload, {"bands": (header, rows)}
+    bands = [dict(s.params) for s in rep.samples]
+    columns = ["lambda", "A", "A_over_lambda", "normalized_theta_0",
+               "normalized_theta_0.5", "normalized_theta_1"]
+    return {"trend": rep.trend, "bands": bands}, {"bands": (columns, bands)}
 
 
 def _run_singbound(cfg: ExperimentConfig):
@@ -265,11 +241,13 @@ def _run_singbound(cfg: ExperimentConfig):
         pair = zeta_pair_from_angle(k, float(s), cfg.angle)
         etas = rng.normal(size=(per_s + (i < extra), grid.d)) * s
         values = singbound_quadrature(pair.zeta1, etas, cfg.singbound_m, grid)
-        for trial, (eta, val) in enumerate(zip(etas, values)):
-            rows.append([float(s), trial, cfg.singbound_m, *(float(e) for e in eta), float(val)])
-    header = ["s", "trial", "M", *[f"eta_{j}" for j in range(grid.d)], "value"]
-    payload = {"rows": [dict(zip(header, r)) for r in rows]}
-    return payload, {"singbound": (header, rows)}
+        rows += [
+            {"s": float(s), "trial": trial, "M": cfg.singbound_m,
+             **{f"eta_{j}": float(e) for j, e in enumerate(eta)}, "value": float(val)}
+            for trial, (eta, val) in enumerate(zip(etas, values))
+        ]
+    columns = ["s", "trial", "M", *[f"eta_{j}" for j in range(grid.d)], "value"]
+    return {"rows": rows}, {"singbound": (columns, rows)}
 
 
 def _run_recover(cfg: ExperimentConfig):
@@ -281,8 +259,7 @@ def _run_recover(cfg: ExperimentConfig):
     # every mode's main-term gate runs before any mode is solved
     phi = make_cutoff(cond)
     weights = [pairing_weight(cond, k, phi) for k in ks]
-    rows = []
-    payload = {"modes": []}
+    modes = []
     for mode, k, weight in zip(k_modes, ks, weights):
         recovered, diag = recover_fourier_mode(
             cond, k, band,
@@ -291,47 +268,24 @@ def _run_recover(cfg: ExperimentConfig):
             weight=weight, dealias=cfg.dealias,
         )
         bd = diag.breakdown
-        rows.append(
-            [
-                ";".join(_fmt(x) for x in k),
-                band,
-                recovered.real,
-                recovered.imag,
-                diag.oracle.real,
-                diag.oracle.imag,
-                abs(bd.term_linear),
-                abs(bd.term_bilinear),
-                diag.clamped_mass,
-            ]
-        )
-        payload["modes"].append(
-            {
-                "k_mode": list(mode),
-                "k": list(k),
-                "recovered": recovered,
-                "oracle": diag.oracle,
-                "term_main": bd.term_main,
-                "term_linear": bd.term_linear,
-                "term_bilinear": bd.term_bilinear,
-                "error_bar": diag.error_bar,
-                "selected_s": bd.zeta_pair.s,
-                "solver_iterations": [diag.report1.iterations, diag.report2.iterations],
-                "clamped_mass": diag.clamped_mass,
-            }
-        )
-    header = [
-        "k", "band", "recovered_re", "recovered_im", "oracle_re", "oracle_im",
-        "err_linear", "err_bilinear", "clamped_mass",
-    ]
-    return payload, {"recover": (header, rows)}
+        modes.append({
+            "k_mode": list(mode), "k": list(k), "band": band,
+            "recovered": recovered, "oracle": diag.oracle,
+            "term_main": bd.term_main, "term_linear": bd.term_linear, "term_bilinear": bd.term_bilinear,
+            "err_linear": abs(bd.term_linear), "err_bilinear": abs(bd.term_bilinear),
+            "error_bar": diag.error_bar, "selected_s": bd.zeta_pair.s,
+            "solver_iterations": [diag.report1.iterations, diag.report2.iterations],
+            "clamped_mass": diag.clamped_mass,
+        })
+    columns = ["k", "band", "recovered", "oracle", "err_linear", "err_bilinear", "clamped_mass"]
+    return {"modes": modes}, {"recover": (columns, modes)}
 
 
 def _run_uniqueness_gap(cfg: ExperimentConfig):
+    if len(cfg.profiles) != 2:
+        raise ConfigError(f"uniqueness-gap needs exactly two profiles, got {len(cfg.profiles)}")
     grid = _grid(cfg)
-    if len(cfg.profiles) < 2:
-        raise ConfigError("uniqueness-gap needs two profiles")
-    cond1 = _conductivity(grid, cfg.profiles[0])
-    cond2 = _conductivity(grid, cfg.profiles[1])
+    cond1, cond2 = (_conductivity(grid, p) for p in cfg.profiles)
     band = float(cfg.bands[-1])
     k_modes = cfg.k_modes or [cfg.k_mode]
     k_set = [grid.lattice_frequency(m) for m in k_modes]
@@ -341,31 +295,9 @@ def _run_uniqueness_gap(cfg: ExperimentConfig):
         tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
         dealias=cfg.dealias,
     )
-    rows = []
-    payload = {"rows": []}
-    for r in table:
-        rows.append(
-            [
-                ";".join(_fmt(x) for x in r.k),
-                r.band,
-                r.pairing1.real, r.pairing1.imag,
-                r.pairing2.real, r.pairing2.imag,
-                r.gap, r.qhat_gap, r.error_bar,
-            ]
-        )
-        payload["rows"].append(
-            {
-                "k": list(r.k), "band": r.band,
-                "pairing1": r.pairing1, "pairing2": r.pairing2,
-                "gap": r.gap, "qhat1": r.qhat1, "qhat2": r.qhat2,
-                "qhat_gap": r.qhat_gap, "error_bar": r.error_bar,
-            }
-        )
-    header = [
-        "k", "band", "pairing1_re", "pairing1_im", "pairing2_re", "pairing2_im",
-        "gap", "qhat_gap", "error_bar",
-    ]
-    return payload, {"gap": (header, rows)}
+    rows = [{**dataclasses.asdict(r), "k": list(r.k)} for r in table]
+    columns = ["k", "band", "pairing1", "pairing2", "gap", "qhat_gap", "error_bar"]
+    return {"rows": rows}, {"gap": (columns, rows)}
 
 
 _RUNNERS = {
@@ -379,7 +311,7 @@ _RUNNERS = {
 }
 
 
-def _write_outputs(cfg, subcommand, payload, tables, elapsed):
+def _write_outputs(cfg, subcommand, result, tables, elapsed):
     out_root = Path(os.environ.get("CGOLAB_OUT", cfg.out_dir))
     chash = config_hash(cfg)
     run_dir = out_root / f"{subcommand.replace('-', '_')}_{chash}"
@@ -393,19 +325,20 @@ def _write_outputs(cfg, subcommand, payload, tables, elapsed):
             "config": config_to_dict(cfg),
             "seed": cfg.seed,
             "wall_time_s": elapsed,
-            "result": payload,
+            "result": result,
         }
         path = run_dir / "report.json"
         path.write_text(json.dumps(report, indent=2, default=_json_default, sort_keys=True))
         written.append(path)
     if cfg.out_format in ("csv", "both"):
-        for name, (header, rows) in tables.items():
+        for name, (columns, records) in tables.items():
+            # every table has a row: validation makes each list it spans nonempty
+            rows = [_cells(record, columns) for record in records]
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow([f"# config_hash={chash}", f"version={__version__}"])
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
+            writer.writerow([column for column, _ in rows[0]])
+            writer.writerows([cell for _, cell in row] for row in rows)
             path = run_dir / f"{name}.csv"
             path.write_text(buf.getvalue())
             written.append(path)
@@ -437,9 +370,9 @@ def main(argv=None) -> int:
             cfg.out_format = args.format
         cfg.validate()
         started = time.perf_counter()
-        payload, tables = _RUNNERS[args.subcommand](cfg)
+        result, tables = _RUNNERS[args.subcommand](cfg)
         elapsed = time.perf_counter() - started
-        run_dir, written = _write_outputs(cfg, args.subcommand, payload, tables, elapsed)
+        run_dir, written = _write_outputs(cfg, args.subcommand, result, tables, elapsed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -299,10 +299,13 @@ def read_gamma_file(path, smoothness_class: str = "smooth", premollify: bool = F
             grid = FrequencyGrid(d=int(d), n=int(n), L=float(L))
         except ValueError as exc:
             raise DomainError(f"{path}: header names no valid grid: {exc}") from exc
-        data = np.fromfile(fh, dtype="<f8", count=grid.size)
-    if data.size != grid.size:
-        raise DomainError(f"{path}: expected {grid.size} samples, found {data.size}")
-    vals = data.reshape(grid.shape)
+        # the whole payload, so data past the last sample is not silently dropped
+        payload = fh.read()
+    if len(payload) != 8 * grid.size:
+        raise DomainError(
+            f"{path}: expected {grid.size} samples ({8 * grid.size} bytes), found {len(payload)} bytes"
+        )
+    vals = np.frombuffer(payload, dtype="<f8").reshape(grid.shape)
     # derive the smallest admissible support radius from the data
     dev = np.abs(vals - 1.0) > _SUPPORT_TOL
     if dev.any():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import struct
@@ -144,15 +145,17 @@ def test_non_finite_gamma_file_exits_before_computing(subcommand, bad, tmp_path,
 
 @pytest.mark.parametrize(
     "header, code, message",
-    [(None, EXIT_CONFIG, "missing.bin"), ((3, 15, 1.0), EXIT_GEOMETRY, "n must be even"),
-     ((1, 16, 1.0), EXIT_GEOMETRY, "dimension d"), ((3, 16, np.inf), EXIT_GEOMETRY, "period L")],
-    ids=["missing", "odd-n", "d1", "infinite-L"],
+    [(None, EXIT_CONFIG, "missing.bin"), ((3, 15, 1.0, 0), EXIT_GEOMETRY, "n must be even"),
+     ((1, 16, 1.0, 0), EXIT_GEOMETRY, "dimension d"), ((3, 16, np.inf, 0), EXIT_GEOMETRY, "period L"),
+     ((3, 16, 1.0, 5), EXIT_GEOMETRY, "expected 4096 samples (32768 bytes), found 32808 bytes")],
+    ids=["missing", "odd-n", "d1", "infinite-L", "trailing"],
 )
 def test_bad_gamma_file_exits_without_traceback(header, code, message, tmp_path, capsys):
+    # header: d, n, L and the number of values written past the n^d samples
     path = tmp_path / "missing.bin"
     if header is not None:
-        d, n, L = header
-        _write_gamma(path, d, n, np.ones(n ** d), L)
+        d, n, L, extra = header
+        _write_gamma(path, d, n, np.ones(n ** d + extra), L)
     config = {"grid": {"n": 16}, "profiles": [{"kind": "file", "path": str(path)}]}
     (tmp_path / "c.json").write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -215,6 +218,22 @@ def test_pair_solves_follow_dealias(subcommand, n_conds, tmp_path, monkeypatch):
     path.write_text(json.dumps(config))
     assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert flags == [False] * (2 * n_conds)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_uniqueness_gap_needs_exactly_two_profiles(count, tmp_path, capsys, monkeypatch):
+    # a third profile was once dropped without a word
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a conductivity before checking the profile count")
+
+    monkeypatch.setattr(cgolab.cli, "_conductivity", forbidden)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profiles": [{"kind": "gaussian"}] * count}))
+    out = tmp_path / "out"
+    assert main(["uniqueness-gap", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "profiles" in capsys.readouterr().err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "subcommand, config",
@@ -338,3 +357,72 @@ def test_singbound_writes_exactly_trials_rows(trials, per_s, tmp_path):
     rng = np.random.default_rng(5)
     etas = np.concatenate([rng.normal(size=(count, 3)) * s for s, count in zip(s_values, per_s)])
     np.testing.assert_array_equal([[r[f"eta_{j}"] for j in range(3)] for r in rows], etas)
+
+
+# The records each CSV table shows, read back from the report's result block.
+# select-zeta marks the sample its band selected; the report keeps that as
+# the band's own s and objective.
+REPORT_VIEWS = {
+    "solve-cgo": lambda r: {"solve": [r]},
+    "select-zeta": lambda r: {"samples": [
+        {**x, "band": b["lambda"], "selected": int(x["s"] == b["s"] and x["objective"] == b["objective"])}
+        for b in r["bands"] for x in b["samples"]
+    ]},
+    "verify-estimates": lambda r: {
+        "samples": [{**x, "estimate_id": e["estimate_id"]} for e in r["estimates"] for x in e["samples"]],
+        "summary": r["estimates"],
+    },
+    "averaged-decay": lambda r: {"bands": r["bands"]},
+    "singbound": lambda r: {"singbound": r["rows"]},
+    "recover": lambda r: {"recover": r["modes"]},
+    "uniqueness-gap": lambda r: {"gap": r["rows"]},
+}
+
+# the config of test_pair_solves_follow_dealias with two modes; n=64 passes
+# the main-term gate at both
+PAIR_CONFIG = {"grid": {"n": 64}, "samples_per_band": 2, "dealias": False,
+               "k_modes": [[0, 0, 1], [1, 2, 0]]}
+
+
+def _expected_cell(record, column):
+    """The CSV cell a report record gives for one column."""
+    if column in record:
+        value = record[column]
+    else:
+        name, _, part = column.rpartition("_")
+        assert part in ("re", "im") and name in record, f"column {column} is not in the report"
+        value = record[name][part]
+    if value is None:
+        return ""
+    if isinstance(value, (bool, str)):
+        return str(value)
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    if isinstance(value, list):
+        return ";".join(format(float(v), ".15g") for v in value)
+    return format(float(value), ".15g")
+
+
+@pytest.mark.parametrize("subcommand", list(REPORT_VIEWS))
+def test_every_csv_is_a_view_of_its_report(subcommand, tmp_path):
+    profiles = [{"kind": "gaussian", "amplitude": a} for a in (0.05, 0.04)]
+    if subcommand == "recover":
+        config = {**PAIR_CONFIG, "profiles": profiles[:1]}
+    elif subcommand == "uniqueness-gap":
+        config = {**PAIR_CONFIG, "profiles": profiles}
+    else:
+        config = SMOKE_CONFIG
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    tables = REPORT_VIEWS[subcommand](json.loads((run_dir / "report.json").read_text())["result"])
+    assert sorted(p.stem for p in run_dir.glob("*.csv")) == sorted(tables)
+    for name, records in tables.items():
+        _, header, *rows = (run_dir / f"{name}.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert len(rows) == len(records)
+        for row, record in zip(rows, records):
+            cells = next(csv.reader([row]))
+            assert cells == [_expected_cell(record, c) for c in columns], (name, columns)
