@@ -16,14 +16,15 @@ in physical space in place and gathers K back; with the 2/3 rule on, both
 transforms skip the lines the cube cannot reach (grid.cube_transform).
 One full transform of the fresh product q (1 + psi) at the returned psi
 re-verifies the residual on K, and the physical psi it was formed from
-is returned next to psihat, so the pairing transforms nothing.
+is returned next to psihat on K, so the pairing transforms nothing.
 
-Each solve evaluates the symbol once (symbol.lattice_symbol): p is
-dropped once gathered on K, and only |p| stays, for the defect off the
-cube.  The final stage runs in memory order -- the fresh product w, then
-|w|^2 in its place, then psihat -- so no full-lattice symbol is held at
-the solve's peak, and the two solves of a pair fit side by side
-(recovery._solve_pair).
+A solve holds K-length vectors and two lattice arrays: the buffer that
+becomes the returned psi, and in the final stage the fresh product w.
+p is evaluated on the posed band only (symbol.lattice_symbol on the 1-d
+axes of the cube), gathered on K and dropped.  The final stage runs in
+memory order -- w, the residual on K, then |p| and |w|^2 off the cube
+in axis-0 slabs of spaces.SLAB_POINTS points -- so the two solves of a
+pair fit side by side (recovery._solve_pair).
 
 The exponential factor e^{x . zeta} is never materialized: it is not
 torus-periodic and overflows for large s.  Downstream pairings rely on
@@ -33,13 +34,14 @@ the algebraic cancellation of the two exponentials instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import PHYSICAL, SPECTRAL, Field, cube_transform
+from .grid import PHYSICAL, Field, cube_transform
 from .potential import Conductivity
-from .spaces import DEFAULT_CLAMP_EPS, clamp_rule, pair_inverse_symbol_sums
+from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
@@ -51,7 +53,10 @@ class IterationReport:
     (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}; psihat is
     zero off the kept modes K.  residual_xdot, dealias_defect and
     clamped_mass all come from one transform w of the fresh product
-    q (1 + psi) at the returned psi (see solve_psi).
+    q (1 + psi) at the returned psi (see solve_psi).  clamped_mass is the
+    L2 mass of w on the clamped modes of the posed band (the 2/3 cube, or
+    the lattice when dealias=False); clamped_count counts the clamped
+    modes |p| < clamp_eps * s on the whole lattice, off the cube too.
     """
 
     iterations: int
@@ -72,11 +77,12 @@ def solve_psi(
     max_iter: int = 400,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
     dealias: bool = True,
-) -> tuple[Field, IterationReport, Field]:
+) -> tuple[tuple[np.ndarray, np.ndarray], IterationReport, Field]:
     """Iterate the fixed point until the weighted increment falls under
     tol * max(1, ||psi||), or raise NotContractiveError after five
-    consecutive non-contracting steps.  Returns psihat, the report and
-    psi in physical space (formed for the residual check).
+    consecutive non-contracting steps.  Returns (psihat on K, K), the
+    report and psi in physical space (formed for the residual check); K
+    is given as increasing flat indices of the lattice (FFT order).
 
     Increments and psi_norm_xdot use the homogeneous 1/2-norm
     (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, where
@@ -94,23 +100,24 @@ def solve_psi(
     cube (0 when dealias=False), and clamped_mass its L2 mass on the
     clamped modes of the posed band.
 
-    The symbol is formed for this call only, and the final stage holds one
-    full-lattice array at a time besides the returned psi and |p|: w, then
-    |w|^2, then psihat.
+    The symbol is formed for this call only: on the posed band for K, and
+    off the cube in axis-0 slabs; the only lattice arrays held are the
+    returned psi and, in the final stage, w.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not clamp_eps > 0:
         raise ValueError("clamp_eps must be positive")
     grid = cond.grid
-    # p goes once gathered on K; |p| stays for the off-cube defect
-    p = lattice_symbol(zeta, grid)
-    pabs = np.abs(p)
-    mask = clamp_rule(pabs, clamp_eps, zeta.s)
-    kept = np.flatnonzero(~mask & grid.dealias_mask if dealias else ~mask)
-    p_k = p.reshape(-1)[kept]
-    del p
-    pabs_k = pabs.reshape(-1)[kept]
+    xi = grid.xi_axis
+    # p on the posed band, gathered on K; index maps each band point to the lattice
+    band = np.flatnonzero(np.abs(grid.mode_axis) <= grid.n // 3) if dealias else np.arange(grid.n)
+    p = lattice_symbol(zeta, [xi[band]] * grid.d)
+    mask = clamp_rule(np.abs(p), clamp_eps, zeta.s)
+    index = reduce(lambda flat, m: np.add.outer(flat * grid.n, m), [band] * grid.d)
+    kept, clamped, p_k = index[~mask], index[mask], p[~mask]
+    del p, index
+    pabs_k = np.abs(p_k)
     weight_k = pabs_k * grid.measure
 
     def xdot(v):
@@ -134,12 +141,8 @@ def solve_psi(
     # psi_0 = 0, so the first right-hand side is the transform of q itself
     psi = step(cond.q_hat.values)
     ratios: list = []
-    prev_inc = None
-    bad_streak = 0
-    converged = False
-    iterations = 0
-    inc = float("nan")
-    psi_norm = 0.0
+    prev_inc, bad_streak, converged = None, 0, False
+    iterations, inc, psi_norm = 0, float("nan"), 0.0
     old = np.zeros_like(psi)
 
     for iterations in range(1, max_iter + 1):
@@ -164,43 +167,41 @@ def solve_psi(
             converged = True
             break
         prev_inc = inc
+    del old, weight_k
 
-    # the final stage in memory order: w, then |w|^2 in its place, then psihat
+    # the final stage: psi into buf, w on the whole lattice, the residual on K, the slabs off the cube
     scatter_inverse(psi)
-    # fresh product at the returned psi, transformed on the whole lattice
     w = np.add(buf, 1.0)
     w *= cond.q.values
     np.fft.fftn(w, norm="ortho", out=w)
-    res = p_k * psi - w.reshape(-1)[kept]
-    w_sq = np.abs(w)
-    del w
-    w_sq *= w_sq
-
+    res = w.reshape(-1)[kept]
+    res -= np.multiply(p_k, psi, out=p_k)  # w - p psihat, formed in p_k's place
+    del p_k
     res_dens = res.real * res.real + res.imag * res.imag
-    w_clamped = w_sq[mask & grid.dealias_mask if dealias else mask]
     residual_xdot = float(np.sqrt(np.sum(res_dens / pabs_k) * grid.measure))
-    clamped_mass = float(np.sqrt(np.sum(w_clamped) * grid.measure))
-    dealias_defect = 0.0
+    del res, res_dens, pabs_k
+    w_clamped = np.abs(w.reshape(-1)[clamped])
+    clamped_mass = float(np.sqrt(np.sum(w_clamped * w_clamped) * grid.measure))
+    clamped_count, defect = int(mask.sum()), 0.0
     if dealias:
-        off = ~grid.dealias_mask & ~mask
-        np.divide(w_sq, pabs, out=w_sq, where=off)
-        dealias_defect = float(np.sqrt(np.sum(w_sq[off]) * grid.measure))
-    del w_sq, pabs
-    psihat = np.zeros(grid.shape, dtype=complex)
-    psihat.reshape(-1)[kept] = psi
+        # |p| and |w|^2 off the cube, in axis-0 slabs of about SLAB_POINTS points
+        rows = max(1, SLAB_POINTS // grid.n ** (grid.d - 1))
+        for a in range(0, grid.n, rows):
+            pabs = np.abs(lattice_symbol(zeta, [xi[a : a + rows]] + [xi] * (grid.d - 1)))
+            off = ~grid.dealias_mask[a : a + rows]
+            off_clamped = off & clamp_rule(pabs, clamp_eps, zeta.s)
+            clamped_count += int(np.count_nonzero(off_clamped))
+            off &= ~off_clamped
+            w_off = np.abs(w[a : a + rows][off])
+            defect += np.sum(w_off * w_off / pabs[off])
 
     report = IterationReport(
-        iterations=iterations,
-        residual_xdot=residual_xdot,
-        psi_norm_xdot=psi_norm,
-        contraction_estimates=ratios,
-        clamped_mass=clamped_mass,
-        converged=converged,
-        clamped_count=int(mask.sum()),
-        final_increment=float(inc),
-        dealias_defect=dealias_defect,
+        iterations=iterations, residual_xdot=residual_xdot, psi_norm_xdot=psi_norm,
+        contraction_estimates=ratios, clamped_mass=clamped_mass, converged=converged,
+        clamped_count=clamped_count, final_increment=float(inc),
+        dealias_defect=float(np.sqrt(defect * grid.measure)),
     )
-    return Field(grid, SPECTRAL, psihat), report, Field(grid, PHYSICAL, buf)
+    return (psi, kept), report, Field(grid, PHYSICAL, buf)
 
 
 @dataclass

@@ -147,12 +147,14 @@ def _run_solve_cgo(cfg: ExperimentConfig):
         cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter,
         clamp_eps=cfg.clamp_eps, dealias=cfg.dealias,
     )
-    final_ratio = rep.contraction_estimates[-1] if rep.contraction_estimates else float("nan")
+    ratios = rep.contraction_estimates
     if not rep.converged:
-        raise NotContractiveError(final_ratio, f"no convergence within {cfg.max_iter} iterations")
+        raise NotContractiveError(ratios[-1] if ratios else float("nan"),
+                                  f"no convergence within {cfg.max_iter} iterations")
     result = {
         "s": cfg.s, "angle": cfg.angle, **dataclasses.asdict(rep),
-        "final_ratio": final_ratio, "psi_sup": float(np.max(np.abs(psi.values))),
+        # a one-step solve has no ratio: null in the report, an empty CSV cell
+        "final_ratio": ratios[-1] if ratios else None, "psi_sup": float(np.max(np.abs(psi.values))),
     }
     columns = ["iterations", "converged", "residual_xdot", "psi_norm_xdot",
                "final_increment", "clamped_mass", "final_ratio"]
@@ -259,6 +261,7 @@ def _run_recover(cfg: ExperimentConfig):
     # every mode's main-term gate runs before any mode is solved
     phi = make_cutoff(cond)
     weights = [pairing_weight(cond, k, phi) for k in ks]
+    del phi  # each weight holds phi^2; the solves need no cutoff
     modes = []
     for mode, k, weight in zip(k_modes, ks, weights):
         recovered, diag = recover_fourier_mode(

@@ -112,7 +112,7 @@ def draw_colored_field(
         if zeta is None:
             raise ValueError("near-characteristic sampling needs a zeta")
         alpha = float(kind.rsplit("_", 1)[1])
-        pabs = np.abs(lattice_symbol(zeta, grid))
+        pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis] * grid.d))
         dens = np.maximum(pabs, cell_floor(grid, zeta.s)) ** (-0.5)
         dens = dens * (1.0 + grid.xi_sq) ** (-alpha / 2.0)
         coef = coef * dens
@@ -291,7 +291,7 @@ def _norm_weights(zeta: Zeta, grid: FrequencyGrid) -> tuple:
     s = zeta.s
     eps_cell = cell_floor(grid, s) / s  # relative floor, units of s
     floor = eps_cell * s
-    pabs = np.abs(lattice_symbol(zeta, grid))
+    pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis] * grid.d))
     dropped = clamp_rule(pabs, eps_cell, s)
     hom, inh = {}, {}
     for b in (0.5, -0.5):
@@ -470,7 +470,7 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
     band = grid.dealias_mask if dealias else np.ones(grid.shape, dtype=bool)
     scales = []
     for z in (pair.zeta1, pair.zeta2):
-        pabs = np.abs(lattice_symbol(z, grid))
+        pabs = np.abs(lattice_symbol(z, [grid.xi_axis] * grid.d))
         keep = band & ~clamp_rule(pabs, DEFAULT_CLAMP_EPS, z.s)
         scales.append(np.where(keep, 1.0 / np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))), 0.0))
     inv_w1, inv_w2 = scales

@@ -28,7 +28,7 @@ Field (cube_transform works in place on the caller's own array), and a
 grid's cached lattice arrays are only read once built, so all of this is
 safe to call from concurrent workers.  recovery._solve_pair does: it runs
 the two solves of a zeta pair on one grid at once, after building the
-cached arrays they read.
+cached arrays they read: the 2/3 mask and the 1-d axes it is built from.
 """
 
 from __future__ import annotations
@@ -155,14 +155,6 @@ class FrequencyGrid:
             delta = np.minimum(delta, self.L - delta)
             out = out + self._along(j, delta) ** 2
         return np.sqrt(out)
-
-    def xi_dot(self, vec) -> np.ndarray:
-        """sum_j vec_j * xi_j on the lattice; complex if vec is complex."""
-        vec = np.asarray(vec)
-        out = 0.0  # broadcast axis by axis: one full-lattice pass at the last axis
-        for j in range(self.d):
-            out = out + vec[j] * self._along(j, self.xi_axis)
-        return out
 
     def mode_index(self, k) -> tuple:
         """FFT-order index of the lattice frequency k; validates k on-lattice."""

@@ -41,9 +41,10 @@ while zeta_1 runs in the calling thread.  Their transforms and
 full-lattice ufuncs release the GIL, so the two overlap on two cores.
 The calling thread takes one of the solves because a second worker
 would bring its own malloc arena and raise the peak memory.  The
-conductivity's q and q_hat and the grid's |xi|^2 and 2/3 mask are
-built before the worker starts, so no cached array is first built in
-two threads.  Each solve is the sequential one, bit for bit.
+conductivity's q and q_hat and the grid's 2/3 mask (with the axes it is
+built from) are built before the worker starts, so no cached array is
+first built in two threads.  Each solve holds K-length vectors and two
+lattice arrays (cgo.solve_psi), and is the sequential one, bit for bit.
 """
 
 from __future__ import annotations
@@ -178,14 +179,13 @@ def alessandrini_terms(
 
 def _solve_pair(cond: Conductivity, pair: ZetaPair, **solver_kwargs):
     """solve_psi at zeta_1 in this thread and at zeta_2 in one worker,
-    returned as the two (psihat, report, psi) triples.  An error of the
-    zeta_1 solve is raised after the worker has finished; one of zeta_2
-    alone is raised by its result()."""
+    returned as the two ((psihat on K, K), report, psi) triples.  An
+    error of the zeta_1 solve is raised after the worker has finished;
+    one of zeta_2 alone is raised by its result()."""
     # imported on first use: at module load it would add 8-10 ms to the CLI import
     from concurrent.futures import ThreadPoolExecutor
 
-    grid = cond.grid
-    cond.q, cond.q_hat, grid.xi_sq, grid.dealias_mask  # built here, not in both threads
+    cond.q, cond.q_hat, cond.grid.dealias_mask  # built here, not in both threads
     with ThreadPoolExecutor(max_workers=1) as worker:
         second = worker.submit(solve_psi, cond, pair.zeta2, **solver_kwargs)
         first = solve_psi(cond, pair.zeta1, **solver_kwargs)

@@ -17,9 +17,9 @@ the hyperplane xi . e1 = 0.  The comparable distance proxy
 is adopted here as the definition (closed form, cheap, and equivalent
 to the Euclidean distance in the regime that matters).
 
-lattice_symbol evaluates p on the whole frequency lattice on every call;
-a Zeta holds no lattice data.  char_distance evaluates the distance on
-the lattice or on one slab of it.
+lattice_symbol evaluates p, and char_distance the distance, on a product
+of 1-d frequency arrays -- the lattice, its 2/3 cube or one slab of
+either -- on every call; a Zeta holds no lattice data.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import FrameError, InfeasibleGeometryError
-from .grid import FrequencyGrid
 
 _FRAME_TOL = 1e-10
 
@@ -172,12 +171,17 @@ def zeta_pair_from_angle(k, s: float, theta: float, plane=None) -> ZetaPair:
     return make_zeta_pair(k, s, eta1, eta2)
 
 
-def lattice_symbol(zeta: Zeta, grid: FrequencyGrid) -> np.ndarray:
-    """p(xi) = -|xi|^2 + 2i zeta . xi on the frequency lattice (FFT order),
-    computed afresh on every call."""
-    if zeta.d != grid.d:
+def lattice_symbol(zeta: Zeta, axes) -> np.ndarray:
+    """p(xi) = -|xi|^2 + 2i zeta . xi on the product of the 1-d frequency
+    arrays axes (the lattice, its 2/3 cube or an axis-0 slab), summed axis 0
+    first, so a point has one value on any product; formed in the sums' place."""
+    if zeta.d != len(axes):
         raise ValueError("zeta dimension does not match the grid")
-    return -grid.xi_sq + 2j * grid.xi_dot(zeta.value)
+    sq = dot = 0.0
+    for x, z in zip(np.ix_(*axes), zeta.value):
+        sq = sq + x ** 2
+        dot = dot + z * x
+    return np.add(np.negative(sq, out=sq), np.multiply(2j, dot, out=dot), out=dot)
 
 
 def char_distance(zeta: Zeta, axes, out=None, work=None) -> np.ndarray:

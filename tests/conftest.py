@@ -45,6 +45,14 @@ def uniform32(grid32):
     return cg.make_conductivity(grid32, {"kind": "uniform"})
 
 
+def psihat_field(grid, modes):
+    """The full-lattice psihat of solve_psi's (psihat on K, K): zero off K."""
+    values, kept = modes
+    full = np.zeros(grid.size, dtype=complex)
+    full[kept] = values
+    return cg.spectral_field(grid, full.reshape(grid.shape))
+
+
 def random_field(grid, seed, representation="physical"):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

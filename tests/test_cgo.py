@@ -6,7 +6,7 @@ from cgolab.errors import InfeasibleGeometryError, NotContractiveError
 from cgolab.spaces import clamp_rule
 from cgolab.symbol import lattice_symbol
 
-from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice
+from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice, psihat_field
 
 
 @pytest.fixture(scope="module")
@@ -46,12 +46,12 @@ def _oracle_psi_norm(q, zeta):
 
 class TestSolvePsi:
     def test_uniform_gamma_trivial_path(self, uniform32, pair32):
-        psi, rep, _ = cg.solve_psi(uniform32, pair32.zeta1)
+        modes, rep, _ = cg.solve_psi(uniform32, pair32.zeta1)
         assert rep.converged
         assert rep.iterations == 1
         assert rep.residual_xdot == 0.0
         assert rep.psi_norm_xdot == 0.0
-        assert np.max(np.abs(psi.values)) == 0.0
+        assert np.max(np.abs(psihat_field(uniform32.grid, modes).values)) == 0.0
 
     def test_smooth_bump_converges(self, bump32, pair32):
         psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
@@ -87,7 +87,7 @@ class TestSolvePsi:
         # tol=1e-4 the solve stops after 2 steps with a residual of ~1e-8
         # (measured gap 2.5e-13)
         grid = bump32.grid
-        p = lattice_symbol(pair32.zeta1, grid)
+        p = lattice_symbol(pair32.zeta1, [grid.xi_axis] * 3)
         pabs = np.abs(p)
         # the -1/2-norm, with the clamped modes |p| < 1e-6 s dropped
         kept = ~clamp_rule(pabs, 1e-6, pair32.zeta1.s)
@@ -97,7 +97,8 @@ class TestSolvePsi:
             return np.sqrt(np.sum(inv * np.abs(spec) ** 2) * grid.measure)
 
         for tol in (1e-10, 1e-4):
-            psi, rep, physical = cg.solve_psi(bump32, pair32.zeta1, tol=tol)
+            modes, rep, physical = cg.solve_psi(bump32, pair32.zeta1, tol=tol)
+            psi = psihat_field(grid, modes)
             assert np.array_equal(physical.values, np.fft.ifftn(psi.values, norm="ortho"))
             q = cg.potential_q(bump32)
             w = cg.to_spectral(cg.physical_field(grid, q.values * (1.0 + cg.to_physical(psi).values)))
@@ -143,19 +144,50 @@ class TestSolvePsi:
 
     @pytest.mark.parametrize("clamp_eps", [1e-6, 1e-2])
     def test_psihat_zero_off_kept_modes(self, bump32, pair32, clamp_eps):
-        psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=clamp_eps)
-        pabs = np.abs(lattice_symbol(pair32.zeta1, bump32.grid))
+        modes, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, clamp_eps=clamp_eps)
+        psi = psihat_field(bump32.grid, modes)
+        pabs = np.abs(lattice_symbol(pair32.zeta1, [bump32.grid.xi_axis] * 3))
         clamped = clamp_rule(pabs, clamp_eps, pair32.zeta1.s)
         kept = ~clamped & bump32.grid.dealias_mask
         assert rep.clamped_count == clamped.sum() > 0
         assert np.all(psi.values[~kept] == 0.0)
         assert np.all(psi.values[kept] != 0.0)
+        # K is handed over as the increasing flat indices of the kept modes
+        np.testing.assert_array_equal(modes[1], np.flatnonzero(kept))
+
+    # on the lattice-aligned zeta the zero set |xi - 13 e_y| = 13, xi_x = 0
+    # holds four lattice modes off the cube: (0, 8, +-12) and (0, 13, +-13)
+    @pytest.mark.parametrize("aligned", [False, True])
+    @pytest.mark.parametrize("slab_points", [None, 3 * 32 * 32])
+    def test_off_cube_slabs_match_full_lattice_oracle(self, bump32, pair32, aligned, slab_points,
+                                                      monkeypatch):
+        # dealias_defect and clamped_count against plain numpy on the whole
+        # lattice: |p| from the integer modes, the 2/3 cube and the fresh
+        # product w = FFT(q (1 + psi)) at the returned psi; the solver's
+        # slabs of 3 planes leave a short last slab
+        if slab_points:
+            monkeypatch.setattr(cg.cgo, "SLAB_POINTS", slab_points)
+        zeta = pair32.zeta1
+        if aligned:
+            zeta = cg.Zeta(13.0 * np.array([1.0, 0, 0]) - 13.0j * np.array([0, 1.0, 0]))
+        _, rep, psi = cg.solve_psi(bump32, zeta, tol=1e-10)
+        _, modes = _oracle_lattice(32)
+        pabs = np.abs(-sum(m * m for m in modes) + 2j * sum(z * m for z, m in zip(zeta.value, modes)))
+        clamped = pabs < 1e-6 * np.linalg.norm(zeta.value.real)
+        cube = (np.abs(modes[0]) <= 10) & (np.abs(modes[1]) <= 10) & (np.abs(modes[2]) <= 10)
+        assert (clamped & ~cube).sum() == (4 if aligned else 0)
+        assert rep.clamped_count == clamped.sum()
+        w = np.fft.fftn(bump32.q.values * (1.0 + psi.values), norm="ortho")
+        off = ~cube & ~clamped
+        defect = np.sqrt(np.sum(np.abs(w[off]) ** 2 / pabs[off]) * (TWO_PI / 32) ** 3)
+        assert rep.dealias_defect == pytest.approx(defect, rel=1e-13, abs=0)
 
     def test_full_lattice_matches_plain_fixed_point(self, bump32, pair32):
         # dealias=False: the same iteration with no 2/3 mask, step for step.
         # It starts from the solver's own q: the conftest q differs from it
         # by 6e-14 (relative sup), which 1/p amplifies to 4e-13 in psihat
-        psi, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, dealias=False)
+        modes, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10, dealias=False)
+        psi = psihat_field(bump32.grid, modes)
         q = bump32.q.values.real
         expected, p = _oracle_psi(q, pair32.zeta1.value, rep.iterations, dealias=False)
         assert rep.dealias_defect == 0.0
@@ -163,7 +195,7 @@ class TestSolvePsi:
         norm = np.sqrt(np.sum(np.abs(p) * np.abs(expected) ** 2) * (TWO_PI / 32) ** 3)
         assert rep.psi_norm_xdot == pytest.approx(norm, rel=1e-12)
         # the 2/3 mask changes the answer, so the check above can see it
-        dealiased, _, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
+        dealiased = psihat_field(bump32.grid, cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)[0])
         assert np.max(np.abs(dealiased.values - expected)) > 1e-6 * np.max(np.abs(expected))
 
     def test_nonpositive_clamp_rejected(self, bump32, uniform32, pair32, monkeypatch):

@@ -426,3 +426,28 @@ def test_every_csv_is_a_view_of_its_report(subcommand, tmp_path):
         for row, record in zip(rows, records):
             cells = next(csv.reader([row]))
             assert cells == [_expected_cell(record, c) for c in columns], (name, columns)
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} in the report")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_one_step_solve_writes_null_final_ratio(tmp_path):
+    # a uniform gamma has q = 0: the solve stops after one step, with no ratio
+    config = {**SMOKE_CONFIG, "profiles": [{"kind": "uniform"}]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["solve-cgo", "--config", str(path), "--out", str(out)]) == 0
+    (run_dir,) = out.iterdir()
+    result = _strict_json((run_dir / "report.json").read_text())["result"]
+    assert result["iterations"] == 1 and result["contraction_estimates"] == []
+    assert result["final_ratio"] is None
+    _, header, row = (run_dir / "solve.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), next(csv.reader([row]))))
+    assert cells["final_ratio"] == ""
+    assert "nan" not in row.lower()

@@ -13,7 +13,7 @@ from cgolab.errors import CgolabError, NotContractiveError
 from cgolab.recovery import _solve_pair, alessandrini_terms, fourier_mode, pairing_weight
 from cgolab.spaces import smooth_bridge
 
-from conftest import _oracle_gaussian_q, _oracle_lattice
+from conftest import _oracle_gaussian_q, _oracle_lattice, psihat_field
 
 BAND, SAMPLES, SEED = 64.0, 4, 0
 
@@ -59,8 +59,9 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     k/2 is off the lattice, phi e^{ixk/2} in both when it is on it."""
     k = np.array(k)
     pair = cg.zeta_pair_from_angle(k, 64.0, 0.7)
-    psihat1, _, psi1 = cg.solve_psi(bump64, pair.zeta1)
-    psihat2, _, psi2 = cg.solve_psi(bump64, pair.zeta2)
+    modes1, _, psi1 = cg.solve_psi(bump64, pair.zeta1)
+    modes2, _, psi2 = cg.solve_psi(bump64, pair.zeta2)
+    psihat1, psihat2 = (psihat_field(bump64.grid, modes) for modes in (modes1, modes2))
     weight = pairing_weight(bump64, k, cg.make_cutoff(bump64))
     bd = alessandrini_terms(weight, pair, psi1, psi2)
 
@@ -124,8 +125,11 @@ def test_pair_solve_equals_sequential_solves(profile, n, bump32, bump64):
         cond = cg.make_conductivity(cond.grid, CONE)
     pair = cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 16.0, 0.3)
     threaded = _solve_pair(cond, pair, tol=1e-10)
-    for zeta, (psihat, rep, psi) in zip((pair.zeta1, pair.zeta2), threaded):
-        psihat_seq, rep_seq, psi_seq = cg.solve_psi(cond, zeta, tol=1e-10)
+    for zeta, (modes, rep, psi) in zip((pair.zeta1, pair.zeta2), threaded):
+        modes_seq, rep_seq, psi_seq = cg.solve_psi(cond, zeta, tol=1e-10)
+        for got, want in zip(modes, modes_seq):  # psihat on K, then K
+            np.testing.assert_array_equal(got, want)
+        psihat, psihat_seq = (psihat_field(cond.grid, m) for m in (modes, modes_seq))
         np.testing.assert_array_equal(psihat.values, psihat_seq.values)
         np.testing.assert_array_equal(psi.values, psi_seq.values)
         assert dataclasses.asdict(rep) == dataclasses.asdict(rep_seq)

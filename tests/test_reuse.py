@@ -9,9 +9,12 @@ import pytest
 
 import cgolab as cg
 from cgolab.potential import _grad_log_sup
+from cgolab.recovery import _solve_pair
 from cgolab.symbol import lattice_symbol
 
 from conftest import BUMP_AMPLITUDE, BUMP_WIDTH
+
+CONE = {"kind": "cone", "amplitude": 0.5, "radius": 1.1}
 
 
 class _Calls(list):
@@ -126,20 +129,32 @@ class TestLipschitzSeminorm:
 
 
 class TestSolverMemory:
-    def test_one_n64_solve_peaks_under_24_mb(self, bump64):
-        # measured 19.8 MB; 31.9 MB when the zeta kept its symbol and
-        # psihat was allocated before the fresh product w
-        grid = bump64.grid
-        zeta = cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 64.0, 0.7).zeta1
+    PAIR = cg.zeta_pair_from_angle(np.array([1.0, 2.0, 0.0]), 64.0, 0.7)
+
+    @staticmethod
+    def peak(call, cond):
         # the conductivity's and the grid's cached arrays are not the call's memory
-        bump64.q, bump64.q_hat, grid.xi_sq, grid.dealias_mask
+        cond.q, cond.q_hat, cond.grid.dealias_mask
         tracemalloc.start()
         try:
-            cg.solve_psi(bump64, zeta)
-            peak = tracemalloc.get_traced_memory()[1]
+            call()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24e6
+
+    def test_one_n64_solve_peaks_under_16_mib(self, bump64):
+        # measured 12.9 MiB for both profiles: K-length vectors, the buffer
+        # of the returned psi and the fresh product w; 18.9 MiB when the
+        # solve held p, |p| and its mask on the whole lattice and returned
+        # a full psihat
+        for cond in (bump64, cg.make_conductivity(bump64.grid, CONE)):
+            assert self.peak(lambda: cg.solve_psi(cond, self.PAIR.zeta1), cond) <= 16 * 2 ** 20
+
+    def test_one_n64_pair_peaks_under_28_mib(self, bump64):
+        # both threads' allocations count, so the peak depends on how the
+        # two solves interleave: measured 22.7-26.4 MiB, about twice one
+        # solve; 30.6-37.1 MiB with the full-lattice symbol data of each
+        assert self.peak(lambda: _solve_pair(bump64, self.PAIR), bump64) <= 28 * 2 ** 20
 
 
 class TestConductivityMemory:
@@ -164,7 +179,7 @@ class TestConductivityMemory:
 
 class TestSymbolData:
     def test_symbol_is_exact(self, grid32, zeta16):
-        p = lattice_symbol(zeta16, grid32)
+        p = lattice_symbol(zeta16, [grid32.xi_axis] * 3)
         # -|xi|^2 + 2i zeta . xi, accumulated axis by axis from the lattice
         xi = [grid32.xi_axis.reshape(shape) for shape in ((32, 1, 1), (1, 32, 1), (1, 1, 32))]
         sq, dot = np.zeros(grid32.shape), np.zeros(grid32.shape, dtype=complex)
@@ -178,9 +193,9 @@ class TestSymbolData:
         # near-characteristic draw (3 of every 4); bilinear_ratio: once per zeta
         calls = []
 
-        def counted(zeta, grid):
+        def counted(zeta, axes):
             calls.append(zeta)
-            return lattice_symbol(zeta, grid)
+            return lattice_symbol(zeta, axes)
 
         monkeypatch.setattr(cg.estimates, "lattice_symbol", counted)
         cond = cg.make_conductivity(grid16, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})

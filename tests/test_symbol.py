@@ -81,7 +81,7 @@ class TestSymbol:
 
     @staticmethod
     def p_at(zeta, grid, xi):
-        return lattice_symbol(zeta, grid)[grid.mode_index(np.array(xi))]
+        return lattice_symbol(zeta, [grid.xi_axis] * 3)[grid.mode_index(np.array(xi))]
 
     def test_origin_is_characteristic(self, grid16):
         pair = cg.zeta_pair_from_angle(np.array([0, 0, 1.0]), 5.0, 0.7)
@@ -106,10 +106,23 @@ class TestSymbol:
             k = grid16.lattice_frequency(rng.integers(-3, 4, size=3))
             s = rng.uniform(max(1.0, np.linalg.norm(k)), 20.0)
             pair = cg.zeta_pair_from_angle(k, s, rng.uniform(0, TWO_PI))
-            direct = lattice_symbol(pair.zeta1, grid16)
+            direct = lattice_symbol(pair.zeta1, [grid16.xi_axis] * 3)
             adapted = _adapted_form(pair.zeta1, xi)
             scale = np.maximum(np.abs(direct), s * s)
             assert np.max(np.abs(direct - adapted) / scale) < 1e-10
+
+    def test_products_are_restrictions_of_the_lattice(self, grid32):
+        # the solver takes p on the 2/3 cube and on axis-0 slabs: every
+        # point must carry the bits it has on the whole lattice
+        xi = grid32.xi_axis
+        cube = np.flatnonzero(np.abs(grid32.mode_axis) <= 32 // 3)
+        for k, s, theta in (((0.0, 0.0, 1.0), 16.0, 0.3), ((1.0, 2.0, 0.0), 5.3, 1.9)):
+            pair = cg.zeta_pair_from_angle(np.array(k), s, theta)
+            for zeta in (pair.zeta1, pair.zeta2, self.ZETA):
+                full = lattice_symbol(zeta, [xi] * 3)
+                for axes, part in (([xi[cube]] * 3, full[np.ix_(cube, cube, cube)]),
+                                   ([xi[29:]] + [xi] * 2, full[29:])):
+                    assert lattice_symbol(zeta, axes).tobytes() == part.tobytes()
 
 
 class TestCharDistance:
@@ -168,7 +181,7 @@ class TestComparability:
             s = rng.uniform(1.0, 4.0)
             pair = cg.zeta_pair_from_angle(np.zeros(3), s, rng.uniform(0, TWO_PI))
             for zeta in (pair.zeta1, pair.zeta2):
-                pabs = np.abs(lattice_symbol(zeta, grid))
+                pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis] * 3))
                 xi_sq = grid.xi_sq
                 region = xi_sq >= (8.0 * s) ** 2
                 assert region.sum() > 0
@@ -184,7 +197,7 @@ class TestComparability:
             grid = cg.FrequencyGrid(3, 32, TWO_PI * 8.0 / s)
             pair = cg.zeta_pair_from_angle(np.zeros(3), s, 0.37)
             zeta = pair.zeta1
-            pabs = np.abs(lattice_symbol(zeta, grid))
+            pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis] * 3))
             dist = char_distance(zeta, [grid.xi_axis] * grid.d)
             keep = dist >= grid.h
             ratio = pabs[keep] / (s * dist[keep])
