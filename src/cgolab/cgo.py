@@ -12,8 +12,8 @@ contraction numerically).  psihat is carried as one vector over the kept
 modes K -- the 2/3 cube minus the clamped modes -- since it vanishes
 everywhere else.  The first step divides the transform of q itself by p;
 every later one scatters psihat into one reused buffer, forms the product
-in physical space in place and gathers K back; with the 2/3 rule on, both
-transforms skip the lines the cube cannot reach (grid.cube_transform).
+in physical space in place and gathers K back; both transforms skip the
+lines the cube cannot reach (grid.cube_transform).
 One full transform of the fresh product q (1 + psi) at the returned psi
 re-verifies the residual on K, and the physical psi it was formed from
 is returned next to psihat on K, so the pairing transforms nothing.
@@ -54,9 +54,9 @@ class IterationReport:
     zero off the kept modes K.  residual_xdot, dealias_defect and
     clamped_mass all come from one transform w of the fresh product
     q (1 + psi) at the returned psi (see solve_psi).  clamped_mass is the
-    L2 mass of w on the clamped modes of the posed band (the 2/3 cube, or
-    the lattice when dealias=False); clamped_count counts the clamped
-    modes |p| < clamp_eps * s on the whole lattice, off the cube too.
+    L2 mass of w on the clamped modes of the posed band, the 2/3 cube;
+    clamped_count counts the clamped modes |p| < clamp_eps * s on the
+    whole lattice, off the cube too.
     """
 
     iterations: int
@@ -76,7 +76,6 @@ def solve_psi(
     tol: float = 1e-10,
     max_iter: int = 400,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
-    dealias: bool = True,
 ) -> tuple[tuple[np.ndarray, np.ndarray], IterationReport, Field]:
     """Iterate the fixed point until the weighted increment falls under
     tol * max(1, ||psi||), or raise NotContractiveError after five
@@ -87,18 +86,16 @@ def solve_psi(
     Increments and psi_norm_xdot use the homogeneous 1/2-norm
     (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, where
     p(xi) = -|xi|^2 + 2i zeta . xi and h^d is the grid's cell measure.
-    The kept modes K are the 2/3 cube (the whole lattice when
-    dealias=False) minus the clamped modes |p| < clamp_eps * s; psihat
-    is zero off K.  clamp_eps must be positive: the lattice symbol
-    vanishes at xi = 0, where q has its mean.
+    The kept modes K are the 2/3 cube, the posed band, minus the clamped
+    modes |p| < clamp_eps * s; psihat is zero off K.  clamp_eps must be
+    positive: the lattice symbol vanishes at xi = 0, where q has its mean.
 
     The returned psi is re-checked against the equation posed on the
     lattice with a fresh product w = FFT(q (1 + psi)): residual_xdot^2
     = sum over K of |p psihat - w|^2 / |p| h^d (both terms vanish off
     the posed band; clamped modes are dropped).  From the same w,
     dealias_defect is the -1/2-norm of w on the unclamped modes off the
-    cube (0 when dealias=False), and clamped_mass its L2 mass on the
-    clamped modes of the posed band.
+    cube, and clamped_mass its L2 mass on the clamped modes of the cube.
 
     The symbol is formed for this call only: on the posed band for K, and
     off the cube in axis-0 slabs; the only lattice arrays held are the
@@ -110,8 +107,8 @@ def solve_psi(
         raise ValueError("clamp_eps must be positive")
     grid = cond.grid
     xi = grid.xi_axis
-    # p on the posed band, gathered on K; index maps each band point to the lattice
-    band = np.flatnonzero(np.abs(grid.mode_axis) <= grid.n // 3) if dealias else np.arange(grid.n)
+    # p on the 2/3 cube, gathered on K; index maps each cube point to the lattice
+    band = np.flatnonzero(np.abs(grid.mode_axis) <= grid.n // 3)
     p = lattice_symbol(zeta, [xi[band]] * grid.d)
     mask = clamp_rule(np.abs(p), clamp_eps, zeta.s)
     index = reduce(lambda flat, m: np.add.outer(flat * grid.n, m), [band] * grid.d)
@@ -133,10 +130,7 @@ def solve_psi(
         """buf <- psi in physical space."""
         buf.fill(0.0)
         flat[kept] = psi
-        if dealias:
-            cube_transform(grid, buf, "inverse")
-        else:
-            np.fft.ifftn(buf, norm="ortho", out=buf)
+        cube_transform(grid, buf, "inverse")
 
     # psi_0 = 0, so the first right-hand side is the transform of q itself
     psi = step(cond.q_hat.values)
@@ -150,10 +144,7 @@ def solve_psi(
             scatter_inverse(psi)
             buf += 1.0
             buf *= cond.q.values
-            if dealias:
-                cube_transform(grid, buf, "forward")
-            else:
-                np.fft.fftn(buf, norm="ortho", out=buf)
+            cube_transform(grid, buf, "forward")
             old, psi = psi, step(buf)
         inc = xdot(psi - old)
         if prev_inc is not None and prev_inc > 0:
@@ -183,17 +174,16 @@ def solve_psi(
     w_clamped = np.abs(w.reshape(-1)[clamped])
     clamped_mass = float(np.sqrt(np.sum(w_clamped * w_clamped) * grid.measure))
     clamped_count, defect = int(mask.sum()), 0.0
-    if dealias:
-        # |p| and |w|^2 off the cube, in axis-0 slabs of about SLAB_POINTS points
-        rows = max(1, SLAB_POINTS // grid.n ** (grid.d - 1))
-        for a in range(0, grid.n, rows):
-            pabs = np.abs(lattice_symbol(zeta, [xi[a : a + rows]] + [xi] * (grid.d - 1)))
-            off = ~grid.dealias_mask[a : a + rows]
-            off_clamped = off & clamp_rule(pabs, clamp_eps, zeta.s)
-            clamped_count += int(np.count_nonzero(off_clamped))
-            off &= ~off_clamped
-            w_off = np.abs(w[a : a + rows][off])
-            defect += np.sum(w_off * w_off / pabs[off])
+    # |p| and |w|^2 off the cube, in axis-0 slabs of about SLAB_POINTS points
+    rows = max(1, SLAB_POINTS // grid.n ** (grid.d - 1))
+    for a in range(0, grid.n, rows):
+        pabs = np.abs(lattice_symbol(zeta, [xi[a : a + rows]] + [xi] * (grid.d - 1)))
+        off = ~grid.dealias_mask[a : a + rows]
+        off_clamped = off & clamp_rule(pabs, clamp_eps, zeta.s)
+        clamped_count += int(np.count_nonzero(off_clamped))
+        off &= ~off_clamped
+        w_off = np.abs(w[a : a + rows][off])
+        defect += np.sum(w_off * w_off / pabs[off])
 
     report = IterationReport(
         iterations=iterations, residual_xdot=residual_xdot, psi_norm_xdot=psi_norm,

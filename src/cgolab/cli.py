@@ -3,6 +3,12 @@
 Subcommands: solve-cgo, select-zeta, verify-estimates, averaged-decay,
 singbound, recover, uniqueness-gap.
 
+The 2/3 cube is the only posed band: the solver keeps its modes there
+and reports what the cut loses (dealias_defect), and the estimates cut
+their products phi_B u, the m_q form and the averaged-decay density to
+it.  Norms of given data, such as select-zeta's objective, and the
+singbound quadrature range over the whole lattice.
+
 Every run writes a JSON report (full diagnostics) and CSV tables into
 <out>/<subcommand>_<confighash>/.  One record per row: each CSV table is
 a column view of records in the report's "result" block, naming the
@@ -144,8 +150,7 @@ def _run_solve_cgo(cfg: ExperimentConfig):
     k = grid.lattice_frequency(cfg.k_mode)
     pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
     _, rep, psi = solve_psi(
-        cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter,
-        clamp_eps=cfg.clamp_eps, dealias=cfg.dealias,
+        cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
     )
     ratios = rep.contraction_estimates
     if not rep.converged:
@@ -188,12 +193,12 @@ def _run_verify_estimates(cfg: ExperimentConfig):
     phi = make_cutoff(cond)
     rng = np.random.default_rng(cfg.seed)
 
-    reports = localization_ratios(cfg.u_samples, pair.zeta1, phi, cfg.seed, cfg.dealias)
-    mq_rep = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values, dealias=cfg.dealias)
+    reports = localization_ratios(cfg.u_samples, pair.zeta1, phi, cfg.seed)
+    mq_rep = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values)
     u = draw_colored_field(grid, rng, pair.zeta1, "near_char_1")
     v = draw_colored_field(grid, rng, pair.zeta2, "near_char_1")
     f_one = physical_field(grid, np.ones(grid.shape))
-    bil = bilinear_ratio(f_one, pair, u, v, phi, dealias=cfg.dealias)
+    bil = bilinear_ratio(f_one, pair, u, v, phi)
 
     sb = schur_bound(
         lambda pts: np.exp(-np.sum(pts * pts, axis=-1)),
@@ -223,13 +228,10 @@ def _run_averaged_decay(cfg: ExperimentConfig):
     cond = _conductivity(grid, cfg.profiles[0])
     k = grid.lattice_frequency(cfg.k_mode)
     phi = make_cutoff(cond)
-    rep = averaged_decay(
-        cond.log_g, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi, dealias=cfg.dealias
-    )
-    bands = [dict(s.params) for s in rep.samples]
+    bands, trend = averaged_decay(cond.log_g, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi)
     columns = ["lambda", "A", "A_over_lambda", "normalized_theta_0",
                "normalized_theta_0.5", "normalized_theta_1"]
-    return {"trend": rep.trend, "bands": bands}, {"bands": (columns, bands)}
+    return {"trend": trend, "bands": bands}, {"bands": (columns, bands)}
 
 
 def _run_singbound(cfg: ExperimentConfig):
@@ -267,8 +269,7 @@ def _run_recover(cfg: ExperimentConfig):
         recovered, diag = recover_fourier_mode(
             cond, k, band,
             samples_per_band=cfg.samples_per_band, seed=cfg.seed,
-            tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
-            weight=weight, dealias=cfg.dealias,
+            tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps, weight=weight,
         )
         bd = diag.breakdown
         modes.append({
@@ -296,7 +297,6 @@ def _run_uniqueness_gap(cfg: ExperimentConfig):
         cond1, cond2, k_set, band,
         samples_per_band=cfg.samples_per_band, seed=cfg.seed,
         tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
-        dealias=cfg.dealias,
     )
     rows = [{**dataclasses.asdict(r), "k": list(r.k)} for r in table]
     columns = ["k", "band", "pairing1", "pairing2", "gap", "qhat_gap", "error_bar"]

@@ -61,7 +61,6 @@ class ExperimentConfig:
     clamp_eps: float = 1e-6
     tol: float = 1e-10
     max_iter: int = 600
-    dealias: bool = True
     quad_s: int = 8
     quad_eta: int = 8
     singbound_m: int = 6
@@ -161,7 +160,6 @@ def _is_mode(value, d: int) -> bool:
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
     "float": (_is_real, "a finite number"),
-    "bool": (lambda value: isinstance(value, bool), "true or false"),
     "str": (lambda value: isinstance(value, str), "a string"),
 }
 

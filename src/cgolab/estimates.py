@@ -41,6 +41,7 @@ from .grid import (
     Field,
     FrequencyGrid,
     complete_spectrum,
+    dealias_23,
     l2_norm,
     multiply,
     real_forward,
@@ -290,12 +291,11 @@ def _norm_weights(zeta: Zeta, grid: FrequencyGrid) -> tuple:
     vanishes for |xi| <= 8s and is 1 for |xi| >= 16s."""
     s = zeta.s
     eps_cell = cell_floor(grid, s) / s  # relative floor, units of s
-    floor = eps_cell * s
     pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis] * grid.d))
     dropped = clamp_rule(pabs, eps_cell, s)
     hom, inh = {}, {}
     for b in (0.5, -0.5):
-        w = np.where(dropped, 1.0, np.maximum(pabs, floor)) ** b
+        w = np.where(dropped, 1.0, pabs) ** b
         w[dropped] = 0.0
         hom[b] = w * w
         w = (zeta.magnitude + pabs) ** b
@@ -308,14 +308,14 @@ def localization_ratios(
     zeta: Zeta,
     phi_B: Field,
     seed: int,
-    dealias: bool = True,
 ) -> list[EstimateReport]:
     """Empirical constants of the five cutoff-localization estimates.
 
     Samples cycle through the near-characteristic densities (alpha in
-    {0, 1, 2}) and white noise.  The homogeneous norms drop the modes
-    whose |p| lies under the cell floor (the lattice-exact zeros among
-    them); the weights are built once per call (_norm_weights).
+    {0, 1, 2}) and white noise; each product phi_B u is cut to the 2/3
+    cube.  The homogeneous norms drop the modes whose |p| lies under the
+    cell floor (the lattice-exact zeros among them); the weights are
+    built once per call (_norm_weights).
     """
     grid = phi_B.grid
     s = zeta.s
@@ -325,7 +325,7 @@ def localization_ratios(
     for i in range(u_samples):
         kind = SAMPLER_KINDS[i % len(SAMPLER_KINDS)]
         u = draw_colored_field(grid, rng, zeta, kind)
-        u_b = multiply(phi_B, u, dealias=dealias)
+        u_b = dealias_23(multiply(phi_B, u))
         params = {"sample": i, "kind": kind}
 
         rhs_dot_half = weighted_l2(u, hom[0.5])
@@ -353,17 +353,17 @@ def bilinear_ratio(
     u: Field,
     v: Field,
     phi_B: Field,
-    dealias: bool = True,
 ) -> float:
     """Empirical constant  s |int f u_B v_B| / (||f||_inf ||u|| ||v||)
     with the homogeneous 1/2-norms of u, v at the two zetas (the modes
-    under the cell floor dropped, as in localization_ratios)."""
+    under the cell floor dropped, and u_B = phi_B u cut to the 2/3 cube,
+    as in localization_ratios)."""
     z1, z2 = zeta_pair.zeta1, zeta_pair.zeta2
     if abs(z1.magnitude - z2.magnitude) > 1e-9 * z1.magnitude:
         raise InfeasibleGeometryError("paired zetas must share |zeta|")
     grid = f.grid
-    u_b = multiply(phi_B, u, dealias=dealias)
-    v_b = multiply(phi_B, v, dealias=dealias)
+    u_b = dealias_23(multiply(phi_B, u))
+    v_b = dealias_23(multiply(phi_B, v))
     prod = to_physical(f).values * to_physical(u_b).values * to_physical(v_b).values
     lhs = abs(complex(prod.sum() * grid.measure))
     denom = (
@@ -384,11 +384,10 @@ def singbound_quadrature(
     eta,
     M: int,
     grid: FrequencyGrid,
-    dist_floor: Optional[float] = None,
 ) -> np.ndarray:
     """Lattice quadrature of  <xi - eta>^{-M} / dist(xi, Sigma), one value
-    per row of the (T, d) array eta, with dist floored at dist_floor
-    (default the frequency-cell scale dxi).
+    per row of the (T, d) array eta, with dist floored at the
+    frequency-cell scale dxi.
 
     One pass over axis-0 slabs of about SLAB_POINTS points in three reused
     buffers: per slab the inverse floored distance (char_distance) is dotted
@@ -401,7 +400,6 @@ def singbound_quadrature(
     etas = np.asarray(eta, dtype=float)
     if etas.ndim != 2 or etas.shape[1] != grid.d:
         raise ValueError(f"eta must be a (T, {grid.d}) array")
-    floor = grid.freq_step if dist_floor is None else float(dist_floor)
     x, plane = grid.xi_axis, grid.size // grid.n
     step = max(1, SLAB_POINTS // plane)
     # 1 + |xi - eta|^2 per eta: the axis-0 term, then those of the plane
@@ -412,7 +410,7 @@ def singbound_quadrature(
         b = min(a + step, grid.n)
         inv, base, bracket = (buf[: (b - a) * plane].reshape(b - a, plane) for buf in bufs)
         char_distance(zeta, [x[a:b]] + [x] * (grid.d - 1), inv, base)
-        np.reciprocal(np.maximum(inv, floor, out=inv), out=inv)
+        np.reciprocal(np.maximum(inv, grid.freq_step, out=inv), out=inv)
         for i, (axis_term, *others) in enumerate(terms):
             # the plane is rebuilt per slab, so memory does not grow with T
             np.add(axis_term[a:b, None], reduce(np.add.outer, others).reshape(-1), out=base)
@@ -433,7 +431,6 @@ def mq_operator_ratio(
     zeta_pair: ZetaPair,
     seed: int,
     s_values=(8.0, 16.0, 32.0, 64.0),
-    dealias: bool = True,
 ) -> EstimateReport:
     """Operator norm of the bilinear form <m_q u, v> between the two
     weighted slots, one row per s (the pair's k and frame are kept
@@ -445,7 +442,7 @@ def mq_operator_ratio(
     norms = []
     for s in s_values:
         pair = make_zeta_pair(k, float(s), eta1, eta2)
-        norms.append(_mq_operator_norm(cond, pair, rng, dealias))
+        norms.append(_mq_operator_norm(cond, pair, rng))
         report.add({"s": float(s)}, norms[-1], 1.0)
     logs = np.log(np.asarray(s_values, dtype=float))
     vals = np.asarray(norms)
@@ -454,10 +451,9 @@ def mq_operator_ratio(
     return report
 
 
-def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = True) -> float:
+def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng) -> float:
     """Top singular value of the bilinear form between the two weighted
-    slots (cell-floored weights, exact zeros dropped, and the 2/3 band
-    when dealiased).
+    slots (cell-floored weights, exact zeros dropped, on the 2/3 cube).
 
     The kernel is q: on the lattice the duality form
     -sum grad(g) . grad(g^{-1} u v) h^d is exactly sum q u v h^d (see
@@ -467,11 +463,10 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
     symmetric), and its norm is that of M."""
     grid = cond.grid
     kernel = potential_q(cond).values
-    band = grid.dealias_mask if dealias else np.ones(grid.shape, dtype=bool)
     scales = []
     for z in (pair.zeta1, pair.zeta2):
         pabs = np.abs(lattice_symbol(z, [grid.xi_axis] * grid.d))
-        keep = band & ~clamp_rule(pabs, DEFAULT_CLAMP_EPS, z.s)
+        keep = grid.dealias_mask & ~clamp_rule(pabs, DEFAULT_CLAMP_EPS, z.s)
         scales.append(np.where(keep, 1.0 / np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))), 0.0))
     inv_w1, inv_w2 = scales
 
@@ -488,21 +483,19 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng, dealias: bool = T
 # -- averaged decay over (s, eta1) bands -------------------------------------
 
 
-def _decay_density(
-    grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field, dealias: bool
-) -> np.ndarray:
+def _decay_density(grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field) -> np.ndarray:
     """The (s, eta)-independent density sum_j |(phi_B d_j f)^hat|^2 on the
-    full lattice, from the half spectrum of a real f.  Each d_j f and its
-    product with phi_B is real, so one derivative at a time goes back and
-    forth through the real pair; the even density is completed once."""
+    full lattice, cut to the 2/3 cube, from the half spectrum of a real f.
+    Each d_j f and its product with phi_B is real, so one derivative at a
+    time goes back and forth through the real pair; the even density is
+    completed once."""
     phi = phi_B.values
     half_dens = np.zeros(f_half.shape)
     for mult in grid.half_deriv_multipliers:
         prod = real_inverse(grid, f_half * mult)
         prod *= phi
         half_dens += np.abs(real_forward(prod)) ** 2
-    if dealias:
-        half_dens *= grid.dealias_mask[..., : grid.n // 2 + 1]
+    half_dens *= grid.dealias_mask[..., : grid.n // 2 + 1]
     return complete_spectrum(grid, half_dens)
 
 
@@ -513,8 +506,7 @@ def averaged_decay(
     quad_s: int,
     quad_eta: int,
     phi_B: Field,
-    dealias: bool = True,
-) -> EstimateReport:
+) -> tuple[list, Optional[float]]:
     """Band quadrature  A(lam) = int_{S^1} int_lam^{2 lam}
     sum_i || phi_B grad f ||^2  ds d(eta1)  in the homogeneous -1/2-norm
     at both paired zetas (trapezoid in s, uniform in angle), with |p|
@@ -522,15 +514,17 @@ def averaged_decay(
 
     f must be a real physical field (ValueError otherwise).  The density
     sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is built one
-    derivative at a time on the half spectrum (_decay_density); with
-    dealias=True each product spectrum is cut by the 2/3 rule, so the
-    density vanishes outside that cube.  A band's (s, angle) pairs go
-    through one pair_inverse_symbol_sums call, which evaluates only
-    zeta1's symbol, and A is the quadrature weights dotted with its sums
-    at both zetas.  f is transformed once.
+    derivative at a time on the half spectrum (_decay_density); each
+    product spectrum is cut by the 2/3 rule, so the density vanishes
+    outside that cube.  A band's (s, angle) pairs go through one
+    pair_inverse_symbol_sums call, which evaluates only zeta1's symbol,
+    and A is the quadrature weights dotted with its sums at both zetas.
+    f is transformed once.
 
-    Per band the report carries A, A/lam, and A normalized against
-    lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}.
+    Returns one record per band, with lambda, A, A/lam, and A normalized
+    against lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}, and
+    the trend: the fitted exponent of A/lam against lam (None for one band
+    or a nonpositive A).
     """
     if quad_s < 8 or quad_eta < 8:
         raise ValueError("quadrature resolutions must be >= 8")
@@ -546,7 +540,7 @@ def averaged_decay(
     if not f.is_physical or np.iscomplexobj(f.values):
         raise ValueError("averaged_decay needs a real physical field f")
     f_half = real_forward(f.values)
-    dens = _decay_density(grid, f_half, phi_B, dealias)
+    dens = _decay_density(grid, f_half, phi_B)
     # ||f||_{H^theta}^2 on the half spectrum; planes 0 < m_d < n/2 count twice
     f_sq = np.abs(f_half) ** 2
     f_sq[..., 1 : grid.n // 2] *= 2.0
@@ -554,8 +548,7 @@ def averaged_decay(
     h_sq = {theta: float(np.sum(f_sq * bracket_sq ** theta) * grid.measure) for theta in (0.0, 0.5, 1.0)}
 
     plane = orthonormal_plane(k)
-    report = EstimateReport("avg_decay")
-    a_over_lam = []
+    records = []
     for lam in bands:
         s_nodes = np.linspace(lam, 2.0 * lam, quad_s)
         s_weights = np.full(quad_s, lam / (quad_s - 1))
@@ -579,9 +572,9 @@ def averaged_decay(
         for theta, norm_sq in h_sq.items():
             denom = lam ** (1.0 - theta) * norm_sq
             row[f"normalized_theta_{theta:g}"] = total / denom if denom > 0 else 0.0
-        report.add(row, total / lam, 1.0)
-        a_over_lam.append(total / lam)
-    vals = np.asarray(a_over_lam)
+        records.append(row)
+    vals = np.asarray([row["A_over_lambda"] for row in records])
+    trend = None
     if np.all(vals > 0) and len(vals) >= 2:
-        report.trend = float(np.polyfit(np.log(bands), np.log(vals), 1)[0])
-    return report
+        trend = float(np.polyfit(np.log(bands), np.log(vals), 1)[0])
+    return records, trend

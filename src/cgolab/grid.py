@@ -354,17 +354,10 @@ def laplacian(f: Field) -> Field:
     return Field(f.grid, SPECTRAL, fs.values * (-mult))
 
 
-def multiply(f: Field, g: Field, dealias: bool = False) -> Field:
-    """Pointwise product formed in physical space.
-
-    With dealias=True the product spectrum is truncated by the 2/3 rule
-    (pure discretization hygiene; continuum products are exact).
-    """
+def multiply(f: Field, g: Field) -> Field:
+    """Pointwise product formed in physical space."""
     fp, gp = to_physical(f), to_physical(g)
-    out = Field(f.grid, PHYSICAL, fp.values * gp.values)
-    if dealias:
-        out = dealias_23(out)
-    return out
+    return Field(f.grid, PHYSICAL, fp.values * gp.values)
 
 
 def dealias_23(f: Field) -> Field:

@@ -284,7 +284,7 @@ def write_gamma_file(path, cond: Conductivity):
         cond.gamma.values.astype("<f8").tofile(fh)
 
 
-def read_gamma_file(path, smoothness_class: str = "smooth", premollify: bool = False) -> Conductivity:
+def read_gamma_file(path) -> Conductivity:
     path = Path(path)
     try:
         fh = open(path, "rb")
@@ -314,5 +314,5 @@ def read_gamma_file(path, smoothness_class: str = "smooth", premollify: bool = F
         radius = 0.0
     if radius > grid.L / 4.0:
         raise DomainError(f"{path}: support radius {radius:.6g} exceeds L/4")
-    return conductivity_from_array(grid, vals, radius, smoothness_class, premollify)
+    return conductivity_from_array(grid, vals, radius)
 

@@ -213,22 +213,20 @@ def recover_fourier_mode(
     max_iter: int = 600,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
     weight: PairingWeight | None = None,
-    dealias: bool = True,
 ) -> tuple[complex, RecoveryDiagnostics]:
     """CGO-side estimate of the k-mode of q at one dyadic band.
 
     Checks the main term first (pairing_weight, unless its result is
     given as weight), then selects the band-optimal zeta pair on the
-    one conductivity, solves both remainders (with the 2/3 rule when
-    dealias), and returns the full pairing with |term_linear| +
-    |term_bilinear| as the error bar.
+    one conductivity, solves both remainders, and returns the full
+    pairing with |term_linear| + |term_bilinear| as the error bar.
     """
     if weight is None:
         weight = pairing_weight(cond, k, make_cutoff(cond))
     selection = select_zeta_sequence([cond], k, [band], samples_per_band, seed, clamp_eps)[0]
     pair = selection.pair
     (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(
-        cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps, dealias=dealias
+        cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
     )
     breakdown = alessandrini_terms(weight, pair, psi1, psi2)
     error_bar = abs(breakdown.term_linear) + abs(breakdown.term_bilinear)
@@ -267,18 +265,18 @@ def uniqueness_gap(
     tol: float = 1e-10,
     max_iter: int = 600,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
-    dealias: bool = True,
 ) -> list[GapRow]:
     """Per k: the two full pairings side by side with the direct
     transform gap.  The zeta selection is shared between the two
     conductivities, which makes the table exactly symmetric under
     swapping them.  Every main term is checked before any selection or
-    solve."""
+    solve, and the cutoffs are dropped once the weights exist."""
     if abs(cond1.support_radius - cond2.support_radius) > 1e-9 * cond1.grid.L:
         raise FrameError("conductivities must share support geometry")
     conds = (cond1, cond2)
     phis = [make_cutoff(cond) for cond in conds]
     weights = [[pairing_weight(cond, k, phi) for cond, phi in zip(conds, phis)] for k in k_set]
+    del phis  # each weight holds phi^2; the solves need no cutoff
     rows = []
     for k_weights in weights:
         k = k_weights[0].k
@@ -291,7 +289,7 @@ def uniqueness_gap(
         qhats = []
         for cond, weight in zip(conds, k_weights):
             (_, _, psi1), (_, _, psi2) = _solve_pair(
-                cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps, dealias=dealias
+                cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
             )
             bd = alessandrini_terms(weight, pair, psi1, psi2)
             totals.append(bd.total)

@@ -1,10 +1,13 @@
 """The package namespace: what the CLI subcommands call, the objects they
-return, the error taxonomy and the Field constructors and transforms.
-Any addition or removal shows here."""
+return, the error taxonomy and the Field constructors and transforms; and
+the config surface, the fields of ExperimentConfig.  Any addition or
+removal shows here."""
 
+import dataclasses
 import types
 
 import cgolab
+from cgolab.config import ExperimentConfig
 
 PUBLIC = [
     "BandSelection",
@@ -61,3 +64,31 @@ def test_public_namespace_is_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+CONFIG_FIELDS = [
+    "grid",
+    "profiles",
+    "k_mode",
+    "k_modes",
+    "bands",
+    "samples_per_band",
+    "trials",
+    "u_samples",
+    "seed",
+    "clamp_eps",
+    "tol",
+    "max_iter",
+    "quad_s",
+    "quad_eta",
+    "singbound_m",
+    "s_values",
+    "s",
+    "angle",
+    "out_dir",
+    "out_format",
+]
+
+
+def test_config_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == CONFIG_FIELDS

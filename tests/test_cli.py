@@ -33,11 +33,13 @@ def test_threads_flag_rejected():
 
 
 def test_config_with_threads_exits_before_computing(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"threads": 2, "out_dir": str(tmp_path / "out")}))
-    assert main(["verify-estimates", "--config", str(path)]) == EXIT_CONFIG
-    assert "threads" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # retired fields: threads, and dealias (the 2/3 cube is the only posed band)
+    for field, value in (("threads", 2), ("dealias", False)):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({field: value, "out_dir": str(tmp_path / "out")}))
+        assert main(["verify-estimates", "--config", str(path)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -61,7 +63,7 @@ def test_bad_sweep_field_exits_before_computing(subcommand, field, value, tmp_pa
 def _wrong_typed_fields():
     """(name in the error, config): one wrong-typed value for every field of
     the config tree, plus values that once ran or crashed."""
-    wrong = {"int": 16.0, "float": "a", "bool": "no", "str": 5, "list": 5, "GridConfig": 5}
+    wrong = {"int": 16.0, "float": "a", "str": 5, "list": 5, "GridConfig": 5}
     cases = [(f.name, {f.name: wrong[f.type]}) for f in dataclasses.fields(ExperimentConfig)]
     cases += [
         (f"grid.{f.name}", {"grid": {f.name: wrong[f.type]}}) for f in dataclasses.fields(GridConfig)
@@ -199,25 +201,6 @@ def test_nonpositive_clamp_exits_before_computing(subcommand, clamp_eps, tmp_pat
     assert main([subcommand, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     assert "clamp_eps" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("subcommand, n_conds", [("recover", 1), ("uniqueness-gap", 2)])
-def test_pair_solves_follow_dealias(subcommand, n_conds, tmp_path, monkeypatch):
-    # both zetas of every pair are solved with the configured 2/3 rule
-    solve = cgolab.recovery.solve_psi
-    flags = []
-
-    def recorded(cond, zeta, **kwargs):
-        flags.append(kwargs["dealias"])
-        return solve(cond, zeta, **kwargs)
-
-    monkeypatch.setattr(cgolab.recovery, "solve_psi", recorded)
-    profiles = [{"kind": "gaussian", "amplitude": a} for a in (0.05, 0.04)][:n_conds]
-    config = {"grid": {"n": 64}, "profiles": profiles, "samples_per_band": 2, "dealias": False}
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(config))
-    assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert flags == [False] * (2 * n_conds)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -378,10 +361,8 @@ REPORT_VIEWS = {
     "uniqueness-gap": lambda r: {"gap": r["rows"]},
 }
 
-# the config of test_pair_solves_follow_dealias with two modes; n=64 passes
-# the main-term gate at both
-PAIR_CONFIG = {"grid": {"n": 64}, "samples_per_band": 2, "dealias": False,
-               "k_modes": [[0, 0, 1], [1, 2, 0]]}
+# two modes on an n=64 grid, where a gaussian passes the main-term gate at both
+PAIR_CONFIG = {"grid": {"n": 64}, "samples_per_band": 2, "k_modes": [[0, 0, 1], [1, 2, 0]]}
 
 
 def _expected_cell(record, column):

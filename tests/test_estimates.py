@@ -124,11 +124,11 @@ class TestMqOperatorNorm:
     """Dense n=8 oracle: the 512x512 matrix of the weighted m_q form."""
 
     @staticmethod
-    def dense_norm(cond, pair, dealias):
+    def dense_norm(cond, pair):
         """||D2 E diag(q) E D1||_2, where E is the unitary inverse DFT (a
         symmetric matrix), q = (Lap g)/g with the Nyquist row zeroed, and D
-        carries 1/sqrt(max(|p|, s/2)), zero where |p| < 1e-6 s and, when
-        dealiased, outside the 2/3 cube."""
+        carries 1/sqrt(max(|p|, s/2)), zero where |p| < 1e-6 s and outside
+        the 2/3 cube."""
         n = cond.grid.n
         m = np.fft.fftfreq(n, d=1.0 / n)
         mn = np.where(m == -(n // 2), 0.0, m)
@@ -138,7 +138,7 @@ class TestMqOperatorNorm:
         q = (np.fft.ifftn(lap * np.fft.fftn(g)).real / g).ravel()
         e1 = np.exp(2j * np.pi * np.outer(np.arange(n), m) / n) / np.sqrt(n)
         dft = np.kron(np.kron(e1, e1), e1)
-        cube = np.all(np.abs(xi) <= (n // 3 if dealias else n), axis=-1)
+        cube = np.all(np.abs(xi) <= n // 3, axis=-1)
         k, s = pair.k, pair.s
         r = np.sqrt(s * s - 0.25 * (k @ k))
         scales = []
@@ -150,9 +150,8 @@ class TestMqOperatorNorm:
         mat = scales[1][:, None] * (dft @ (q[:, None] * dft)) * scales[0][None, :]
         return np.linalg.norm(mat, 2)
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
     @pytest.mark.parametrize("profile", ["bump", "cone"])
-    def test_matches_dense_matrix(self, profile, dealias):
+    def test_matches_dense_matrix(self, profile):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
         if profile == "bump":
             cond = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
@@ -163,10 +162,10 @@ class TestMqOperatorNorm:
             cond = conductivity_from_array(grid, cone, 1.1, "lipschitz")
         k = np.array([0.0, 0.0, 1.0])
         rep = mq_operator_ratio(cond, cg.zeta_pair_from_angle(k, 4.0, 0.3), seed=1,
-                                s_values=[4.0, 8.0], dealias=dealias)
+                                s_values=[4.0, 8.0])
         for sample in rep.samples:
             pair = cg.zeta_pair_from_angle(k, sample.params["s"], 0.3)
-            assert sample.lhs == pytest.approx(self.dense_norm(cond, pair, dealias), rel=1e-10)
+            assert sample.lhs == pytest.approx(self.dense_norm(cond, pair), rel=1e-10)
 
 
 class TestMqKernel:
@@ -233,10 +232,9 @@ class TestHarnessNorms:
         return np.all(np.abs(cls.lattice()) <= cls.N // 3, axis=-1)
 
     @classmethod
-    def localize(cls, phi, uhat, dealias):
-        """(phi u)^hat, cut to the 2/3 cube when dealiased."""
-        out = np.fft.fftn(phi * np.fft.ifftn(uhat, norm="ortho"), norm="ortho")
-        return out * cls.cube() if dealias else out
+    def localize(cls, phi, uhat):
+        """(phi u)^hat, cut to the 2/3 cube."""
+        return np.fft.fftn(phi * np.fft.ifftn(uhat, norm="ortho"), norm="ortho") * cls.cube()
 
     @classmethod
     def draws(cls, zeta, seed):
@@ -256,11 +254,10 @@ class TestHarnessNorms:
             out.append(coef * cls.cube())
         return out
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
-    def test_localization_samples_match_oracle(self, setup, dealias):
+    def test_localization_samples_match_oracle(self, setup):
         pair, phi_B = setup
         zeta = pair.zeta1
-        reports = estimates.localization_ratios(self.SAMPLES, zeta, phi_B, 5, dealias)
+        reports = estimates.localization_ratios(self.SAMPLES, zeta, phi_B, 5)
         assert [rep.estimate_id for rep in reports] == list(estimates.LOCALIZATION_IDS)
         phi = phi_B.values.real
         _, s, dot, inh = self.weights(zeta)
@@ -269,7 +266,7 @@ class TestHarnessNorms:
         high_pass = 1.0 - smooth_bridge(np.sqrt(np.sum(xi * xi, axis=-1)) / (8.0 * s))
         assert 0.0 < high_pass[self.cube()].max()
         for i, uhat in enumerate(self.draws(zeta, 5)):
-            u_b = self.localize(phi, uhat, dealias)
+            u_b = self.localize(phi, uhat)
             high = high_pass * u_b
             rhs_half = self.norm(uhat, dot[0.5])
             expected = {
@@ -286,16 +283,15 @@ class TestHarnessNorms:
                 assert sample.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
                 assert sample.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("dealias", [True, False], ids=["dealiased", "full"])
-    def test_bilinear_ratio_matches_oracle(self, setup, dealias):
+    def test_bilinear_ratio_matches_oracle(self, setup):
         pair, phi_B = setup
         grid = phi_B.grid
         f = cg.physical_field(grid, random_field(grid, 21).values.real)
         u, v = random_field(grid, 22), random_field(grid, 23)
-        ratio = cg.bilinear_ratio(f, pair, u, v, phi_B, dealias=dealias)
+        ratio = cg.bilinear_ratio(f, pair, u, v, phi_B)
         phi = phi_B.values.real
-        u_b, v_b = (np.fft.ifftn(self.localize(phi, np.fft.fftn(w.values, norm="ortho"), dealias),
-                                 norm="ortho") for w in (u, v))
+        u_b, v_b = (np.fft.ifftn(self.localize(phi, np.fft.fftn(w.values, norm="ortho")), norm="ortho")
+                    for w in (u, v))
         lhs = abs(np.sum(f.values.real * u_b * v_b)) * (TWO_PI / self.N) ** 3
         denom = np.max(np.abs(f.values)) * np.prod([
             self.norm(np.fft.fftn(w.values, norm="ortho"), self.weights(z)[2][0.5])
@@ -308,14 +304,14 @@ class TestAveragedDecay:
     K = np.array([0.0, 0.0, 1.0])
 
     @staticmethod
-    def oracle_density(f, phi, dealias=True):
-        """sum_j |(phi d_j f)^hat|^2 (2/3-cut with dealias) in plain numpy
+    def oracle_density(f, phi):
+        """sum_j |(phi d_j f)^hat|^2, cut to the 2/3 cube, in plain numpy
         on [0, 2pi)^3, with complex transforms of the physical arrays."""
         n = f.shape[0]
         m = np.fft.fftfreq(n, d=1.0 / n)
         deriv = np.where(m == -(n // 2), 0.0, m)
         axes = [(n, 1, 1), (1, n, 1), (1, 1, n)]
-        keep = np.abs(m) <= n // 3 if dealias else np.ones(n, dtype=bool)
+        keep = np.abs(m) <= n // 3
         cube = keep.reshape(axes[0]) & keep.reshape(axes[1]) & keep.reshape(axes[2])
         fhat = np.fft.fftn(f, norm="ortho")
         dens = 0.0
@@ -351,15 +347,14 @@ class TestAveragedDecay:
         return total * (2.0 * np.pi / n) ** 3
 
     @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_density_matches_complex_transforms(self, n, dealias):
+    def test_density_matches_complex_transforms(self, n):
         # the half-spectrum density against complex fftn of the same real data
         grid = cg.FrequencyGrid(3, n, TWO_PI)
         cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 0.7})
         phi = cg.make_cutoff(cone)
         f = cone.log_g.values.real
-        dens = estimates._decay_density(grid, cg.grid.real_forward(f), phi, dealias)
-        expected = self.oracle_density(f, phi.values.real, dealias)
+        dens = estimates._decay_density(grid, cg.grid.real_forward(f), phi)
+        expected = self.oracle_density(f, phi.values.real)
         assert np.max(np.abs(dens - expected)) <= 1e-13 * np.max(expected)
         # completed as an exactly even density
         neg = (-np.arange(n)) % n
@@ -371,7 +366,7 @@ class TestAveragedDecay:
         grid = cg.FrequencyGrid(3, n, TWO_PI)
         cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 0.7})
         lam = 8.0
-        params = cg.averaged_decay(cone.log_g, self.K, [lam], 8, 8, cg.make_cutoff(cone)).samples[0].params
+        (params,), _ = cg.averaged_decay(cone.log_g, self.K, [lam], 8, 8, cg.make_cutoff(cone))
         fhat_sq = np.abs(np.fft.fftn(cone.log_g.values.real, norm="ortho")) ** 2
         m = np.fft.fftfreq(n, d=1.0 / n)
         xi_sq = m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
@@ -389,27 +384,30 @@ class TestAveragedDecay:
     def test_matches_per_zeta_oracle(self, grid32):
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
         phi = cg.make_cutoff(cone)
-        rep = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, 8, phi)
+        records, trend = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, 8, phi)
         f, cut = cone.log_g.values.real, phi.values.real
-        for sample, lam in zip(rep.samples, (8.0, 16.0)):
-            expected = self.oracle_a(f, cut, lam, 8, 8)
-            assert sample.params["A"] == pytest.approx(expected, rel=1e-12)
-            assert sample.params["A_over_lambda"] == pytest.approx(expected / lam, rel=1e-12)
+        expected = [self.oracle_a(f, cut, lam, 8, 8) for lam in (8.0, 16.0)]
+        for row, lam, a in zip(records, (8.0, 16.0), expected):
+            assert row["lambda"] == lam
+            assert row["A"] == pytest.approx(a, rel=1e-12)
+            assert row["A_over_lambda"] == pytest.approx(a / lam, rel=1e-12)
+        # two bands: the trend is the slope of log(A / lam) against log lam
+        assert trend == pytest.approx(np.log2((expected[1] / 16.0) / (expected[0] / 8.0)), rel=1e-10)
 
 
 class TestSingboundQuadrature:
     @staticmethod
-    def oracle(zeta, eta, M, n, floor):
-        """sum_xi <xi - eta>^{-M} / max(dist(xi, Sigma), floor) on the integer
-        lattice of [0, 2pi)^3 (dxi = 1), with zeta = s (e1 - i e2) and
-        dist = | s - |xi - s e2| | + |xi . e1|."""
+    def oracle(zeta, eta, M, n):
+        """sum_xi <xi - eta>^{-M} / max(dist(xi, Sigma), 1) on the integer
+        lattice of [0, 2pi)^3 (dxi = 1, the floor), with zeta = s (e1 - i e2)
+        and dist = | s - |xi - s e2| | + |xi . e1|."""
         m = np.fft.fftfreq(n, d=1.0 / n)
         xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         s = np.linalg.norm(zeta.value.real)
         e1, e2 = zeta.value.real / s, -zeta.value.imag / s
         dist = np.abs(s - np.linalg.norm(xi - s * e2, axis=-1)) + np.abs(xi @ e1)
         bracket = (1.0 + np.sum((xi - eta) ** 2, axis=-1)) ** (-M / 2.0)
-        return np.sum(bracket / np.maximum(dist, floor))
+        return np.sum(bracket / np.maximum(dist, 1.0))
 
     @pytest.mark.parametrize("M", [5, 6, 8])
     def test_matches_plain_numpy_oracle(self, M):
@@ -421,12 +419,10 @@ class TestSingboundQuadrature:
         for n in (16, 32):
             grid = cg.FrequencyGrid(3, n, TWO_PI)
             for zeta in zetas:
-                for floor in (None, 0.25):
-                    etas = rng.normal(size=(3, 3)) * 4.0
-                    values = cg.singbound_quadrature(zeta, etas, M, grid, floor)
-                    for eta, value in zip(etas, values):
-                        expected = self.oracle(zeta, eta, M, n, 1.0 if floor is None else floor)
-                        assert value == pytest.approx(expected, rel=1e-13)
+                etas = rng.normal(size=(3, 3)) * 4.0
+                values = cg.singbound_quadrature(zeta, etas, M, grid)
+                for eta, value in zip(etas, values):
+                    assert value == pytest.approx(self.oracle(zeta, eta, M, n), rel=1e-13)
 
     def test_partial_slabs_match_oracle(self, grid32, monkeypatch):
         # slabs of 3 axis-0 rows: ten full ones and a last one of 2 rows
@@ -436,7 +432,7 @@ class TestSingboundQuadrature:
         for M in (5, 6):
             values = cg.singbound_quadrature(zeta, etas, M, grid32)
             for eta, value in zip(etas, values):
-                assert value == pytest.approx(self.oracle(zeta, eta, M, 32, 1.0), rel=1e-13)
+                assert value == pytest.approx(self.oracle(zeta, eta, M, 32), rel=1e-13)
 
     def test_eta_must_be_a_batch(self, grid16):
         zeta = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))

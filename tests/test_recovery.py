@@ -3,6 +3,7 @@ and the two-thread solve of a zeta pair against sequential solves."""
 
 import dataclasses
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -237,3 +238,29 @@ def test_uniqueness_gap_rows_equal_sequential_recomputation(bump64):
         assert row.gap == abs(bd1.total - bd2.total)
         assert row.qhat_gap == abs(bd1.main_oracle - bd2.main_oracle)
         assert row.error_bar == sum(abs(bd.term_linear) + abs(bd.term_bilinear) for bd in breakdowns)
+
+
+def test_uniqueness_gap_frees_the_cutoffs_before_solving(bump64, monkeypatch):
+    # only pairing_weight reads a cutoff (2 MiB at n=64), and each weight
+    # holds phi^2: no cutoff may live through the pair solves
+    make_cutoff, cutoffs, alive = cgolab.recovery.make_cutoff, [], []
+
+    def tracked(cond):
+        phi = make_cutoff(cond)
+        cutoffs.append(weakref.ref(phi))
+        return phi
+
+    class Stop(Exception):
+        pass
+
+    def first_solve(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in cutoffs))
+        raise Stop
+
+    monkeypatch.setattr(cgolab.recovery, "make_cutoff", tracked)
+    monkeypatch.setattr(cgolab.recovery, "solve_psi", first_solve)
+    other = cg.make_conductivity(bump64.grid, {"kind": "gaussian", "amplitude": 0.08, "width": 0.3})
+    with pytest.raises(Stop):
+        cg.uniqueness_gap(bump64, other, [np.array([0.0, 0.0, 1.0])], BAND, samples_per_band=2)
+    assert len(cutoffs) == 2
+    assert alive == [0, 0]
