@@ -49,11 +49,9 @@ from .estimates import (
     singbound_quadrature,
 )
 from .recovery import (
-    GapRow,
+    ModeRecovery,
     PairingBreakdown,
     PairingWeight,
-    RecoveryDiagnostics,
     pairing_weight,
-    recover_fourier_mode,
-    uniqueness_gap,
+    recover_modes,
 )

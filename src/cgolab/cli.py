@@ -1,7 +1,9 @@
 """Reproducible experiment driver.
 
 Subcommands: solve-cgo, select-zeta, verify-estimates, averaged-decay,
-singbound, recover, uniqueness-gap.
+singbound, recover, uniqueness-gap.  The last two share one path,
+recovery.recover_modes at the last band, on one conductivity and on two;
+a gap row sets the two records side by side, with their summed error bar.
 
 The 2/3 cube is the only posed band: the solver keeps its modes there
 and reports what the cut loses (dealias_defect), and the estimates cut
@@ -68,7 +70,7 @@ from .estimates import (
 )
 from .grid import FrequencyGrid, physical_field
 from .potential import make_conductivity, make_cutoff, read_gamma_file
-from .recovery import pairing_weight, recover_fourier_mode, uniqueness_gap
+from .recovery import recover_modes
 from .symbol import zeta_pair_from_angle
 
 SUBCOMMANDS = (
@@ -254,32 +256,32 @@ def _run_singbound(cfg: ExperimentConfig):
     return {"rows": rows}, {"singbound": (columns, rows)}
 
 
-def _run_recover(cfg: ExperimentConfig):
-    grid = _grid(cfg)
-    cond = _conductivity(grid, cfg.profiles[0])
-    band = float(cfg.bands[-1])
+def _recover_modes(cfg: ExperimentConfig, conds):
+    """Per configured mode, its k_mode and one ModeRecovery per conductivity."""
     k_modes = cfg.k_modes or [cfg.k_mode]
-    ks = [grid.lattice_frequency(mode) for mode in k_modes]
-    # every mode's main-term gate runs before any mode is solved
-    phi = make_cutoff(cond)
-    weights = [pairing_weight(cond, k, phi) for k in ks]
-    del phi  # each weight holds phi^2; the solves need no cutoff
+    ks = [conds[0].grid.lattice_frequency(mode) for mode in k_modes]
+    recs = recover_modes(conds, ks, float(cfg.bands[-1]), cfg.samples_per_band,
+                         cfg.seed, cfg.tol, cfg.max_iter, cfg.clamp_eps)
+    return zip(k_modes, recs)
+
+
+def _solver_fields(rec, suffix=""):
+    """The two solves' diagnostics of one record, as report fields."""
+    return {f"solver_iterations{suffix}": [rec.report1.iterations, rec.report2.iterations],
+            f"clamped_mass{suffix}": max(rec.report1.clamped_mass, rec.report2.clamped_mass)}
+
+
+def _run_recover(cfg: ExperimentConfig):
+    cond = _conductivity(_grid(cfg), cfg.profiles[0])
     modes = []
-    for mode, k, weight in zip(k_modes, ks, weights):
-        recovered, diag = recover_fourier_mode(
-            cond, k, band,
-            samples_per_band=cfg.samples_per_band, seed=cfg.seed,
-            tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps, weight=weight,
-        )
-        bd = diag.breakdown
+    for mode, (rec,) in _recover_modes(cfg, [cond]):
+        bd = rec.breakdown
         modes.append({
-            "k_mode": list(mode), "k": list(k), "band": band,
-            "recovered": recovered, "oracle": diag.oracle,
+            "k_mode": list(mode), "k": list(bd.k), "band": rec.selection.lam,
+            "recovered": bd.total, "oracle": bd.main_oracle,
             "term_main": bd.term_main, "term_linear": bd.term_linear, "term_bilinear": bd.term_bilinear,
             "err_linear": abs(bd.term_linear), "err_bilinear": abs(bd.term_bilinear),
-            "error_bar": diag.error_bar, "selected_s": bd.zeta_pair.s,
-            "solver_iterations": [diag.report1.iterations, diag.report2.iterations],
-            "clamped_mass": diag.clamped_mass,
+            "error_bar": rec.error_bar, "selected_s": bd.zeta_pair.s, **_solver_fields(rec),
         })
     columns = ["k", "band", "recovered", "oracle", "err_linear", "err_bilinear", "clamped_mass"]
     return {"modes": modes}, {"recover": (columns, modes)}
@@ -289,16 +291,18 @@ def _run_uniqueness_gap(cfg: ExperimentConfig):
     if len(cfg.profiles) != 2:
         raise ConfigError(f"uniqueness-gap needs exactly two profiles, got {len(cfg.profiles)}")
     grid = _grid(cfg)
-    cond1, cond2 = (_conductivity(grid, p) for p in cfg.profiles)
-    band = float(cfg.bands[-1])
-    k_modes = cfg.k_modes or [cfg.k_mode]
-    k_set = [grid.lattice_frequency(m) for m in k_modes]
-    table = uniqueness_gap(
-        cond1, cond2, k_set, band,
-        samples_per_band=cfg.samples_per_band, seed=cfg.seed,
-        tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
-    )
-    rows = [{**dataclasses.asdict(r), "k": list(r.k)} for r in table]
+    conds = [_conductivity(grid, p) for p in cfg.profiles]
+    rows = []
+    for _, (rec1, rec2) in _recover_modes(cfg, conds):
+        bd1, bd2 = rec1.breakdown, rec2.breakdown
+        rows.append({
+            "k": list(bd1.k), "band": rec1.selection.lam,
+            "pairing1": bd1.total, "pairing2": bd2.total, "gap": abs(bd1.total - bd2.total),
+            "qhat1": bd1.main_oracle, "qhat2": bd2.main_oracle,
+            "qhat_gap": abs(bd1.main_oracle - bd2.main_oracle),
+            "error_bar": rec1.error_bar + rec2.error_bar,
+            **_solver_fields(rec1, "1"), **_solver_fields(rec2, "2"),
+        })
     columns = ["k", "band", "pairing1", "pairing2", "gap", "qhat_gap", "error_bar"]
     return {"rows": rows}, {"gap": (columns, rows)}
 

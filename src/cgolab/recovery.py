@@ -28,23 +28,28 @@ transform of q, sum q e^{ix.k} h^d; the gap between the two is the
 lattice tail of q where phi^2 < 1, so that gate fails on under-resolved
 q.  Dropping the extra cutoff power, as one may in the continuum where
 phi = 1 on the support of q, would re-introduce spectral-ringing slack.
-pairing_weight forms w and evaluates these gates, so recover_fourier_mode
-and uniqueness_gap fail on them before any zeta selection or solve.
+pairing_weight forms w and evaluates these gates.
 
-recover_fourier_mode returns total as the CGO-side estimate of the
-k-mode of q; |term_linear| + |term_bilinear| is its error bar.  All
-products here are left untruncated so the identities hold to rounding.
+recover_modes is the one entry point, for one conductivity (recover) or
+several (uniqueness-gap; equal boundary data give equal modes).  In
+order it checks the shared support geometry and |k| < 2 band for every
+k, gates every main term (pairing_weight) before any selection, selects
+per k one zeta pair over all conductivities, and solves that pair on
+each conductivity.  Each ModeRecovery holds total, the CGO-side estimate
+of the k-mode of q, with |term_linear| + |term_bilinear| as its error
+bar.  All products here are left untruncated so the identities hold to
+rounding.
 
-The two remainders of a pair are independent fixed points, so both
-callers solve them at once (_solve_pair): zeta_2 in one worker thread
-while zeta_1 runs in the calling thread.  Their transforms and
-full-lattice ufuncs release the GIL, so the two overlap on two cores.
-The calling thread takes one of the solves because a second worker
-would bring its own malloc arena and raise the peak memory.  The
-conductivity's q and q_hat and the grid's 2/3 mask (with the axes it is
-built from) are built before the worker starts, so no cached array is
-first built in two threads.  Each solve holds K-length vectors and two
-lattice arrays (cgo.solve_psi), and is the sequential one, bit for bit.
+The two remainders of a pair are independent fixed points, so they are
+solved at once (_solve_pair): zeta_2 in one worker thread while zeta_1
+runs in the calling thread.  Their transforms and full-lattice ufuncs
+release the GIL, so the two overlap on two cores.  The calling thread
+takes one of the solves because a second worker would bring its own
+malloc arena and raise the peak memory.  The conductivity's q and q_hat
+and the grid's 2/3 mask (with the axes it is built from) are built
+before the worker starts, so no cached array is first built in two
+threads.  Each solve holds K-length vectors and two lattice arrays
+(cgo.solve_psi), and is the sequential one, bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
-from .errors import CgolabError, FrameError
+from .errors import CgolabError, FrameError, InfeasibleGeometryError
 from .grid import Field, FrequencyGrid, exp_ik_field, pairing, to_physical, to_spectral
 from .potential import Conductivity, make_cutoff
 from .spaces import DEFAULT_CLAMP_EPS
@@ -193,71 +198,30 @@ def _solve_pair(cond: Conductivity, pair: ZetaPair, **solver_kwargs):
 
 
 @dataclass
-class RecoveryDiagnostics:
+class ModeRecovery:
+    """One conductivity's recovery of one k-mode: the pairing's terms, the
+    band selection shared by every conductivity, and the two solves."""
+
     breakdown: PairingBreakdown
     selection: BandSelection
     report1: IterationReport
     report2: IterationReport
-    oracle: complex
-    error_bar: float
-    clamped_mass: float
+
+    @property
+    def error_bar(self) -> float:
+        return abs(self.breakdown.term_linear) + abs(self.breakdown.term_bilinear)
 
 
-def recover_fourier_mode(
-    cond: Conductivity,
-    k,
-    band: float,
-    samples_per_band: int = 12,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 600,
-    clamp_eps: float = DEFAULT_CLAMP_EPS,
-    weight: PairingWeight | None = None,
-) -> tuple[complex, RecoveryDiagnostics]:
-    """CGO-side estimate of the k-mode of q at one dyadic band.
-
-    Checks the main term first (pairing_weight, unless its result is
-    given as weight), then selects the band-optimal zeta pair on the
-    one conductivity, solves both remainders, and returns the full
-    pairing with |term_linear| + |term_bilinear| as the error bar.
-    """
-    if weight is None:
-        weight = pairing_weight(cond, k, make_cutoff(cond))
-    selection = select_zeta_sequence([cond], k, [band], samples_per_band, seed, clamp_eps)[0]
+def _recover(cond, weight, selection, **solver_kwargs) -> ModeRecovery:
+    """Solve the selected pair on one conductivity and pair the remainders;
+    the remainders die with this call, before the next pair is solved."""
     pair = selection.pair
-    (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(
-        cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
-    )
-    breakdown = alessandrini_terms(weight, pair, psi1, psi2)
-    error_bar = abs(breakdown.term_linear) + abs(breakdown.term_bilinear)
-    diag = RecoveryDiagnostics(
-        breakdown=breakdown,
-        selection=selection,
-        report1=rep1,
-        report2=rep2,
-        oracle=breakdown.main_oracle,
-        error_bar=error_bar,
-        clamped_mass=max(rep1.clamped_mass, rep2.clamped_mass),
-    )
-    return breakdown.total, diag
+    (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(cond, pair, **solver_kwargs)
+    return ModeRecovery(alessandrini_terms(weight, pair, psi1, psi2), selection, rep1, rep2)
 
 
-@dataclass
-class GapRow:
-    k: np.ndarray
-    band: float
-    pairing1: complex
-    pairing2: complex
-    gap: float
-    qhat1: complex
-    qhat2: complex
-    qhat_gap: float
-    error_bar: float
-
-
-def uniqueness_gap(
-    cond1: Conductivity,
-    cond2: Conductivity,
+def recover_modes(
+    conds,
     k_set,
     band: float,
     samples_per_band: int = 12,
@@ -265,47 +229,29 @@ def uniqueness_gap(
     tol: float = 1e-10,
     max_iter: int = 600,
     clamp_eps: float = DEFAULT_CLAMP_EPS,
-) -> list[GapRow]:
-    """Per k: the two full pairings side by side with the direct
-    transform gap.  The zeta selection is shared between the two
-    conductivities, which makes the table exactly symmetric under
-    swapping them.  Every main term is checked before any selection or
-    solve, and the cutoffs are dropped once the weights exist."""
-    if abs(cond1.support_radius - cond2.support_radius) > 1e-9 * cond1.grid.L:
+) -> list[list[ModeRecovery]]:
+    """Per k of k_set, one ModeRecovery per conductivity, in the order of
+    the module docstring: FrameError unless the supports agree,
+    InfeasibleGeometryError unless |k| < 2 band, every main-term gate,
+    then per k one shared selection (so two conductivities' records are
+    exactly symmetric under a swap) and the pair solves.  The cutoffs are
+    dropped once the weights exist."""
+    conds = list(conds)
+    if any(abs(c.support_radius - conds[0].support_radius) > 1e-9 * c.grid.L for c in conds):
         raise FrameError("conductivities must share support geometry")
-    conds = (cond1, cond2)
+    for k in k_set:
+        if np.linalg.norm(k) >= 2.0 * band:
+            raise InfeasibleGeometryError(
+                f"|k| = {np.linalg.norm(k):.6g} infeasible for band {band:.6g}: needs |k| < 2 band"
+            )
     phis = [make_cutoff(cond) for cond in conds]
     weights = [[pairing_weight(cond, k, phi) for cond, phi in zip(conds, phis)] for k in k_set]
     del phis  # each weight holds phi^2; the solves need no cutoff
-    rows = []
+    out = []
     for k_weights in weights:
-        k = k_weights[0].k
-        selection = select_zeta_sequence(
-            [cond1, cond2], k, [band], samples_per_band, seed, clamp_eps
-        )[0]
-        pair = selection.pair
-        totals = []
-        errors = []
-        qhats = []
-        for cond, weight in zip(conds, k_weights):
-            (_, _, psi1), (_, _, psi2) = _solve_pair(
-                cond, pair, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps
-            )
-            bd = alessandrini_terms(weight, pair, psi1, psi2)
-            totals.append(bd.total)
-            errors.append(abs(bd.term_linear) + abs(bd.term_bilinear))
-            qhats.append(bd.main_oracle)
-        rows.append(
-            GapRow(
-                k=k,
-                band=float(band),
-                pairing1=totals[0],
-                pairing2=totals[1],
-                gap=abs(totals[0] - totals[1]),
-                qhat1=qhats[0],
-                qhat2=qhats[1],
-                qhat_gap=abs(qhats[0] - qhats[1]),
-                error_bar=errors[0] + errors[1],
-            )
-        )
-    return rows
+        selection = select_zeta_sequence(conds, k_weights[0].k, [band], samples_per_band, seed, clamp_eps)[0]
+        out.append([
+            _recover(cond, weight, selection, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
+            for cond, weight in zip(conds, k_weights)
+        ])
+    return out

@@ -20,13 +20,12 @@ PUBLIC = [
     "Field",
     "FrameError",
     "FrequencyGrid",
-    "GapRow",
     "InfeasibleGeometryError",
     "IterationReport",
+    "ModeRecovery",
     "NotContractiveError",
     "PairingBreakdown",
     "PairingWeight",
-    "RecoveryDiagnostics",
     "RepresentationError",
     "SchurBound",
     "Zeta",
@@ -43,7 +42,7 @@ PUBLIC = [
     "physical_field",
     "potential_q",
     "read_gamma_file",
-    "recover_fourier_mode",
+    "recover_modes",
     "schur_bound",
     "select_zeta_sequence",
     "singbound_quadrature",
@@ -52,7 +51,6 @@ PUBLIC = [
     "to_physical",
     "to_spectral",
     "transform",
-    "uniqueness_gap",
     "zeta_pair_from_angle",
 ]
 

@@ -238,7 +238,7 @@ def test_main_term_gate_fails_before_any_solve(subcommand, config, tmp_path, cap
 
 def test_recover_gates_every_mode_before_the_first_solve(tmp_path, capsys, monkeypatch):
     # n=64: the gaussian passes the gate at e_z; the second mode is made to fail
-    gate = cgolab.cli.pairing_weight
+    gate = cgolab.recovery.pairing_weight
 
     def failing_on_second(cond, k, phi):
         if k[2] > 1.5:
@@ -248,13 +248,47 @@ def test_recover_gates_every_mode_before_the_first_solve(tmp_path, capsys, monke
     def forbidden(*args, **kwargs):
         raise AssertionError("computed past the main-term gate")
 
-    monkeypatch.setattr(cgolab.cli, "pairing_weight", failing_on_second)
+    monkeypatch.setattr(cgolab.recovery, "pairing_weight", failing_on_second)
     monkeypatch.setattr(cgolab.recovery, "select_zeta_sequence", forbidden)
     path = tmp_path / "c.json"
     config = {"grid": {"n": 64}, "k_modes": [[0, 0, 1], [0, 0, 2]], "out_dir": str(tmp_path / "out")}
     path.write_text(json.dumps(config))
     assert main(["recover", "--config", str(path)]) == 1
     assert "second mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "uniqueness-gap"])
+@pytest.mark.parametrize("n", [32, 64])
+def test_infeasible_band_exits_before_any_gate(subcommand, n, tmp_path, capsys, monkeypatch):
+    # |k| = 1 >= 2 * 0.25: the band, not the main term, is what fails
+    def forbidden(*args, **kwargs):
+        raise AssertionError("gated an infeasible band")
+
+    monkeypatch.setattr(cgolab.recovery, "make_cutoff", forbidden)
+    monkeypatch.setattr(cgolab.recovery, "pairing_weight", forbidden)
+    path = tmp_path / "c.json"
+    config = {"grid": {"n": n}, "bands": [0.25], "profiles": [{"kind": "gaussian"}] * 2}
+    if subcommand == "recover":
+        config["profiles"] = config["profiles"][:1]
+    path.write_text(json.dumps({**config, "out_dir": str(tmp_path / "out")}))
+    assert main([subcommand, "--config", str(path)]) == EXIT_GEOMETRY
+    err = capsys.readouterr().err
+    assert "|k| = 1 " in err and "band 0.25" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_uniqueness_gap_needs_one_support_geometry(tmp_path, capsys, monkeypatch):
+    # the gaussian is supported in L/4, the cone in its radius plus the mollifier
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a cutoff before checking the support geometry")
+
+    monkeypatch.setattr(cgolab.recovery, "make_cutoff", forbidden)
+    path = tmp_path / "c.json"
+    profiles = [{"kind": "gaussian"}, {"kind": "cone", "amplitude": 0.5}]
+    path.write_text(json.dumps({"profiles": profiles, "out_dir": str(tmp_path / "out")}))
+    assert main(["uniqueness-gap", "--config", str(path)]) == EXIT_GEOMETRY
+    assert "support geometry" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 SMOKE_CONFIG = {

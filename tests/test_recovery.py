@@ -1,5 +1,6 @@
-"""Fourier-mode recovery against the closed-form q of the gaussian bump,
-and the two-thread solve of a zeta pair against sequential solves."""
+"""Fourier-mode recovery against the closed-form q of the gaussian bump
+and against its steps run one by one, and the two-thread solve of a zeta
+pair against sequential solves."""
 
 import dataclasses
 import threading
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 
 import cgolab as cg
+import cgolab.cli
 import cgolab.recovery
-from cgolab.errors import CgolabError, NotContractiveError
+from cgolab.config import config_from_dict
+from cgolab.errors import CgolabError, FrameError, NotContractiveError
 from cgolab.recovery import _solve_pair, alessandrini_terms, fourier_mode, pairing_weight
 from cgolab.spaces import smooth_bridge
 
-from conftest import _oracle_gaussian_q, _oracle_lattice, psihat_field
+from conftest import BUMP_AMPLITUDE, BUMP_WIDTH, _oracle_gaussian_q, _oracle_lattice, psihat_field
 
 BAND, SAMPLES, SEED = 64.0, 4, 0
 
@@ -35,20 +38,22 @@ def test_main_term_gate_before_selection(bump32, monkeypatch):
 
     monkeypatch.setattr(cgolab.recovery, "select_zeta_sequence", forbidden)
     with pytest.raises(CgolabError, match="main-term transform oracle mismatch"):
-        cg.recover_fourier_mode(bump32, np.array([0.0, 0.0, 1.0]), 32.0)
+        cg.recover_modes([bump32], [np.array([0.0, 0.0, 1.0])], 32.0)
 
 
 # k/2 off the lattice, and on it
 @pytest.mark.parametrize("k", [(1.0, 2.0, 0.0), (2.0, 0.0, 0.0)])
 def test_recovered_mode_within_error_bar(bump64, k):
     k = np.array(k)
-    recovered, diag = cg.recover_fourier_mode(bump64, k, BAND, samples_per_band=SAMPLES, seed=SEED)
-    bd = diag.breakdown
+    ((rec,),) = cg.recover_modes([bump64], [k], BAND, samples_per_band=SAMPLES, seed=SEED)
+    bd = rec.breakdown
+    recovered, oracle = bd.total, bd.main_oracle
     exact = exact_mode(64, k)
     # measured: |recovered - exact| / |exact| = 2.9e-4 and 6.8e-4, equal to the error bar
-    assert abs(recovered - exact) <= diag.error_bar + 1e-5 * abs(exact)
-    assert abs(diag.oracle - exact) <= 1e-5 * abs(exact)
-    assert diag.oracle == fourier_mode(cg.potential_q(bump64), k)
+    assert abs(recovered - exact) <= rec.error_bar + 1e-5 * abs(exact)
+    assert rec.error_bar == abs(bd.term_linear) + abs(bd.term_bilinear)
+    assert abs(oracle - exact) <= 1e-5 * abs(exact)
+    assert oracle == fourier_mode(cg.potential_q(bump64), k)
     parts = bd.term_main + bd.term_linear + bd.term_bilinear
     assert abs(bd.total - parts) <= 1e-12 * abs(bd.total)
 
@@ -97,20 +102,33 @@ def test_terms_match_plain_four_term_sum(bump64, k):
         assert abs(getattr(bd, name) - value) <= 1e-13 * abs(value), name
 
 
-def test_uniqueness_gap_symmetric_under_swap(bump64):
+BUMP = {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH}
+OTHER = {"kind": "gaussian", "amplitude": 0.08, "width": 0.3}
+
+
+def gap_rows(profiles, k_modes):
+    """The report rows of uniqueness-gap on the n=64 grid of bump64."""
+    cfg = config_from_dict({
+        "grid": {"n": 64}, "profiles": profiles, "k_modes": k_modes,
+        "bands": [BAND], "samples_per_band": SAMPLES, "seed": SEED,
+    })
+    result, _ = cgolab.cli._run_uniqueness_gap(cfg)
+    return result["rows"]
+
+
+def test_uniqueness_gap_symmetric_under_swap():
     # two gaussians of one width: the shared selection makes the table
     # exactly symmetric under swapping the conductivities
-    grid = bump64.grid
-    other = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.08, "width": 0.3})
-    k_set = [np.array([1.0, 2.0, 0.0])]
-    (row,) = cg.uniqueness_gap(bump64, other, k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
-    (swapped,) = cg.uniqueness_gap(other, bump64, k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
-    assert (swapped.pairing1, swapped.pairing2) == (row.pairing2, row.pairing1)
-    assert (swapped.qhat1, swapped.qhat2) == (row.qhat2, row.qhat1)
+    (row,) = gap_rows([BUMP, OTHER], [[1, 2, 0]])
+    (swapped,) = gap_rows([OTHER, BUMP], [[1, 2, 0]])
+    assert (swapped["pairing1"], swapped["pairing2"]) == (row["pairing2"], row["pairing1"])
+    assert (swapped["qhat1"], swapped["qhat2"]) == (row["qhat2"], row["qhat1"])
     for name in ("gap", "qhat_gap", "error_bar"):
-        assert getattr(swapped, name) == getattr(row, name), name
-    assert row.gap == abs(row.pairing1 - row.pairing2)
-    assert row.pairing1 != row.pairing2
+        assert swapped[name] == row[name], name
+    for name in ("solver_iterations", "clamped_mass"):
+        assert (swapped[name + "1"], swapped[name + "2"]) == (row[name + "2"], row[name + "1"])
+    assert row["gap"] == abs(row["pairing1"] - row["pairing2"])
+    assert row["pairing1"] != row["pairing2"]
 
 
 # -- the pair on two threads ---------------------------------------------------
@@ -215,29 +233,34 @@ def test_solve_forbidden_in_the_worker_fails_recovery(bump64, monkeypatch):
 
     monkeypatch.setattr(cgolab.recovery, "solve_psi", forbidden_in_worker)
     with pytest.raises(AssertionError, match="worker thread"):
-        cg.recover_fourier_mode(bump64, np.array([0.0, 0.0, 1.0]), 32.0, samples_per_band=2)
+        cg.recover_modes([bump64], [np.array([0.0, 0.0, 1.0])], 32.0, samples_per_band=2)
 
 
 def test_uniqueness_gap_rows_equal_sequential_recomputation(bump64):
-    grid = bump64.grid
-    other = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": 0.08, "width": 0.3})
-    k_set = [np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.0, 1.0])]
-    rows = cg.uniqueness_gap(bump64, other, k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
-    assert len(rows) == len(k_set)
-    for row, k in zip(rows, k_set):
+    other = cg.make_conductivity(bump64.grid, OTHER)
+    k_modes = [[1, 2, 0], [0, 0, 1]]
+    rows = gap_rows([BUMP, OTHER], k_modes)
+    assert len(rows) == len(k_modes)
+    for row, mode in zip(rows, k_modes):
+        k = np.array(mode, dtype=float)
         pair = cg.select_zeta_sequence([bump64, other], k, [BAND], SAMPLES, SEED)[0].pair
-        breakdowns = []
+        breakdowns, reports = [], []
         for cond in (bump64, other):
-            psis = [cg.solve_psi(cond, zeta)[2] for zeta in (pair.zeta1, pair.zeta2)]
+            solves = [cg.solve_psi(cond, zeta) for zeta in (pair.zeta1, pair.zeta2)]
             weight = pairing_weight(cond, k, cg.make_cutoff(cond))
-            breakdowns.append(alessandrini_terms(weight, pair, *psis))
+            breakdowns.append(alessandrini_terms(weight, pair, *(psi for _, _, psi in solves)))
+            reports.append([rep for _, rep, _ in solves])
         bd1, bd2 = breakdowns
-        np.testing.assert_array_equal(row.k, k)
-        assert (row.pairing1, row.pairing2) == (bd1.total, bd2.total)
-        assert (row.qhat1, row.qhat2) == (bd1.main_oracle, bd2.main_oracle)
-        assert row.gap == abs(bd1.total - bd2.total)
-        assert row.qhat_gap == abs(bd1.main_oracle - bd2.main_oracle)
-        assert row.error_bar == sum(abs(bd.term_linear) + abs(bd.term_bilinear) for bd in breakdowns)
+        np.testing.assert_array_equal(row["k"], k)
+        assert row["band"] == BAND
+        assert (row["pairing1"], row["pairing2"]) == (bd1.total, bd2.total)
+        assert (row["qhat1"], row["qhat2"]) == (bd1.main_oracle, bd2.main_oracle)
+        assert row["gap"] == abs(bd1.total - bd2.total)
+        assert row["qhat_gap"] == abs(bd1.main_oracle - bd2.main_oracle)
+        assert row["error_bar"] == sum(abs(bd.term_linear) + abs(bd.term_bilinear) for bd in breakdowns)
+        for i, reps in enumerate(reports, 1):
+            assert row[f"solver_iterations{i}"] == [rep.iterations for rep in reps]
+            assert row[f"clamped_mass{i}"] == max(rep.clamped_mass for rep in reps)
 
 
 def test_uniqueness_gap_frees_the_cutoffs_before_solving(bump64, monkeypatch):
@@ -259,8 +282,42 @@ def test_uniqueness_gap_frees_the_cutoffs_before_solving(bump64, monkeypatch):
 
     monkeypatch.setattr(cgolab.recovery, "make_cutoff", tracked)
     monkeypatch.setattr(cgolab.recovery, "solve_psi", first_solve)
-    other = cg.make_conductivity(bump64.grid, {"kind": "gaussian", "amplitude": 0.08, "width": 0.3})
+    other = cg.make_conductivity(bump64.grid, OTHER)
     with pytest.raises(Stop):
-        cg.uniqueness_gap(bump64, other, [np.array([0.0, 0.0, 1.0])], BAND, samples_per_band=2)
+        cg.recover_modes([bump64, other], [np.array([0.0, 0.0, 1.0])], BAND, samples_per_band=2)
     assert len(cutoffs) == 2
     assert alive == [0, 0]
+
+
+
+def test_one_conductivity_equals_its_steps(bump64):
+    # per mode: selection on the one conductivity, the pair solve, then the pairing
+    k_set = [np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.0, 1.0])]
+    recs = cg.recover_modes([bump64], k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
+    assert len(recs) == len(k_set)
+    for (rec,), k in zip(recs, k_set):
+        selection = cg.select_zeta_sequence([bump64], k, [BAND], SAMPLES, SEED)[0]
+        (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(bump64, selection.pair, tol=1e-10, max_iter=600)
+        weight = pairing_weight(bump64, k, cg.make_cutoff(bump64))
+        bd = alessandrini_terms(weight, selection.pair, psi1, psi2)
+        assert (rec.selection.lam, rec.selection.objective) == (selection.lam, selection.objective)
+        assert rec.selection.samples == selection.samples
+        assert rec.breakdown.zeta_pair is rec.selection.pair
+        assert rec.breakdown.zeta_pair.s == selection.pair.s
+        np.testing.assert_array_equal(rec.breakdown.k, bd.k)
+        for name in ("term_main", "term_linear", "term_bilinear", "total", "main_oracle"):
+            assert getattr(rec.breakdown, name) == getattr(bd, name), name
+        assert dataclasses.asdict(rec.report1) == dataclasses.asdict(rep1)
+        assert dataclasses.asdict(rec.report2) == dataclasses.asdict(rep2)
+        assert rec.error_bar == abs(bd.term_linear) + abs(bd.term_bilinear)
+
+
+def test_support_geometry_must_agree(bump64, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a cutoff before checking the support geometry")
+
+    monkeypatch.setattr(cgolab.recovery, "make_cutoff", forbidden)
+    cone = cg.make_conductivity(bump64.grid, CONE)
+    assert cone.support_radius != bump64.support_radius
+    with pytest.raises(FrameError, match="support geometry"):
+        cg.recover_modes([bump64, cone], [np.array([0.0, 0.0, 1.0])], BAND)

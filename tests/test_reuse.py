@@ -88,7 +88,7 @@ class TestTransformCounts:
             return out
 
         monkeypatch.setattr(cg.recovery, "solve_psi", marked)
-        cg.recover_fourier_mode(bump64, np.array([0.0, 0.0, 1.0]), 32.0, samples_per_band=2)
+        cg.recover_modes([bump64], [np.array([0.0, 0.0, 1.0])], 32.0, samples_per_band=2)
         # the pairing reads the physical psi each solve hands over
         assert fft_calls.count("solved") == 2
         assert fft_calls[-1] == "solved"
