@@ -42,7 +42,7 @@ from .errors import InfeasibleGeometryError, NotContractiveError
 from .grid import PHYSICAL, Field, cube_transform
 from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums
-from .symbol import Zeta, ZetaPair, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
+from .symbol import Zeta, ZetaPair, check_band, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
 
 
 @dataclass
@@ -231,10 +231,7 @@ def select_zeta_sequence(
     if samples_per_band < 1:
         raise InfeasibleGeometryError("samples_per_band must be >= 1")
     k = np.asarray(k, dtype=float)
-    if np.linalg.norm(k) >= 2.0 * min(bands):
-        raise InfeasibleGeometryError(
-            f"|k| = {np.linalg.norm(k):.6g} infeasible for smallest band {min(bands):.6g}"
-        )
+    check_band(k, min(bands))
     grid = conds[0].grid
     grid.mode_index(k)  # k must be on the frequency lattice
 

@@ -71,7 +71,7 @@ from .estimates import (
 from .grid import FrequencyGrid, physical_field
 from .potential import make_conductivity, make_cutoff, read_gamma_file
 from .recovery import recover_modes
-from .symbol import zeta_pair_from_angle
+from .symbol import check_band, zeta_pair_from_angle
 
 SUBCOMMANDS = (
     "solve-cgo",
@@ -170,8 +170,9 @@ def _run_solve_cgo(cfg: ExperimentConfig):
 
 def _run_select_zeta(cfg: ExperimentConfig):
     grid = _grid(cfg)
-    conds = [_conductivity(grid, p) for p in cfg.profiles]
     k = grid.lattice_frequency(cfg.k_mode)
+    check_band(k, min(cfg.bands))
+    conds = [_conductivity(grid, p) for p in cfg.profiles]
     sels = select_zeta_sequence(
         conds, k, cfg.bands, cfg.samples_per_band, cfg.seed, cfg.clamp_eps
     )
@@ -227,8 +228,9 @@ def _run_verify_estimates(cfg: ExperimentConfig):
 
 def _run_averaged_decay(cfg: ExperimentConfig):
     grid = _grid(cfg)
-    cond = _conductivity(grid, cfg.profiles[0])
     k = grid.lattice_frequency(cfg.k_mode)
+    check_band(k, min(cfg.bands))
+    cond = _conductivity(grid, cfg.profiles[0])
     phi = make_cutoff(cond)
     bands, trend = averaged_decay(cond.log_g, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi)
     columns = ["lambda", "A", "A_over_lambda", "normalized_theta_0",

@@ -25,7 +25,8 @@ Each norm is grid.weighted_l2 with a weight that _norm_weights builds
 once per call from one evaluation of |p|.
 
 singbound takes all etas of a zeta in one slab pass; avg_decay's Sobolev
-norms use the half spectrum.
+norms use the half spectrum, and its density transforms each product
+forward only as far as the 2/3 cube it keeps (real_forward with cube).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .grid import (
 )
 from .potential import Conductivity, potential_q
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums, smooth_bridge
-from .symbol import Zeta, ZetaPair, char_distance, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
+from .symbol import Zeta, ZetaPair, char_distance, check_band, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
 
 def cell_floor(grid: FrequencyGrid, s: float) -> float:
@@ -487,15 +488,17 @@ def _decay_density(grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field) -> np.
     """The (s, eta)-independent density sum_j |(phi_B d_j f)^hat|^2 on the
     full lattice, cut to the 2/3 cube, from the half spectrum of a real f.
     Each d_j f and its product with phi_B is real, so one derivative at a
-    time goes back and forth through the real pair; the even density is
-    completed once."""
-    phi = phi_B.values
-    half_dens = np.zeros(f_half.shape)
+    time goes back through the real pair, and forward only as far as the
+    cube (real_forward with cube); the density is summed on the cube's
+    block of the half lattice and completed once as an even array."""
+    phi, cube = phi_B.values, grid.dealias_mask[..., : grid.n // 2 + 1]
+    block = 0.0
     for mult in grid.half_deriv_multipliers:
         prod = real_inverse(grid, f_half * mult)
         prod *= phi
-        half_dens += np.abs(real_forward(prod)) ** 2
-    half_dens *= grid.dealias_mask[..., : grid.n // 2 + 1]
+        block = block + np.abs(real_forward(prod, cube=True)[cube]) ** 2
+    half_dens = np.zeros(f_half.shape)
+    half_dens[cube] = block
     return complete_spectrum(grid, half_dens)
 
 
@@ -512,6 +515,11 @@ def averaged_decay(
     at both paired zetas (trapezoid in s, uniform in angle), with |p|
     floored at the cell scale.
 
+    The angles are theta_j = 2 pi j / quad_eta.  The pair at theta + pi
+    is the pair at theta with zeta1 and zeta2 swapped, and A weighs both
+    zetas equally, so for even quad_eta only theta_j < pi is built, at
+    twice the angle weight; an odd quad_eta keeps every angle.
+
     f must be a real physical field (ValueError otherwise).  The density
     sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is built one
     derivative at a time on the half spectrum (_decay_density); each
@@ -519,7 +527,8 @@ def averaged_decay(
     outside that cube.  A band's (s, angle) pairs go through one
     pair_inverse_symbol_sums call, which evaluates only zeta1's symbol,
     and A is the quadrature weights dotted with its sums at both zetas.
-    f is transformed once.
+    f is transformed once, and its half spectrum is dropped before the
+    bands.
 
     Returns one record per band, with lambda, A, A/lam, and A normalized
     against lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}, and
@@ -532,30 +541,32 @@ def averaged_decay(
     if not bands or any(b2 <= b1 for b1, b2 in zip(bands, bands[1:])):
         raise InfeasibleGeometryError("bands must be a nonempty increasing list")
     k = np.asarray(k, dtype=float)
-    if np.linalg.norm(k) >= 2.0 * min(bands):
-        raise InfeasibleGeometryError("k infeasible for the smallest band")
+    check_band(k, min(bands))
     grid = f.grid
     grid.mode_index(k)
 
     if not f.is_physical or np.iscomplexobj(f.values):
         raise ValueError("averaged_decay needs a real physical field f")
     f_half = real_forward(f.values)
-    dens = _decay_density(grid, f_half, phi_B)
     # ||f||_{H^theta}^2 on the half spectrum; planes 0 < m_d < n/2 count twice
     f_sq = np.abs(f_half) ** 2
     f_sq[..., 1 : grid.n // 2] *= 2.0
-    bracket_sq = 1.0 + grid.xi_sq[..., : grid.n // 2 + 1]
+    axes = [grid.xi_axis] * (grid.d - 1) + [grid.xi_axis[: grid.n // 2 + 1]]
+    bracket_sq = 1.0 + reduce(np.add.outer, [x ** 2 for x in axes])
     h_sq = {theta: float(np.sum(f_sq * bracket_sq ** theta) * grid.measure) for theta in (0.0, 0.5, 1.0)}
+    del f_sq, bracket_sq
+    dens = _decay_density(grid, f_half, phi_B)
+    del f_half
 
     plane = orthonormal_plane(k)
+    n_angles = quad_eta // 2 if quad_eta % 2 == 0 else quad_eta  # theta < pi for even quad_eta
+    angles, a_weight = 2.0 * np.pi * np.arange(n_angles) / quad_eta, 2.0 * np.pi / n_angles
     records = []
     for lam in bands:
         s_nodes = np.linspace(lam, 2.0 * lam, quad_s)
         s_weights = np.full(quad_s, lam / (quad_s - 1))
         s_weights[0] *= 0.5
         s_weights[-1] *= 0.5
-        angles = 2.0 * np.pi * np.arange(quad_eta) / quad_eta
-        a_weight = 2.0 * np.pi / quad_eta
         pairs, weights = [], []
         for s, ws in zip(s_nodes, s_weights):
             for theta in angles:

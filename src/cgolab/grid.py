@@ -19,6 +19,9 @@ Conventions, fixed once for the whole package:
   and complete_spectrum restores them where a full FFT-order spectrum is
   needed.  Multipliers on the half lattice are the [..., :n//2 + 1]
   slices of the full ones.
+* The transforms run axis by axis in numpy's order, with its bits, each
+  pass in place in one array (the real pair's rfft / irfft make the new
+  one).  real_inverse consumes its argument; callers pass a temporary.
 * Compactly supported data is expected to live in the ball of radius
   L/4 around the torus centre (L/2, ..., L/2), keeping periodization
   error at spectral accuracy.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -146,15 +149,13 @@ class FrequencyGrid:
     def center(self) -> np.ndarray:
         return np.full(self.d, self.L / 2.0)
 
-    @cached_property
+    @property
     def radius_from_center(self) -> np.ndarray:
-        """Minimum-image distance from the torus centre per grid point."""
-        out = np.zeros(self.shape)
-        for j in range(self.d):
-            delta = np.abs(self.x_axis - self.L / 2.0)
-            delta = np.minimum(delta, self.L - delta)
-            out = out + self._along(j, delta) ** 2
-        return np.sqrt(out)
+        """Minimum-image distance from the torus centre per grid point,
+        formed on each read: the grid does not hold it."""
+        delta = np.abs(self.x_axis - self.L / 2.0)
+        delta = np.minimum(delta, self.L - delta)
+        return np.sqrt(reduce(np.add.outer, [delta ** 2] * self.d))
 
     def mode_index(self, k) -> tuple:
         """FFT-order index of the lattice frequency k; validates k on-lattice."""
@@ -253,14 +254,24 @@ def transform(f: Field, direction: str) -> Field:
     return Field(f.grid, representation, out)
 
 
-def real_forward(values: np.ndarray) -> np.ndarray:
-    """Unitary DFT of a real lattice array, on the half spectrum."""
-    return np.fft.rfftn(values, norm="ortho")
+def real_forward(values: np.ndarray, norm: str = "ortho", cube: bool = False) -> np.ndarray:
+    """Unitary DFT of a real lattice array, on the half spectrum (numpy
+    rfftn, with its bits): rfft along the last axis into one complex
+    array, then the other axes in place, last first.  With cube, each
+    axis after the first transforms only the lines whose output can fall
+    in the 2/3 cube, as cube_transform's forward does: the cube block is
+    exact and the modes off it hold partial sums.  norm is numpy's."""
+    d = values.ndim
+    pruned = (lambda axis: range(axis + 1, d)) if cube else (lambda axis: ())
+    return _transform_lines(np.fft.rfft(values, norm=norm), np.fft.fftn, reversed(range(d - 1)), pruned, norm)
 
 
-def real_inverse(grid: FrequencyGrid, half: np.ndarray) -> np.ndarray:
-    """The real lattice array whose real_forward is the half spectrum."""
-    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(grid.d)), norm="ortho")
+def real_inverse(grid: FrequencyGrid, half: np.ndarray, norm: str = "ortho") -> np.ndarray:
+    """The real lattice array whose real_forward is the half spectrum
+    (numpy irfftn, with its bits).  It consumes half: the axes before the
+    last are inverted in place, first to last, then irfft along the last."""
+    _transform_lines(half, np.fft.ifftn, range(grid.d - 1), lambda axis: (), norm)
+    return np.fft.irfft(half, n=grid.n, norm=norm)
 
 
 def complete_spectrum(grid: FrequencyGrid, half: np.ndarray) -> np.ndarray:
@@ -306,16 +317,23 @@ def cube_transform(grid: FrequencyGrid, values: np.ndarray, direction: str) -> n
         fn, pruned = np.fft.fftn, lambda axis: range(axis + 1, grid.d)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    c = grid.n // 3
-    cube = (slice(0, c + 1), slice(grid.n - c, grid.n))  # |m| <= n//3 in FFT order
-    for axis in reversed(range(grid.d)):
-        axes = pruned(axis)
-        for blocks in itertools.product(cube, repeat=len(axes)):
-            index = [slice(None)] * grid.d
-            for ax, block in zip(axes, blocks):
+    return _transform_lines(values, fn, reversed(range(grid.d)), pruned)
+
+
+def _transform_lines(values: np.ndarray, fn, axes, pruned, norm: str = "ortho") -> np.ndarray:
+    """The one-axis transform fn, in place, along each of axes in turn; on
+    each, only the lines whose indices on the axes pruned(axis) lie in the
+    2/3 cube |m| <= n//3 (m >= 0 only on a half-spectrum last axis)."""
+    n = values.shape[0]
+    cube = (slice(0, n // 3 + 1), slice(n - n // 3, n))  # |m| <= n//3 in FFT order
+    for axis in axes:
+        kept = pruned(axis)
+        for blocks in itertools.product(*(cube if values.shape[ax] == n else cube[:1] for ax in kept)):
+            index = [slice(None)] * values.ndim
+            for ax, block in zip(kept, blocks):
                 index[ax] = block
             view = values[tuple(index)]
-            fn(view, axes=(axis,), norm="ortho", out=view)
+            fn(view, axes=(axis,), norm=norm, out=view)
     return values
 
 

@@ -165,7 +165,6 @@ def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
     """Profile loader: {"kind": ..., parameters...}; see module docstring."""
     spec = dict(profile)
     kind = spec.pop("kind", None)
-    r = grid.radius_from_center
     if kind == "uniform":
         spec.pop("amplitude", None)
         _reject_extra(kind, spec)
@@ -180,20 +179,20 @@ def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
             raise DomainError(
                 f"gaussian width {sigma:.6g} leaves a tail above 1e-12 at L/4"
             )
-        vals = 1.0 + a * np.exp(-((r / sigma) ** 2))
+        vals = 1.0 + a * np.exp(-((grid.radius_from_center / sigma) ** 2))
         return conductivity_from_array(grid, vals, radius, "smooth")
     if kind == "c1_cap":
         a = float(spec.pop("amplitude"))
         radius = float(spec.pop("radius"))
         _reject_extra(kind, spec)
-        t = np.minimum(r / radius, 1.0)
+        t = np.minimum(grid.radius_from_center / radius, 1.0)
         vals = 1.0 + a * (1.0 - 3.0 * t * t + 2.0 * t ** 3)
         return conductivity_from_array(grid, vals, radius, "c1", premollify=True)
     if kind == "cone":
         a = float(spec.pop("amplitude"))
         radius = float(spec.pop("radius"))
         _reject_extra(kind, spec)
-        vals = 1.0 + a * np.maximum(0.0, 1.0 - r / radius)
+        vals = 1.0 + a * np.maximum(0.0, 1.0 - grid.radius_from_center / radius)
         return conductivity_from_array(grid, vals, radius, "lipschitz", premollify=True)
     raise DomainError(f"unknown conductivity profile kind {kind!r}")
 
@@ -253,9 +252,12 @@ def mollify(f: Field, eps: float) -> Field:
         return f
     if not f.is_physical or np.iscomplexobj(f.values):
         raise ValueError("mollify takes a real physical field")
-    spec = _bump_spectrum(grid, eps)
-    conv = np.fft.irfftn(np.fft.rfftn(f.values) * spec, s=grid.shape, axes=tuple(range(grid.d)))
-    return physical_field(grid, conv * grid.measure)
+    # numpy's unnormalised pair: the bump spectrum is an unnormalised DFT
+    half = real_forward(f.values, norm="backward")
+    half *= _bump_spectrum(grid, eps)
+    conv = real_inverse(grid, half, norm="backward")
+    conv *= grid.measure
+    return physical_field(grid, conv)
 
 
 def make_cutoff(cond: Conductivity) -> Field:

@@ -59,11 +59,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
-from .errors import CgolabError, FrameError, InfeasibleGeometryError
+from .errors import CgolabError, FrameError
 from .grid import Field, FrequencyGrid, exp_ik_field, pairing, to_physical, to_spectral
 from .potential import Conductivity, make_cutoff
 from .spaces import DEFAULT_CLAMP_EPS
-from .symbol import ZetaPair
+from .symbol import ZetaPair, check_band
 
 _ADDITIVITY_TOL = 1e-10
 _MAIN_ORACLE_TOL = 1e-10
@@ -240,10 +240,7 @@ def recover_modes(
     if any(abs(c.support_radius - conds[0].support_radius) > 1e-9 * c.grid.L for c in conds):
         raise FrameError("conductivities must share support geometry")
     for k in k_set:
-        if np.linalg.norm(k) >= 2.0 * band:
-            raise InfeasibleGeometryError(
-                f"|k| = {np.linalg.norm(k):.6g} infeasible for band {band:.6g}: needs |k| < 2 band"
-            )
+        check_band(k, band)
     phis = [make_cutoff(cond) for cond in conds]
     weights = [[pairing_weight(cond, k, phi) for cond, phi in zip(conds, phis)] for k in k_set]
     del phis  # each weight holds phi^2; the solves need no cutoff

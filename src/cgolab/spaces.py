@@ -116,12 +116,14 @@ def pair_inverse_symbol_sums(
         m = grid.mode_axis[support.any(axis=other)]
         ranges.append(np.arange(m.min(), m.max() + 1))
         lo.append(min(m.min(), -m.max() - k_mode[j]))
+    del support
     lo = np.array(lo)
     shape = tuple(-2 * lo - k_mode + 1)
     n_rows = len(rows)
     placed = np.zeros((2 * n_rows,) + shape)
     sub = rows.reshape((n_rows,) + grid.shape)[(slice(None),) + np.ix_(*(r % grid.n for r in ranges))]
     placed[(slice(0, n_rows),) + tuple(slice(r[0] - a, r[-1] - a + 1) for r, a in zip(ranges, lo))] = sub
+    del sub
     placed[n_rows:] = placed[(slice(0, n_rows),) + (slice(None, None, -1),) * grid.d]
     x = [grid.freq_step * np.arange(a, a + size) for a, size in zip(lo, shape)]
     at = -k_mode - lo  # box index of x = -k

@@ -127,6 +127,14 @@ def make_zeta_pair(k, s: float, eta1, eta2) -> ZetaPair:
     return ZetaPair(z1, z2, k, float(s), r, eta1, eta2)
 
 
+def check_band(k, lam: float):
+    """InfeasibleGeometryError unless |k| < 2 lam: the band [lam, 2 lam]
+    has pairs zeta1 + zeta2 = ik only where s > |k| / 2 (make_zeta_pair)."""
+    knorm = float(np.linalg.norm(k))
+    if knorm >= 2.0 * lam:
+        raise InfeasibleGeometryError(f"|k| = {knorm:.6g} infeasible for band {lam:.6g}: needs |k| < 2 band")
+
+
 def orthonormal_plane(k) -> tuple:
     """A deterministic orthonormal pair spanning a plane orthogonal to k.
 

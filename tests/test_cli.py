@@ -277,6 +277,21 @@ def test_infeasible_band_exits_before_any_gate(subcommand, n, tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["select-zeta", "averaged-decay"])
+def test_sweep_infeasible_band_exits_before_building_a_conductivity(subcommand, tmp_path, capsys, monkeypatch):
+    # |k| = 1 >= 2 * 0.25 at k = e_z: decided by the config alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a conductivity for an infeasible band")
+
+    monkeypatch.setattr(cgolab.cli, "make_conductivity", forbidden)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"n": 16}, "bands": [0.25, 1.0], "out_dir": str(tmp_path / "out")}))
+    assert main([subcommand, "--config", str(path)]) == EXIT_GEOMETRY
+    err = capsys.readouterr().err
+    assert "|k| = 1 " in err and "band 0.25" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_uniqueness_gap_needs_one_support_geometry(tmp_path, capsys, monkeypatch):
     # the gaussian is supported in L/4, the cone in its radius plus the mollifier
     def forbidden(*args, **kwargs):

@@ -353,7 +353,15 @@ class TestAveragedDecay:
         cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 0.7})
         phi = cg.make_cutoff(cone)
         f = cone.log_g.values.real
-        dens = estimates._decay_density(grid, cg.grid.real_forward(f), phi)
+        f_half = np.fft.rfftn(f, norm="ortho")
+        dens = estimates._decay_density(grid, f_half, phi)
+        # bit for bit the unpruned form: whole-half-lattice transforms, cut after
+        unpruned = np.zeros(f_half.shape)
+        for mult in grid.half_deriv_multipliers:
+            prod = np.fft.irfftn(f_half * mult, s=grid.shape, axes=(0, 1, 2), norm="ortho")
+            unpruned += np.abs(np.fft.rfftn(prod * phi.values, norm="ortho")) ** 2
+        unpruned *= grid.dealias_mask[..., : n // 2 + 1]
+        np.testing.assert_array_equal(dens, cg.grid.complete_spectrum(grid, unpruned))
         expected = self.oracle_density(f, phi.values.real)
         assert np.max(np.abs(dens - expected)) <= 1e-13 * np.max(expected)
         # completed as an exactly even density
@@ -381,12 +389,25 @@ class TestAveragedDecay:
         with pytest.raises(ValueError, match="real"):
             cg.averaged_decay(f, self.K, [8.0], 8, 8, phi)
 
-    def test_matches_per_zeta_oracle(self, grid32):
+    @pytest.mark.parametrize("quad_eta", [8, 9])
+    def test_matches_per_zeta_oracle(self, grid32, quad_eta, monkeypatch):
+        # the oracle takes every angle at both zetas; for even quad_eta the
+        # pairs at theta + pi repeat those at theta with the zetas swapped,
+        # so only half of them are evaluated
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
         phi = cg.make_cutoff(cone)
-        records, trend = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, 8, phi)
+        pair_counts = []
+        sums = estimates.pair_inverse_symbol_sums
+
+        def counted(dens, pairs, *args):
+            pair_counts.append(len(pairs))
+            return sums(dens, pairs, *args)
+
+        monkeypatch.setattr(estimates, "pair_inverse_symbol_sums", counted)
+        records, trend = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, quad_eta, phi)
+        assert pair_counts == [8 * quad_eta // 2 if quad_eta % 2 == 0 else 8 * quad_eta] * 2
         f, cut = cone.log_g.values.real, phi.values.real
-        expected = [self.oracle_a(f, cut, lam, 8, 8) for lam in (8.0, 16.0)]
+        expected = [self.oracle_a(f, cut, lam, 8, quad_eta) for lam in (8.0, 16.0)]
         for row, lam, a in zip(records, (8.0, 16.0), expected):
             assert row["lambda"] == lam
             assert row["A"] == pytest.approx(a, rel=1e-12)

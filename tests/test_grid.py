@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -208,6 +211,17 @@ class TestFieldAlgebra:
         with pytest.raises(ValueError):
             grid16.mode_index(np.array([float(grid16.n), 0.0, 0.0]))
 
+    @pytest.mark.parametrize("d, n", [(3, 16), (2, 32)])
+    def test_radius_from_center_is_the_per_axis_sum(self, d, n):
+        grid = cg.FrequencyGrid(d, n, TWO_PI)
+        delta = np.abs(grid.x_axis - grid.L / 2.0)
+        delta = np.minimum(delta, grid.L - delta)
+        total = np.zeros(grid.shape)
+        for j in range(d):
+            total = total + grid._along(j, delta) ** 2
+        np.testing.assert_array_equal(grid.radius_from_center, np.sqrt(total))
+        assert "radius_from_center" not in vars(grid)  # formed on each read
+
     def test_dealias_removes_high_modes(self, grid16):
         f = random_field(grid16, 13, representation="spectral")
         cut = dealias_23(f)
@@ -251,3 +265,34 @@ class TestDtypeRule:
         assert f.values.dtype == np.float64
         expected = np.fft.fftn(real.astype(complex), norm="ortho")
         np.testing.assert_array_equal(cg.transform(f, "forward").values, expected)
+
+    @pytest.mark.parametrize("norm", ["ortho", "backward"])
+    @pytest.mark.parametrize("d, n", [(3, 16), (3, 32), (2, 16)])
+    def test_real_pair_bit_identical_to_numpy(self, d, n, norm):
+        grid = cg.FrequencyGrid(d, n, TWO_PI)
+        real = np.random.default_rng(n).standard_normal(grid.shape)
+        half = np.fft.rfftn(real, norm=norm)
+        np.testing.assert_array_equal(cg.grid.real_forward(real, norm=norm), half)
+        expected = np.fft.irfftn(half, s=grid.shape, axes=tuple(range(d)), norm=norm)
+        consumed = half.copy()
+        np.testing.assert_array_equal(cg.grid.real_inverse(grid, consumed, norm=norm), expected)
+        assert not np.array_equal(consumed, half)  # inverted in place
+        # the pruned forward is exact on the 2/3 cube of the half lattice
+        pruned = cg.grid.real_forward(real, norm=norm, cube=True)
+        cube = grid.dealias_mask[..., : n // 2 + 1]
+        np.testing.assert_array_equal(pruned[cube], half[cube])
+        assert not np.allclose(pruned, half)
+
+
+def test_package_takes_real_transforms_through_grid():
+    # numpy's rfftn / irfftn allocate a fresh complex array for each axis;
+    # grid.real_forward / real_inverse work in one array
+    found = []
+    for path in sorted(Path(cg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("rfftn", "irfftn"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

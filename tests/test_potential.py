@@ -357,6 +357,16 @@ class TestMollify:
                 hess_sup = max(hess_sup, np.max(np.abs(cg.to_physical(gj).values.real)))
         assert hess_sup <= (c_const / eps) * grad_sup_exact * 1.05
 
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_cone_gamma_bit_identical_to_numpy_real_pair(self, n):
+        # mollify keeps the unnormalised scaling of numpy's rfftn / irfftn
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
+        raw = 1.0 + 0.5 * np.maximum(0.0, 1.0 - grid.radius_from_center / 1.1)
+        half = np.fft.rfftn(raw) * _bump_spectrum(grid, 2 * grid.h)
+        expected = np.fft.irfftn(half, s=grid.shape, axes=(0, 1, 2)) * grid.measure
+        np.testing.assert_array_equal(cone.gamma.values, expected)
+
     def test_bump_kernel_unit_mass(self, grid16):
         # the zero mode of the unnormalized DFT is the bump's sum
         spec = _bump_spectrum(grid16, 3 * grid16.h)

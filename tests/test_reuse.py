@@ -19,8 +19,10 @@ CONE = {"kind": "cone", "amplitude": 0.5, "radius": 1.1}
 
 class _Calls(list):
     """Names of the transforms made, in order.  work holds one
-    (name, axes, points) per call: the axes passed (None for all) and the
-    points transformed, the array size times the number of axes."""
+    (name, axes, points) per call: the axes passed (None for all; a
+    one-axis fft/ifft/rfft/irfft records its axis) and the points
+    transformed, the size of the call's complex side (the output of a real
+    forward, else the input) times the number of axes."""
 
     def __init__(self):
         super().__init__()
@@ -31,21 +33,30 @@ class _Calls(list):
         self.work.clear()
 
 
+ONE_AXIS = ("fft", "ifft", "rfft", "irfft")
+# a real transform of a 3-d array, axis by axis in numpy's rfftn/irfftn order
+REAL_FORWARD = ["rfft", "fftn", "fftn"]
+REAL_INVERSE = ["ifftn", "ifftn", "irfft"]
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counts every numpy.fft.fftn / ifftn / rfftn / irfftn call made while
-    the test runs."""
+    """Counts every numpy.fft.fftn / ifftn / rfftn / irfftn and one-axis
+    fft / ifft / rfft / irfft call made while the test runs."""
     calls = _Calls()
-    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+    for name in ("fftn", "ifftn", "rfftn", "irfftn") + ONE_AXIS:
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
+            out = _original(*args, **kwargs)
             calls.append(_name)
-            axes = kwargs.get("axes")
-            data = np.asarray(args[0])
-            axes = None if axes is None else tuple(axes)
+            data = out if _name.startswith("rfft") else np.asarray(args[0])
+            if _name in ONE_AXIS:
+                axes = (kwargs.get("axis", -1) % data.ndim,)
+            else:
+                axes = None if kwargs.get("axes") is None else tuple(kwargs["axes"])
             calls.work.append((_name, axes, data.size * (data.ndim if axes is None else len(axes))))
-            return _original(*args, **kwargs)
+            return out
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
@@ -98,9 +109,15 @@ class TestTransformCounts:
         k = np.array([0.0, 0.0, 1.0])
         fft_calls.clear()
         cg.averaged_decay(bump32.log_g, k, [8.0], 8, 8, phi)
-        # f once, then per gradient component one real product, all on
-        # the half spectrum
-        assert fft_calls == ["rfftn"] + ["irfftn", "rfftn"] * 3
+        # f once, then per gradient component one real product, all on the
+        # half spectrum; the product goes forward only on the lines that
+        # reach the 2/3 cube: one axis-1 block, two axis-0 blocks
+        density_forward = ["rfft", "fftn", "fftn", "fftn"]
+        assert fft_calls == REAL_FORWARD + (REAL_INVERSE + density_forward) * 3
+        full = sum(entry[2] for entry in fft_calls.work[:3])
+        for start in (6, 13, 20):
+            # 69.1% of a full real forward at n=32
+            assert sum(entry[2] for entry in fft_calls.work[start : start + 4]) <= 0.71 * full
 
     def test_cone_with_q_hat_takes_only_real_transforms(self, grid32, fft_calls):
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
@@ -108,7 +125,9 @@ class TestTransformCounts:
         # mollify: gamma forward, the product with the bump spectrum back
         # (the bump is not transformed); q: g forward, Lap g back; q_hat:
         # q forward
-        assert fft_calls == ["rfftn", "irfftn"] + ["rfftn", "irfftn"] + ["rfftn"]
+        assert fft_calls == (REAL_FORWARD + REAL_INVERSE) * 2 + REAL_FORWARD
+        # every call is one axis on a half spectrum, none on a full one
+        assert all(points == 32 * 32 * 17 for _, _, points in fft_calls.work)
 
 
 class TestLipschitzSeminorm:
@@ -116,7 +135,8 @@ class TestLipschitzSeminorm:
         cond = cg.make_conductivity(grid32, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
         assert fft_calls == []
         value = cond.lipschitz_seminorm
-        assert len(fft_calls) == 4  # log gamma forward, three gradients back
+        # log gamma forward, three gradients back
+        assert fft_calls == REAL_FORWARD + REAL_INVERSE * 3
         assert value == _grad_log_sup(grid32, cond.gamma.values.real)
         assert cond.lipschitz_seminorm is value
 
