@@ -48,10 +48,4 @@ from .estimates import (
     schur_bound,
     singbound_quadrature,
 )
-from .recovery import (
-    ModeRecovery,
-    PairingBreakdown,
-    PairingWeight,
-    pairing_weight,
-    recover_modes,
-)
+from .recovery import ModeRecovery, recover_modes

@@ -69,6 +69,14 @@ class IterationReport:
     final_increment: float = float("nan")
     dealias_defect: float = 0.0
 
+    def require_converged(self):
+        """NotContractiveError, carrying the last contraction ratio (NaN
+        after one step), unless the solve met tol before it hit max_iter."""
+        if not self.converged:
+            ratios = self.contraction_estimates
+            raise NotContractiveError(ratios[-1] if ratios else float("nan"),
+                                      f"no convergence within {self.iterations} iterations")
+
 
 def solve_psi(
     cond: Conductivity,

@@ -2,8 +2,11 @@
 
 Subcommands: solve-cgo, select-zeta, verify-estimates, averaged-decay,
 singbound, recover, uniqueness-gap.  The last two share one path,
-recovery.recover_modes at the last band, on one conductivity and on two;
-a gap row sets the two records side by side, with their summed error bar.
+recovery.recover_modes at the last band, on one conductivity and on two:
+a recover mode is one ModeRecovery, and a gap row sets the two records of
+its k side by side, with their summed error bar.  Every subcommand pairs
+each k it reads with a plane orthogonal to it, so a nonzero k at d < 3
+exits 3 before any grid or conductivity is built.
 
 The 2/3 cube is the only posed band: the solver keeps its modes there
 and reports what the cut loses (dealias_defect), and the estimates cut
@@ -115,6 +118,19 @@ def _cells(record, columns):
     return cells
 
 
+def _check_plane(cfg: ExperimentConfig, subcommand: str):
+    """InfeasibleGeometryError unless every k the subcommand reads has a
+    plane orthogonal to it: a nonzero k needs d >= 3 (symbol.orthonormal_plane)."""
+    modes = [cfg.k_mode]
+    if subcommand in ("recover", "uniqueness-gap"):
+        modes = cfg.k_modes or modes
+    nonzero = [mode for mode in modes if any(mode)]
+    if cfg.grid.d < 3 and nonzero:
+        raise InfeasibleGeometryError(
+            f"k = {nonzero[0]} at d = {cfg.grid.d}: a plane orthogonal to a nonzero k needs d >= 3"
+        )
+
+
 def _grid(cfg: ExperimentConfig) -> FrequencyGrid:
     return FrequencyGrid(cfg.grid.d, cfg.grid.n, cfg.grid.L)
 
@@ -154,10 +170,8 @@ def _run_solve_cgo(cfg: ExperimentConfig):
     _, rep, psi = solve_psi(
         cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
     )
+    rep.require_converged()
     ratios = rep.contraction_estimates
-    if not rep.converged:
-        raise NotContractiveError(ratios[-1] if ratios else float("nan"),
-                                  f"no convergence within {cfg.max_iter} iterations")
     result = {
         "s": cfg.s, "angle": cfg.angle, **dataclasses.asdict(rep),
         # a one-step solve has no ratio: null in the report, an empty CSV cell
@@ -277,13 +291,12 @@ def _run_recover(cfg: ExperimentConfig):
     cond = _conductivity(_grid(cfg), cfg.profiles[0])
     modes = []
     for mode, (rec,) in _recover_modes(cfg, [cond]):
-        bd = rec.breakdown
         modes.append({
-            "k_mode": list(mode), "k": list(bd.k), "band": rec.selection.lam,
-            "recovered": bd.total, "oracle": bd.main_oracle,
-            "term_main": bd.term_main, "term_linear": bd.term_linear, "term_bilinear": bd.term_bilinear,
-            "err_linear": abs(bd.term_linear), "err_bilinear": abs(bd.term_bilinear),
-            "error_bar": rec.error_bar, "selected_s": bd.zeta_pair.s, **_solver_fields(rec),
+            "k_mode": list(mode), "k": list(rec.k), "band": rec.selection.lam,
+            "recovered": rec.total, "oracle": rec.main_oracle,
+            "term_main": rec.term_main, "term_linear": rec.term_linear, "term_bilinear": rec.term_bilinear,
+            "err_linear": abs(rec.term_linear), "err_bilinear": abs(rec.term_bilinear),
+            "error_bar": rec.error_bar, "selected_s": rec.selection.pair.s, **_solver_fields(rec),
         })
     columns = ["k", "band", "recovered", "oracle", "err_linear", "err_bilinear", "clamped_mass"]
     return {"modes": modes}, {"recover": (columns, modes)}
@@ -296,12 +309,11 @@ def _run_uniqueness_gap(cfg: ExperimentConfig):
     conds = [_conductivity(grid, p) for p in cfg.profiles]
     rows = []
     for _, (rec1, rec2) in _recover_modes(cfg, conds):
-        bd1, bd2 = rec1.breakdown, rec2.breakdown
         rows.append({
-            "k": list(bd1.k), "band": rec1.selection.lam,
-            "pairing1": bd1.total, "pairing2": bd2.total, "gap": abs(bd1.total - bd2.total),
-            "qhat1": bd1.main_oracle, "qhat2": bd2.main_oracle,
-            "qhat_gap": abs(bd1.main_oracle - bd2.main_oracle),
+            "k": list(rec1.k), "band": rec1.selection.lam,
+            "pairing1": rec1.total, "pairing2": rec2.total, "gap": abs(rec1.total - rec2.total),
+            "qhat1": rec1.main_oracle, "qhat2": rec2.main_oracle,
+            "qhat_gap": abs(rec1.main_oracle - rec2.main_oracle),
             "error_bar": rec1.error_bar + rec2.error_bar,
             **_solver_fields(rec1, "1"), **_solver_fields(rec2, "2"),
         })
@@ -378,6 +390,7 @@ def main(argv=None) -> int:
         if args.format is not None:
             cfg.out_format = args.format
         cfg.validate()
+        _check_plane(cfg, args.subcommand)
         started = time.perf_counter()
         result, tables = _RUNNERS[args.subcommand](cfg)
         elapsed = time.perf_counter() - started

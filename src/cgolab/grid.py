@@ -145,10 +145,6 @@ class FrequencyGrid:
             out = out & self._along(j, keep1d)
         return out
 
-    @cached_property
-    def center(self) -> np.ndarray:
-        return np.full(self.d, self.L / 2.0)
-
     @property
     def radius_from_center(self) -> np.ndarray:
         """Minimum-image distance from the torus centre per grid point,
@@ -358,20 +354,6 @@ def spectral_gradient(f: Field) -> tuple:
     )
 
 
-def laplacian(f: Field) -> Field:
-    """Spectral Laplacian composed from the per-axis derivative multipliers.
-
-    Uses sum_j (i*xi_j)^2 with Nyquist rows zeroed, so it is exactly the
-    composition of spectral_gradient with itself (keeps discrete
-    integration by parts exact).
-    """
-    fs = to_spectral(f)
-    mult = np.zeros(f.grid.shape)
-    for j in range(f.grid.d):
-        mult = mult + (f.grid.deriv_multipliers[j].imag) ** 2
-    return Field(f.grid, SPECTRAL, fs.values * (-mult))
-
-
 def multiply(f: Field, g: Field) -> Field:
     """Pointwise product formed in physical space."""
     fp, gp = to_physical(f), to_physical(g)
@@ -383,11 +365,6 @@ def dealias_23(f: Field) -> Field:
     fs = to_spectral(f)
     out = Field(f.grid, SPECTRAL, fs.values * f.grid.dealias_mask)
     return out if f.is_spectral else to_physical(out)
-
-
-def integral(f: Field) -> complex:
-    """Torus integral with the h^d cell measure."""
-    return complex(to_physical(f).values.sum() * f.grid.measure)
 
 
 def pairing(f: Field, g: Field) -> complex:

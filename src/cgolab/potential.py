@@ -16,7 +16,7 @@ exactly its composition with itself, so
 
     - sum grad(g) . grad(w/g) h^d = sum (Lap g) (w/g) h^d = sum q w h^d
 
-up to rounding.  The Alessandrini pairing (recovery.pairing_weight) and
+up to rounding.  The Alessandrini pairing (recovery.recover_modes) and
 the operator norm of the form (estimates.mq_operator_ratio) both read q.
 
 Shipped profile families (amplitude a, centred at the torus centre):
@@ -277,13 +277,6 @@ def make_cutoff(cond: Conductivity) -> Field:
 #   row-major (C) order.
 
 _HEADER = struct.Struct("<IId")
-
-
-def write_gamma_file(path, cond: Conductivity):
-    grid = cond.grid
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(grid.d, grid.n, grid.L))
-        cond.gamma.values.astype("<f8").tofile(fh)
 
 
 def read_gamma_file(path) -> Conductivity:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -53,6 +55,15 @@ def psihat_field(grid, modes):
     return cg.spectral_field(grid, full.reshape(grid.shape))
 
 
+def write_gamma_file(path, cond):
+    """The raw gamma file read_gamma_file reads: uint32 d, uint32 n,
+    float64 L, then gamma in C order, all little-endian."""
+    grid = cond.grid
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IId", grid.d, grid.n, grid.L))
+        cond.gamma.values.astype("<f8").tofile(fh)
+
+
 def random_field(grid, seed, representation="physical"):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -104,6 +115,16 @@ def _oracle_gradient(f, L):
         shape[j] = n
         out.append(np.fft.ifftn(1j * xi.reshape(shape) * f_hat))
     return out
+
+
+def _oracle_laplacian(f, L):
+    """Spectral Laplacian of the real lattice array f on [0, L)^d, from
+    numpy.fft with the multiplier -|xi|^2 and the Nyquist row zeroed."""
+    n, d = f.shape[0], f.ndim
+    xi = (2.0 * np.pi / L) * np.fft.fftfreq(n, d=1.0 / n)
+    xi[n // 2] = 0.0
+    lap = -sum((xi * xi).reshape([n if a == j else 1 for a in range(d)]) for j in range(d))
+    return np.fft.ifftn(lap * np.fft.fftn(f)).real
 
 
 def _oracle_duality_form(gamma, w, L):

@@ -24,8 +24,6 @@ PUBLIC = [
     "IterationReport",
     "ModeRecovery",
     "NotContractiveError",
-    "PairingBreakdown",
-    "PairingWeight",
     "RepresentationError",
     "SchurBound",
     "Zeta",
@@ -38,7 +36,6 @@ PUBLIC = [
     "make_conductivity",
     "make_cutoff",
     "mq_operator_ratio",
-    "pairing_weight",
     "physical_field",
     "potential_q",
     "read_gamma_file",

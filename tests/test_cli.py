@@ -12,7 +12,7 @@ import pytest
 import cgolab.cli
 import cgolab.errors
 import cgolab.recovery
-from cgolab.cli import EXIT_CONFIG, EXIT_GEOMETRY, build_parser, main
+from cgolab.cli import EXIT_CONFIG, EXIT_DIVERGENCE, EXIT_GEOMETRY, SUBCOMMANDS, build_parser, main
 from cgolab.config import ExperimentConfig, GridConfig, ProfileConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -238,17 +238,17 @@ def test_main_term_gate_fails_before_any_solve(subcommand, config, tmp_path, cap
 
 def test_recover_gates_every_mode_before_the_first_solve(tmp_path, capsys, monkeypatch):
     # n=64: the gaussian passes the gate at e_z; the second mode is made to fail
-    gate = cgolab.recovery.pairing_weight
+    gate = cgolab.recovery._main_term
 
-    def failing_on_second(cond, k, phi):
+    def failing_on_second(cond, k, qphi2):
         if k[2] > 1.5:
             raise cgolab.errors.CgolabError("main-term transform oracle mismatch: second mode")
-        return gate(cond, k, phi)
+        return gate(cond, k, qphi2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("computed past the main-term gate")
 
-    monkeypatch.setattr(cgolab.recovery, "pairing_weight", failing_on_second)
+    monkeypatch.setattr(cgolab.recovery, "_main_term", failing_on_second)
     monkeypatch.setattr(cgolab.recovery, "select_zeta_sequence", forbidden)
     path = tmp_path / "c.json"
     config = {"grid": {"n": 64}, "k_modes": [[0, 0, 1], [0, 0, 2]], "out_dir": str(tmp_path / "out")}
@@ -265,7 +265,7 @@ def test_infeasible_band_exits_before_any_gate(subcommand, n, tmp_path, capsys, 
         raise AssertionError("gated an infeasible band")
 
     monkeypatch.setattr(cgolab.recovery, "make_cutoff", forbidden)
-    monkeypatch.setattr(cgolab.recovery, "pairing_weight", forbidden)
+    monkeypatch.setattr(cgolab.recovery, "_main_term", forbidden)
     path = tmp_path / "c.json"
     config = {"grid": {"n": n}, "bands": [0.25], "profiles": [{"kind": "gaussian"}] * 2}
     if subcommand == "recover":
@@ -304,6 +304,47 @@ def test_uniqueness_gap_needs_one_support_geometry(tmp_path, capsys, monkeypatch
     assert main(["uniqueness-gap", "--config", str(path)]) == EXIT_GEOMETRY
     assert "support geometry" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, k_mode, k_modes, named",
+    [(sub, [0, 1], [[0, 1]], "k = [0, 1]") for sub in SUBCOMMANDS]
+    + [(sub, [0, 0], [[0, 0], [1, 0]], "k = [1, 0]") for sub in ("recover", "uniqueness-gap")],
+)
+def test_nonzero_k_at_d2_exits_before_building_a_conductivity(
+    subcommand, k_mode, k_modes, named, tmp_path, capsys, monkeypatch
+):
+    # no plane is orthogonal to a nonzero k at d = 2: decided by the config
+    # alone, for the k the subcommand reads (k_modes in recover and uniqueness-gap)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed for a k with no orthogonal plane")
+
+    monkeypatch.setattr(cgolab.cli, "_grid", forbidden)
+    monkeypatch.setattr(cgolab.cli, "make_conductivity", forbidden)
+    path = tmp_path / "c.json"
+    config = {"grid": {"d": 2, "n": 16}, "k_mode": k_mode, "k_modes": k_modes,
+              "profiles": [{"kind": "gaussian"}] * 2}
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == EXIT_GEOMETRY
+    err = capsys.readouterr().err
+    assert f"{named} at d = 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "uniqueness-gap"])
+def test_unconverged_solve_exits_without_a_mode(subcommand, tmp_path, capsys):
+    # one step at n=64 cannot meet tol: a mode paired from it was once
+    # written with solver_iterations [1, 1], where solve-cgo exits 4
+    profiles = [{"kind": "gaussian"}, {"kind": "gaussian", "amplitude": 0.08}]
+    config = {"grid": {"n": 64}, "k_mode": [1, 2, 0], "max_iter": 1, "samples_per_band": 2,
+              "profiles": profiles[: 1 if subcommand == "recover" else 2]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(path), "--out", str(out)]) == EXIT_DIVERGENCE
+    assert "no convergence within 1 iterations" in capsys.readouterr().err
+    assert not out.exists()
 
 
 SMOKE_CONFIG = {

@@ -4,8 +4,8 @@ from scipy.integrate import quad
 
 import cgolab as cg
 from cgolab.errors import DomainError
-from cgolab.grid import integral, laplacian, multiply, spectral_gradient
-from cgolab.potential import _bump_spectrum, conductivity_from_array, mollify, write_gamma_file
+from cgolab.grid import multiply, spectral_gradient
+from cgolab.potential import _bump_spectrum, conductivity_from_array, mollify
 from cgolab.spaces import smooth_bridge
 
 from conftest import (
@@ -14,9 +14,11 @@ from conftest import (
     TWO_PI,
     _oracle_duality_form,
     _oracle_gradient,
+    _oracle_laplacian,
     _oracle_lattice,
     _oracle_leibniz_form,
     random_field,
+    write_gamma_file,
 )
 
 
@@ -144,16 +146,15 @@ class TestPotential:
     def test_scale_invariance(self, bump32):
         # q built from c * gamma equals q built from gamma, identically
         c = 2.7
-        g_scaled = cg.physical_field(bump32.grid, np.sqrt(c * bump32.gamma.values.real))
-        lap = cg.to_physical(laplacian(g_scaled))
-        q_scaled = lap.values.real / g_scaled.values.real
+        g_scaled = np.sqrt(c * bump32.gamma.values)
+        q_scaled = _oracle_laplacian(g_scaled, bump32.grid.L) / g_scaled
         q = cg.potential_q(bump32).values.real
         assert np.max(np.abs(q_scaled - q)) < 1e-12 * max(1.0, np.max(np.abs(q)))
 
     def test_mean_identity_discrete_exact(self, bump32):
         # integral q dx = -sum grad(g).grad(1/g) h^d holds to rounding
         grid = bump32.grid
-        lhs = integral(cg.potential_q(bump32)).real
+        lhs = float(np.sum(cg.potential_q(bump32).values) * grid.measure)
         ginv = cg.physical_field(grid, 1.0 / bump32.g.values.real)
         gg = [cg.to_physical(f).values.real for f in spectral_gradient(bump32.g)]
         gi = [cg.to_physical(f).values.real for f in spectral_gradient(ginv)]
@@ -301,7 +302,7 @@ class TestMollify:
     def test_mass_preserved(self, grid32):
         f = self.real_field(grid32, 17)
         out = mollify(f, 4 * grid32.h)
-        assert integral(out) == pytest.approx(integral(f), rel=1e-12)
+        assert np.sum(out.values) * grid32.measure == pytest.approx(np.sum(f.values) * grid32.measure, rel=1e-12)
 
     def test_below_grid_scale_warns_noop(self, grid16):
         f = self.real_field(grid16, 18)
@@ -319,7 +320,7 @@ class TestMollify:
     def test_flattening_monotone_in_width(self, grid32):
         r = grid32.radius_from_center
         f = cg.physical_field(grid32, np.exp(-((r / 0.5) ** 2)))
-        mean = integral(f).real / grid32.L ** 3
+        mean = np.sum(f.values) * grid32.measure / grid32.L ** 3
         devs = []
         for eps in (2 * grid32.h, 4 * grid32.h, 8 * grid32.h):
             out = mollify(f, eps)
@@ -432,12 +433,15 @@ class TestGammaFile:
         with pytest.raises(DomainError):
             cg.read_gamma_file(path)
 
-    def test_header_layout(self, bump32, tmp_path):
+    def test_header_layout(self, tmp_path):
+        # packed by hand: uint32 d, uint32 n, float64 L, then gamma in C
+        # order, little-endian; one off-centre sample pins the axis order
         import struct
 
+        gamma = np.ones((8, 8, 8))
+        gamma[4, 4, 5] = 1.5
         path = tmp_path / "gamma.bin"
-        write_gamma_file(path, bump32)
-        with open(path, "rb") as fh:
-            d, n, L = struct.unpack("<IId", fh.read(16))
-        assert (d, n) == (3, 32)
-        assert L == pytest.approx(TWO_PI)
+        path.write_bytes(struct.pack("<IId", 3, 8, 5.0) + gamma.astype("<f8").tobytes())
+        cond = cg.read_gamma_file(path)
+        assert cond.grid == cg.FrequencyGrid(3, 8, 5.0)
+        np.testing.assert_array_equal(cond.gamma.values, gamma)

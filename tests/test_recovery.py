@@ -14,7 +14,7 @@ import cgolab.cli
 import cgolab.recovery
 from cgolab.config import config_from_dict
 from cgolab.errors import CgolabError, FrameError, NotContractiveError
-from cgolab.recovery import _solve_pair, alessandrini_terms, fourier_mode, pairing_weight
+from cgolab.recovery import _main_term, _solve_pair, alessandrini_terms
 from cgolab.spaces import smooth_bridge
 
 from conftest import BUMP_AMPLITUDE, BUMP_WIDTH, _oracle_gaussian_q, _oracle_lattice, psihat_field
@@ -29,6 +29,19 @@ def exact_mode(n, k):
     _, modes = _oracle_lattice(n)
     phase = sum(kj * x.reshape(m.shape) for kj, m in zip(k, modes))
     return complex(np.sum(q * np.exp(1j * phase)) * (2.0 * np.pi / n) ** 3)
+
+
+def stepwise_terms(cond, k, psi1, psi2):
+    """The four sums and main_oracle of one solved pair, step by step:
+    qphi2 = q phi^2 h^d, the main-term gate, then alessandrini_terms on
+    w = e^{ix.k} qphi2."""
+    phi = cg.make_cutoff(cond).values
+    qphi2 = cond.q.values * phi * phi * cond.grid.measure
+    term_main, main_oracle = _main_term(cond, k, qphi2)
+    w = cg.exp_ik_field(cond.grid, k).values * qphi2
+    term_linear, term_bilinear, total = alessandrini_terms(w, term_main, psi1, psi2)
+    return {"term_main": term_main, "term_linear": term_linear, "term_bilinear": term_bilinear,
+            "total": total, "main_oracle": main_oracle}
 
 
 def test_main_term_gate_before_selection(bump32, monkeypatch):
@@ -46,16 +59,20 @@ def test_main_term_gate_before_selection(bump32, monkeypatch):
 def test_recovered_mode_within_error_bar(bump64, k):
     k = np.array(k)
     ((rec,),) = cg.recover_modes([bump64], [k], BAND, samples_per_band=SAMPLES, seed=SEED)
-    bd = rec.breakdown
-    recovered, oracle = bd.total, bd.main_oracle
+    np.testing.assert_array_equal(rec.k, k)
     exact = exact_mode(64, k)
     # measured: |recovered - exact| / |exact| = 2.9e-4 and 6.8e-4, equal to the error bar
-    assert abs(recovered - exact) <= rec.error_bar + 1e-5 * abs(exact)
-    assert rec.error_bar == abs(bd.term_linear) + abs(bd.term_bilinear)
-    assert abs(oracle - exact) <= 1e-5 * abs(exact)
-    assert oracle == fourier_mode(cg.potential_q(bump64), k)
-    parts = bd.term_main + bd.term_linear + bd.term_bilinear
-    assert abs(bd.total - parts) <= 1e-12 * abs(bd.total)
+    assert abs(rec.total - exact) <= rec.error_bar + 1e-5 * abs(exact)
+    assert rec.error_bar == abs(rec.term_linear) + abs(rec.term_bilinear)
+    assert abs(rec.main_oracle - exact) <= 1e-5 * abs(exact)
+    # main_oracle is the lattice sum of the package's q against e^{ix.k}, here in plain numpy
+    q = bump64.q.values
+    x = bump64.grid.x_axis
+    wave = np.exp(1j * (k[0] * x[:, None, None] + k[1] * x[None, :, None] + k[2] * x[None, None, :]))
+    plain = complex(np.sum(q * wave) * bump64.grid.measure)
+    assert abs(rec.main_oracle - plain) <= 1e-12 * float(np.sum(np.abs(q)) * bump64.grid.measure)
+    parts = rec.term_main + rec.term_linear + rec.term_bilinear
+    assert abs(rec.total - parts) <= 1e-12 * abs(rec.total)
 
 
 @pytest.mark.parametrize("k", [(1.0, 2.0, 0.0), (2.0, 0.0, 0.0)])
@@ -68,8 +85,7 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     modes1, _, psi1 = cg.solve_psi(bump64, pair.zeta1)
     modes2, _, psi2 = cg.solve_psi(bump64, pair.zeta2)
     psihat1, psihat2 = (psihat_field(bump64.grid, modes) for modes in (modes1, modes2))
-    weight = pairing_weight(bump64, k, cg.make_cutoff(bump64))
-    bd = alessandrini_terms(weight, pair, psi1, psi2)
+    terms = stepwise_terms(bump64, k, psi1, psi2)
 
     q = _oracle_gaussian_q(64, spectral=True)
     deltas, _ = _oracle_lattice(64)
@@ -99,7 +115,7 @@ def test_terms_match_plain_four_term_sum(bump64, k):
         "total": form(slot1 * (1.0 + u1), slot2 * (1.0 + u2)),
     }
     for name, value in expected.items():
-        assert abs(getattr(bd, name) - value) <= 1e-13 * abs(value), name
+        assert abs(terms[name] - value) <= 1e-13 * abs(value), name
 
 
 BUMP = {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH}
@@ -168,6 +184,34 @@ def test_pair_solves_zeta2_in_a_worker_thread(bump32, monkeypatch):
     _solve_pair(bump32, pair)
     assert threads[id(pair.zeta1)] is threading.current_thread()
     assert threads[id(pair.zeta2)] is not threading.current_thread()
+
+
+def _half_turn_e_z(psi):
+    # (x, y, z) -> (-x, -y, z) about the torus centre: index i -> -i mod n on axes 0, 1
+    return np.roll(np.flip(psi, (0, 1)), 1, (0, 1))
+
+
+def _half_turn_110(psi):
+    # (x, y, z) -> (y, x, -z) about the torus centre
+    return np.roll(np.flip(np.swapaxes(psi, 0, 1), 2), 1, 2)
+
+
+@pytest.mark.parametrize("k, turn", [((0.0, 0.0, 1.0), _half_turn_e_z), ((1.0, 1.0, 0.0), _half_turn_110)])
+@pytest.mark.parametrize("profile", [
+    {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH},
+    {"kind": "c1_cap", "amplitude": 0.4, "radius": 1.1},
+    {"kind": "cone", "amplitude": 4.0, "radius": 1.1},
+])
+@pytest.mark.parametrize("angle", [0.0, 0.7])
+def test_pair_remainders_are_a_half_turn_apart(grid32, k, turn, profile, angle):
+    # the half turn about k maps (eta1, eta2) to (-eta1, -eta2), so zeta_1
+    # to zeta_2, and fixes a radial conductivity: psi_2 = psi_1 turned
+    cond = cg.make_conductivity(grid32, profile)
+    pair = cg.zeta_pair_from_angle(np.array(k), 16.0, angle)
+    (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(cond, pair)
+    assert rep1.converged and rep2.converged
+    err = np.max(np.abs(turn(psi1.values) - psi2.values)) / np.max(np.abs(psi2.values))
+    assert err <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -244,28 +288,27 @@ def test_uniqueness_gap_rows_equal_sequential_recomputation(bump64):
     for row, mode in zip(rows, k_modes):
         k = np.array(mode, dtype=float)
         pair = cg.select_zeta_sequence([bump64, other], k, [BAND], SAMPLES, SEED)[0].pair
-        breakdowns, reports = [], []
+        steps, reports = [], []
         for cond in (bump64, other):
             solves = [cg.solve_psi(cond, zeta) for zeta in (pair.zeta1, pair.zeta2)]
-            weight = pairing_weight(cond, k, cg.make_cutoff(cond))
-            breakdowns.append(alessandrini_terms(weight, pair, *(psi for _, _, psi in solves)))
+            steps.append(stepwise_terms(cond, k, *(psi for _, _, psi in solves)))
             reports.append([rep for _, rep, _ in solves])
-        bd1, bd2 = breakdowns
+        t1, t2 = steps
         np.testing.assert_array_equal(row["k"], k)
         assert row["band"] == BAND
-        assert (row["pairing1"], row["pairing2"]) == (bd1.total, bd2.total)
-        assert (row["qhat1"], row["qhat2"]) == (bd1.main_oracle, bd2.main_oracle)
-        assert row["gap"] == abs(bd1.total - bd2.total)
-        assert row["qhat_gap"] == abs(bd1.main_oracle - bd2.main_oracle)
-        assert row["error_bar"] == sum(abs(bd.term_linear) + abs(bd.term_bilinear) for bd in breakdowns)
+        assert (row["pairing1"], row["pairing2"]) == (t1["total"], t2["total"])
+        assert (row["qhat1"], row["qhat2"]) == (t1["main_oracle"], t2["main_oracle"])
+        assert row["gap"] == abs(t1["total"] - t2["total"])
+        assert row["qhat_gap"] == abs(t1["main_oracle"] - t2["main_oracle"])
+        assert row["error_bar"] == sum(abs(t["term_linear"]) + abs(t["term_bilinear"]) for t in steps)
         for i, reps in enumerate(reports, 1):
             assert row[f"solver_iterations{i}"] == [rep.iterations for rep in reps]
             assert row[f"clamped_mass{i}"] == max(rep.clamped_mass for rep in reps)
 
 
 def test_uniqueness_gap_frees_the_cutoffs_before_solving(bump64, monkeypatch):
-    # only pairing_weight reads a cutoff (2 MiB at n=64), and each weight
-    # holds phi^2: no cutoff may live through the pair solves
+    # only qphi2 = q phi^2 h^d reads a cutoff (2 MiB at n=64): no cutoff
+    # may live through the pair solves
     make_cutoff, cutoffs, alive = cgolab.recovery.make_cutoff, [], []
 
     def tracked(cond):
@@ -289,6 +332,32 @@ def test_uniqueness_gap_frees_the_cutoffs_before_solving(bump64, monkeypatch):
     assert alive == [0, 0]
 
 
+def test_no_remainder_outlives_its_pair_solve(bump64, monkeypatch):
+    # each psi and each w is a lattice array (4 MiB at n=64): those of an
+    # earlier (k, conductivity) must be freed before the next pair solve
+    solve_pair, terms = cgolab.recovery._solve_pair, cgolab.recovery.alessandrini_terms
+    arrays, alive = [], []
+
+    def tracked_solve(cond, pair, **kwargs):
+        alive.append(sum(ref() is not None for ref in arrays))
+        solves = solve_pair(cond, pair, **kwargs)
+        arrays.extend(weakref.ref(psi.values) for _, _, psi in solves)
+        return solves
+
+    def tracked_terms(w, *args):
+        arrays.append(weakref.ref(w))
+        return terms(w, *args)
+
+    monkeypatch.setattr(cgolab.recovery, "_solve_pair", tracked_solve)
+    monkeypatch.setattr(cgolab.recovery, "alessandrini_terms", tracked_terms)
+    other = cg.make_conductivity(bump64.grid, OTHER)
+    k_set = [np.array([1.0, 2.0, 0.0]), np.array([0.0, 0.0, 1.0])]
+    recs = cg.recover_modes([bump64, other], k_set, BAND, samples_per_band=2)
+    assert [len(per_k) for per_k in recs] == [2, 2]
+    assert len(arrays) == 4 * 3
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in arrays)
+
 
 def test_one_conductivity_equals_its_steps(bump64):
     # per mode: selection on the one conductivity, the pair solve, then the pairing
@@ -298,18 +367,16 @@ def test_one_conductivity_equals_its_steps(bump64):
     for (rec,), k in zip(recs, k_set):
         selection = cg.select_zeta_sequence([bump64], k, [BAND], SAMPLES, SEED)[0]
         (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(bump64, selection.pair, tol=1e-10, max_iter=600)
-        weight = pairing_weight(bump64, k, cg.make_cutoff(bump64))
-        bd = alessandrini_terms(weight, selection.pair, psi1, psi2)
+        terms = stepwise_terms(bump64, k, psi1, psi2)
         assert (rec.selection.lam, rec.selection.objective) == (selection.lam, selection.objective)
         assert rec.selection.samples == selection.samples
-        assert rec.breakdown.zeta_pair is rec.selection.pair
-        assert rec.breakdown.zeta_pair.s == selection.pair.s
-        np.testing.assert_array_equal(rec.breakdown.k, bd.k)
-        for name in ("term_main", "term_linear", "term_bilinear", "total", "main_oracle"):
-            assert getattr(rec.breakdown, name) == getattr(bd, name), name
+        assert rec.selection.pair.s == selection.pair.s
+        np.testing.assert_array_equal(rec.k, k)
+        for name, value in terms.items():
+            assert getattr(rec, name) == value, name
         assert dataclasses.asdict(rec.report1) == dataclasses.asdict(rep1)
         assert dataclasses.asdict(rec.report2) == dataclasses.asdict(rep2)
-        assert rec.error_bar == abs(bd.term_linear) + abs(bd.term_bilinear)
+        assert rec.error_bar == abs(terms["term_linear"]) + abs(terms["term_bilinear"])
 
 
 def test_support_geometry_must_agree(bump64, monkeypatch):
