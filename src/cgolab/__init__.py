@@ -37,12 +37,8 @@ from .potential import (
 )
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
 from .estimates import (
-    EstimateReport,
-    EstimateSample,
-    SchurBound,
     averaged_decay,
     bilinear_ratio,
-    draw_colored_field,
     localization_ratios,
     mq_operator_ratio,
     schur_bound,

@@ -20,7 +20,10 @@ a column view of records in the report's "result" block, naming the
 fields it shows in column order.  The sample tables of select-zeta and
 verify-estimates take the inner sample records with their parent's key
 merged in (band, estimate_id); select-zeta's "selected" marks the sample
-whose s and objective are its band's.  A complex field becomes two columns
+whose s and objective are its band's.  verify-estimates writes the five
+cutoff estimates' samples and maxima (samples.csv, summary.csv) and the
+m_q operator norm per s (mq_decay.csv, the rows of result.mq_decay, whose
+fitted trend is in the report only).  A complex field becomes two columns
 <name>_re and <name>_im, a list (a k vector) one cell joined with ";", a
 dict one cell of sorted-key JSON, and None an empty cell.  Numeric CSV
 cells are printed with 15 significant digits, so identical config + seed
@@ -65,13 +68,12 @@ from .errors import (
 from .estimates import (
     averaged_decay,
     bilinear_ratio,
-    draw_colored_field,
     localization_ratios,
     mq_operator_ratio,
     schur_bound,
     singbound_quadrature,
 )
-from .grid import FrequencyGrid, physical_field
+from .grid import FrequencyGrid
 from .potential import make_conductivity, make_cutoff, read_gamma_file
 from .recovery import recover_modes
 from .symbol import check_band, zeta_pair_from_angle
@@ -208,35 +210,25 @@ def _run_verify_estimates(cfg: ExperimentConfig):
     k = grid.lattice_frequency(cfg.k_mode)
     pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
     phi = make_cutoff(cond)
-    rng = np.random.default_rng(cfg.seed)
-
-    reports = localization_ratios(cfg.u_samples, pair.zeta1, phi, cfg.seed)
-    mq_rep = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values)
-    u = draw_colored_field(grid, rng, pair.zeta1, "near_char_1")
-    v = draw_colored_field(grid, rng, pair.zeta2, "near_char_1")
-    f_one = physical_field(grid, np.ones(grid.shape))
-    bil = bilinear_ratio(f_one, pair, u, v, phi)
-
-    sb = schur_bound(
-        lambda pts: np.exp(-np.sum(pts * pts, axis=-1)),
-        lambda pts: np.ones(pts.shape[:-1]),
-        lambda pts: np.ones(pts.shape[:-1]),
-        grid,
-        seed=cfg.seed,
-    )
-
-    estimates = [
-        {"estimate_id": rep.estimate_id, "max_ratio": rep.max_ratio, "trend": rep.trend,
-         "samples": [{"params": s.params, "lhs": s.lhs, "rhs": s.rhs, "ratio": s.ratio}
-                     for s in rep.samples]}
-        for rep in reports + [mq_rep]
-    ]
-    result = {"estimates": estimates, "bilinear_linf": bil,
-              "schur": {"value": sb.value, "operator_norm": sb.operator_norm}}
+    estimates = localization_ratios(cfg.u_samples, pair.zeta1, phi, cfg.seed)
+    mq_rows, mq_trend = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values)
+    result = {
+        "estimates": estimates,
+        "mq_decay": {"trend": mq_trend, "rows": mq_rows},
+        "bilinear_linf": bilinear_ratio(pair, phi, cfg.seed),
+        "schur": schur_bound(
+            lambda pts: np.exp(-np.sum(pts * pts, axis=-1)),
+            lambda pts: np.ones(pts.shape[:-1]),
+            lambda pts: np.ones(pts.shape[:-1]),
+            grid,
+            seed=cfg.seed,
+        ),
+    }
     samples = [{**x, "estimate_id": e["estimate_id"]} for e in estimates for x in e["samples"]]
     return result, {
         "samples": (["estimate_id", "params", "lhs", "rhs", "ratio"], samples),
-        "summary": (["estimate_id", "max_ratio", "trend"], estimates),
+        "summary": (["estimate_id", "max_ratio"], estimates),
+        "mq_decay": (["s", "operator_norm"], mq_rows),
     }
 
 

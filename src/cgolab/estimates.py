@@ -5,15 +5,22 @@ constant stability across parameter sweeps, never as absolute bounds;
 the only falsifiable lattice content of a uniform estimate is its
 uniformity.  All samplers are seeded and deterministic.
 
-Estimate identifiers (semantic, stable across the CSV/JSON schema):
+Each cutoff-localization estimate is one block of sample records
+(params, lhs, rhs, ratio) and its max_ratio; its identifier is stable
+across the CSV/JSON schema:
 
   cutoff_neg_half   ||phi_B u||  homogeneous -1/2  vs inhomogeneous -1/2
   cutoff_pos_half   ||phi_B u||  inhomogeneous 1/2 vs homogeneous 1/2
   cutoff_l2         ||phi_B u||_L2              vs s^{-1/2} homogeneous 1/2
   cutoff_high_grad  ||grad(H phi_B u)||_L2      vs homogeneous 1/2
   cutoff_high_l2    ||H phi_B u||_L2            vs s^{-1}  homogeneous 1/2
-  bilinear_linf     s |int f u_B v_B| / (||f||_inf ||u|| ||v||)
-  mq_decay          operator norm of <m_q u, v> on the weighted slots, per s
+
+The other estimates have records of their own:
+
+  mq_decay          operator norm of <m_q u, v> on the weighted slots, one
+                    row per s, and its fitted exponent in s
+  bilinear_linf     s |int u_B v_B| / (||u|| ||v||), one number
+  schur             Schur kernel bound and operator norm of a convolution
   singbound         lattice integral of <xi-eta>^{-M} / dist(xi, Sigma)
   avg_decay         band quadrature of || phi_B grad f ||^2 (hom. -1/2)
 
@@ -31,7 +38,6 @@ forward only as far as the 2/3 cube it keeps (real_forward with cube).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
@@ -49,7 +55,6 @@ from .grid import (
     real_inverse,
     spectral_field,
     spectral_gradient,
-    sup_norm,
     to_physical,
     to_spectral,
     weighted_l2,
@@ -64,31 +69,20 @@ def cell_floor(grid: FrequencyGrid, s: float) -> float:
     return 0.5 * s * grid.freq_step
 
 
-@dataclass
-class EstimateSample:
-    params: dict
-    lhs: float
-    rhs: float
-
-    @property
-    def ratio(self) -> float:
-        if self.rhs == 0.0:
-            return 0.0 if self.lhs == 0.0 else float("inf")
-        return self.lhs / self.rhs
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, with 0/0 = 0 and lhs/0 = inf."""
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else float("inf")
+    return lhs / rhs
 
 
-@dataclass
-class EstimateReport:
-    estimate_id: str
-    samples: list = field(default_factory=list)
-    trend: Optional[float] = None
-
-    @property
-    def max_ratio(self) -> float:
-        return max((s.ratio for s in self.samples), default=0.0)
-
-    def add(self, params: dict, lhs: float, rhs: float):
-        self.samples.append(EstimateSample(dict(params), float(lhs), float(rhs)))
+def _trend(x, y) -> Optional[float]:
+    """The fitted exponent of y against x (log-log least squares); None for
+    one point or a nonpositive y."""
+    y = np.asarray(y, dtype=float)
+    if len(y) < 2 or not np.all(y > 0):
+        return None
+    return float(np.polyfit(np.log(np.asarray(x, dtype=float)), np.log(y), 1)[0])
 
 
 # -- adversarial sampler -----------------------------------------------------
@@ -165,13 +159,6 @@ def top_singular_value(apply, adjoint, x0: np.ndarray) -> float:
 # -- Schur-type kernel bound -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchurBound:
-    value: float
-    operator_norm: float
-    phi_l1: float
-
-
 def _difference_kernel(grid: FrequencyGrid, phi) -> np.ndarray:
     """phi sampled on the (2n-1)^d difference lattice, ascending order.
     phi is called on one slab of the first axis at a time, so no
@@ -187,7 +174,7 @@ def _difference_kernel(grid: FrequencyGrid, phi) -> np.ndarray:
     return out
 
 
-def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0) -> SchurBound:
+def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0) -> dict:
     """Kernel bound for the convolution f -> phi * f from L2_v to L2_w.
 
     With J(xi, eta) = |phi(xi - eta)| w(xi) / v(eta), returns
@@ -196,11 +183,11 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0) -> SchurBound:
                                           sup_eta (int J dxi)^{1/2} )
 
     (lattice quadrature with the frequency-cell measure; for v = w = 1
-    this collapses to ||phi||_{L1}).  The operator norm is estimated too,
-    by top_singular_value from a seeded start: it stops once the top
-    Ritz value moves by at most LANCZOS_RTOL relative, is a lower bound
-    on the true norm up to rounding, and is verified to sit below
-    value * 1.05.
+    this collapses to ||phi||_{L1}), as {"value", "operator_norm"}.  The
+    operator norm is estimated by top_singular_value from a seeded start:
+    it stops once the top Ritz value moves by at most LANCZOS_RTOL
+    relative, is a lower bound on the true norm up to rounding, and is
+    verified to sit below value * 1.05.
 
     Every lattice convolution is a circulant one of size N = 2n per
     axis: the difference index m of the kernel goes to slot m mod N,
@@ -269,7 +256,7 @@ def schur_bound(phi, v, w, grid: FrequencyGrid, seed: int = 0) -> SchurBound:
         raise ValueError(
             f"estimated operator norm {op_norm:.6g} exceeds kernel bound {value:.6g}"
         )
-    return SchurBound(value=value, operator_norm=op_norm, phi_l1=phi_l1)
+    return {"value": value, "operator_norm": op_norm}
 
 
 # -- localization ratios -----------------------------------------------------
@@ -309,8 +296,10 @@ def localization_ratios(
     zeta: Zeta,
     phi_B: Field,
     seed: int,
-) -> list[EstimateReport]:
-    """Empirical constants of the five cutoff-localization estimates.
+) -> list[dict]:
+    """Empirical constants of the five cutoff-localization estimates, one
+    block {estimate_id, max_ratio, samples} per LOCALIZATION_IDS entry, each
+    sample {params, lhs, rhs, ratio}.
 
     Samples cycle through the near-characteristic densities (alpha in
     {0, 1, 2}) and white noise; each product phi_B u is cut to the 2/3
@@ -322,54 +311,51 @@ def localization_ratios(
     s = zeta.s
     hom, inh, high_pass = _norm_weights(zeta, grid)
     rng = np.random.default_rng(seed)
-    reports = {eid: EstimateReport(eid) for eid in LOCALIZATION_IDS}
+    samples = {eid: [] for eid in LOCALIZATION_IDS}
     for i in range(u_samples):
         kind = SAMPLER_KINDS[i % len(SAMPLER_KINDS)]
         u = draw_colored_field(grid, rng, zeta, kind)
         u_b = dealias_23(multiply(phi_B, u))
-        params = {"sample": i, "kind": kind}
-
         rhs_dot_half = weighted_l2(u, hom[0.5])
-        reports["cutoff_neg_half"].add(
-            params, weighted_l2(u_b, hom[-0.5]), weighted_l2(u, inh[-0.5])
-        )
-        reports["cutoff_pos_half"].add(
-            params, weighted_l2(u_b, inh[0.5]), rhs_dot_half
-        )
-        reports["cutoff_l2"].add(
-            params, l2_norm(u_b), rhs_dot_half / np.sqrt(s)
-        )
         high = spectral_field(grid, to_spectral(u_b).values * high_pass)
-        grad_high = np.sqrt(
-            sum(l2_norm(gj) ** 2 for gj in spectral_gradient(high))
-        )
-        reports["cutoff_high_grad"].add(params, grad_high, rhs_dot_half)
-        reports["cutoff_high_l2"].add(params, l2_norm(high), rhs_dot_half / s)
-    return [reports[eid] for eid in LOCALIZATION_IDS]
+        grad_high = np.sqrt(sum(l2_norm(gj) ** 2 for gj in spectral_gradient(high)))
+        sides = {
+            "cutoff_neg_half": (weighted_l2(u_b, hom[-0.5]), weighted_l2(u, inh[-0.5])),
+            "cutoff_pos_half": (weighted_l2(u_b, inh[0.5]), rhs_dot_half),
+            "cutoff_l2": (l2_norm(u_b), rhs_dot_half / np.sqrt(s)),
+            "cutoff_high_grad": (grad_high, rhs_dot_half),
+            "cutoff_high_l2": (l2_norm(high), rhs_dot_half / s),
+        }
+        for eid, (lhs, rhs) in sides.items():
+            lhs, rhs = float(lhs), float(rhs)
+            samples[eid].append({"params": {"sample": i, "kind": kind},
+                                 "lhs": lhs, "rhs": rhs, "ratio": _ratio(lhs, rhs)})
+    return [
+        {"estimate_id": eid, "max_ratio": max((x["ratio"] for x in samples[eid]), default=0.0),
+         "samples": samples[eid]}
+        for eid in LOCALIZATION_IDS
+    ]
 
 
-def bilinear_ratio(
-    f: Field,
-    zeta_pair: ZetaPair,
-    u: Field,
-    v: Field,
-    phi_B: Field,
-) -> float:
-    """Empirical constant  s |int f u_B v_B| / (||f||_inf ||u|| ||v||)
-    with the homogeneous 1/2-norms of u, v at the two zetas (the modes
-    under the cell floor dropped, and u_B = phi_B u cut to the 2/3 cube,
-    as in localization_ratios)."""
+def bilinear_ratio(zeta_pair: ZetaPair, phi_B: Field, seed: int) -> float:
+    """Empirical constant  s |int u_B v_B| / (||u|| ||v||)  of the bilinear
+    L^inf estimate at f = 1, with the homogeneous 1/2-norms of u, v at the
+    two zetas (the modes under the cell floor dropped, and u_B = phi_B u
+    cut to the 2/3 cube, as in localization_ratios).  u and v are the
+    near_char_1 draws of default_rng(seed), u at zeta1 and then v at zeta2."""
     z1, z2 = zeta_pair.zeta1, zeta_pair.zeta2
     if abs(z1.magnitude - z2.magnitude) > 1e-9 * z1.magnitude:
         raise InfeasibleGeometryError("paired zetas must share |zeta|")
-    grid = f.grid
+    grid = phi_B.grid
+    rng = np.random.default_rng(seed)
+    u = draw_colored_field(grid, rng, z1, "near_char_1")
+    v = draw_colored_field(grid, rng, z2, "near_char_1")
     u_b = dealias_23(multiply(phi_B, u))
     v_b = dealias_23(multiply(phi_B, v))
-    prod = to_physical(f).values * to_physical(u_b).values * to_physical(v_b).values
+    prod = to_physical(u_b).values * to_physical(v_b).values
     lhs = abs(complex(prod.sum() * grid.measure))
     denom = (
-        sup_norm(f)
-        * weighted_l2(u, _norm_weights(z1, grid)[0][0.5])
+        weighted_l2(u, _norm_weights(z1, grid)[0][0.5])
         * weighted_l2(v, _norm_weights(z2, grid)[0][0.5])
     )
     if denom == 0.0:
@@ -432,24 +418,18 @@ def mq_operator_ratio(
     zeta_pair: ZetaPair,
     seed: int,
     s_values=(8.0, 16.0, 32.0, 64.0),
-) -> EstimateReport:
+) -> tuple[list, Optional[float]]:
     """Operator norm of the bilinear form <m_q u, v> between the two
-    weighted slots, one row per s (the pair's k and frame are kept
-    fixed).  trend is the fitted exponent of the norm against s."""
-    grid = cond.grid
+    weighted slots, one row {s, operator_norm} per s (the pair's k and
+    frame are kept fixed), and the trend: the fitted exponent of the norm
+    against s (None for one s or a nonpositive norm)."""
     k, eta1, eta2 = zeta_pair.k, zeta_pair.eta1, zeta_pair.eta2
     rng = np.random.default_rng(seed)
-    report = EstimateReport("mq_decay")
-    norms = []
-    for s in s_values:
-        pair = make_zeta_pair(k, float(s), eta1, eta2)
-        norms.append(_mq_operator_norm(cond, pair, rng))
-        report.add({"s": float(s)}, norms[-1], 1.0)
-    logs = np.log(np.asarray(s_values, dtype=float))
-    vals = np.asarray(norms)
-    if np.all(vals > 0) and len(vals) >= 2:
-        report.trend = float(np.polyfit(logs, np.log(vals), 1)[0])
-    return report
+    rows = [
+        {"s": float(s), "operator_norm": _mq_operator_norm(cond, make_zeta_pair(k, float(s), eta1, eta2), rng)}
+        for s in s_values
+    ]
+    return rows, _trend(s_values, [row["operator_norm"] for row in rows])
 
 
 def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng) -> float:
@@ -584,8 +564,4 @@ def averaged_decay(
             denom = lam ** (1.0 - theta) * norm_sq
             row[f"normalized_theta_{theta:g}"] = total / denom if denom > 0 else 0.0
         records.append(row)
-    vals = np.asarray([row["A_over_lambda"] for row in records])
-    trend = None
-    if np.all(vals > 0) and len(vals) >= 2:
-        trend = float(np.polyfit(np.log(bands), np.log(vals), 1)[0])
-    return records, trend
+    return records, _trend(bands, [row["A_over_lambda"] for row in records])

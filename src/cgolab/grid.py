@@ -378,10 +378,6 @@ def l2_norm(f: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.measure))
 
 
-def sup_norm(f: Field) -> float:
-    return float(np.max(np.abs(to_physical(f).values)))
-
-
 def weighted_l2(f: Field, w: np.ndarray) -> float:
     """(sum_xi w(xi) |fhat(xi)|^2 * h^d)^{1/2}.
 

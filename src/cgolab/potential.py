@@ -26,10 +26,11 @@ Shipped profile families (amplitude a, centred at the torus centre):
 * "cone"      gamma = 1 + a max(0, 1 - r/R)              -- Lipschitz
 * "uniform"   gamma = 1 (the q = 0 degenerate path)
 
-Non-smooth profiles ("c1_cap", "cone") are pre-mollified at width 2h
-before any spectral differentiation; the width is recorded on the
-Conductivity.  gamma, g, log g, q, mollified fields and the cutoff are
-float64 Fields; q_hat, the spectrum of q, is complex.
+A profile key outside its family's parameters, "center" among them,
+raises DomainError.  Non-smooth profiles ("c1_cap", "cone") are
+pre-mollified at width 2h before any spectral differentiation, which
+widens the support radius by 2h.  gamma, g, log g, q, mollified fields
+and the cutoff are float64 Fields; q_hat, the spectrum of q, is complex.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .grid import (
 from .spaces import smooth_bridge
 
 _SUPPORT_TOL = 1e-12
-SMOOTHNESS_CLASSES = ("lipschitz", "c1", "smooth")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +64,6 @@ class Conductivity:
 
     gamma: Field
     support_radius: float
-    lower_bound: float
-    smoothness_class: str
-    mollification_width: float = 0.0
 
     @property
     def grid(self) -> FrequencyGrid:
@@ -130,13 +127,10 @@ def conductivity_from_array(
     grid: FrequencyGrid,
     values,
     support_radius: float,
-    smoothness_class: str = "smooth",
     premollify: bool = False,
 ) -> Conductivity:
     """Build and validate a conductivity from a copy of raw grid values: a
     complex input must be real to 1e-13 relative, and every value finite."""
-    if smoothness_class not in SMOOTHNESS_CLASSES:
-        raise DomainError(f"unknown smoothness class {smoothness_class!r}")
     vals = np.asarray(values)
     if np.iscomplexobj(vals):
         if np.max(np.abs(vals.imag)) > 1e-13 * max(1.0, np.max(np.abs(vals.real))):
@@ -146,19 +140,12 @@ def conductivity_from_array(
     bad = vals.size - np.count_nonzero(np.isfinite(vals))
     if bad:
         raise DomainError(f"conductivity has {bad} non-finite values")
-    width = 0.0
     if premollify:
         width = 2.0 * grid.h
         vals = mollify(physical_field(grid, vals), width).values
         support_radius = support_radius + width
     _validate_gamma(grid, vals, support_radius)
-    return Conductivity(
-        gamma=physical_field(grid, vals),
-        support_radius=float(support_radius),
-        lower_bound=float(np.min(vals)),
-        smoothness_class=smoothness_class,
-        mollification_width=width,
-    )
+    return Conductivity(gamma=physical_field(grid, vals), support_radius=float(support_radius))
 
 
 def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
@@ -168,7 +155,7 @@ def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
     if kind == "uniform":
         spec.pop("amplitude", None)
         _reject_extra(kind, spec)
-        return conductivity_from_array(grid, np.ones(grid.shape), grid.L / 4.0, "smooth")
+        return conductivity_from_array(grid, np.ones(grid.shape), grid.L / 4.0)
     if kind == "gaussian":
         a = float(spec.pop("amplitude"))
         sigma = float(spec.pop("width"))
@@ -180,25 +167,24 @@ def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
                 f"gaussian width {sigma:.6g} leaves a tail above 1e-12 at L/4"
             )
         vals = 1.0 + a * np.exp(-((grid.radius_from_center / sigma) ** 2))
-        return conductivity_from_array(grid, vals, radius, "smooth")
+        return conductivity_from_array(grid, vals, radius)
     if kind == "c1_cap":
         a = float(spec.pop("amplitude"))
         radius = float(spec.pop("radius"))
         _reject_extra(kind, spec)
         t = np.minimum(grid.radius_from_center / radius, 1.0)
         vals = 1.0 + a * (1.0 - 3.0 * t * t + 2.0 * t ** 3)
-        return conductivity_from_array(grid, vals, radius, "c1", premollify=True)
+        return conductivity_from_array(grid, vals, radius, premollify=True)
     if kind == "cone":
         a = float(spec.pop("amplitude"))
         radius = float(spec.pop("radius"))
         _reject_extra(kind, spec)
         vals = 1.0 + a * np.maximum(0.0, 1.0 - grid.radius_from_center / radius)
-        return conductivity_from_array(grid, vals, radius, "lipschitz", premollify=True)
+        return conductivity_from_array(grid, vals, radius, premollify=True)
     raise DomainError(f"unknown conductivity profile kind {kind!r}")
 
 
 def _reject_extra(kind, leftovers: dict):
-    leftovers.pop("center", None)  # centre is fixed at the torus centre
     if leftovers:
         raise DomainError(f"unknown parameters for profile {kind!r}: {sorted(leftovers)}")
 

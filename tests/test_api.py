@@ -15,8 +15,6 @@ PUBLIC = [
     "Conductivity",
     "ConfigError",
     "DomainError",
-    "EstimateReport",
-    "EstimateSample",
     "Field",
     "FrameError",
     "FrequencyGrid",
@@ -25,12 +23,10 @@ PUBLIC = [
     "ModeRecovery",
     "NotContractiveError",
     "RepresentationError",
-    "SchurBound",
     "Zeta",
     "ZetaPair",
     "averaged_decay",
     "bilinear_ratio",
-    "draw_colored_field",
     "exp_ik_field",
     "localization_ratios",
     "make_conductivity",

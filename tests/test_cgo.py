@@ -137,8 +137,8 @@ class TestSolvePsi:
 
     def test_contraction_consistent_with_operator_estimate(self, bump32, pair32):
         _, rep, _ = cg.solve_psi(bump32, pair32.zeta1, tol=1e-10)
-        est = cg.mq_operator_ratio(bump32, pair32, seed=2, s_values=[pair32.s])
-        bound = est.samples[0].lhs
+        rows, _ = cg.mq_operator_ratio(bump32, pair32, seed=2, s_values=[pair32.s])
+        bound = rows[0]["operator_norm"]
         assert rep.contraction_estimates[-1] <= 2.0 * bound
 
     @pytest.mark.parametrize("clamp_eps", [1e-6, 1e-2])

@@ -407,8 +407,11 @@ def test_verify_estimates_reports_mq_operator_norm(smoke_config, tmp_path):
     assert main(["verify-estimates", "--config", str(smoke_config), "--out", str(out)]) == 0
     (report,) = out.glob("*/report.json")
     result = json.loads(report.read_text())["result"]
-    (mq,) = [e for e in result["estimates"] if e["estimate_id"] == "mq_decay"]
-    assert [row["params"]["s"] for row in mq["samples"]] == SMOKE_CONFIG["s_values"]
+    rows = result["mq_decay"]["rows"]
+    assert [row["s"] for row in rows] == SMOKE_CONFIG["s_values"]
+    # two values of s: the trend is the slope of the log norm against log s
+    norms = [row["operator_norm"] for row in rows]
+    assert result["mq_decay"]["trend"] == pytest.approx(np.log2(norms[1] / norms[0]), rel=1e-10)
     assert result["schur"]["operator_norm"] <= result["schur"]["value"]
 
 
@@ -444,6 +447,7 @@ REPORT_VIEWS = {
     "verify-estimates": lambda r: {
         "samples": [{**x, "estimate_id": e["estimate_id"]} for e in r["estimates"] for x in e["samples"]],
         "summary": r["estimates"],
+        "mq_decay": r["mq_decay"]["rows"],
     },
     "averaged-decay": lambda r: {"bands": r["bands"]},
     "singbound": lambda r: {"singbound": r["rows"]},
@@ -494,9 +498,12 @@ def test_every_csv_is_a_view_of_its_report(subcommand, tmp_path):
         _, header, *rows = (run_dir / f"{name}.csv").read_text().splitlines()
         columns = header.split(",")
         assert len(rows) == len(records)
-        for row, record in zip(rows, records):
-            cells = next(csv.reader([row]))
-            assert cells == [_expected_cell(record, c) for c in columns], (name, columns)
+        cells = [next(csv.reader([row])) for row in rows]
+        for row, record in zip(cells, records):
+            assert row == [_expected_cell(record, c) for c in columns], (name, columns)
+        # a column that is empty on every row shows nothing
+        empty = [c for j, c in enumerate(columns) if not any(row[j] for row in cells)]
+        assert not empty, (name, empty)
 
 
 def _strict_json(text):

@@ -73,9 +73,9 @@ class TestSchurBound:
         v, w = WEIGHTS[weights]
         sb = cg.schur_bound(phi, v, w, grid8, seed=0)
         value, spectral_norm = self.dense(grid8, phi, v, w)
-        assert sb.value == pytest.approx(value, rel=1e-12)
-        assert sb.operator_norm <= spectral_norm * (1 + 1e-12)
-        assert sb.operator_norm >= spectral_norm * (1 - 1e-10)
+        assert sb["value"] == pytest.approx(value, rel=1e-12)
+        assert sb["operator_norm"] <= spectral_norm * (1 + 1e-12)
+        assert sb["operator_norm"] >= spectral_norm * (1 - 1e-10)
 
     def test_nonpositive_weight_rejected(self, grid8):
         with pytest.raises(ValueError):
@@ -159,13 +159,14 @@ class TestMqOperatorNorm:
             # the unmollified Lipschitz cone: at n = 8 the 2h pre-mollification
             # of the "cone" profile would push its support past L/4
             cone = 1.0 + 0.5 * np.maximum(0.0, 1.0 - grid.radius_from_center / 1.1)
-            cond = conductivity_from_array(grid, cone, 1.1, "lipschitz")
+            cond = conductivity_from_array(grid, cone, 1.1)
         k = np.array([0.0, 0.0, 1.0])
-        rep = mq_operator_ratio(cond, cg.zeta_pair_from_angle(k, 4.0, 0.3), seed=1,
-                                s_values=[4.0, 8.0])
-        for sample in rep.samples:
-            pair = cg.zeta_pair_from_angle(k, sample.params["s"], 0.3)
-            assert sample.lhs == pytest.approx(self.dense_norm(cond, pair), rel=1e-10)
+        rows, _ = mq_operator_ratio(cond, cg.zeta_pair_from_angle(k, 4.0, 0.3), seed=1,
+                                    s_values=[4.0, 8.0])
+        assert [row["s"] for row in rows] == [4.0, 8.0]
+        for row in rows:
+            pair = cg.zeta_pair_from_angle(k, row["s"], 0.3)
+            assert row["operator_norm"] == pytest.approx(self.dense_norm(cond, pair), rel=1e-10)
 
 
 class TestMqKernel:
@@ -188,6 +189,12 @@ class TestMqKernel:
         majorant = np.sum(np.abs(q * u.values * v.values)) * cond.grid.measure
         form = np.sum(q * (u.values * v.values)) * cond.grid.measure
         assert abs(form - duality) <= 1e-12 * majorant
+
+
+def test_ratio_keeps_the_zero_and_inf_rules():
+    assert estimates._ratio(0.0, 0.0) == 0.0
+    assert estimates._ratio(2.0, 0.0) == float("inf")
+    assert estimates._ratio(3.0, 2.0) == 1.5
 
 
 class TestHarnessNorms:
@@ -237,28 +244,29 @@ class TestHarnessNorms:
         return np.fft.fftn(phi * np.fft.ifftn(uhat, norm="ortho"), norm="ortho") * cls.cube()
 
     @classmethod
-    def draws(cls, zeta, seed):
-        """The sampler's spectra: complex normal noise times
-        max(|p|, s/2)^{-1/2} <xi>^{-alpha} for alpha = 0, 1, 2, then flat,
-        cut to the 2/3 cube."""
-        rng = np.random.default_rng(seed)
-        xi_sq = np.sum(cls.lattice() ** 2, axis=-1)
-        pabs, s, _, _ = cls.weights(zeta)
+    def draw(cls, rng, zeta, alpha):
+        """One sampler spectrum: complex normal noise times
+        max(|p|, s/2)^{-1/2} <xi>^{-alpha} (flat for alpha None), cut to
+        the 2/3 cube."""
         shape = (cls.N,) * 3
-        out = []
-        for i in range(cls.SAMPLES):
-            coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            alpha = i % 4
-            if alpha < 3:
-                coef = coef * np.maximum(pabs, 0.5 * s) ** -0.5 * (1.0 + xi_sq) ** (-alpha / 2.0)
-            out.append(coef * cls.cube())
-        return out
+        coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if alpha is not None:
+            pabs, s, _, _ = cls.weights(zeta)
+            xi_sq = np.sum(cls.lattice() ** 2, axis=-1)
+            coef = coef * np.maximum(pabs, 0.5 * s) ** -0.5 * (1.0 + xi_sq) ** (-alpha / 2.0)
+        return coef * cls.cube()
+
+    @classmethod
+    def draws(cls, zeta, seed):
+        """The localization samples: alpha = 0, 1, 2, then flat, in turn."""
+        rng = np.random.default_rng(seed)
+        return [cls.draw(rng, zeta, i % 4 if i % 4 < 3 else None) for i in range(cls.SAMPLES)]
 
     def test_localization_samples_match_oracle(self, setup):
         pair, phi_B = setup
         zeta = pair.zeta1
         reports = estimates.localization_ratios(self.SAMPLES, zeta, phi_B, 5)
-        assert [rep.estimate_id for rep in reports] == list(estimates.LOCALIZATION_IDS)
+        assert [rep["estimate_id"] for rep in reports] == list(estimates.LOCALIZATION_IDS)
         phi = phi_B.values.real
         _, s, dot, inh = self.weights(zeta)
         xi = self.lattice()
@@ -277,26 +285,25 @@ class TestHarnessNorms:
                 "cutoff_high_l2": (self.norm(high), rhs_half / s),
             }
             for rep in reports:
-                sample = rep.samples[i]
-                assert sample.params == {"sample": i, "kind": estimates.SAMPLER_KINDS[i % 4]}
-                lhs, rhs = expected[rep.estimate_id]
-                assert sample.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
-                assert sample.rhs == pytest.approx(rhs, rel=1e-12, abs=0)
+                sample = rep["samples"][i]
+                assert sample["params"] == {"sample": i, "kind": estimates.SAMPLER_KINDS[i % 4]}
+                lhs, rhs = expected[rep["estimate_id"]]
+                assert sample["lhs"] == pytest.approx(lhs, rel=1e-12, abs=0)
+                assert sample["rhs"] == pytest.approx(rhs, rel=1e-12, abs=0)
+                assert sample["ratio"] == sample["lhs"] / sample["rhs"]
+        for rep in reports:
+            assert rep["max_ratio"] == max(x["ratio"] for x in rep["samples"])
 
     def test_bilinear_ratio_matches_oracle(self, setup):
         pair, phi_B = setup
-        grid = phi_B.grid
-        f = cg.physical_field(grid, random_field(grid, 21).values.real)
-        u, v = random_field(grid, 22), random_field(grid, 23)
-        ratio = cg.bilinear_ratio(f, pair, u, v, phi_B)
+        ratio = cg.bilinear_ratio(pair, phi_B, 21)
+        # f = 1, and u, v are the near_char_1 draws at zeta1, then zeta2
+        rng = np.random.default_rng(21)
+        uhat, vhat = (self.draw(rng, z, 1) for z in (pair.zeta1, pair.zeta2))
         phi = phi_B.values.real
-        u_b, v_b = (np.fft.ifftn(self.localize(phi, np.fft.fftn(w.values, norm="ortho")), norm="ortho")
-                    for w in (u, v))
-        lhs = abs(np.sum(f.values.real * u_b * v_b)) * (TWO_PI / self.N) ** 3
-        denom = np.max(np.abs(f.values)) * np.prod([
-            self.norm(np.fft.fftn(w.values, norm="ortho"), self.weights(z)[2][0.5])
-            for w, z in ((u, pair.zeta1), (v, pair.zeta2))
-        ])
+        u_b, v_b = (np.fft.ifftn(self.localize(phi, w), norm="ortho") for w in (uhat, vhat))
+        lhs = abs(np.sum(u_b * v_b)) * (TWO_PI / self.N) ** 3
+        denom = self.norm(uhat, self.weights(pair.zeta1)[2][0.5]) * self.norm(vhat, self.weights(pair.zeta2)[2][0.5])
         assert ratio == pytest.approx(lhs * pair.s / denom, rel=1e-12, abs=0)
 
 

@@ -42,10 +42,9 @@ class TestProfiles:
         assert np.max(np.abs(q.values)) < 1e-13
 
     def test_gaussian_metadata(self, bump32):
-        assert bump32.smoothness_class == "smooth"
-        assert bump32.mollification_width == 0.0
-        assert bump32.lower_bound >= 1.0
-        assert bump32.support_radius == pytest.approx(bump32.grid.L / 4)
+        # not premollified: the support radius is L/4 as declared
+        assert bump32.support_radius == bump32.grid.L / 4
+        assert bump32.gamma.values.min() >= 1.0
 
     def test_gaussian_tail_guard(self, grid32):
         with pytest.raises(DomainError):
@@ -55,10 +54,8 @@ class TestProfiles:
         c1 = cg.make_conductivity(grid32, {"kind": "c1_cap", "amplitude": 0.4, "radius": 1.1})
         cone = cg.make_conductivity(grid32, {"kind": "cone", "amplitude": 0.5, "radius": 1.1})
         for cond in (c1, cone):
-            assert cond.mollification_width == pytest.approx(2 * grid32.h)
+            # premollified at width 2h, which widens the support by 2h
             assert cond.support_radius == pytest.approx(1.1 + 2 * grid32.h)
-        assert c1.smoothness_class == "c1"
-        assert cone.smoothness_class == "lipschitz"
         # cone seminorm approaches the closed form a/R of the raw profile
         assert cone.lipschitz_seminorm == pytest.approx(0.5 / 1.1, rel=0.25)
 
@@ -112,6 +109,16 @@ class TestProfiles:
         vals = 1.0 + 0.1 * np.ones(grid32.shape)  # deviates everywhere
         with pytest.raises(DomainError):
             conductivity_from_array(grid32, vals, grid32.L / 4)
+
+    @pytest.mark.parametrize("profile", [
+        {"kind": "gaussian", "amplitude": 0.05, "width": 0.3},
+        {"kind": "c1_cap", "amplitude": 0.4, "radius": 1.1},
+        {"kind": "cone", "amplitude": 0.5, "radius": 1.1},
+    ], ids=lambda p: p["kind"])
+    def test_center_rejected(self, grid32, profile):
+        # every profile sits at the torus centre; a requested centre is not ignored
+        with pytest.raises(DomainError, match="center"):
+            cg.make_conductivity(grid32, {**profile, "center": [0.5, 0.5, 0.5]})
 
     def test_unknown_kind(self, grid32):
         with pytest.raises(DomainError):

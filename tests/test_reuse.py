@@ -203,7 +203,8 @@ class TestSymbolData:
 
     def test_harness_evaluates_the_symbol_once_per_zeta_and_draw(self, grid16, monkeypatch):
         # localization_ratios: once for its weights, once per
-        # near-characteristic draw (3 of every 4); bilinear_ratio: once per zeta
+        # near-characteristic draw (3 of every 4); bilinear_ratio: once per
+        # zeta for its two draws, then once per zeta for the weights
         calls = []
 
         def counted(zeta, axes):
@@ -217,8 +218,8 @@ class TestSymbolData:
         cg.localization_ratios(8, pair.zeta1, phi, seed=0)
         assert len(calls) == 1 + 6
         calls.clear()
-        cg.bilinear_ratio(cond.gamma, pair, cond.gamma, cond.gamma, phi)
-        assert calls == [pair.zeta1, pair.zeta2]
+        cg.bilinear_ratio(pair, phi, seed=0)
+        assert calls == [pair.zeta1, pair.zeta2, pair.zeta1, pair.zeta2]
 
 
 class TestSingbound:
