@@ -10,21 +10,20 @@ is used deliberately unaccelerated: the per-step increment ratio in the
 homogeneous 1/2-norm is itself a quantity of interest (it certifies the
 contraction numerically).  psihat is carried as one vector over the kept
 modes K -- the 2/3 cube minus the clamped modes -- since it vanishes
-everywhere else.  The first step divides the transform of q itself by p;
-every later one scatters psihat into one reused buffer, forms the product
-in physical space in place and gathers K back; both transforms skip the
-lines the cube cannot reach (grid.cube_transform).
-One full transform of the fresh product q (1 + psi) at the returned psi
-re-verifies the residual on K, and the physical psi it was formed from
-is returned next to psihat on K, so the pairing transforms nothing.
+everywhere else.  The first step divides q_hat on K by p; every later one
+scatters psihat into one lattice buffer, forms the product in physical
+space in place and gathers K back; both transforms skip the lines the
+cube cannot reach (grid.cube_transform).  A full transform of the fresh
+product q (1 + psi), formed in the same buffer, re-verifies the residual;
+psi is then formed there again by the same pruned inverse, with the same
+bits, and returned, so the pairing transforms nothing.
 
-A solve holds K-length vectors and two lattice arrays: the buffer that
-becomes the returned psi, and in the final stage the fresh product w.
-p is evaluated on the posed band only (symbol.lattice_symbol on the 1-d
-axes of the cube), gathered on K and dropped.  The final stage runs in
-memory order -- w, the residual on K, then |p| and |w|^2 off the cube
-in axis-0 slabs of spaces.SLAB_POINTS points -- so the two solves of a
-pair fit side by side (recovery._solve_pair).
+A solve holds that one lattice buffer and five K-length vectors: K, p,
+|p| h^d, psihat and a spare for the previous iterate and the increment.
+Every step works in place (|v|^2 for the norms in the buffer while it is
+free).  p is evaluated on the cube only, and off it once, on three boxes,
+for the defect.  So the two solves of a pair fit side by side
+(recovery._solve_pair).
 
 The exponential factor e^{x . zeta} is never materialized: it is not
 torus-periodic and overflows for large s.  Downstream pairings rely on
@@ -39,7 +38,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import PHYSICAL, Field, cube_transform
+from .grid import PHYSICAL, Field, complete_spectrum, cube_transform, spectrum_at
 from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, check_band, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
@@ -106,8 +105,8 @@ def solve_psi(
     cube, and clamped_mass its L2 mass on the clamped modes of the cube.
 
     The symbol is formed for this call only: on the posed band for K, and
-    off the cube in axis-0 slabs; the only lattice arrays held are the
-    returned psi and, in the final stage, w.
+    off the cube on the boxes cube^j x off x lattice^(d-j-1), j < d.  The
+    one lattice buffer holds psi, then w, then psi formed again.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -122,17 +121,17 @@ def solve_psi(
     index = reduce(lambda flat, m: np.add.outer(flat * grid.n, m), [band] * grid.d)
     kept, clamped, p_k = index[~mask], index[mask], p[~mask]
     del p, index
-    pabs_k = np.abs(p_k)
-    weight_k = pabs_k * grid.measure
-
-    def xdot(v):
-        return float(np.sqrt(weight_k @ (v.real * v.real + v.imag * v.imag)))
-
-    def step(rhs):
-        return rhs.reshape(-1)[kept] / p_k
-
-    buf = np.empty(grid.shape, dtype=complex)
+    buf = np.empty(grid.shape, dtype=complex)  # before the K vectors, whose memory the pairing reuses
+    weight_k = np.abs(p_k) * grid.measure
+    # psi_0 = 0, so the first right-hand side is the transform of q itself
+    psi = spectrum_at(grid, cond.q_hat, np.ix_(*[band] * grid.d))[~mask] / p_k
+    spare = np.zeros_like(psi)  # the previous iterate, then the increment
     flat = buf.reshape(-1)
+    dens = flat.view(float)[: len(kept)]  # buf is free from a gather to the next scatter
+
+    def sq_abs(v, out):
+        """out <- |v|^2 as re^2 + im^2; overwrites v's imaginary part."""
+        return np.add(np.multiply(v.real, v.real, out=out), np.multiply(v.imag, v.imag, out=v.imag), out=out)
 
     def scatter_inverse(psi):
         """buf <- psi in physical space."""
@@ -140,12 +139,9 @@ def solve_psi(
         flat[kept] = psi
         cube_transform(grid, buf, "inverse")
 
-    # psi_0 = 0, so the first right-hand side is the transform of q itself
-    psi = step(cond.q_hat.values)
     ratios: list = []
     prev_inc, bad_streak, converged = None, 0, False
     iterations, inc, psi_norm = 0, float("nan"), 0.0
-    old = np.zeros_like(psi)
 
     for iterations in range(1, max_iter + 1):
         if iterations > 1:
@@ -153,45 +149,55 @@ def solve_psi(
             buf += 1.0
             buf *= cond.q.values
             cube_transform(grid, buf, "forward")
-            old, psi = psi, step(buf)
-        inc = xdot(psi - old)
+            np.take(flat, kept, out=spare, mode="clip")
+            spare /= p_k
+            psi, spare = spare, psi
+        inc = float(np.sqrt(weight_k @ sq_abs(np.subtract(psi, spare, out=spare), dens)))
         if prev_inc is not None and prev_inc > 0:
             ratio = inc / prev_inc
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
             if bad_streak >= 5:
                 raise NotContractiveError(ratio)
-        psi_norm = xdot(psi)
+        np.copyto(spare, psi)
+        psi_norm = float(np.sqrt(weight_k @ sq_abs(spare, dens)))
         if inc <= tol * max(1.0, psi_norm):
             converged = True
             break
         prev_inc = inc
-    del old, weight_k
 
-    # the final stage: psi into buf, w on the whole lattice, the residual on K, the slabs off the cube
+    # the final stage in buf: w = FFT(q (1 + psi)), its residual, clamped mass and defect; psi again
     scatter_inverse(psi)
-    w = np.add(buf, 1.0)
-    w *= cond.q.values
-    np.fft.fftn(w, norm="ortho", out=w)
-    res = w.reshape(-1)[kept]
-    res -= np.multiply(p_k, psi, out=p_k)  # w - p psihat, formed in p_k's place
+    buf += 1.0
+    buf *= cond.q.values
+    np.fft.fftn(buf, norm="ortho", out=buf)
+    res = np.take(flat, kept, out=spare, mode="clip")
+    pabs_k = np.abs(p_k, out=weight_k)
+    res -= np.multiply(p_k, psi, out=p_k)  # w - p psihat
     del p_k
-    res_dens = res.real * res.real + res.imag * res.imag
-    residual_xdot = float(np.sqrt(np.sum(res_dens / pabs_k) * grid.measure))
-    del res, res_dens, pabs_k
-    w_clamped = np.abs(w.reshape(-1)[clamped])
+    res_dens = sq_abs(res, np.empty(len(kept)))
+    res_dens /= pabs_k
+    residual_xdot = float(np.sqrt(np.sum(res_dens) * grid.measure))
+    del res, res_dens, pabs_k, spare, weight_k
+    w_clamped = np.abs(flat[clamped])
     clamped_mass = float(np.sqrt(np.sum(w_clamped * w_clamped) * grid.measure))
-    clamped_count, defect = int(mask.sum()), 0.0
-    # |p| and |w|^2 off the cube, in axis-0 slabs of about SLAB_POINTS points
-    rows = max(1, SLAB_POINTS // grid.n ** (grid.d - 1))
-    for a in range(0, grid.n, rows):
-        pabs = np.abs(lattice_symbol(zeta, [xi[a : a + rows]] + [xi] * (grid.d - 1)))
-        off = ~grid.dealias_mask[a : a + rows]
-        off_clamped = off & clamp_rule(pabs, clamp_eps, zeta.s)
-        clamped_count += int(np.count_nonzero(off_clamped))
-        off &= ~off_clamped
-        w_off = np.abs(w[a : a + rows][off])
-        defect += np.sum(w_off * w_off / pabs[off])
+    clamped_count, defect = len(clamped), 0.0
+    # off the cube: cube^j x off x lattice^(d-j-1), j < d, in slices (two per cube axis) and slabs
+    n, n3 = grid.n, grid.n // 3
+    cube, off = (slice(0, n3 + 1), slice(n - n3, n)), slice(n3 + 1, n - n3)
+    for j in range(grid.d):
+        for head in np.ndindex(*(2,) * j):
+            box = [cube[i] for i in head] + [off] + [slice(0, n)] * (grid.d - j - 1)
+            rows = max(1, SLAB_POINTS // int(np.prod([b.stop - b.start for b in box[1:]])))
+            for a in range(box[0].start, box[0].stop, rows):
+                slab = (slice(a, min(a + rows, box[0].stop)), *box[1:])
+                pabs = np.abs(lattice_symbol(zeta, [xi[b] for b in slab]))
+                hit = clamp_rule(pabs, clamp_eps, zeta.s)
+                clamped_count += int(np.count_nonzero(hit))
+                pabs[hit] = np.inf  # a clamped mode adds nothing
+                w_off = np.abs(buf[slab])
+                defect += np.sum(w_off * w_off / pabs)
+    scatter_inverse(psi)
 
     report = IterationReport(
         iterations=iterations, residual_xdot=residual_xdot, psi_norm_xdot=psi_norm,
@@ -254,7 +260,7 @@ def select_zeta_sequence(
             zeta_pair_from_angle(k, float(s), float(theta), plane)
             for s, theta in zip(s_draws, angles)
         ]
-    dens = np.stack([np.abs(c.q_hat.values) ** 2 for c in conds])
+    dens = np.stack([complete_spectrum(grid, np.abs(c.q_hat) ** 2) for c in conds])
     sums = pair_inverse_symbol_sums(dens, pairs, grid, clamp_eps, "drop")
     # norms[i, j, l]: conductivity i at zeta_l of pair j
     norms = np.sqrt(sums * grid.measure)

@@ -166,9 +166,9 @@ def _json_default(obj):
 
 def _run_solve_cgo(cfg: ExperimentConfig):
     grid = _grid(cfg)
-    cond = _conductivity(grid, cfg.profiles[0])
     k = grid.lattice_frequency(cfg.k_mode)
-    pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
+    pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)  # |k| < 2s before any conductivity
+    cond = _conductivity(grid, cfg.profiles[0])
     _, rep, psi = solve_psi(
         cond, pair.zeta1, tol=cfg.tol, max_iter=cfg.max_iter, clamp_eps=cfg.clamp_eps,
     )
@@ -206,9 +206,11 @@ def _run_select_zeta(cfg: ExperimentConfig):
 
 def _run_verify_estimates(cfg: ExperimentConfig):
     grid = _grid(cfg)
-    cond = _conductivity(grid, cfg.profiles[0])
     k = grid.lattice_frequency(cfg.k_mode)
-    pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)
+    pair = zeta_pair_from_angle(k, cfg.s, cfg.angle)  # |k| < 2s before any conductivity
+    for s in cfg.s_values:  # and at every s of the m_q decay
+        zeta_pair_from_angle(k, float(s), cfg.angle)
+    cond = _conductivity(grid, cfg.profiles[0])
     phi = make_cutoff(cond)
     estimates = localization_ratios(cfg.u_samples, pair.zeta1, phi, cfg.seed)
     mq_rows, mq_trend = mq_operator_ratio(cond, pair, cfg.seed, s_values=cfg.s_values)
@@ -264,10 +266,15 @@ def _run_singbound(cfg: ExperimentConfig):
     return {"rows": rows}, {"singbound": (columns, rows)}
 
 
-def _recover_modes(cfg: ExperimentConfig, conds):
-    """Per configured mode, its k_mode and one ModeRecovery per conductivity."""
+def _recover_modes(cfg: ExperimentConfig, profiles):
+    """Per configured mode, its k_mode and one ModeRecovery per profile;
+    |k| < 2 bands[-1] is checked before any conductivity is built."""
+    grid = _grid(cfg)
     k_modes = cfg.k_modes or [cfg.k_mode]
-    ks = [conds[0].grid.lattice_frequency(mode) for mode in k_modes]
+    ks = [grid.lattice_frequency(mode) for mode in k_modes]
+    for k in ks:
+        check_band(k, cfg.bands[-1])
+    conds = [_conductivity(grid, p) for p in profiles]
     recs = recover_modes(conds, ks, float(cfg.bands[-1]), cfg.samples_per_band,
                          cfg.seed, cfg.tol, cfg.max_iter, cfg.clamp_eps)
     return zip(k_modes, recs)
@@ -280,9 +287,8 @@ def _solver_fields(rec, suffix=""):
 
 
 def _run_recover(cfg: ExperimentConfig):
-    cond = _conductivity(_grid(cfg), cfg.profiles[0])
     modes = []
-    for mode, (rec,) in _recover_modes(cfg, [cond]):
+    for mode, (rec,) in _recover_modes(cfg, cfg.profiles[:1]):
         modes.append({
             "k_mode": list(mode), "k": list(rec.k), "band": rec.selection.lam,
             "recovered": rec.total, "oracle": rec.main_oracle,
@@ -297,10 +303,8 @@ def _run_recover(cfg: ExperimentConfig):
 def _run_uniqueness_gap(cfg: ExperimentConfig):
     if len(cfg.profiles) != 2:
         raise ConfigError(f"uniqueness-gap needs exactly two profiles, got {len(cfg.profiles)}")
-    grid = _grid(cfg)
-    conds = [_conductivity(grid, p) for p in cfg.profiles]
     rows = []
-    for _, (rec1, rec2) in _recover_modes(cfg, conds):
+    for _, (rec1, rec2) in _recover_modes(cfg, cfg.profiles):
         rows.append({
             "k": list(rec1.k), "band": rec1.selection.lam,
             "pairing1": rec1.total, "pairing2": rec2.total, "gap": abs(rec1.total - rec2.total),

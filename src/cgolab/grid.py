@@ -17,8 +17,8 @@ Conventions, fixed once for the whole package:
   m_d = 0..n/2 (numpy rfftn order, shape (n, ..., n/2 + 1)), the others
   the full FFT order.  The modes it omits follow from X(-m) = conj X(m),
   and complete_spectrum restores them where a full FFT-order spectrum is
-  needed.  Multipliers on the half lattice are the [..., :n//2 + 1]
-  slices of the full ones.
+  needed (spectrum_at reads it at given modes).  Multipliers on the half
+  lattice are the [..., :n//2 + 1] slices of the full ones.
 * The transforms run axis by axis in numpy's order, with its bits, each
   pass in place in one array (the real pair's rfft / irfft make the new
   one).  real_inverse consumes its argument; callers pass a temporary.
@@ -31,7 +31,7 @@ Field (cube_transform works in place on the caller's own array), and a
 grid's cached lattice arrays are only read once built, so all of this is
 safe to call from concurrent workers.  recovery._solve_pair does: it runs
 the two solves of a zeta pair on one grid at once, after building the
-cached arrays they read: the 2/3 mask and the 1-d axes it is built from.
+cached arrays they read: the 1-d frequency and mode axes.
 """
 
 from __future__ import annotations
@@ -151,7 +151,8 @@ class FrequencyGrid:
         formed on each read: the grid does not hold it."""
         delta = np.abs(self.x_axis - self.L / 2.0)
         delta = np.minimum(delta, self.L - delta)
-        return np.sqrt(reduce(np.add.outer, [delta ** 2] * self.d))
+        r = reduce(np.add.outer, [delta ** 2] * self.d)
+        return np.sqrt(r, out=r)
 
     def mode_index(self, k) -> tuple:
         """FFT-order index of the lattice frequency k; validates k on-lattice."""
@@ -216,8 +217,8 @@ def spectral_field(grid: FrequencyGrid, values) -> Field:
     return Field(grid, SPECTRAL, values)
 
 
-def exp_ik_field(grid: FrequencyGrid, k) -> Field:
-    """The plane wave e^{i x . k}; k must lie on the frequency lattice.
+def plane_wave(grid: FrequencyGrid, k) -> np.ndarray:
+    """e^{i x . k} as a new array; k must lie on the frequency lattice.
 
     Formed as the product of the d one-axis waves e^{i x_j k_j}, so only
     d*n exponentials are evaluated."""
@@ -226,7 +227,12 @@ def exp_ik_field(grid: FrequencyGrid, k) -> Field:
     wave = 1.0
     for j in range(grid.d):
         wave = wave * grid._along(j, np.exp(1j * k[j] * grid.x_axis))
-    return Field(grid, PHYSICAL, wave)
+    return wave
+
+
+def exp_ik_field(grid: FrequencyGrid, k) -> Field:
+    """The plane wave e^{i x . k} as a physical Field (plane_wave)."""
+    return Field(grid, PHYSICAL, plane_wave(grid, k))
 
 
 def transform(f: Field, direction: str) -> Field:
@@ -270,26 +276,41 @@ def real_inverse(grid: FrequencyGrid, half: np.ndarray, norm: str = "ortho") -> 
     return np.fft.irfft(half, n=grid.n, norm=norm)
 
 
+def hermitian_planes(grid: FrequencyGrid, spec: np.ndarray) -> np.ndarray:
+    """Replace each self-mirrored plane m_d = 0, n/2 of a half (or full)
+    spectrum, in place, by the mean of itself and its conjugate mirror:
+    the half transform leaves them Hermitian only to rounding."""
+    neg = (-np.arange(grid.n)) % grid.n  # FFT-order index of -m
+    for plane in (0, grid.n // 2):
+        face = spec[..., plane]
+        face[...] = 0.5 * (face + np.conj(face[np.ix_(*[neg] * (grid.d - 1))]))
+    return spec
+
+
 def complete_spectrum(grid: FrequencyGrid, half: np.ndarray) -> np.ndarray:
     """The full FFT-order spectrum X of a real field from its half
-    spectrum, with X(-m) = conj X(m) exactly.
-
-    The last-axis planes m_d = 0 and m_d = n/2 are their own mirrors; the
-    half transform leaves them Hermitian only to rounding, so each is
-    replaced by the mean of itself and its conjugate mirror.  A real
-    half array (an even density) is completed the same way.
+    spectrum, with X(-m) = conj X(m) exactly: the self-mirrored planes are
+    made Hermitian (hermitian_planes), the rest mirrored.  A real half
+    array (an even density) is completed the same way.
     """
     n, half_n = grid.n, grid.n // 2
     neg = (-np.arange(n)) % n  # FFT-order index of -m
     out = np.empty(grid.shape, dtype=half.dtype)
     out[..., : half_n + 1] = half
-    for plane in (0, half_n):
-        face = out[..., plane]
-        face[...] = 0.5 * (face + np.conj(face[np.ix_(*[neg] * (grid.d - 1))]))
+    hermitian_planes(grid, out)
     # m_d = n/2 + 1 .. n - 1 mirror m_d = n/2 - 1 .. 1 on the half lattice
     mirror = np.ix_(*[neg] * (grid.d - 1), np.arange(half_n - 1, 0, -1))
     out[..., half_n + 1 :] = np.conj(half[mirror])
     return out
+
+
+def spectrum_at(grid: FrequencyGrid, half: np.ndarray, index) -> np.ndarray:
+    """complete_spectrum(grid, half)[index] for a half spectrum with
+    Hermitian planes (hermitian_planes): index is d FFT-order ints or
+    broadcasting arrays (np.ix_); X(m) = conj X(-m) for m_d > n/2."""
+    upper = np.asarray(index[-1]) > grid.n // 2
+    vals = np.asarray(half[tuple(np.where(upper, -np.asarray(i) % grid.n, i) for i in index)])
+    return np.conjugate(vals, out=vals, where=upper)
 
 
 def cube_transform(grid: FrequencyGrid, values: np.ndarray, direction: str) -> np.ndarray:
@@ -365,12 +386,6 @@ def dealias_23(f: Field) -> Field:
     fs = to_spectral(f)
     out = Field(f.grid, SPECTRAL, fs.values * f.grid.dealias_mask)
     return out if f.is_spectral else to_physical(out)
-
-
-def pairing(f: Field, g: Field) -> complex:
-    """Bilinear (unconjugated) pairing: sum f*g*h^d in physical space."""
-    fp, gp = to_physical(f), to_physical(g)
-    return complex(np.sum(fp.values * gp.values) * f.grid.measure)
 
 
 def l2_norm(f: Field) -> float:

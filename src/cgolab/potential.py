@@ -30,7 +30,8 @@ A profile key outside its family's parameters, "center" among them,
 raises DomainError.  Non-smooth profiles ("c1_cap", "cone") are
 pre-mollified at width 2h before any spectral differentiation, which
 widens the support radius by 2h.  gamma, g, log g, q, mollified fields
-and the cutoff are float64 Fields; q_hat, the spectrum of q, is complex.
+and the cutoff are float64 Fields; q_hat, the spectrum of q, is a complex
+array on the half spectrum.
 """
 
 from __future__ import annotations
@@ -47,13 +48,12 @@ from .errors import ConfigError, DomainError
 from .grid import (
     Field,
     FrequencyGrid,
-    complete_spectrum,
+    hermitian_planes,
     physical_field,
     real_forward,
     real_inverse,
-    spectral_field,
 )
-from .spaces import smooth_bridge
+from .spaces import bridge
 
 _SUPPORT_TOL = 1e-12
 
@@ -94,11 +94,12 @@ class Conductivity:
         return physical_field(self.grid, real_inverse(self.grid, half) / g)
 
     @cached_property
-    def q_hat(self) -> Field:
-        """q in the spectral representation: transformed once on the half
-        spectrum and completed to the full lattice."""
-        half = real_forward(self.q.values)
-        return spectral_field(self.grid, complete_spectrum(self.grid, half))
+    def q_hat(self) -> np.ndarray:
+        """q on the half spectrum, its planes m_d = 0, n/2 made Hermitian
+        (grid.hermitian_planes) and read only; half the full one's size."""
+        half = hermitian_planes(self.grid, real_forward(self.q.values))
+        half.flags.writeable = False
+        return half
 
 
 def _validate_gamma(grid: FrequencyGrid, vals: np.ndarray, support_radius: float):
@@ -247,13 +248,18 @@ def mollify(f: Field, eps: float) -> Field:
 
 
 def make_cutoff(cond: Conductivity) -> Field:
-    """Smooth radial cutoff: 1 on the support ball, 0 outside twice it."""
+    """Smooth radial cutoff: 1 on the support ball, 0 outside twice it;
+    smooth_bridge(|x - centre| / radius) in one array, bridged on the shell."""
     grid = cond.grid
     radius = cond.support_radius
     if radius > grid.L / 4.0 + 1e-12:
         raise DomainError("cutoff needs support radius <= L/4")
-    vals = smooth_bridge(grid.radius_from_center / radius)
-    return physical_field(grid, vals)
+    rho = grid.radius_from_center / radius
+    shell = (rho > 1.0) & (rho < 2.0)
+    values = bridge(rho[shell])
+    np.subtract(1.0, np.greater_equal(rho, 2.0, out=rho), out=rho)
+    rho[shell] = values
+    return physical_field(grid, rho)
 
 
 # -- raw grid file format ---------------------------------------------------

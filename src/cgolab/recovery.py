@@ -38,12 +38,14 @@ pair over all conductivities, and solves that pair on each
 conductivity; a solve that does not converge within max_iter raises
 NotContractiveError.  Between the steps it holds one real lattice array
 per conductivity, q phi^2 h^d: w is formed from it for the gate and
-again, with the same bits, once the pair is solved, and dies with the
-remainders before the next solve.  Each (k, conductivity) gives one
-ModeRecovery: the four sums and main_oracle, the shared selection and
-both solves' reports.  total is the CGO-side estimate of the k-mode of
-q, with |term_linear| + |term_bilinear| as its error bar.  All products
-here are left untruncated so the identities hold to rounding.
+again, with the same bits and in the array of e^{ix.k}, once the pair is
+solved; the pairing sums run over axis-0 slabs, so w and the remainders
+are its only lattice arrays, and all die before the next solve.  Each
+(k, conductivity) gives one ModeRecovery: the four sums and main_oracle,
+the shared selection and both solves' reports.  total is the CGO-side
+estimate of the k-mode of q, with |term_linear| + |term_bilinear| as its
+error bar.  All products here are left untruncated so the identities
+hold to rounding.
 
 The two remainders of a pair are independent fixed points, so they are
 solved at once (_solve_pair): zeta_2 in one worker thread while zeta_1
@@ -51,10 +53,9 @@ runs in the calling thread.  Their transforms and full-lattice ufuncs
 release the GIL, so the two overlap on two cores.  The calling thread
 takes one of the solves because a second worker would bring its own
 malloc arena and raise the peak memory.  The conductivity's q and q_hat
-and the grid's 2/3 mask (with the axes it is built from) are built
-before the worker starts, so no cached array is first built in two
-threads.  Each solve holds K-length vectors and two lattice arrays
-(cgo.solve_psi), and is the sequential one, bit for bit.
+and the grid's frequency axes are built before the worker starts, so no
+cached array is first built in two threads.  Each solve holds one
+lattice array (cgo.solve_psi), and is the sequential one, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ import numpy as np
 
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
 from .errors import CgolabError, FrameError
-from .grid import Field, exp_ik_field, pairing, to_physical
+from .grid import Field, plane_wave, spectrum_at, to_physical
 from .potential import Conductivity, make_cutoff
-from .spaces import DEFAULT_CLAMP_EPS
+from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS
 from .symbol import ZetaPair, check_band
 
 _ADDITIVITY_TOL = 1e-10
@@ -103,11 +104,10 @@ def _main_term(cond: Conductivity, k: np.ndarray, qphi2: np.ndarray) -> tuple[co
     _MAIN_ORACLE_TOL, both relative to the L1 majorant of q.  Raises
     CgolabError otherwise."""
     grid = cond.grid
-    e_k = exp_ik_field(grid, k)  # validates k on the lattice
-    term_main = complex(np.sum(e_k.values * qphi2))
-
-    main_oracle = pairing(cond.q, e_k)
-    qhat = cond.q_hat.values[grid.mode_index(-k)]
+    # each product is formed in its own wave's array; plane_wave validates k
+    term_main = complex(np.sum(plane_wave(grid, k) * qphi2))
+    main_oracle = complex(np.sum(plane_wave(grid, k) * cond.q.values) * grid.measure)  # <q, e^{ix.k}>
+    qhat = spectrum_at(grid, cond.q_hat, grid.mode_index(-k))
     main_oracle_spectral = complex(qhat * grid.n ** (grid.d / 2.0) * grid.measure)
     # |qhat(k)| can cross zero, so both oracle gates are relativized by
     # the L1 majorant of every Fourier coefficient of q
@@ -131,15 +131,18 @@ def alessandrini_terms(
     value of solve_psi).  Raises CgolabError unless total equals
     term_main + term_linear + term_bilinear to _ADDITIVITY_TOL."""
     psi1_p, psi2_p = to_physical(psi1).values, to_physical(psi2).values
-    # one product buffer, rewritten for each sum
-    buf = np.multiply(w, psi1_p)
-    linear1 = np.sum(buf)
-    term_bilinear = complex(np.sum(np.multiply(buf, psi2_p, out=buf)))
-    term_linear = complex(linear1 + np.sum(np.multiply(w, psi2_p, out=buf)))
-    np.add(psi1_p, 1.0, out=buf)
-    buf *= w  # w (1 + psi1)
-    total_head = np.sum(buf)
-    total = complex(total_head + np.sum(np.multiply(buf, psi2_p, out=buf)))
+    # w psi1, w psi1 psi2, w psi2, w (1 + psi1), w (1 + psi1) psi2, summed
+    # per axis-0 slab of about SLAB_POINTS points in one product buffer
+    rows = max(1, SLAB_POINTS // (w.size // len(w)))
+    sums = np.zeros(5, dtype=complex)
+    for a in range(0, len(w), rows):
+        ws, p1, p2 = (arr[a : a + rows] for arr in (w, psi1_p, psi2_p))
+        buf = ws * p1
+        sums += [np.sum(buf), np.sum(np.multiply(buf, p2, out=buf)), np.sum(np.multiply(ws, p2, out=buf)),
+                 np.sum(np.multiply(np.add(p1, 1.0, out=buf), ws, out=buf)),
+                 np.sum(np.multiply(buf, p2, out=buf))]
+    term_linear, term_bilinear = complex(sums[0] + sums[2]), complex(sums[1])
+    total = complex(sums[3] + sums[4])
 
     parts = term_main + term_linear + term_bilinear
     scale = max(abs(total), abs(parts), 1e-300)
@@ -158,7 +161,7 @@ def _solve_pair(cond: Conductivity, pair: ZetaPair, **solver_kwargs):
     # imported on first use: at module load it would add 8-10 ms to the CLI import
     from concurrent.futures import ThreadPoolExecutor
 
-    cond.q, cond.q_hat, cond.grid.dealias_mask  # built here, not in both threads
+    cond.q, cond.q_hat, cond.grid.mode_axis  # built here, not in both threads
     with ThreadPoolExecutor(max_workers=1) as worker:
         second = worker.submit(solve_psi, cond, pair.zeta2, **solver_kwargs)
         first = solve_psi(cond, pair.zeta1, **solver_kwargs)
@@ -169,11 +172,11 @@ def _recover(cond, k, qphi2, gate, selection, **solver_kwargs) -> ModeRecovery:
     """Solve the selected pair on one conductivity and pair the remainders
     with w = e^{ix.k} qphi2; the remainders and w die with this call,
     before the next pair is solved."""
-    (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(cond, selection.pair, **solver_kwargs)
+    (rep1, psi1), (rep2, psi2) = [solve[1:] for solve in _solve_pair(cond, selection.pair, **solver_kwargs)]
     rep1.require_converged()
     rep2.require_converged()
     term_main, main_oracle = gate
-    w = exp_ik_field(cond.grid, k).values * qphi2
+    w = plane_wave(cond.grid, k) * qphi2  # formed in the wave's array
     terms = alessandrini_terms(w, term_main, psi1, psi2)
     return ModeRecovery(k, selection, term_main, *terms, main_oracle, rep1, rep2)
 

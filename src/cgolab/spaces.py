@@ -43,11 +43,17 @@ def smooth_bridge(rho):
     out = np.ones_like(arr)
     out[arr >= 2.0] = 0.0
     mid = (arr > 1.0) & (arr < 2.0)
-    t = arr[mid]
-    a = np.exp(-1.0 / (2.0 - t))
-    b = np.exp(-1.0 / (t - 1.0))
-    out[mid] = a / (a + b)
+    out[mid] = bridge(arr[mid])
     return float(out[0]) if scalar else out
+
+
+def bridge(t: np.ndarray) -> np.ndarray:
+    """smooth_bridge on 1 < t < 2, a / (a + b) with a = e^{-1/(2-t)} and
+    b = e^{-1/(t-1)}, formed in t's place."""
+    a = np.subtract(2.0, t)
+    np.exp(np.divide(-1.0, a, out=a), out=a)
+    np.exp(np.divide(-1.0, np.subtract(t, 1.0, out=t), out=t), out=t)  # b
+    return np.divide(a, np.add(t, a, out=t), out=t)
 
 
 def clamp_rule(pabs: np.ndarray, clamp_eps: float, s: float) -> np.ndarray:

@@ -292,6 +292,33 @@ def test_sweep_infeasible_band_exits_before_building_a_conductivity(subcommand, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, config, named",
+    [
+        ("recover", {"bands": [0.25]}, "band 0.25"),
+        ("uniqueness-gap", {"bands": [0.25], "profiles": [{"kind": "gaussian"}] * 2}, "band 0.25"),
+        ("solve-cgo", {"s": 0.4}, "2s = 0.8"),
+        ("verify-estimates", {"s": 0.25}, "2s = 0.5"),
+        ("verify-estimates", {"s_values": [8.0, 0.25]}, "2s = 0.5"),
+    ],
+)
+def test_infeasible_s_or_band_exits_before_building_a_conductivity(
+    subcommand, config, named, tmp_path, capsys, monkeypatch
+):
+    # |k| = 1 at k = e_z needs 2s > 1 (2 band > 1 at the last band): decided by the config alone
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a conductivity for an infeasible s or band")
+
+    monkeypatch.setattr(cgolab.cli, "make_conductivity", forbidden)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"n": 16}, **config, "out_dir": str(tmp_path / "out")}))
+    assert main([subcommand, "--config", str(path)]) == EXIT_GEOMETRY
+    captured = capsys.readouterr()
+    assert "|k| = 1 " in captured.err and named in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_uniqueness_gap_needs_one_support_geometry(tmp_path, capsys, monkeypatch):
     # the gaussian is supported in L/4, the cone in its radius plus the mollifier
     def forbidden(*args, **kwargs):

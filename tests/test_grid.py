@@ -284,6 +284,25 @@ class TestDtypeRule:
         assert not np.allclose(pruned, half)
 
 
+@pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 16), (3, 32)])
+def test_spectrum_at_reads_the_completed_spectrum(d, n):
+    # a held half spectrum (Conductivity.q_hat) has Hermitian planes, and
+    # its mirror reads are the completed spectrum bit for bit
+    grid = cg.FrequencyGrid(d, n, TWO_PI)
+    raw = cg.grid.real_forward(np.random.default_rng(n + d).normal(size=grid.shape))
+    half = cg.grid.hermitian_planes(grid, raw.copy())
+    full = cg.grid.complete_spectrum(grid, raw)
+    np.testing.assert_array_equal(cg.grid.complete_spectrum(grid, half), full)
+    every = np.arange(n)
+    np.testing.assert_array_equal(cg.grid.spectrum_at(grid, half, np.ix_(*[every] * d)), full)
+    band = np.flatnonzero(np.abs(grid.mode_axis) <= n // 3)
+    np.testing.assert_array_equal(cg.grid.spectrum_at(grid, half, np.ix_(*[band] * d)),
+                                  full[np.ix_(*[band] * d)])
+    for mode in ([1] * d, [-1] * d, [0] * (d - 1) + [-n // 2], [-2] + [3] * (d - 1)):
+        index = grid.mode_index(grid.lattice_frequency(mode))
+        assert cg.grid.spectrum_at(grid, half, index) == full[index]
+
+
 def test_package_takes_real_transforms_through_grid():
     # numpy's rfftn / irfftn allocate a fresh complex array for each axis;
     # grid.real_forward / real_inverse work in one array

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 import cgolab as cg
 from cgolab.errors import DomainError
-from cgolab.grid import multiply, spectral_gradient
+from cgolab.grid import complete_spectrum, multiply, spectral_gradient
 from cgolab.potential import _bump_spectrum, conductivity_from_array, mollify
 from cgolab.spaces import smooth_bridge
 
@@ -260,10 +260,12 @@ class TestRealPath:
 
     def test_q_hat_matches_complex_transform(self, n, profile):
         cond = cg.make_conductivity(cg.FrequencyGrid(3, n, TWO_PI), profile)
-        self.close(cond.q_hat.values, np.fft.fftn(cond.q.values.real, norm="ortho"))
+        q_hat = complete_spectrum(cond.grid, cond.q_hat)
+        self.close(q_hat, np.fft.fftn(cond.q.values.real, norm="ortho"))
 
     def test_q_hat_is_hermitian_bit_for_bit(self, n, profile):
-        q_hat = cg.make_conductivity(cg.FrequencyGrid(3, n, TWO_PI), profile).q_hat.values
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        q_hat = complete_spectrum(grid, cg.make_conductivity(grid, profile).q_hat)
         neg = (-np.arange(n)) % n  # -m in FFT order; fixes 0 and the Nyquist n/2
         np.testing.assert_array_equal(q_hat[np.ix_(neg, neg, neg)], np.conj(q_hat))
 
@@ -293,7 +295,7 @@ def test_real_data_is_float64_and_q_hat_complex(grid32, profile):
         "mollify": mollify(cond.gamma, 4 * grid32.h),
     }
     assert {name: f.values.dtype for name, f in real.items()} == {name: np.float64 for name in real}
-    assert cond.q_hat.values.dtype == np.complex128
+    assert cond.q_hat.dtype == np.complex128
 
 
 class TestMollify:
@@ -403,6 +405,16 @@ class TestCutoff:
         q = cg.potential_q(cond)
         leak = (1.0 - phi.values.real) * q.values.real
         assert np.max(np.abs(leak)) <= 1e-10 * np.max(np.abs(q.values))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("kind", ["gaussian", "cone", "c1_cap"])
+    def test_is_the_bridge_of_the_scaled_radius(self, n, kind):
+        # formed in place, with the bridge evaluated on the shell only
+        profile = {"gaussian": {"amplitude": 0.05, "width": 0.3}}.get(kind, {"amplitude": 0.5, "radius": 1.1})
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        cond = cg.make_conductivity(grid, {"kind": kind, **profile})
+        expected = smooth_bridge(grid.radius_from_center / cond.support_radius)
+        np.testing.assert_array_equal(cg.make_cutoff(cond).values, expected)
 
     def test_center_value_and_range(self, bump32):
         phi = cg.make_cutoff(bump32)

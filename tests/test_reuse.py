@@ -72,7 +72,8 @@ class TestTransformCounts:
         # none for the first step (it divides q_hat); per later step a
         # one-axis inverse on the 4 axis-2 blocks, the 2 axis-1 slabs and
         # all of axis 0, then the mirrored forward; after the loop one
-        # such inverse and one full forward of the fresh product
+        # such inverse, one full forward of the fresh product in the same
+        # buffer, and the inverse again to return psi
         inverse = ["ifftn"] * 7
         forward = ["fftn"] * 7
         axes = [(2,)] * 4 + [(1,)] * 2 + [(0,)] + [(2,)] + [(1,)] * 2 + [(0,)] * 4
@@ -81,10 +82,11 @@ class TestTransformCounts:
             fft_calls.clear()
             _, rep, _ = cg.solve_psi(cond, zeta16, tol=1e-10)
             assert rep.iterations >= 3
-            assert fft_calls == (inverse + forward) * (rep.iterations - 1) + inverse + ["fftn"]
+            assert fft_calls == (inverse + forward) * (rep.iterations - 1) + inverse + ["fftn"] + inverse
             assert [entry[1] for entry in fft_calls.work[:14]] == axes
             full = 3 * cond.grid.size
-            assert fft_calls.work[-1] == ("fftn", None, full)
+            assert fft_calls.work[-8] == ("fftn", None, full)
+            assert fft_calls.work[-7:] == fft_calls.work[:7]
             inverse_points = sum(entry[2] for entry in fft_calls.work[:7])
             forward_points = sum(entry[2] for entry in fft_calls.work[7:14])
             # 69.6% of a full transform at n=32, 70.8% at n=64
@@ -155,26 +157,43 @@ class TestSolverMemory:
         finally:
             tracemalloc.stop()
 
-    def test_one_n64_solve_peaks_under_16_mib(self, bump64):
-        # measured 12.9 MiB for both profiles: K-length vectors, the buffer
-        # of the returned psi and the fresh product w; 18.9 MiB when the
-        # solve held p, |p| and its mask on the whole lattice and returned
-        # a full psihat
+    def test_one_n64_solve_peaks_under_10_mib(self, bump64):
+        # measured 9.06 MiB for both profiles: K-length vectors and the one
+        # lattice buffer that w shares with the returned psi; 12.9 MiB with
+        # a second buffer for w and per-step K temporaries, 18.9 MiB when
+        # the solve held p, |p| and its mask on the whole lattice
         for cond in (bump64, cg.make_conductivity(bump64.grid, CONE)):
-            assert self.peak(lambda: cg.solve_psi(cond, self.PAIR.zeta1), cond) <= 16 * 2 ** 20
+            assert self.peak(lambda: cg.solve_psi(cond, self.PAIR.zeta1), cond) <= 10 * 2 ** 20
 
-    def test_one_n64_pair_peaks_under_28_mib(self, bump64):
+    def test_one_n64_pair_peaks_under_20_mib(self, bump64):
         # both threads' allocations count, so the peak depends on how the
-        # two solves interleave: measured 22.7-26.4 MiB, about twice one
-        # solve; 30.6-37.1 MiB with the full-lattice symbol data of each
-        assert self.peak(lambda: _solve_pair(bump64, self.PAIR), bump64) <= 28 * 2 ** 20
+        # two solves interleave: measured 18.0-18.6 MiB, about twice one
+        # solve; 22.7-26.4 MiB with two lattice buffers per solve
+        assert self.peak(lambda: _solve_pair(bump64, self.PAIR), bump64) <= 20 * 2 ** 20
+
+    def test_one_n64_recovery_peaks_under_26_mib(self, bump64):
+        # the whole recover_modes call from a fresh conductivity: q, the
+        # cutoff, the main-term gate, the selection, the pair and the
+        # pairing; measured 22.5-25.3 MiB (the pair solve on top of q, q_hat
+        # and q phi^2 h^d), 32.7-33.9 MiB with two lattice arrays per solve,
+        # the full q_hat and a lattice product buffer in the pairing
+        cond = cg.make_conductivity(bump64.grid, {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE,
+                                                  "width": BUMP_WIDTH})
+        k = np.array([1.0, 2.0, 0.0])
+        tracemalloc.start()
+        try:
+            cg.recover_modes([cond], [k], 64.0, samples_per_band=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * 2 ** 20
 
 
 class TestConductivityMemory:
-    def test_n64_conductivity_with_q_q_hat_and_cutoff_holds_10_mib(self, bump64):
-        # float64 gamma, q and cutoff (2 MiB each) and the complex q_hat
-        # (4 MiB) hold 10.0 MiB; 20.0 MiB when every real field was held
-        # complex and g was cached
+    def test_n64_conductivity_with_q_q_hat_and_cutoff_holds_8_5_mib(self, bump64):
+        # float64 gamma, q and cutoff (2 MiB each) and q_hat on the half
+        # spectrum (2.06 MiB) hold 8.07 MiB; 10.0 MiB with the full complex
+        # q_hat, 20.0 MiB when every real field was held complex and g was cached
         grid = bump64.grid
         grid.radius_from_center, grid.deriv_multipliers  # the grid's cached arrays
         profile = {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH}
@@ -187,7 +206,7 @@ class TestConductivityMemory:
         finally:
             tracemalloc.stop()
         assert phi.values.size == cond.q.values.size == grid.size
-        assert held <= 10.5 * 2 ** 20
+        assert held <= 8.5 * 2 ** 20
 
 
 class TestSymbolData:
