@@ -3,8 +3,8 @@ solution construction and Fourier-mode recovery of Schrodinger
 potentials on periodic grids.
 
 The package namespace holds what the CLI subcommands call, the objects
-those calls return, the error taxonomy, and the Field constructors and
-transforms.  Everything else is imported from its module."""
+those calls return, the error taxonomy, and the grid and its Field
+record.  Everything else is imported from its module."""
 
 __version__ = "0.1.0"
 
@@ -15,18 +15,8 @@ from .errors import (
     FrameError,
     InfeasibleGeometryError,
     NotContractiveError,
-    RepresentationError,
 )
-from .grid import (
-    Field,
-    FrequencyGrid,
-    exp_ik_field,
-    physical_field,
-    spectral_field,
-    to_physical,
-    to_spectral,
-    transform,
-)
+from .grid import Field, FrequencyGrid
 from .symbol import Zeta, ZetaPair, zeta_pair_from_angle
 from .potential import (
     Conductivity,

@@ -38,7 +38,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import PHYSICAL, Field, complete_spectrum, cube_transform, spectrum_at
+from .grid import Field, complete_spectrum, cube_transform, spectrum_at
 from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, check_band, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
@@ -205,7 +205,7 @@ def solve_psi(
         clamped_count=clamped_count, final_increment=float(inc),
         dealias_defect=float(np.sqrt(defect * grid.measure)),
     )
-    return (psi, kept), report, Field(grid, PHYSICAL, buf)
+    return (psi, kept), report, Field(grid, buf)
 
 
 @dataclass

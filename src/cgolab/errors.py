@@ -9,10 +9,6 @@ class CgolabError(Exception):
     """Base class for all package-specific failures."""
 
 
-class RepresentationError(CgolabError):
-    """A transform was requested in the direction the field already has."""
-
-
 class FrameError(CgolabError):
     """Supplied frame vectors are not orthonormal / not orthogonal to k."""
 

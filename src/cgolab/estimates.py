@@ -28,8 +28,10 @@ The symbol magnitude is cut at the frequency-cell scale s*dxi/2 (the
 lattice surrogate of averaging |p| over one cell).  The homogeneous
 norms of the cutoff and bilinear estimates drop the modes under that
 floor; the adversarial sampler, mq_decay and avg_decay floor |p| there.
-Each norm is grid.weighted_l2 with a weight that _norm_weights builds
-once per call from one evaluation of |p|.
+Each norm is one weighted spectral sum (sum w |uhat|^2 h^d)^{1/2}, the
+weighted L2 norm by Parseval, with a weight that _norm_weights builds
+once per call from one evaluation of |p|.  The draws live on the 2/3
+cube, so each product phi_B u takes two pruned transforms (_localize).
 
 singbound takes all etas of a zeta in one slab pass; avg_decay's Sobolev
 norms use the half spectrum, and its density transforms each product
@@ -44,21 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleGeometryError
-from .grid import (
-    Field,
-    FrequencyGrid,
-    complete_spectrum,
-    dealias_23,
-    l2_norm,
-    multiply,
-    real_forward,
-    real_inverse,
-    spectral_field,
-    spectral_gradient,
-    to_physical,
-    to_spectral,
-    weighted_l2,
-)
+from .grid import Field, FrequencyGrid, complete_spectrum, cube_transform, real_forward, real_inverse
 from .potential import Conductivity, potential_q
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from .symbol import Zeta, ZetaPair, char_distance, check_band, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
@@ -90,30 +78,22 @@ def _trend(x, y) -> Optional[float]:
 SAMPLER_KINDS = ("near_char_0", "near_char_1", "near_char_2", "white")
 
 
-def draw_colored_field(
-    grid: FrequencyGrid,
-    rng: np.random.Generator,
-    zeta: Optional[Zeta] = None,
-    kind: str = "white",
-) -> Field:
-    """Random spectral field, band-limited to the 2/3 cube.
+def draw_colored_field(grid: FrequencyGrid, rng: np.random.Generator, zeta: Zeta, kind: str) -> np.ndarray:
+    """Random spectrum on the full lattice (FFT order), zero off the 2/3 cube.
 
     near_char_alpha kinds use the density
         max(|p|, cell floor)^{-1/2} * <xi>^{-alpha},
     concentrating mass near the characteristic set where the estimates
-    are tight; "white" is flat noise.
+    are tight; "white" is flat noise and does not read zeta.
     """
     coef = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if kind != "white":
-        if zeta is None:
-            raise ValueError("near-characteristic sampling needs a zeta")
         alpha = float(kind.rsplit("_", 1)[1])
         pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis] * grid.d))
         dens = np.maximum(pabs, cell_floor(grid, zeta.s)) ** (-0.5)
         dens = dens * (1.0 + grid.xi_sq) ** (-alpha / 2.0)
         coef = coef * dens
-    coef = coef * grid.dealias_mask
-    return spectral_field(grid, coef)
+    return coef * grid.dealias_mask
 
 
 # -- top singular value ------------------------------------------------------
@@ -291,6 +271,23 @@ def _norm_weights(zeta: Zeta, grid: FrequencyGrid) -> tuple:
     return hom, inh, 1.0 - smooth_bridge(np.sqrt(grid.xi_sq) / (8.0 * s))
 
 
+def _norm(grid: FrequencyGrid, spec: np.ndarray, weight=1.0) -> float:
+    """(sum weight |spec|^2 h^d)^{1/2} over a unitary spectrum."""
+    return float(np.sqrt(np.sum(weight * np.abs(spec) ** 2) * grid.measure))
+
+
+def _localize(phi_B: Field, uhat: np.ndarray) -> np.ndarray:
+    """The spectrum of phi_B u cut to the 2/3 cube, for the spectrum uhat
+    of u (zero off the cube): a pruned inverse, the product with phi_B and
+    a pruned forward (cube_transform), then the cube mask."""
+    grid = phi_B.grid
+    buf = cube_transform(grid, uhat.copy(), "inverse")
+    buf *= phi_B.values
+    cube_transform(grid, buf, "forward")
+    buf *= grid.dealias_mask
+    return buf
+
+
 def localization_ratios(
     u_samples: int,
     zeta: Zeta,
@@ -305,7 +302,9 @@ def localization_ratios(
     {0, 1, 2}) and white noise; each product phi_B u is cut to the 2/3
     cube.  The homogeneous norms drop the modes whose |p| lies under the
     cell floor (the lattice-exact zeros among them); the weights are
-    built once per call (_norm_weights).
+    built once per call (_norm_weights).  The gradient norm has the
+    weight |xi|^2, which on the cube (no Nyquist row) is sum_j xi_j^2 of
+    the Nyquist-zeroed derivative.
     """
     grid = phi_B.grid
     s = zeta.s
@@ -314,17 +313,16 @@ def localization_ratios(
     samples = {eid: [] for eid in LOCALIZATION_IDS}
     for i in range(u_samples):
         kind = SAMPLER_KINDS[i % len(SAMPLER_KINDS)]
-        u = draw_colored_field(grid, rng, zeta, kind)
-        u_b = dealias_23(multiply(phi_B, u))
-        rhs_dot_half = weighted_l2(u, hom[0.5])
-        high = spectral_field(grid, to_spectral(u_b).values * high_pass)
-        grad_high = np.sqrt(sum(l2_norm(gj) ** 2 for gj in spectral_gradient(high)))
+        uhat = draw_colored_field(grid, rng, zeta, kind)
+        u_b = _localize(phi_B, uhat)
+        high = u_b * high_pass
+        rhs_dot_half = _norm(grid, uhat, hom[0.5])
         sides = {
-            "cutoff_neg_half": (weighted_l2(u_b, hom[-0.5]), weighted_l2(u, inh[-0.5])),
-            "cutoff_pos_half": (weighted_l2(u_b, inh[0.5]), rhs_dot_half),
-            "cutoff_l2": (l2_norm(u_b), rhs_dot_half / np.sqrt(s)),
-            "cutoff_high_grad": (grad_high, rhs_dot_half),
-            "cutoff_high_l2": (l2_norm(high), rhs_dot_half / s),
+            "cutoff_neg_half": (_norm(grid, u_b, hom[-0.5]), _norm(grid, uhat, inh[-0.5])),
+            "cutoff_pos_half": (_norm(grid, u_b, inh[0.5]), rhs_dot_half),
+            "cutoff_l2": (_norm(grid, u_b), rhs_dot_half / np.sqrt(s)),
+            "cutoff_high_grad": (_norm(grid, high, grid.xi_sq), rhs_dot_half),
+            "cutoff_high_l2": (_norm(grid, high), rhs_dot_half / s),
         }
         for eid, (lhs, rhs) in sides.items():
             lhs, rhs = float(lhs), float(rhs)
@@ -342,22 +340,20 @@ def bilinear_ratio(zeta_pair: ZetaPair, phi_B: Field, seed: int) -> float:
     L^inf estimate at f = 1, with the homogeneous 1/2-norms of u, v at the
     two zetas (the modes under the cell floor dropped, and u_B = phi_B u
     cut to the 2/3 cube, as in localization_ratios).  u and v are the
-    near_char_1 draws of default_rng(seed), u at zeta1 and then v at zeta2."""
+    near_char_1 draws of default_rng(seed), u at zeta1 and then v at zeta2.
+    The integral is the spectral sum of uhat_B(m) vhat_B(-m) h^d (unitary
+    DFT), which stays on the cube: it is closed under m -> -m."""
     z1, z2 = zeta_pair.zeta1, zeta_pair.zeta2
     if abs(z1.magnitude - z2.magnitude) > 1e-9 * z1.magnitude:
         raise InfeasibleGeometryError("paired zetas must share |zeta|")
     grid = phi_B.grid
     rng = np.random.default_rng(seed)
-    u = draw_colored_field(grid, rng, z1, "near_char_1")
-    v = draw_colored_field(grid, rng, z2, "near_char_1")
-    u_b = dealias_23(multiply(phi_B, u))
-    v_b = dealias_23(multiply(phi_B, v))
-    prod = to_physical(u_b).values * to_physical(v_b).values
-    lhs = abs(complex(prod.sum() * grid.measure))
-    denom = (
-        weighted_l2(u, _norm_weights(z1, grid)[0][0.5])
-        * weighted_l2(v, _norm_weights(z2, grid)[0][0.5])
-    )
+    uhat = draw_colored_field(grid, rng, z1, "near_char_1")
+    vhat = draw_colored_field(grid, rng, z2, "near_char_1")
+    neg = (-np.arange(grid.n)) % grid.n  # FFT-order index of -m
+    mirrored = _localize(phi_B, vhat)[np.ix_(*[neg] * grid.d)]
+    lhs = abs(complex(np.sum(_localize(phi_B, uhat) * mirrored) * grid.measure))
+    denom = _norm(grid, uhat, _norm_weights(z1, grid)[0][0.5]) * _norm(grid, vhat, _norm_weights(z2, grid)[0][0.5])
     if denom == 0.0:
         return 0.0
     return float(lhs * zeta_pair.s / denom)
@@ -500,7 +496,7 @@ def averaged_decay(
     zetas equally, so for even quad_eta only theta_j < pi is built, at
     twice the angle weight; an odd quad_eta keeps every angle.
 
-    f must be a real physical field (ValueError otherwise).  The density
+    f must be a real field (ValueError otherwise).  The density
     sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is built one
     derivative at a time on the half spectrum (_decay_density); each
     product spectrum is cut by the 2/3 rule, so the density vanishes
@@ -525,8 +521,8 @@ def averaged_decay(
     grid = f.grid
     grid.mode_index(k)
 
-    if not f.is_physical or np.iscomplexobj(f.values):
-        raise ValueError("averaged_decay needs a real physical field f")
+    if np.iscomplexobj(f.values):
+        raise ValueError("averaged_decay needs a real field f")
     f_half = real_forward(f.values)
     # ||f||_{H^theta}^2 on the half spectrum; planes 0 < m_d < n/2 count twice
     f_sq = np.abs(f_half) ** 2

@@ -17,8 +17,8 @@ Conventions, fixed once for the whole package:
   m_d = 0..n/2 (numpy rfftn order, shape (n, ..., n/2 + 1)), the others
   the full FFT order.  The modes it omits follow from X(-m) = conj X(m),
   and complete_spectrum restores them where a full FFT-order spectrum is
-  needed (spectrum_at reads it at given modes).  Multipliers on the half
-  lattice are the [..., :n//2 + 1] slices of the full ones.
+  needed (spectrum_at reads it at given modes).  An array on the half
+  lattice is the [..., :n//2 + 1] slice of its full-lattice form.
 * The transforms run axis by axis in numpy's order, with its bits, each
   pass in place in one array (the real pair's rfft / irfft make the new
   one).  real_inverse consumes its argument; callers pass a temporary.
@@ -26,8 +26,11 @@ Conventions, fixed once for the whole package:
   L/4 around the torus centre (L/2, ..., L/2), keeping periodization
   error at spectral accuracy.
 
-Fields are immutable after construction; every operation returns a new
-Field (cube_transform works in place on the caller's own array), and a
+A Field is the read-only record of one function's values on the grid's
+points (gamma, q, the cutoff, a remainder psi).  Spectra are plain
+complex arrays, on the full lattice in FFT order or on the half
+spectrum; the transforms take and return arrays (cube_transform and
+real_inverse work in place on the caller's).  A Field's values and a
 grid's cached lattice arrays are only read once built, so all of this is
 safe to call from concurrent workers.  recovery._solve_pair does: it runs
 the two solves of a zeta pair on one grid at once, after building the
@@ -41,11 +44,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-
-from .errors import RepresentationError
-
-PHYSICAL = "physical"
-SPECTRAL = "spectral"
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class FrequencyGrid:
 
     @property
     def measure(self) -> float:
-        """Quadrature cell measure h^d, shared by both representations."""
+        """Quadrature cell measure h^d, shared by physical and spectral sums."""
         return self.h ** self.d
 
     @property
@@ -122,19 +120,14 @@ class FrequencyGrid:
         return out
 
     @cached_property
-    def deriv_multipliers(self) -> tuple:
-        """i*xi_j per axis with the Nyquist row zeroed."""
-        mult = []
+    def half_deriv_multipliers(self) -> tuple:
+        """i*xi_j per axis with the Nyquist row zeroed, on the half lattice
+        (last axis m = 0..n/2), each shaped to broadcast along its axis."""
         axis = self.xi_axis.copy()
         axis[self.n // 2] = 0.0
-        for j in range(self.d):
-            mult.append(1j * self._along(j, axis))
+        mult = [1j * self._along(j, axis) for j in range(self.d)]
+        mult[-1] = mult[-1][..., : self.n // 2 + 1]
         return tuple(mult)
-
-    @property
-    def half_deriv_multipliers(self) -> tuple:
-        """deriv_multipliers on the half lattice (views, last axis m = 0..n/2)."""
-        return tuple(m[..., : self.n // 2 + 1] for m in self.deriv_multipliers)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -176,45 +169,18 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class Field:
-    """A scalar function on the grid, physical or spectral: float64 for real
-    physical values, else complex128 (cast, and copied, only if the dtype differs)."""
+    """A function on the grid's points: float64 values for real data, else
+    complex128 (cast, and copied, only if the dtype differs), read only."""
 
     grid: FrequencyGrid
-    representation: str
     values: np.ndarray
 
     def __post_init__(self):
-        if self.representation not in (PHYSICAL, SPECTRAL):
-            raise ValueError(f"unknown representation {self.representation!r}")
-        real = self.representation == PHYSICAL and not np.iscomplexobj(self.values)
-        vals = np.ascontiguousarray(self.values, dtype=float if real else complex)
+        vals = np.ascontiguousarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if vals.shape != self.grid.shape:
             raise ValueError(f"values shape {vals.shape} != grid shape {self.grid.shape}")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def is_physical(self) -> bool:
-        return self.representation == PHYSICAL
-
-    @property
-    def is_spectral(self) -> bool:
-        return self.representation == SPECTRAL
-
-    def __mul__(self, scalar) -> "Field":
-        if isinstance(scalar, Field):
-            raise TypeError("use grid.multiply() for pointwise field products")
-        return Field(self.grid, self.representation, self.values * scalar)
-
-    __rmul__ = __mul__
-
-
-def physical_field(grid: FrequencyGrid, values) -> Field:
-    return Field(grid, PHYSICAL, values)
-
-
-def spectral_field(grid: FrequencyGrid, values) -> Field:
-    return Field(grid, SPECTRAL, values)
 
 
 def plane_wave(grid: FrequencyGrid, k) -> np.ndarray:
@@ -228,32 +194,6 @@ def plane_wave(grid: FrequencyGrid, k) -> np.ndarray:
     for j in range(grid.d):
         wave = wave * grid._along(j, np.exp(1j * k[j] * grid.x_axis))
     return wave
-
-
-def exp_ik_field(grid: FrequencyGrid, k) -> Field:
-    """The plane wave e^{i x . k} as a physical Field (plane_wave)."""
-    return Field(grid, PHYSICAL, plane_wave(grid, k))
-
-
-def transform(f: Field, direction: str) -> Field:
-    """Unitary DFT (forward: physical -> spectral) or its inverse.
-
-    Requesting a direction the field already has is a usage bug and
-    raises RepresentationError.
-    """
-    if direction == "forward":
-        if f.is_spectral:
-            raise RepresentationError("forward transform of a spectral field")
-        fn, representation = np.fft.fftn, SPECTRAL
-    elif direction == "inverse":
-        if f.is_physical:
-            raise RepresentationError("inverse transform of a physical field")
-        fn, representation = np.fft.ifftn, PHYSICAL
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    # one complex output for all axes; without out= numpy allocates one per axis
-    out = fn(f.values, norm="ortho", out=np.empty(f.grid.shape, dtype=complex))
-    return Field(f.grid, representation, out)
 
 
 def real_forward(values: np.ndarray, norm: str = "ortho", cube: bool = False) -> np.ndarray:
@@ -352,57 +292,3 @@ def _transform_lines(values: np.ndarray, fn, axes, pruned, norm: str = "ortho") 
             view = values[tuple(index)]
             fn(view, axes=(axis,), norm=norm, out=view)
     return values
-
-
-def to_physical(f: Field) -> Field:
-    return f if f.is_physical else transform(f, "inverse")
-
-
-def to_spectral(f: Field) -> Field:
-    return f if f.is_spectral else transform(f, "forward")
-
-
-def spectral_gradient(f: Field) -> tuple:
-    """Per-axis derivative fields (spectral representation).
-
-    Component j carries the multiplier i*xi_j with the Nyquist row set
-    to zero.  A physical input is transformed automatically.
-    """
-    fs = to_spectral(f)
-    return tuple(
-        Field(f.grid, SPECTRAL, fs.values * f.grid.deriv_multipliers[j])
-        for j in range(f.grid.d)
-    )
-
-
-def multiply(f: Field, g: Field) -> Field:
-    """Pointwise product formed in physical space."""
-    fp, gp = to_physical(f), to_physical(g)
-    return Field(f.grid, PHYSICAL, fp.values * gp.values)
-
-
-def dealias_23(f: Field) -> Field:
-    """Zero all modes outside the 2/3 cube; preserves representation."""
-    fs = to_spectral(f)
-    out = Field(f.grid, SPECTRAL, fs.values * f.grid.dealias_mask)
-    return out if f.is_spectral else to_physical(out)
-
-
-def l2_norm(f: Field) -> float:
-    """L2 norm with the h^d measure; representation-independent (Parseval)."""
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.measure))
-
-
-def weighted_l2(f: Field, w: np.ndarray) -> float:
-    """(sum_xi w(xi) |fhat(xi)|^2 * h^d)^{1/2}.
-
-    w is a nonnegative weight on the full frequency lattice in FFT
-    order.  With w == 1 this is exactly the physical L2 norm.
-    """
-    w = np.asarray(w)
-    if w.shape != f.grid.shape:
-        raise ValueError("weight shape does not match the frequency lattice")
-    if np.any(w < 0):
-        raise ValueError("weight must be nonnegative")
-    fs = to_spectral(f)
-    return float(np.sqrt(np.sum(w * np.abs(fs.values) ** 2) * f.grid.measure))

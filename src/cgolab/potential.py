@@ -45,14 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .grid import (
-    Field,
-    FrequencyGrid,
-    hermitian_planes,
-    physical_field,
-    real_forward,
-    real_inverse,
-)
+from .grid import Field, FrequencyGrid, hermitian_planes, real_forward, real_inverse
 from .spaces import bridge
 
 _SUPPORT_TOL = 1e-12
@@ -76,12 +69,12 @@ class Conductivity:
 
     @property
     def g(self) -> Field:
-        """gamma^{1/2}, physical representation (formed on each read)."""
-        return physical_field(self.grid, np.sqrt(self.gamma.values))
+        """gamma^{1/2} (formed on each read)."""
+        return Field(self.grid, np.sqrt(self.gamma.values))
 
     @cached_property
     def log_g(self) -> Field:
-        return physical_field(self.grid, 0.5 * np.log(self.gamma.values))
+        return Field(self.grid, 0.5 * np.log(self.gamma.values))
 
     @cached_property
     def q(self) -> Field:
@@ -91,7 +84,7 @@ class Conductivity:
         g = self.g.values
         half = real_forward(g)
         half *= -sum(mult.imag ** 2 for mult in self.grid.half_deriv_multipliers)
-        return physical_field(self.grid, real_inverse(self.grid, half) / g)
+        return Field(self.grid, real_inverse(self.grid, half) / g)
 
     @cached_property
     def q_hat(self) -> np.ndarray:
@@ -143,10 +136,10 @@ def conductivity_from_array(
         raise DomainError(f"conductivity has {bad} non-finite values")
     if premollify:
         width = 2.0 * grid.h
-        vals = mollify(physical_field(grid, vals), width).values
+        vals = mollify(Field(grid, vals), width).values
         support_radius = support_radius + width
     _validate_gamma(grid, vals, support_radius)
-    return Conductivity(gamma=physical_field(grid, vals), support_radius=float(support_radius))
+    return Conductivity(gamma=Field(grid, vals), support_radius=float(support_radius))
 
 
 def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
@@ -222,8 +215,8 @@ def _bump_spectrum(grid: FrequencyGrid, eps: float) -> np.ndarray:
 
 
 def mollify(f: Field, eps: float) -> Field:
-    """Convolve a real physical field (ValueError otherwise) with the
-    unit-mass bump of width eps, spectrally through the real transforms.
+    """Convolve a real field (ValueError otherwise) with the unit-mass
+    bump of width eps, spectrally through the real transforms.
 
     Below the grid scale (eps < 2h) mollification is a documented no-op
     and emits a warning.  The mean of f is preserved exactly.  The bump's
@@ -237,14 +230,14 @@ def mollify(f: Field, eps: float) -> Field:
             stacklevel=2,
         )
         return f
-    if not f.is_physical or np.iscomplexobj(f.values):
-        raise ValueError("mollify takes a real physical field")
+    if np.iscomplexobj(f.values):
+        raise ValueError("mollify takes a real field")
     # numpy's unnormalised pair: the bump spectrum is an unnormalised DFT
     half = real_forward(f.values, norm="backward")
     half *= _bump_spectrum(grid, eps)
     conv = real_inverse(grid, half, norm="backward")
     conv *= grid.measure
-    return physical_field(grid, conv)
+    return Field(grid, conv)
 
 
 def make_cutoff(cond: Conductivity) -> Field:
@@ -259,7 +252,7 @@ def make_cutoff(cond: Conductivity) -> Field:
     values = bridge(rho[shell])
     np.subtract(1.0, np.greater_equal(rho, 2.0, out=rho), out=rho)
     rho[shell] = values
-    return physical_field(grid, rho)
+    return Field(grid, rho)
 
 
 # -- raw grid file format ---------------------------------------------------

@@ -66,7 +66,7 @@ import numpy as np
 
 from .cgo import BandSelection, IterationReport, select_zeta_sequence, solve_psi
 from .errors import CgolabError, FrameError
-from .grid import Field, plane_wave, spectrum_at, to_physical
+from .grid import Field, plane_wave, spectrum_at
 from .potential import Conductivity, make_cutoff
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS
 from .symbol import ZetaPair, check_band
@@ -130,13 +130,12 @@ def alessandrini_terms(
     module docstring), with psi1 and psi2 read in physical space (the third
     value of solve_psi).  Raises CgolabError unless total equals
     term_main + term_linear + term_bilinear to _ADDITIVITY_TOL."""
-    psi1_p, psi2_p = to_physical(psi1).values, to_physical(psi2).values
     # w psi1, w psi1 psi2, w psi2, w (1 + psi1), w (1 + psi1) psi2, summed
     # per axis-0 slab of about SLAB_POINTS points in one product buffer
     rows = max(1, SLAB_POINTS // (w.size // len(w)))
     sums = np.zeros(5, dtype=complex)
     for a in range(0, len(w), rows):
-        ws, p1, p2 = (arr[a : a + rows] for arr in (w, psi1_p, psi2_p))
+        ws, p1, p2 = (arr[a : a + rows] for arr in (w, psi1.values, psi2.values))
         buf = ws * p1
         sums += [np.sum(buf), np.sum(np.multiply(buf, p2, out=buf)), np.sum(np.multiply(ws, p2, out=buf)),
                  np.sum(np.multiply(np.add(p1, 1.0, out=buf), ws, out=buf)),

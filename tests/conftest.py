@@ -47,12 +47,12 @@ def uniform32(grid32):
     return cg.make_conductivity(grid32, {"kind": "uniform"})
 
 
-def psihat_field(grid, modes):
+def full_psihat(grid, modes):
     """The full-lattice psihat of solve_psi's (psihat on K, K): zero off K."""
     values, kept = modes
     full = np.zeros(grid.size, dtype=complex)
     full[kept] = values
-    return cg.spectral_field(grid, full.reshape(grid.shape))
+    return full.reshape(grid.shape)
 
 
 def write_gamma_file(path, cond):
@@ -64,10 +64,10 @@ def write_gamma_file(path, cond):
         cond.gamma.values.astype("<f8").tofile(fh)
 
 
-def random_field(grid, seed, representation="physical"):
+def random_values(grid, seed):
+    """Complex normal noise on the grid's points."""
     rng = np.random.default_rng(seed)
-    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return cg.Field(grid, representation, vals)
+    return rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
 
 
 # Plain-numpy oracles written from the documented conventions (grid

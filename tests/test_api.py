@@ -1,7 +1,7 @@
 """The package namespace: what the CLI subcommands call, the objects they
-return, the error taxonomy and the Field constructors and transforms; and
-the config surface, the fields of ExperimentConfig.  Any addition or
-removal shows here."""
+return, the error taxonomy, and the grid and its Field record; and the
+config surface, the fields of ExperimentConfig.  Any addition or removal
+shows here."""
 
 import dataclasses
 import types
@@ -22,17 +22,14 @@ PUBLIC = [
     "IterationReport",
     "ModeRecovery",
     "NotContractiveError",
-    "RepresentationError",
     "Zeta",
     "ZetaPair",
     "averaged_decay",
     "bilinear_ratio",
-    "exp_ik_field",
     "localization_ratios",
     "make_conductivity",
     "make_cutoff",
     "mq_operator_ratio",
-    "physical_field",
     "potential_q",
     "read_gamma_file",
     "recover_modes",
@@ -40,10 +37,6 @@ PUBLIC = [
     "select_zeta_sequence",
     "singbound_quadrature",
     "solve_psi",
-    "spectral_field",
-    "to_physical",
-    "to_spectral",
-    "transform",
     "zeta_pair_from_angle",
 ]
 

@@ -7,7 +7,7 @@ from cgolab.estimates import mq_operator_ratio, top_singular_value
 from cgolab.potential import conductivity_from_array
 from cgolab.spaces import smooth_bridge
 
-from conftest import TWO_PI, _oracle_duality_form, random_field
+from conftest import TWO_PI, _oracle_duality_form, random_values
 
 
 def gaussian_phi(pts):
@@ -180,14 +180,14 @@ class TestMqKernel:
         evaluated in plain numpy: the kernel that mq_operator_ratio uses
         is the form's own."""
         cond = request.getfixturevalue(profile)
-        u = random_field(cond.grid, 11)
-        v = random_field(cond.grid, 12)
-        duality = _oracle_duality_form(cond.gamma.values.real, u.values * v.values, cond.grid.L)
+        u = random_values(cond.grid, 11)
+        v = random_values(cond.grid, 12)
+        duality = _oracle_duality_form(cond.gamma.values.real, u * v, cond.grid.L)
         # the sum cancels (|value| 0.010 on bump32), so its rounding is
         # measured against the L1 majorant sum |q u v| h^d
         q = cg.potential_q(cond).values.real
-        majorant = np.sum(np.abs(q * u.values * v.values)) * cond.grid.measure
-        form = np.sum(q * (u.values * v.values)) * cond.grid.measure
+        majorant = np.sum(np.abs(q * u * v)) * cond.grid.measure
+        form = np.sum(q * (u * v)) * cond.grid.measure
         assert abs(form - duality) <= 1e-12 * majorant
 
 
@@ -392,7 +392,7 @@ class TestAveragedDecay:
 
     def test_complex_field_rejected(self, bump32):
         phi = cg.make_cutoff(bump32)
-        f = cg.physical_field(bump32.grid, bump32.log_g.values * (1 + 1j))
+        f = cg.Field(bump32.grid, bump32.log_g.values * (1 + 1j))
         with pytest.raises(ValueError, match="real"):
             cg.averaged_decay(f, self.K, [8.0], 8, 8, phi)
 

@@ -7,10 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cgolab as cg
-from cgolab.errors import RepresentationError
-from cgolab.grid import dealias_23, l2_norm, multiply, spectral_gradient, weighted_l2
+from cgolab.grid import plane_wave
 
-from conftest import TWO_PI, random_field
+from conftest import TWO_PI, random_values
 
 
 class TestCubeTransform:
@@ -35,69 +34,78 @@ class TestCubeTransform:
             cg.grid.cube_transform(grid16, np.zeros(grid16.shape, dtype=complex), "sideways")
 
 
+def real_gradient(grid, values):
+    """Per-axis derivatives of a real lattice array through the real pair:
+    its half spectrum times each of grid.half_deriv_multipliers, back."""
+    half = cg.grid.real_forward(values)
+    return [cg.grid.real_inverse(grid, half * mult) for mult in grid.half_deriv_multipliers]
+
+
 class TestTransform:
+    """The unitary DFT (numpy norm="ortho") of the real pair and of
+    cube_transform."""
+
     def test_dc_mode(self, grid16):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
-        fs = cg.transform(cg.physical_field(grid, np.ones(grid.shape)), "forward")
-        assert fs.values[0, 0, 0] == pytest.approx(8 ** 1.5, rel=1e-13)
-        rest = np.abs(fs.values).copy()
+        fs = cg.grid.real_forward(np.ones(grid.shape))
+        assert fs[0, 0, 0] == pytest.approx(8 ** 1.5, rel=1e-13)
+        rest = np.abs(fs)
         rest[0, 0, 0] = 0.0
         assert rest.max() < 1e-13
 
     def test_pure_mode_single_coefficient(self, grid16):
+        # the pruned forward is exact on the cube, where k lies
         k = grid16.lattice_frequency([2, -3, 1])
-        fs = cg.transform(cg.exp_ik_field(grid16, k), "forward")
+        fs = cg.grid.cube_transform(grid16, plane_wave(grid16, k), "forward")
         idx = grid16.mode_index(k)
         expected = grid16.n ** (grid16.d / 2.0)
-        assert fs.values[idx] == pytest.approx(expected, rel=1e-12)
-        rest = np.abs(fs.values).copy()
+        assert fs[idx] == pytest.approx(expected, rel=1e-12)
+        rest = np.abs(fs) * grid16.dealias_mask
         rest[idx] = 0.0
         assert rest.max() < 1e-10 * expected
 
     @given(seed=st.integers(0, 10_000))
     def test_round_trip(self, seed):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
-        f = random_field(grid, seed)
-        back = cg.transform(cg.transform(f, "forward"), "inverse")
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+        spec = random_values(grid, seed) * grid.dealias_mask
+        back = cg.grid.cube_transform(grid, cg.grid.cube_transform(grid, spec.copy(), "inverse"), "forward")
+        cube = grid.dealias_mask
+        assert np.max(np.abs(back[cube] - spec[cube])) <= 1e-12 * np.max(np.abs(spec))
+        f = random_values(grid, seed).real
+        back = cg.grid.real_inverse(grid, cg.grid.real_forward(f))
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
     @given(seed=st.integers(0, 10_000))
     def test_plancherel(self, seed):
         grid = cg.FrequencyGrid(3, 8, TWO_PI)
-        f = random_field(grid, seed)
-        assert l2_norm(f) == pytest.approx(l2_norm(cg.to_spectral(f)), rel=1e-12)
-
-    def test_direction_mismatch_raises(self, grid16):
-        f = cg.physical_field(grid16, np.ones(grid16.shape))
-        fs = cg.transform(f, "forward")
-        with pytest.raises(RepresentationError):
-            cg.transform(fs, "forward")
-        with pytest.raises(RepresentationError):
-            cg.transform(f, "inverse")
+        spec = random_values(grid, seed) * grid.dealias_mask
+        phys = cg.grid.cube_transform(grid, spec.copy(), "inverse")
+        assert np.linalg.norm(phys) == pytest.approx(np.linalg.norm(spec), rel=1e-12)
 
     def test_deterministic_bit_identical(self, grid16):
-        f = random_field(grid16, 4)
-        a = cg.transform(f, "forward").values
-        b = cg.transform(f, "forward").values
+        f = random_values(grid16, 4)
+        a = cg.grid.cube_transform(grid16, f.copy(), "forward")
+        b = cg.grid.cube_transform(grid16, f.copy(), "forward")
         assert a.tobytes() == b.tobytes()
 
 
 class TestGradient:
+    """Spectral derivatives: grid.half_deriv_multipliers (Nyquist row
+    zeroed) on the half spectrum of the real pair."""
+
     def test_constant_gradient_zero(self, grid16):
-        grads = spectral_gradient(cg.physical_field(grid16, np.full(grid16.shape, 3.7)))
-        for gj in grads:
-            assert np.max(np.abs(gj.values)) < 1e-12
+        for gj in real_gradient(grid16, np.full(grid16.shape, 3.7)):
+            assert np.max(np.abs(gj)) < 1e-12
 
     def test_single_mode(self, grid16):
         L = grid16.L
         x = grid16.x_axis
         vals = np.sin(TWO_PI * x / L)[:, None, None] * np.ones(grid16.shape)
-        f = cg.physical_field(grid16, vals)
-        grads = [cg.to_physical(g) for g in spectral_gradient(f)]
+        grads = real_gradient(grid16, vals)
         expected = (TWO_PI / L) * np.cos(TWO_PI * x / L)[:, None, None]
-        assert np.max(np.abs(grads[0].values - expected)) < 1e-12
-        assert np.max(np.abs(grads[1].values)) < 1e-12
-        assert np.max(np.abs(grads[2].values)) < 1e-12
+        assert np.max(np.abs(grads[0] - expected)) < 1e-12
+        assert np.max(np.abs(grads[1])) < 1e-12
+        assert np.max(np.abs(grads[2])) < 1e-12
 
     def test_matches_finite_differences_at_order_two(self):
         # oracle: centered differences on the same grid; the same
@@ -109,14 +117,13 @@ class TestGradient:
                 m = rng.integers(-3, 4, size=3)
                 amp = rng.standard_normal() + 1j * rng.standard_normal()
                 spec[grid.mode_index(grid.lattice_frequency(m))] = amp
-            return cg.to_physical(cg.spectral_field(grid, spec * grid.n ** 1.5))
+            return np.fft.ifftn(spec * grid.n ** 1.5, norm="ortho").real
 
         errs = []
         for n in (32, 64):
             grid = cg.FrequencyGrid(3, n, TWO_PI)
-            f = build(grid)
-            gspec = cg.to_physical(spectral_gradient(f)[0]).values
-            vals = f.values
+            vals = build(grid)
+            gspec = real_gradient(grid, vals)[0]
             gfd = (np.roll(vals, -1, axis=0) - np.roll(vals, 1, axis=0)) / (2 * grid.h)
             errs.append(np.max(np.abs(gspec - gfd)))
         order = np.log2(errs[0] / errs[1])
@@ -124,59 +131,32 @@ class TestGradient:
 
     def test_leibniz_rule_unaliased(self, grid16):
         # factors band-limited below half Nyquist so the product is exact
-        rng = np.random.default_rng(3)
-
         def bl_field(seed):
             spec = np.zeros(grid16.shape, dtype=complex)
             r = np.random.default_rng(seed)
             for _ in range(6):
                 m = r.integers(-3, 4, size=3)
                 spec[grid16.mode_index(grid16.lattice_frequency(m))] = r.standard_normal() + 1j * r.standard_normal()
-            return cg.to_physical(cg.spectral_field(grid16, spec))
+            return np.fft.ifftn(spec, norm="ortho").real
 
         f, g = bl_field(1), bl_field(2)
-        prod = multiply(f, g)
-        lhs = [cg.to_physical(t).values for t in spectral_gradient(prod)]
-        df = [cg.to_physical(t).values for t in spectral_gradient(f)]
-        dg = [cg.to_physical(t).values for t in spectral_gradient(g)]
+        lhs = real_gradient(grid16, f * g)
+        df, dg = real_gradient(grid16, f), real_gradient(grid16, g)
         scale = max(np.max(np.abs(x)) for x in lhs)
         for j in range(3):
-            rhs = df[j] * g.values + f.values * dg[j]
+            rhs = df[j] * g + f * dg[j]
             assert np.max(np.abs(lhs[j] - rhs)) <= 1e-10 * scale
 
 
 class TestWeightedL2:
-    def test_unit_weight_is_physical_l2(self, grid16):
-        f = random_field(grid16, 7)
-        w = np.ones(grid16.shape)
-        assert weighted_l2(f, w) == pytest.approx(l2_norm(f), rel=1e-13)
-
-    def test_single_mode_one_term_sum(self, grid16):
-        k = grid16.lattice_frequency([1, 2, 0])
-        idx = grid16.mode_index(k)
-        spec = np.zeros(grid16.shape, dtype=complex)
-        spec[idx] = 1.0
-        f = cg.spectral_field(grid16, spec)
-        w = np.full(grid16.shape, 0.25)
-        w[idx] = 9.0
-        expected = 3.0 * np.sqrt(grid16.measure)
-        assert weighted_l2(f, w) == pytest.approx(expected, rel=1e-13)
-
     def test_gradient_weight_matches_gradient_norm(self, grid16):
-        # |xi|^2 weight with each axis's Nyquist row zeroed, matching the
-        # differentiation convention
-        f = random_field(grid16, 9)
-        w = sum(np.abs(m) ** 2 for m in grid16.deriv_multipliers)
-        w = np.broadcast_to(w, grid16.shape)
-        grad_norm = np.sqrt(sum(l2_norm(g) ** 2 for g in spectral_gradient(f)))
-        assert weighted_l2(f, w) == pytest.approx(grad_norm, rel=1e-10)
-
-    def test_negative_weight_rejected(self, grid16):
-        f = random_field(grid16, 1)
-        w = np.ones(grid16.shape)
-        w[0, 0, 0] = -1e-9
-        with pytest.raises(ValueError):
-            weighted_l2(f, w)
+        # on the 2/3 cube, which holds no Nyquist row, |xi|^2 is the weight
+        # of the gradient norm (the harness's cutoff_high_grad)
+        f = np.fft.ifftn(random_values(grid16, 9) * grid16.dealias_mask, norm="ortho").real
+        fhat = np.fft.fftn(f, norm="ortho")
+        weighted = np.sqrt(np.sum(grid16.xi_sq * np.abs(fhat) ** 2) * grid16.measure)
+        grad_norm = np.sqrt(sum(np.sum(g * g) for g in real_gradient(grid16, f)) * grid16.measure)
+        assert weighted == pytest.approx(grad_norm, rel=1e-10)
 
 
 class TestFieldAlgebra:
@@ -201,7 +181,7 @@ class TestFieldAlgebra:
         assert grid16.n // 2 not in modes.tolist()
 
     def test_field_immutable(self, grid16):
-        f = cg.physical_field(grid16, np.ones(grid16.shape))
+        f = cg.Field(grid16, np.ones(grid16.shape))
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 2.0
 
@@ -222,49 +202,25 @@ class TestFieldAlgebra:
         np.testing.assert_array_equal(grid.radius_from_center, np.sqrt(total))
         assert "radius_from_center" not in vars(grid)  # formed on each read
 
-    def test_dealias_removes_high_modes(self, grid16):
-        f = random_field(grid16, 13, representation="spectral")
-        cut = dealias_23(f)
-        assert np.all(cut.values[~grid16.dealias_mask] == 0)
-        assert np.array_equal(cut.values[grid16.dealias_mask], f.values[grid16.dealias_mask])
-
-    def test_pointwise_product_requires_multiply(self, grid16):
-        f = cg.physical_field(grid16, np.ones(grid16.shape))
-        with pytest.raises(TypeError):
-            f * f
 
 
 class TestDtypeRule:
-    """Real physical data is held as float64; spectral and complex data as
-    complex128."""
+    """A Field holds real data as float64 and complex data as complex128."""
 
     def test_only_real_physical_data_is_float64(self, grid16):
         real = np.random.default_rng(1).standard_normal(grid16.shape)
-        f = cg.physical_field(grid16, real)
+        f = cg.Field(grid16, real)
         assert f.values.dtype == np.float64
         assert np.shares_memory(f.values, real)  # cast only when the dtype differs
-        assert cg.spectral_field(grid16, real).values.dtype == np.complex128
-        assert cg.Field(grid16, "spectral", real).values.dtype == np.complex128
-        assert random_field(grid16, 1).values.dtype == np.complex128
-        wave = cg.exp_ik_field(grid16, grid16.lattice_frequency([1, 0, 2]))
-        assert wave.values.dtype == np.complex128
-        assert (f * 1j).values.dtype == np.complex128
+        assert cg.Field(grid16, random_values(grid16, 1)).values.dtype == np.complex128
+        assert plane_wave(grid16, grid16.lattice_frequency([1, 0, 2])).dtype == np.complex128
 
     def test_transform_of_a_real_field_is_complex(self, grid16):
-        f = cg.physical_field(grid16, np.random.default_rng(2).standard_normal(grid16.shape))
+        f = cg.Field(grid16, np.random.default_rng(2).standard_normal(grid16.shape))
         assert f.values.dtype == np.float64
-        fs = cg.transform(f, "forward")
-        assert fs.values.dtype == np.complex128
-        assert cg.transform(fs, "inverse").values.dtype == np.complex128
-
-    @pytest.mark.parametrize("d, n", [(3, 16), (3, 32), (2, 16)])
-    def test_real_forward_bit_identical_to_complex_cast(self, d, n):
-        grid = cg.FrequencyGrid(d, n, TWO_PI)
-        real = np.random.default_rng(n).standard_normal(grid.shape)
-        f = cg.physical_field(grid, real)
-        assert f.values.dtype == np.float64
-        expected = np.fft.fftn(real.astype(complex), norm="ortho")
-        np.testing.assert_array_equal(cg.transform(f, "forward").values, expected)
+        half = cg.grid.real_forward(f.values)
+        assert half.dtype == np.complex128
+        assert cg.grid.real_inverse(grid16, half).dtype == np.float64
 
     @pytest.mark.parametrize("norm", ["ortho", "backward"])
     @pytest.mark.parametrize("d, n", [(3, 16), (3, 32), (2, 16)])

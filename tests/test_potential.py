@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 import cgolab as cg
 from cgolab.errors import DomainError
-from cgolab.grid import complete_spectrum, multiply, spectral_gradient
+from cgolab.grid import complete_spectrum, plane_wave
 from cgolab.potential import _bump_spectrum, conductivity_from_array, mollify
 from cgolab.spaces import smooth_bridge
 
@@ -17,7 +17,7 @@ from conftest import (
     _oracle_laplacian,
     _oracle_lattice,
     _oracle_leibniz_form,
-    random_field,
+    random_values,
     write_gamma_file,
 )
 
@@ -162,9 +162,9 @@ class TestPotential:
         # integral q dx = -sum grad(g).grad(1/g) h^d holds to rounding
         grid = bump32.grid
         lhs = float(np.sum(cg.potential_q(bump32).values) * grid.measure)
-        ginv = cg.physical_field(grid, 1.0 / bump32.g.values.real)
-        gg = [cg.to_physical(f).values.real for f in spectral_gradient(bump32.g)]
-        gi = [cg.to_physical(f).values.real for f in spectral_gradient(ginv)]
+        g = bump32.g.values
+        gg = [f.real for f in _oracle_gradient(g, grid.L)]
+        gi = [f.real for f in _oracle_gradient(1.0 / g, grid.L)]
         rhs = -sum(np.sum(a * b) for a, b in zip(gg, gi)) * grid.measure
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert lhs > 0
@@ -190,17 +190,18 @@ class TestPotential:
 
 
 def mq_form(u, v, cond):
-    """The m_q form of physical u, v as the pairing reads it: sum q u v h^d."""
-    return complex(np.sum(cond.q.values.real * (u.values * v.values)) * cond.grid.measure)
+    """The m_q form of the lattice arrays u, v as the pairing reads it:
+    sum q u v h^d."""
+    return complex(np.sum(cond.q.values.real * (u * v)) * cond.grid.measure)
 
 
 class TestMqBilinear:
     def test_uniform_gamma_vanishes(self, uniform32, grid32):
-        u, v = random_field(grid32, 1), random_field(grid32, 2)
+        u, v = random_values(grid32, 1), random_values(grid32, 2)
         assert mq_form(u, v, uniform32) == 0
 
     def test_bilinearity(self, bump32, grid32):
-        u, v = random_field(grid32, 3), random_field(grid32, 4)
+        u, v = random_values(grid32, 3), random_values(grid32, 4)
         alpha = 1.3 - 0.4j
         a = mq_form(u * alpha, v, bump32)
         b = mq_form(u, v, bump32) * alpha
@@ -209,27 +210,27 @@ class TestMqBilinear:
     def test_matches_direct_quadrature(self, bump32, grid32):
         # oracle: the duality form -sum grad g . grad(uv/g) h^d in plain numpy,
         # on the closed-form gaussian gamma
-        u, v = random_field(grid32, 5), random_field(grid32, 6)
+        u, v = random_values(grid32, 5), random_values(grid32, 6)
         deltas, _ = _oracle_lattice(32)
         gamma = 1.0 + BUMP_AMPLITUDE * np.exp(-sum(dl * dl for dl in deltas) / BUMP_WIDTH ** 2)
-        direct = _oracle_duality_form(gamma, u.values * v.values, TWO_PI)
+        direct = _oracle_duality_form(gamma, u * v, TWO_PI)
         assert mq_form(u, v, bump32) == pytest.approx(direct, rel=1e-8)
 
     def test_two_forms_agree_on_smooth_data(self, bump64):
         grid = bump64.grid
-        u = cg.exp_ik_field(grid, grid.lattice_frequency([1, 0, 0]))
-        v = cg.exp_ik_field(grid, grid.lattice_frequency([0, 2, 0]))
-        split = _oracle_leibniz_form(bump64.gamma.values.real, u.values * v.values, grid.L)
+        u = plane_wave(grid, grid.lattice_frequency([1, 0, 0]))
+        v = plane_wave(grid, grid.lattice_frequency([0, 2, 0]))
+        split = _oracle_leibniz_form(bump64.gamma.values.real, u * v, grid.L)
         assert mq_form(u, v, bump64) == pytest.approx(split, rel=1e-9)
 
     def test_localization_invariance(self, bump64):
         # phi = 1 on supp q, so inserting the cutoff changes nothing
         grid = bump64.grid
         phi = cg.make_cutoff(bump64)
-        u = cg.exp_ik_field(grid, grid.lattice_frequency([1, 1, 0]))
-        v = cg.exp_ik_field(grid, grid.lattice_frequency([0, 0, 2]))
+        u = plane_wave(grid, grid.lattice_frequency([1, 1, 0]))
+        v = plane_wave(grid, grid.lattice_frequency([0, 0, 2]))
         plain = mq_form(u, v, bump64)
-        localized = mq_form(multiply(phi, u), multiply(phi, v), bump64)
+        localized = mq_form(phi.values * u, phi.values * v, bump64)
         assert localized == pytest.approx(plain, rel=1e-9)
 
 
@@ -274,7 +275,7 @@ class TestRealPath:
         f = cg.make_conductivity(grid, profile).gamma.values.real
         eps = 4 * grid.h
         bump = oracle_bump(grid, eps)
-        out = mollify(cg.physical_field(grid, f), eps).values
+        out = mollify(cg.Field(grid, f), eps).values
         assert not out.imag.any()
         self.close(out, np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(bump)).real * grid.measure)
 
@@ -301,10 +302,10 @@ def test_real_data_is_float64_and_q_hat_complex(grid32, profile):
 class TestMollify:
     @staticmethod
     def real_field(grid, seed):
-        return cg.physical_field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+        return cg.Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
 
     def test_constant_unchanged(self, grid16):
-        f = cg.physical_field(grid16, np.full(grid16.shape, 2.5))
+        f = cg.Field(grid16, np.full(grid16.shape, 2.5))
         out = mollify(f, 4 * grid16.h)
         assert np.max(np.abs(out.values - 2.5)) < 1e-12
 
@@ -320,15 +321,16 @@ class TestMollify:
         assert out is f
 
     def test_complex_or_spectral_field_rejected(self, grid16):
-        # conductivity_from_array rejects complex gamma before mollifying
+        # conductivity_from_array rejects complex gamma before mollifying;
+        # a spectrum is a complex array, so it is rejected as complex
         f = self.real_field(grid16, 19)
-        for bad in (random_field(grid16, 19), cg.to_spectral(f)):
-            with pytest.raises(ValueError, match="real physical"):
-                mollify(bad, 4 * grid16.h)
+        for bad in (random_values(grid16, 19), np.fft.fftn(f.values, norm="ortho")):
+            with pytest.raises(ValueError, match="real field"):
+                mollify(cg.Field(grid16, bad), 4 * grid16.h)
 
     def test_flattening_monotone_in_width(self, grid32):
         r = grid32.radius_from_center
-        f = cg.physical_field(grid32, np.exp(-((r / 0.5) ** 2)))
+        f = cg.Field(grid32, np.exp(-((r / 0.5) ** 2)))
         mean = np.sum(f.values) * grid32.measure / grid32.L ** 3
         devs = []
         for eps in (2 * grid32.h, 4 * grid32.h, 8 * grid32.h):
@@ -342,12 +344,12 @@ class TestMollify:
         grid = cg.FrequencyGrid(3, 48, TWO_PI)
         a, radius = 0.5, 1.1
         r = grid.radius_from_center
-        cone = cg.physical_field(grid, a * np.maximum(0.0, 1.0 - r / radius))
+        cone = cg.Field(grid, a * np.maximum(0.0, 1.0 - r / radius))
         grad_sup_exact = a / radius
         eps = 8 * grid.h
 
         smooth = mollify(cone, eps)
-        grads = [cg.to_physical(g).values.real for g in spectral_gradient(smooth)]
+        grads = [g.real for g in _oracle_gradient(smooth.values, grid.L)]
         grad_sup = np.max(np.sqrt(sum(g * g for g in grads)))
         assert grad_sup <= grad_sup_exact * (1 + 1e-6)
 
@@ -361,10 +363,9 @@ class TestMollify:
 
         c_const = 4 * np.pi * quad(lambda t: dphi(t) * t * t, 0, 1, limit=200)[0] / mass
         hess_sup = 0.0
-        for i in range(3):
-            gi = spectral_gradient(smooth)[i]
-            for gj in spectral_gradient(gi):
-                hess_sup = max(hess_sup, np.max(np.abs(cg.to_physical(gj).values.real)))
+        for gi in grads:
+            for gj in _oracle_gradient(gi, grid.L):
+                hess_sup = max(hess_sup, np.max(np.abs(gj.real)))
         assert hess_sup <= (c_const / eps) * grad_sup_exact * 1.05
 
     @pytest.mark.parametrize("n", [32, 64])
@@ -430,7 +431,7 @@ class TestCutoff:
         rho = np.linspace(1.0, 2.0, 200001)
         chi = smooth_bridge(rho)
         c_bridge = np.max(np.abs(np.diff(chi))) / (rho[1] - rho[0])
-        grads = [cg.to_physical(g).values.real for g in spectral_gradient(phi)]
+        grads = [g.real for g in _oracle_gradient(phi.values, bump32.grid.L)]
         grad_sup = np.max(np.sqrt(sum(g * g for g in grads)))
         assert grad_sup <= (c_bridge / bump32.support_radius) * 1.05
 

@@ -14,10 +14,11 @@ import cgolab.cli
 import cgolab.recovery
 from cgolab.config import config_from_dict
 from cgolab.errors import CgolabError, FrameError, NotContractiveError
+from cgolab.grid import plane_wave
 from cgolab.recovery import _main_term, _solve_pair, alessandrini_terms
 from cgolab.spaces import smooth_bridge
 
-from conftest import BUMP_AMPLITUDE, BUMP_WIDTH, _oracle_gaussian_q, _oracle_lattice, psihat_field
+from conftest import BUMP_AMPLITUDE, BUMP_WIDTH, _oracle_gaussian_q, _oracle_lattice, full_psihat
 
 BAND, SAMPLES, SEED = 64.0, 4, 0
 
@@ -38,7 +39,7 @@ def stepwise_terms(cond, k, psi1, psi2):
     phi = cg.make_cutoff(cond).values
     qphi2 = cond.q.values * phi * phi * cond.grid.measure
     term_main, main_oracle = _main_term(cond, k, qphi2)
-    w = cg.exp_ik_field(cond.grid, k).values * qphi2
+    w = plane_wave(cond.grid, k) * qphi2
     term_linear, term_bilinear, total = alessandrini_terms(w, term_main, psi1, psi2)
     return {"term_main": term_main, "term_linear": term_linear, "term_bilinear": term_bilinear,
             "total": total, "main_oracle": main_oracle}
@@ -84,7 +85,7 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     pair = cg.zeta_pair_from_angle(k, 64.0, 0.7)
     modes1, _, psi1 = cg.solve_psi(bump64, pair.zeta1)
     modes2, _, psi2 = cg.solve_psi(bump64, pair.zeta2)
-    psihat1, psihat2 = (psihat_field(bump64.grid, modes) for modes in (modes1, modes2))
+    psihat1, psihat2 = (full_psihat(bump64.grid, modes) for modes in (modes1, modes2))
     terms = stepwise_terms(bump64, k, psi1, psi2)
 
     q = _oracle_gaussian_q(64, spectral=True)
@@ -101,8 +102,8 @@ def test_terms_match_plain_four_term_sum(bump64, k):
     else:
         slot1, slot2 = phi * phi * wave(k), np.ones(q.shape)
     # the slots in physical space from psihat, apart from the psi the solver hands over
-    u1 = np.fft.ifftn(psihat1.values, norm="ortho")
-    u2 = np.fft.ifftn(psihat2.values, norm="ortho")
+    u1 = np.fft.ifftn(psihat1, norm="ortho")
+    u2 = np.fft.ifftn(psihat2, norm="ortho")
 
     def form(u, v):
         return complex(np.sum(q * u * v) * (2.0 * np.pi / 64) ** 3)
@@ -164,8 +165,8 @@ def test_pair_solve_equals_sequential_solves(profile, n, bump32, bump64):
         modes_seq, rep_seq, psi_seq = cg.solve_psi(cond, zeta, tol=1e-10)
         for got, want in zip(modes, modes_seq):  # psihat on K, then K
             np.testing.assert_array_equal(got, want)
-        psihat, psihat_seq = (psihat_field(cond.grid, m) for m in (modes, modes_seq))
-        np.testing.assert_array_equal(psihat.values, psihat_seq.values)
+        psihat, psihat_seq = (full_psihat(cond.grid, m) for m in (modes, modes_seq))
+        np.testing.assert_array_equal(psihat, psihat_seq)
         np.testing.assert_array_equal(psi.values, psi_seq.values)
         assert dataclasses.asdict(rep) == dataclasses.asdict(rep_seq)
         assert rep.converged

@@ -1,6 +1,7 @@
 """Work that must be done only once: transforms per solver step, per
-pairing and per averaged decay, the harness's symbol evaluations, and the
-singular-integral quadrature's one slab pass per zeta for all its etas."""
+pairing, per averaged decay and per harness sample, the harness's symbol
+evaluations, and the singular-integral quadrature's one slab pass per
+zeta for all its etas."""
 
 import tracemalloc
 
@@ -132,6 +133,26 @@ class TestTransformCounts:
         assert all(points == 32 * 32 * 17 for _, _, points in fft_calls.work)
 
 
+    def test_harness_transforms_only_the_cube(self, grid16, fft_calls):
+        # per sample a pruned inverse of the draw and a pruned forward of
+        # phi_B u, each one axis at a time; 6 full transforms per sample
+        # when the norms were taken through physical fields
+        cond = cg.make_conductivity(grid16, {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE,
+                                             "width": BUMP_WIDTH})
+        phi = cg.make_cutoff(cond)
+        pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 2.0, 0.3)
+        fft_calls.clear()
+        for direction in ("inverse", "forward"):
+            cg.grid.cube_transform(grid16, np.zeros(grid16.shape, dtype=complex), direction)
+        per_sample = sum(points for _, _, points in fft_calls.work)
+        for call, samples in ((lambda: cg.localization_ratios(4, pair.zeta1, phi, seed=0), 4),
+                              (lambda: cg.bilinear_ratio(pair, phi, seed=0), 2)):
+            fft_calls.clear()
+            call()
+            assert fft_calls and all(axes is not None and len(axes) == 1 for _, axes, _ in fft_calls.work)
+            assert sum(points for _, _, points in fft_calls.work) <= samples * per_sample
+
+
 class TestLipschitzSeminorm:
     def test_built_on_first_read(self, grid32, fft_calls):
         cond = cg.make_conductivity(grid32, {"kind": "gaussian", "amplitude": 0.05, "width": 0.3})
@@ -195,7 +216,7 @@ class TestConductivityMemory:
         # spectrum (2.06 MiB) hold 8.07 MiB; 10.0 MiB with the full complex
         # q_hat, 20.0 MiB when every real field was held complex and g was cached
         grid = bump64.grid
-        grid.radius_from_center, grid.deriv_multipliers  # the grid's cached arrays
+        grid.radius_from_center, grid.half_deriv_multipliers  # the grid's cached arrays
         profile = {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH}
         tracemalloc.start()
         try:

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,11 +7,11 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.estimates import _norm_weights
-from cgolab.grid import complete_spectrum, dealias_23, l2_norm, spectral_gradient, weighted_l2
+from cgolab.grid import complete_spectrum
 from cgolab.spaces import clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from cgolab.symbol import lattice_symbol, make_zeta_pair
 
-from conftest import TWO_PI, psihat_field, random_field
+from conftest import TWO_PI, full_psihat, random_values
 
 
 @pytest.fixture(scope="module")
@@ -42,41 +44,46 @@ class TestBridge:
         assert 0.0 < chi[256] < 1.0
 
 
+def spectral_norm(grid, spec, weight=1.0):
+    """(sum weight |spec|^2 h^d)^{1/2}, a harness norm of the function
+    whose unitary spectrum is spec."""
+    return np.sqrt(np.sum(weight * np.abs(spec) ** 2) * grid.measure)
+
+
 class TestNorms:
-    """The harness norms: grid.weighted_l2 with the squared weights of
+    """The harness norms: plain spectral sums with the squared weights of
     estimates._norm_weights, which drop the modes under the cell floor s/2."""
 
     def test_b_zero_is_l2(self, grid16, zeta16):
         # the weights of b = 1/2 and -1/2 multiply to the L2 weight, zero
         # on the dropped modes for the homogeneous pair
-        f = random_field(grid16, 5)
+        f = random_values(grid16, 5)
         hom, inh, _ = _norm_weights(zeta16, grid16)
         kept = hom[0.5] > 0
         assert not kept[0, 0, 0]
         np.testing.assert_allclose(hom[0.5] * hom[-0.5], kept, rtol=1e-14, atol=0)
-        assert weighted_l2(f, inh[0.5] * inh[-0.5]) == pytest.approx(l2_norm(f), rel=1e-13)
+        l2 = np.sqrt(np.sum(np.abs(f) ** 2) * grid16.measure)
+        assert spectral_norm(grid16, f, inh[0.5] * inh[-0.5]) == pytest.approx(l2, rel=1e-13)
 
     def test_single_mode_value(self, grid16, zeta16):
         # |p| = 4 at xi = (0, 2, 0): the 1/2-norm is 2 sqrt(measure), the
         # -1/2-norm a quarter of that
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
-        f = cg.spectral_field(grid16, spec)
         hom, _, _ = _norm_weights(zeta16, grid16)
         expected = 2.0 * np.sqrt(grid16.measure)
-        assert weighted_l2(f, hom[0.5]) == pytest.approx(expected, rel=1e-12)
-        assert weighted_l2(f, hom[-0.5]) == pytest.approx(expected / 4.0, rel=1e-12)
+        assert spectral_norm(grid16, spec, hom[0.5]) == pytest.approx(expected, rel=1e-12)
+        assert spectral_norm(grid16, spec, hom[-0.5]) == pytest.approx(expected / 4.0, rel=1e-12)
 
     def test_x_norm_zero_mode(self, grid16, zeta16):
         # p(0) = 0: the inhomogeneous weight is |zeta|^{-1}, the homogeneous
         # one drops the mode
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[0, 0, 0] = 1.0
-        f = cg.spectral_field(grid16, spec)
         hom, inh, _ = _norm_weights(zeta16, grid16)
         expected = (np.sqrt(2.0) * zeta16.s) ** -0.5 * np.sqrt(grid16.measure)
-        assert weighted_l2(f, inh[-0.5]) == pytest.approx(expected, rel=1e-12)
-        assert weighted_l2(f, hom[-0.5]) == 0.0
+        assert spectral_norm(grid16, spec, inh[-0.5]) == pytest.approx(expected, rel=1e-12)
+        assert spectral_norm(grid16, spec, hom[-0.5]) == 0.0
 
     @given(seed=st.integers(0, 500))
     def test_inhomogeneous_dominated_by_homogeneous(self, seed):
@@ -84,8 +91,8 @@ class TestNorms:
         zeta = cg.Zeta(np.array([2.0, 0, 0]) - 2j * np.array([0, 1.0, 0]))
         hom, inh, _ = _norm_weights(zeta, grid)
         # off the dropped modes
-        f = cg.spectral_field(grid, cg.to_spectral(random_field(grid, seed)).values * (hom[0.5] > 0))
-        assert weighted_l2(f, inh[-0.5]) <= weighted_l2(f, hom[-0.5]) * (1 + 1e-12)
+        f = random_values(grid, seed) * (hom[0.5] > 0)
+        assert spectral_norm(grid, f, inh[-0.5]) <= spectral_norm(grid, f, hom[-0.5]) * (1 + 1e-12)
 
     def test_clamped_mass_fraction(self, grid16, zeta16):
         # the share of the L2 mass on the clamped modes, in plain numpy
@@ -94,8 +101,8 @@ class TestNorms:
         def fraction(spec):
             return np.linalg.norm(spec[clamped]) / np.linalg.norm(spec)
 
-        f = cg.to_spectral(cg.physical_field(grid16, np.ones(grid16.shape)))  # all mass at xi = 0
-        assert fraction(f.values) == pytest.approx(1.0)
+        f = np.fft.fftn(np.ones(grid16.shape), norm="ortho")  # all mass at xi = 0
+        assert fraction(f) == pytest.approx(1.0)
         spec = np.zeros(grid16.shape, dtype=complex)
         spec[grid16.mode_index(np.array([0.0, 2.0, 0.0]))] = 1.0
         assert fraction(spec) == 0.0
@@ -142,11 +149,12 @@ class TestProjections:
         # the high part of a 2/3-cube field lives at |xi| > 8s, off the
         # Nyquist planes, so its gradient is at least 8s times its L2 norm
         zeta = self.zeta(1.0)
-        f = cg.to_spectral(dealias_23(random_field(grid16, 13)))
-        high = cg.spectral_field(grid16, f.values * self.high_pass(zeta, grid16))
-        grad_norm = np.sqrt(sum(l2_norm(g) ** 2 for g in spectral_gradient(high)))
-        assert l2_norm(high) > 0
-        assert grad_norm >= 8.0 * zeta.s * l2_norm(high) * (1 - 1e-12)
+        high = random_values(grid16, 13) * grid16.dealias_mask * self.high_pass(zeta, grid16)
+        xi = grid16.xi_axis.copy()
+        xi[grid16.n // 2] = 0.0  # the derivative's Nyquist row
+        grad_weight = reduce(np.add.outer, [xi ** 2] * 3)
+        assert spectral_norm(grid16, high) > 0
+        assert spectral_norm(grid16, high, grad_weight) >= 8.0 * zeta.s * spectral_norm(grid16, high) * (1 - 1e-12)
 
 
 class TestInverse:
@@ -158,10 +166,10 @@ class TestInverse:
     @staticmethod
     def first_step(cond, zeta, **kwargs):
         modes, rep, _ = cg.solve_psi(cond, zeta, max_iter=1, **kwargs)
-        psi = psihat_field(cond.grid, modes)
+        psi = full_psihat(cond.grid, modes)
         pabs = np.abs(lattice_symbol(zeta, [cond.grid.xi_axis] * 3))
         clamped = clamp_rule(pabs, kwargs.get("clamp_eps", 1e-6), zeta.s)
-        return psi.values, rep, ~clamped & cond.grid.dealias_mask
+        return psi, rep, ~clamped & cond.grid.dealias_mask
 
     def test_single_mode_division(self, bump16, zeta16):
         # p((0, 2, 0)) = 4 for the lattice-aligned zeta
