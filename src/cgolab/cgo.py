@@ -38,7 +38,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import Field, complete_spectrum, cube_transform, spectrum_at
+from .grid import Field, cube_transform, spectrum_at
 from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, check_band, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
@@ -233,8 +233,8 @@ def select_zeta_sequence(
 
     Every band's pairs are drawn first, in band order, and all of them go
     through one pair_inverse_symbol_sums call with one |qhat_i|^2 row per
-    conductivity, so no per-sample symbol data is built and only zeta1's
-    symbol is evaluated; each norm is (S h^d)^{1/2}.
+    conductivity, on the half lattice, so no per-sample symbol data is
+    built and only zeta1's symbol is evaluated; each norm is (S h^d)^{1/2}.
     """
     conds = list(conds)
     if not conds:
@@ -260,8 +260,7 @@ def select_zeta_sequence(
             zeta_pair_from_angle(k, float(s), float(theta), plane)
             for s, theta in zip(s_draws, angles)
         ]
-    dens = np.stack([complete_spectrum(grid, np.abs(c.q_hat) ** 2) for c in conds])
-    sums = pair_inverse_symbol_sums(dens, pairs, grid, clamp_eps, "drop")
+    sums = pair_inverse_symbol_sums([np.abs(c.q_hat) ** 2 for c in conds], pairs, grid, clamp_eps, "drop")
     # norms[i, j, l]: conductivity i at zeta_l of pair j
     norms = np.sqrt(sums * grid.measure)
     out = []

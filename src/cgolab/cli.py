@@ -253,8 +253,9 @@ def _run_singbound(cfg: ExperimentConfig):
     rows = []
     # exactly cfg.trials rows: the first trials % len(s_values) values of s take one more
     per_s, extra = divmod(cfg.trials, len(cfg.s_values))
-    for i, s in enumerate(cfg.s_values):
-        pair = zeta_pair_from_angle(k, float(s), cfg.angle)
+    # every s is checked (|k| < 2s) before the first quadrature
+    pairs = [zeta_pair_from_angle(k, float(s), cfg.angle) for s in cfg.s_values]
+    for i, (s, pair) in enumerate(zip(cfg.s_values, pairs)):
         etas = rng.normal(size=(per_s + (i < extra), grid.d)) * s
         values = singbound_quadrature(pair.zeta1, etas, cfg.singbound_m, grid)
         rows += [

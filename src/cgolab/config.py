@@ -11,7 +11,6 @@ byte wherever it is written.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -107,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
         if not self.clamp_eps > 0:
             raise ConfigError(f"clamp_eps must be a positive number, got {self.clamp_eps!r}")
+        if not self.s > 0:
+            raise ConfigError(f"s must be a positive number, got {self.s!r}")
         for name, least in {**_INT_MINIMUM, "singbound_m": self.grid.d + 2}.items():
             value = getattr(self, name)
             if value < least:
@@ -244,4 +245,5 @@ def canonical_json(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
+    import hashlib  # imported by the runs that write outputs, not at start-up
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()[:16]

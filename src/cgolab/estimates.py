@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleGeometryError
-from .grid import Field, FrequencyGrid, complete_spectrum, cube_transform, real_forward, real_inverse
+from .grid import Field, FrequencyGrid, cube_transform, hermitian_planes, real_forward, real_inverse
 from .potential import Conductivity, potential_q
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from .symbol import Zeta, ZetaPair, char_distance, check_band, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
@@ -462,11 +462,11 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng) -> float:
 
 def _decay_density(grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field) -> np.ndarray:
     """The (s, eta)-independent density sum_j |(phi_B d_j f)^hat|^2 on the
-    full lattice, cut to the 2/3 cube, from the half spectrum of a real f.
+    half lattice, cut to the 2/3 cube, from the half spectrum of a real f.
     Each d_j f and its product with phi_B is real, so one derivative at a
     time goes back through the real pair, and forward only as far as the
     cube (real_forward with cube); the density is summed on the cube's
-    block of the half lattice and completed once as an even array."""
+    block of the half lattice and made exactly even (hermitian_planes)."""
     phi, cube = phi_B.values, grid.dealias_mask[..., : grid.n // 2 + 1]
     block = 0.0
     for mult in grid.half_deriv_multipliers:
@@ -475,7 +475,7 @@ def _decay_density(grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field) -> np.
         block = block + np.abs(real_forward(prod, cube=True)[cube]) ** 2
     half_dens = np.zeros(f_half.shape)
     half_dens[cube] = block
-    return complete_spectrum(grid, half_dens)
+    return hermitian_planes(grid, half_dens)
 
 
 def averaged_decay(
@@ -549,7 +549,7 @@ def averaged_decay(
                 pairs.append(zeta_pair_from_angle(k, float(s), float(theta), plane))
                 weights += [ws * a_weight] * 2
         # the floor cell_floor(grid, s) is clamp_eps * s with clamp_eps = dxi / 2
-        sums = pair_inverse_symbol_sums(dens, pairs, grid, cell_floor(grid, 1.0), "floor")[0]
+        sums = pair_inverse_symbol_sums([dens], pairs, grid, cell_floor(grid, 1.0), "floor")[0]
         total = float(np.dot(weights, sums.reshape(-1)) * grid.measure)
         row = {
             "lambda": lam,

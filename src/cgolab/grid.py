@@ -16,9 +16,10 @@ Conventions, fixed once for the whole package:
   real_forward / real_inverse on the half spectrum: the last axis keeps
   m_d = 0..n/2 (numpy rfftn order, shape (n, ..., n/2 + 1)), the others
   the full FFT order.  The modes it omits follow from X(-m) = conj X(m),
-  and complete_spectrum restores them where a full FFT-order spectrum is
-  needed (spectrum_at reads it at given modes).  An array on the half
-  lattice is the [..., :n//2 + 1] slice of its full-lattice form.
+  and spectrum_at reads them, with the held ones, at any given modes (an
+  even real array, such as a density |X|^2, is read the same way).  An
+  array on the half lattice is the [..., :n//2 + 1] slice of its
+  full-lattice form.
 * The transforms run axis by axis in numpy's order, with its bits, each
   pass in place in one array (the real pair's rfft / irfft make the new
   one).  real_inverse consumes its argument; callers pass a temporary.
@@ -217,9 +218,9 @@ def real_inverse(grid: FrequencyGrid, half: np.ndarray, norm: str = "ortho") -> 
 
 
 def hermitian_planes(grid: FrequencyGrid, spec: np.ndarray) -> np.ndarray:
-    """Replace each self-mirrored plane m_d = 0, n/2 of a half (or full)
-    spectrum, in place, by the mean of itself and its conjugate mirror:
-    the half transform leaves them Hermitian only to rounding."""
+    """Replace each self-mirrored plane m_d = 0, n/2 of a half spectrum,
+    in place, by the mean of itself and its conjugate mirror: the half
+    transform leaves them Hermitian only to rounding."""
     neg = (-np.arange(grid.n)) % grid.n  # FFT-order index of -m
     for plane in (0, grid.n // 2):
         face = spec[..., plane]
@@ -227,27 +228,11 @@ def hermitian_planes(grid: FrequencyGrid, spec: np.ndarray) -> np.ndarray:
     return spec
 
 
-def complete_spectrum(grid: FrequencyGrid, half: np.ndarray) -> np.ndarray:
-    """The full FFT-order spectrum X of a real field from its half
-    spectrum, with X(-m) = conj X(m) exactly: the self-mirrored planes are
-    made Hermitian (hermitian_planes), the rest mirrored.  A real half
-    array (an even density) is completed the same way.
-    """
-    n, half_n = grid.n, grid.n // 2
-    neg = (-np.arange(n)) % n  # FFT-order index of -m
-    out = np.empty(grid.shape, dtype=half.dtype)
-    out[..., : half_n + 1] = half
-    hermitian_planes(grid, out)
-    # m_d = n/2 + 1 .. n - 1 mirror m_d = n/2 - 1 .. 1 on the half lattice
-    mirror = np.ix_(*[neg] * (grid.d - 1), np.arange(half_n - 1, 0, -1))
-    out[..., half_n + 1 :] = np.conj(half[mirror])
-    return out
-
-
 def spectrum_at(grid: FrequencyGrid, half: np.ndarray, index) -> np.ndarray:
-    """complete_spectrum(grid, half)[index] for a half spectrum with
-    Hermitian planes (hermitian_planes): index is d FFT-order ints or
-    broadcasting arrays (np.ix_); X(m) = conj X(-m) for m_d > n/2."""
+    """The full FFT-order spectrum X of a real field at index, from its
+    half spectrum with Hermitian planes (hermitian_planes): index is d
+    FFT-order ints or broadcasting arrays (np.ix_); X(m) = conj X(-m) for
+    m_d > n/2."""
     upper = np.asarray(index[-1]) > grid.n // 2
     vals = np.asarray(half[tuple(np.where(upper, -np.asarray(i) % grid.n, i) for i in index)])
     return np.conjugate(vals, out=vals, where=upper)

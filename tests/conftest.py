@@ -47,6 +47,12 @@ def uniform32(grid32):
     return cg.make_conductivity(grid32, {"kind": "uniform"})
 
 
+def full_spectrum(grid, half):
+    """The full FFT-order spectrum of a real field from its half spectrum,
+    read at every mode."""
+    return cg.grid.spectrum_at(grid, half, np.ix_(*[np.arange(grid.n)] * grid.d))
+
+
 def full_psihat(grid, modes):
     """The full-lattice psihat of solve_psi's (psihat on K, K): zero off K."""
     values, kept = modes

@@ -26,6 +26,18 @@ def test_cli_import_leaves_scipy_unloaded():
     subprocess.run([sys.executable, "-c", code, str(SRC)], check=True)
 
 
+def test_cli_import_and_config_read_leave_hashlib_unloaded(tmp_path):
+    # hashlib is imported when a run takes its config hash, not at start-up
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"n": 16}}))
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cgolab.cli; "
+        "from cgolab.config import config_from_file; config_from_file(sys.argv[2]); "
+        "assert 'hashlib' not in sys.modules, 'hashlib is loaded before a config hash'"
+    )
+    subprocess.run([sys.executable, "-c", code, str(SRC), str(path)], check=True)
+
+
 def test_threads_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["verify-estimates", "--config", "c.json", "--threads", "2"])
@@ -300,16 +312,19 @@ def test_sweep_infeasible_band_exits_before_building_a_conductivity(subcommand, 
         ("solve-cgo", {"s": 0.4}, "2s = 0.8"),
         ("verify-estimates", {"s": 0.25}, "2s = 0.5"),
         ("verify-estimates", {"s_values": [8.0, 0.25]}, "2s = 0.5"),
+        ("singbound", {"s_values": [8.0, 0.4]}, "2s = 0.8"),
     ],
 )
 def test_infeasible_s_or_band_exits_before_building_a_conductivity(
     subcommand, config, named, tmp_path, capsys, monkeypatch
 ):
-    # |k| = 1 at k = e_z needs 2s > 1 (2 band > 1 at the last band): decided by the config alone
+    # |k| = 1 at k = e_z needs 2s > 1 (2 band > 1 at the last band): decided
+    # by the config alone, before a conductivity or a singbound quadrature
     def forbidden(*args, **kwargs):
-        raise AssertionError("built a conductivity for an infeasible s or band")
+        raise AssertionError("computed for an infeasible s or band")
 
     monkeypatch.setattr(cgolab.cli, "make_conductivity", forbidden)
+    monkeypatch.setattr(cgolab.cli, "singbound_quadrature", forbidden)
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"grid": {"n": 16}, **config, "out_dir": str(tmp_path / "out")}))
     assert main([subcommand, "--config", str(path)]) == EXIT_GEOMETRY

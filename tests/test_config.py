@@ -15,14 +15,15 @@ def test_unknown_threads_field_rejected():
         ("tol", [0.0, -1.0, "a"]),
         ("clamp_eps", [0.0, -1e-6, float("nan"), "a"]),
         ("max_iter", [0, -3, 2.5]),
+        ("s", [0.0, -2.0, float("nan"), "a"]),
     ],
 )
 def test_solver_field_rejected(field, values):
     for value in values:
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=f"^{field} must"):
             config_from_dict({field: value})
     # the boundary values are accepted
-    config_from_dict({"tol": 1e-14, "clamp_eps": 1e-300, "max_iter": 1})
+    config_from_dict({"tol": 1e-14, "clamp_eps": 1e-300, "max_iter": 1, "s": 1e-300})
 
 
 @pytest.mark.parametrize(

@@ -245,10 +245,15 @@ def test_spectrum_at_reads_the_completed_spectrum(d, n):
     # a held half spectrum (Conductivity.q_hat) has Hermitian planes, and
     # its mirror reads are the completed spectrum bit for bit
     grid = cg.FrequencyGrid(d, n, TWO_PI)
-    raw = cg.grid.real_forward(np.random.default_rng(n + d).normal(size=grid.shape))
-    half = cg.grid.hermitian_planes(grid, raw.copy())
-    full = cg.grid.complete_spectrum(grid, raw)
-    np.testing.assert_array_equal(cg.grid.complete_spectrum(grid, half), full)
+    real = np.random.default_rng(n + d).normal(size=grid.shape)
+    half = cg.grid.hermitian_planes(grid, cg.grid.real_forward(real))
+    # completed in plain numpy: X(m) = conj X(-m) for m_d = n/2 + 1 .. n - 1
+    neg = (-np.arange(n)) % n  # FFT-order index of -m
+    full = np.empty(grid.shape, dtype=complex)
+    full[..., : n // 2 + 1] = half
+    full[..., n // 2 + 1 :] = np.conj(half[np.ix_(*[neg] * (d - 1), neg[n // 2 + 1 :])])
+    np.testing.assert_array_equal(full[np.ix_(*[neg] * d)], np.conj(full))
+    np.testing.assert_allclose(full, np.fft.fftn(real, norm="ortho"), rtol=0, atol=1e-12)
     every = np.arange(n)
     np.testing.assert_array_equal(cg.grid.spectrum_at(grid, half, np.ix_(*[every] * d)), full)
     band = np.flatnonzero(np.abs(grid.mode_axis) <= n // 3)

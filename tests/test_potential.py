@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 import cgolab as cg
 from cgolab.errors import DomainError
-from cgolab.grid import complete_spectrum, plane_wave
+from cgolab.grid import plane_wave
 from cgolab.potential import _bump_spectrum, conductivity_from_array, mollify
 from cgolab.spaces import smooth_bridge
 
@@ -17,6 +17,7 @@ from conftest import (
     _oracle_laplacian,
     _oracle_lattice,
     _oracle_leibniz_form,
+    full_spectrum,
     random_values,
     write_gamma_file,
 )
@@ -261,12 +262,12 @@ class TestRealPath:
 
     def test_q_hat_matches_complex_transform(self, n, profile):
         cond = cg.make_conductivity(cg.FrequencyGrid(3, n, TWO_PI), profile)
-        q_hat = complete_spectrum(cond.grid, cond.q_hat)
+        q_hat = full_spectrum(cond.grid, cond.q_hat)
         self.close(q_hat, np.fft.fftn(cond.q.values.real, norm="ortho"))
 
     def test_q_hat_is_hermitian_bit_for_bit(self, n, profile):
         grid = cg.FrequencyGrid(3, n, TWO_PI)
-        q_hat = complete_spectrum(grid, cg.make_conductivity(grid, profile).q_hat)
+        q_hat = full_spectrum(grid, cg.make_conductivity(grid, profile).q_hat)
         neg = (-np.arange(n)) % n  # -m in FFT order; fixes 0 and the Nyquist n/2
         np.testing.assert_array_equal(q_hat[np.ix_(neg, neg, neg)], np.conj(q_hat))
 

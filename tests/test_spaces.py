@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,11 +8,10 @@ from hypothesis import strategies as st
 
 import cgolab as cg
 from cgolab.estimates import _norm_weights
-from cgolab.grid import complete_spectrum
 from cgolab.spaces import clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from cgolab.symbol import lattice_symbol, make_zeta_pair
 
-from conftest import TWO_PI, full_psihat, random_values
+from conftest import TWO_PI, full_psihat, full_spectrum, random_values
 
 
 @pytest.fixture(scope="module")
@@ -175,12 +175,12 @@ class TestInverse:
         # p((0, 2, 0)) = 4 for the lattice-aligned zeta
         psi, _, _ = self.first_step(bump16, zeta16)
         idx = bump16.grid.mode_index(np.array([0.0, 2.0, 0.0]))
-        assert psi[idx] == pytest.approx(0.25 * complete_spectrum(bump16.grid, bump16.q_hat)[idx], rel=1e-14)
+        assert psi[idx] == pytest.approx(0.25 * full_spectrum(bump16.grid, bump16.q_hat)[idx], rel=1e-14)
 
     def test_right_inverse_identity_off_clamped(self, bump16, pair16):
         z = pair16.zeta1
         psi, _, kept = self.first_step(bump16, z)
-        qhat = complete_spectrum(bump16.grid, bump16.q_hat)
+        qhat = full_spectrum(bump16.grid, bump16.q_hat)
         back = lattice_symbol(z, [bump16.grid.xi_axis] * 3) * psi
         assert np.max(np.abs(back[kept] - qhat[kept])) <= 1e-11 * np.max(np.abs(qhat[kept]))
         assert np.all(psi[~kept] == 0.0)
@@ -193,21 +193,23 @@ class TestInverse:
         m = np.fft.fftfreq(16, d=1.0 / 16)
         xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ z.value))
-        qhat = complete_spectrum(bump16.grid, bump16.q_hat)[kept]
+        qhat = full_spectrum(bump16.grid, bump16.q_hat)[kept]
         lhs = np.sqrt(np.sum(pabs * np.abs(psi) ** 2) * bump16.grid.measure)
         rhs = np.sqrt(np.sum(np.abs(qhat) ** 2 / pabs[kept]) * bump16.grid.measure)
         assert lhs == pytest.approx(rhs, rel=1e-11)
 
     def test_drop_policy_zeroes(self, bump16, zeta16):
         psi, rep, _ = self.first_step(bump16, zeta16, clamp_eps=1e-6)
-        assert complete_spectrum(bump16.grid, bump16.q_hat)[0, 0, 0] != 0.0
+        assert full_spectrum(bump16.grid, bump16.q_hat)[0, 0, 0] != 0.0
         assert psi[0, 0, 0] == 0.0
         assert rep.clamped_mass > 0
 
 
 class TestInverseSymbolSums:
     """The pair -1/2 kernel against a per-zeta plain-numpy oracle: sums at
-    zeta2 come from zeta1's symbol and the mirrored density row."""
+    zeta2 come from zeta1's symbol and the mirrored density row.  The
+    kernel reads even densities on the half lattice; the oracle sums the
+    full lattice."""
 
     K = np.array([0.0, 0.0, 1.0])
     KS = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 0.0]))
@@ -225,18 +227,29 @@ class TestInverseSymbolSums:
             ])
         return out
 
+    @staticmethod
+    def even(dens):
+        """dens(m) + dens(-m): exactly even on the full FFT-order lattice."""
+        neg = (-np.arange(dens.shape[0])) % dens.shape[0]  # FFT-order index of -m
+        return dens + dens[np.ix_(neg, neg, neg)]
+
     @pytest.fixture(scope="class")
-    def dens(self, grid16):
-        # a full row (the Nyquist planes m_j = -8 included) and a cube row
+    def full_dens(self, grid16):
+        # |uhat|^2 of real noise: a full row (the Nyquist planes m_j = -8
+        # included) and a cube row
         rng = np.random.default_rng(3)
-        full = rng.random(grid16.shape) + 0.5
-        cube = rng.random(grid16.shape) * grid16.dealias_mask
-        return np.stack([full, cube])
+        full = np.abs(np.fft.fftn(rng.standard_normal(grid16.shape))) ** 2
+        cube = np.abs(np.fft.fftn(rng.standard_normal(grid16.shape))) ** 2 * grid16.dealias_mask
+        return np.stack([self.even(full), self.even(cube)])
+
+    @pytest.fixture(scope="class")
+    def dens(self, full_dens):
+        return full_dens[..., : full_dens.shape[-1] // 2 + 1]
 
     @staticmethod
     def oracle(dens, zeta, n, clamp_eps, policy):
-        """sum_xi dens(xi) w(xi), |p| = |-|xi|^2 + 2i zeta . xi| built per
-        zeta."""
+        """sum_xi dens(xi) w(xi) over the full lattice, |p| = |-|xi|^2 +
+        2i zeta . xi| built per zeta."""
         m = np.fft.fftfreq(n, d=1.0 / n)
         xi = np.stack(np.meshgrid(m, m, m, indexing="ij"), axis=-1)
         pabs = np.abs(-np.sum(xi * xi, axis=-1) + 2j * (xi @ zeta.value))
@@ -256,32 +269,46 @@ class TestInverseSymbolSums:
 
     @pytest.mark.parametrize("policy", ["floor", "drop"])
     @pytest.mark.parametrize("eps", ["1e-6", "cell"])
-    def test_matches_per_zeta_oracle(self, grid16, pairs, dens, policy, eps):
+    def test_matches_per_zeta_oracle(self, grid16, pairs, dens, full_dens, policy, eps):
         clamp_eps = 1e-6 if eps == "1e-6" else grid16.freq_step / 2.0
         for batch in pairs:
             sums = pair_inverse_symbol_sums(dens, batch, grid16, clamp_eps, policy)
-            self.check(sums, dens, batch, clamp_eps, policy)
+            self.check(sums, full_dens, batch, clamp_eps, policy)
 
-    def test_value_independent_of_batch(self, grid16, dens, monkeypatch):
+    def test_value_independent_of_batch(self, grid16, dens, full_dens, monkeypatch):
         # a pair alone and among others, first, inside and last in a batch,
         # summed over six axis-0 slabs of the 17 x 17 x 16 box (the last partial)
         monkeypatch.setattr(cg.spaces, "SLAB_POINTS", 3 * 17 * 16)
         for k in self.KS:
             batch = [cg.zeta_pair_from_angle(k, 4.0 + 0.05 * j, 0.1 * j) for j in range(7)]
             together = pair_inverse_symbol_sums(dens, batch, grid16, 1e-6, "drop")
-            self.check(together, dens, batch, 1e-6, "drop")
+            self.check(together, full_dens, batch, 1e-6, "drop")
             for j in (0, 3, 6):
                 alone = pair_inverse_symbol_sums(dens, [batch[j]], grid16, 1e-6, "drop")
                 np.testing.assert_allclose(alone[:, 0], together[:, j], rtol=1e-14)
 
+    def test_memory_does_not_grow_with_the_pairs(self, bump32):
+        # one box per row and per-slab buffers: 64 pairs hold no more than 4
+        # beyond their per-axis terms
+        grid = bump32.grid
+        dens = [np.abs(bump32.q_hat) ** 2]
+        peaks = []
+        for count in (4, 64):
+            pairs = [cg.zeta_pair_from_angle(self.K, 8.0 + 0.1 * j, 0.1 * j) for j in range(count)]
+            tracemalloc.start()
+            pair_inverse_symbol_sums(dens, pairs, grid, 1e-6, "drop")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.25 * 2 ** 20
+
     def test_mirror_of_the_origin_is_a_zero(self, grid16):
         # p_1(-k) = p_2(0) = 0; with a floor far under rounding (1e-20 s)
         # both zetas see exactly the floored weight at xi = 0
-        row = np.zeros(grid16.shape)
+        row = np.zeros((16, 16, 9))
         row[0, 0, 0] = 1.0
         for k in self.KS:
             pair = cg.zeta_pair_from_angle(k, 5.0, 0.4)
-            sums = pair_inverse_symbol_sums(row, [pair], grid16, 1e-20)
+            sums = pair_inverse_symbol_sums([row], [pair], grid16, 1e-20, "floor")
             np.testing.assert_allclose(sums[0, 0], 1e20 / pair.s, rtol=1e-13)
 
     def test_nonpositive_clamp_rejected(self, grid16, pairs, dens, bump32):
@@ -289,7 +316,7 @@ class TestInverseSymbolSums:
         # selection built on them
         for clamp_eps in (0.0, -1e-6, float("nan")):
             with pytest.raises(ValueError, match="clamp_eps"):
-                pair_inverse_symbol_sums(dens, pairs[1], grid16, clamp_eps)
+                pair_inverse_symbol_sums(dens, pairs[1], grid16, clamp_eps, "floor")
             with pytest.raises(ValueError, match="clamp_eps"):
                 cg.select_zeta_sequence([bump32], self.K, [8.0], 2, seed=0, clamp_eps=clamp_eps)
 
@@ -305,13 +332,17 @@ class TestInverseSymbolSums:
         assert [len(band.samples) for band in selection] == [3, 3]
 
     def test_zero_density_gives_zeros(self, grid16, pairs):
-        sums = pair_inverse_symbol_sums(np.zeros((2,) + grid16.shape), pairs[1], grid16, 1e-6)
+        sums = pair_inverse_symbol_sums(np.zeros((2, 16, 16, 9)), pairs[1], grid16, 1e-6, "floor")
         assert sums.shape == (2, 3, 2) and not sums.any()
 
     def test_rejects_pairs_with_different_k(self, grid16, pairs):
         with pytest.raises(ValueError, match="share one k"):
-            pair_inverse_symbol_sums(np.ones(grid16.shape), pairs[1] + pairs[2], grid16)
+            pair_inverse_symbol_sums([np.ones((16, 16, 9))], pairs[1] + pairs[2], grid16, 1e-6, "floor")
 
     def test_rejects_negative_density(self, grid16, pairs):
-        with pytest.raises(ValueError):
-            pair_inverse_symbol_sums(-np.ones(grid16.shape), pairs[0], grid16)
+        with pytest.raises(ValueError, match="nonnegative"):
+            pair_inverse_symbol_sums([-np.ones((16, 16, 9))], pairs[0], grid16, 1e-6, "floor")
+
+    def test_rejects_full_lattice_rows(self, grid16, pairs):
+        with pytest.raises(ValueError, match="half-lattice shape"):
+            pair_inverse_symbol_sums([np.ones(grid16.shape)], pairs[1], grid16, 1e-6, "floor")
