@@ -125,7 +125,7 @@ def pair_inverse_symbol_sums(
     for j in range(grid.d):
         other = tuple(a for a in range(grid.d) if a != j)
         held = np.flatnonzero(support.any(axis=other))
-        m = grid.mode_axis[np.union1d(held, -held % grid.n)]
+        m = grid.mode_axis[np.concatenate([held, -held % grid.n])]
         ranges.append(np.arange(m.min(), m.max() + 1))
         lo.append(min(m.min(), -m.max() - k_mode[j]))
     del support
