@@ -154,8 +154,9 @@ def pair_inverse_symbol_sums(
     outer = lambda u, v: (u[..., :, None] + v[..., None, :]).reshape(u.shape[:-1] + (-1,))
     heads = reduce(outer, terms[1:-1]) if grid.d > 2 else np.zeros((len(pairs), 2, 1))
     floors = [(clamp_eps * pair.zeta1.s) ** 2 for pair in pairs]
-    # a pair's two planes, the outer sums head + last, are [head, 1] @ [1; last]:
-    # both products are exact, so each entry is rounded once, as by an add
+    # a pair's two planes, the outer sums head + last over the axes after the
+    # first (head 0 at d = 2), are [head, 1] @ [1; last]: both products are
+    # exact, so each entry is rounded once, as by an add
     left, right = np.ones((2, heads.shape[-1], 2)), np.ones((2, 2, shape[-1]))
     planes = np.empty((2, heads.shape[-1], shape[-1]))
 
