@@ -38,7 +38,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InfeasibleGeometryError, NotContractiveError
-from .grid import Field, cube_transform, spectrum_at
+from .grid import Field, FrequencyGrid, cube_transform, spectrum_at
 from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums
 from .symbol import Zeta, ZetaPair, check_band, lattice_symbol, orthonormal_plane, zeta_pair_from_angle
@@ -219,7 +219,8 @@ class BandSelection:
 
 
 def select_zeta_sequence(
-    conds,
+    dens,
+    grid: FrequencyGrid,
     k,
     bands,
     samples_per_band: int,
@@ -231,14 +232,17 @@ def select_zeta_sequence(
     zeta_j, with clamped modes dropped as in the solver.  Fixed seed =>
     identical selection (ties broken on (s, angle)).
 
-    Every band's pairs are drawn first, in band order, and all of them go
-    through one pair_inverse_symbol_sums call with one |qhat_i|^2 row per
-    conductivity, on the half lattice, so no per-sample symbol data is
-    built and only zeta1's symbol is evaluated; each norm is (S h^d)^{1/2}.
+    dens holds one row np.abs(q_hat_i) ** 2 per conductivity, on the
+    grid's half lattice (ValueError for another shape or a negative
+    entry), each even, dens_i(-xi) = dens_i(xi) exactly (not checked, as
+    in pair_inverse_symbol_sums; Hermitian q_hat planes make it so).  All
+    bands' pairs are drawn first, in band order, and go through one
+    pair_inverse_symbol_sums call, so no per-sample symbol data is built
+    and only zeta1's symbol is evaluated; each norm is (S h^d)^{1/2}.
     """
-    conds = list(conds)
-    if not conds:
-        raise ValueError("need at least one conductivity")
+    dens = list(dens)
+    if not dens:
+        raise ValueError("need at least one density row")
     bands = [float(b) for b in bands]
     if not bands or any(b2 <= b1 for b1, b2 in zip(bands, bands[1:])):
         raise InfeasibleGeometryError("bands must be a nonempty increasing list")
@@ -246,7 +250,6 @@ def select_zeta_sequence(
         raise InfeasibleGeometryError("samples_per_band must be >= 1")
     k = np.asarray(k, dtype=float)
     check_band(k, min(bands))
-    grid = conds[0].grid
     grid.mode_index(k)  # k must be on the frequency lattice
 
     plane = orthonormal_plane(k)
@@ -260,7 +263,7 @@ def select_zeta_sequence(
             zeta_pair_from_angle(k, float(s), float(theta), plane)
             for s, theta in zip(s_draws, angles)
         ]
-    sums = pair_inverse_symbol_sums([np.abs(c.q_hat) ** 2 for c in conds], pairs, grid, clamp_eps, "drop")
+    sums = pair_inverse_symbol_sums(dens, pairs, grid, clamp_eps, "drop")
     # norms[i, j, l]: conductivity i at zeta_l of pair j
     norms = np.sqrt(sums * grid.measure)
     out = []

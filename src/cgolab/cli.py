@@ -73,7 +73,7 @@ from .estimates import (
     schur_bound,
     singbound_quadrature,
 )
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, real_forward
 from .potential import make_conductivity, make_cutoff, read_gamma_file
 from .recovery import recover_modes
 from .symbol import check_band, zeta_pair_from_angle
@@ -188,9 +188,10 @@ def _run_select_zeta(cfg: ExperimentConfig):
     grid = _grid(cfg)
     k = grid.lattice_frequency(cfg.k_mode)
     check_band(k, min(cfg.bands))
-    conds = [_conductivity(grid, p) for p in cfg.profiles]
+    # one |q_hat|^2 row per profile; each conductivity is dropped once its row exists
+    dens = [np.abs(_conductivity(grid, p).q_hat) ** 2 for p in cfg.profiles]
     sels = select_zeta_sequence(
-        conds, k, cfg.bands, cfg.samples_per_band, cfg.seed, cfg.clamp_eps
+        dens, grid, k, cfg.bands, cfg.samples_per_band, cfg.seed, cfg.clamp_eps
     )
     bands = [
         {"lambda": sel.lam, "objective": sel.objective, "s": sel.pair.s,
@@ -240,7 +241,9 @@ def _run_averaged_decay(cfg: ExperimentConfig):
     check_band(k, min(cfg.bands))
     cond = _conductivity(grid, cfg.profiles[0])
     phi = make_cutoff(cond)
-    bands, trend = averaged_decay(cond.log_g, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi)
+    f_half = real_forward(cond.log_g.values)
+    del cond  # the bands read only the cutoff and the half spectrum of log g
+    bands, trend = averaged_decay(f_half, k, cfg.bands, cfg.quad_s, cfg.quad_eta, phi)
     columns = ["lambda", "A", "A_over_lambda", "normalized_theta_0",
                "normalized_theta_0.5", "normalized_theta_1"]
     return {"trend": trend, "bands": bands}, {"bands": (columns, bands)}

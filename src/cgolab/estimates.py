@@ -463,23 +463,32 @@ def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng) -> float:
 def _decay_density(grid: FrequencyGrid, f_half: np.ndarray, phi_B: Field) -> np.ndarray:
     """The (s, eta)-independent density sum_j |(phi_B d_j f)^hat|^2 on the
     half lattice, cut to the 2/3 cube, from the half spectrum of a real f.
-    Each d_j f and its product with phi_B is real, so one derivative at a
-    time goes back through the real pair, and forward only as far as the
-    cube (real_forward with cube); the density is summed on the cube's
-    block of the half lattice and made exactly even (hermitian_planes)."""
-    phi, cube = phi_B.values, grid.dealias_mask[..., : grid.n // 2 + 1]
-    block = 0.0
+    Each d_j f and its product with phi_B is real, so the d derivatives
+    take turns in two buffers, a half spectrum and a real array: back, the
+    product, and forward only as far as the cube (real_forward with cube).
+    The squares are summed in a cube-sized array through slice views of
+    the cube's blocks (slices of the half lattice and of that array), then
+    placed and made exactly even (hermitian_planes)."""
+    third = grid.n // 3
+    halves = ((slice(0, third + 1),) * 2, (slice(grid.n - third, None), slice(third + 1, None)))
+    blocks = [tuple(zip(*[halves[i] for i in pick + (0,)])) for pick in np.ndindex(*[2] * (grid.d - 1))]
+    cube = np.zeros((2 * third + 1,) * (grid.d - 1) + (third + 1,))
+    spec, prod = np.empty(f_half.shape, dtype=complex), np.empty(grid.shape)
     for mult in grid.half_deriv_multipliers:
-        prod = real_inverse(grid, f_half * mult)
-        prod *= phi
-        block = block + np.abs(real_forward(prod, cube=True)[cube]) ** 2
+        real_inverse(grid, np.multiply(f_half, mult, out=spec), out=prod)
+        prod *= phi_B.values
+        real_forward(prod, cube=True, out=spec)
+        for half, block in blocks:
+            cube[block] += np.abs(spec[half]) ** 2
+    del spec, prod
     half_dens = np.zeros(f_half.shape)
-    half_dens[cube] = block
+    for half, block in blocks:
+        half_dens[half] = cube[block]
     return hermitian_planes(grid, half_dens)
 
 
 def averaged_decay(
-    f: Field,
+    f_half: np.ndarray,
     k,
     bands,
     quad_s: int,
@@ -496,15 +505,15 @@ def averaged_decay(
     zetas equally, so for even quad_eta only theta_j < pi is built, at
     twice the angle weight; an odd quad_eta keeps every angle.
 
-    f must be a real field (ValueError otherwise).  The density
+    f_half is the half spectrum of the real f, real_forward(f) on phi_B's
+    grid (ValueError unless a complex array of that shape); it is only
+    read, and f itself is never needed.  The density
     sum_j |(phi_B d_j f)^hat|^2 does not depend on zeta and is built one
-    derivative at a time on the half spectrum (_decay_density); each
-    product spectrum is cut by the 2/3 rule, so the density vanishes
-    outside that cube.  A band's (s, angle) pairs go through one
+    derivative at a time in two buffers (_decay_density); each product
+    spectrum is cut by the 2/3 rule, so the density vanishes outside that
+    cube.  A band's (s, angle) pairs go through one
     pair_inverse_symbol_sums call, which evaluates only zeta1's symbol,
     and A is the quadrature weights dotted with its sums at both zetas.
-    f is transformed once, and its half spectrum is dropped before the
-    bands.
 
     Returns one record per band, with lambda, A, A/lam, and A normalized
     against lam^{1-theta} ||f||_{H^theta}^2 for theta in {0, 1/2, 1}, and
@@ -518,12 +527,12 @@ def averaged_decay(
         raise InfeasibleGeometryError("bands must be a nonempty increasing list")
     k = np.asarray(k, dtype=float)
     check_band(k, min(bands))
-    grid = f.grid
+    grid = phi_B.grid
     grid.mode_index(k)
 
-    if np.iscomplexobj(f.values):
-        raise ValueError("averaged_decay needs a real field f")
-    f_half = real_forward(f.values)
+    half_shape = grid.shape[:-1] + (grid.n // 2 + 1,)
+    if not np.iscomplexobj(f_half) or np.shape(f_half) != half_shape:
+        raise ValueError(f"averaged_decay needs the half spectrum of f: a complex array of shape {half_shape}")
     # ||f||_{H^theta}^2 on the half spectrum; planes 0 < m_d < n/2 count twice
     f_sq = np.abs(f_half) ** 2
     f_sq[..., 1 : grid.n // 2] *= 2.0
@@ -532,7 +541,6 @@ def averaged_decay(
     h_sq = {theta: float(np.sum(f_sq * bracket_sq ** theta) * grid.measure) for theta in (0.0, 0.5, 1.0)}
     del f_sq, bracket_sq
     dens = _decay_density(grid, f_half, phi_B)
-    del f_half
 
     plane = orthonormal_plane(k)
     n_angles = quad_eta // 2 if quad_eta % 2 == 0 else quad_eta  # theta < pi for even quad_eta

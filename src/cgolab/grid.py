@@ -22,7 +22,8 @@ Conventions, fixed once for the whole package:
   full-lattice form.
 * The transforms run axis by axis in numpy's order, with its bits, each
   pass in place in one array (the real pair's rfft / irfft make the new
-  one).  real_inverse consumes its argument; callers pass a temporary.
+  one, or fill out=).  real_inverse consumes its argument; callers pass a
+  temporary, so two buffers, half and real, can carry a chain of them.
 * Compactly supported data is expected to live in the ball of radius
   L/4 around the torus centre (L/2, ..., L/2), keeping periodization
   error at spectral accuracy.
@@ -197,24 +198,24 @@ def plane_wave(grid: FrequencyGrid, k) -> np.ndarray:
     return wave
 
 
-def real_forward(values: np.ndarray, norm: str = "ortho", cube: bool = False) -> np.ndarray:
+def real_forward(values: np.ndarray, norm: str = "ortho", cube: bool = False, out=None) -> np.ndarray:
     """Unitary DFT of a real lattice array, on the half spectrum (numpy
     rfftn, with its bits): rfft along the last axis into one complex
-    array, then the other axes in place, last first.  With cube, each
-    axis after the first transforms only the lines whose output can fall
-    in the 2/3 cube, as cube_transform's forward does: the cube block is
-    exact and the modes off it hold partial sums.  norm is numpy's."""
+    array (out, if given), then the other axes in place, last first.  With
+    cube, each axis after the first transforms only the lines whose output
+    can fall in the 2/3 cube, as cube_transform's forward does: the cube
+    block is exact and the modes off it hold partial sums.  norm is numpy's."""
     d = values.ndim
     pruned = (lambda axis: range(axis + 1, d)) if cube else (lambda axis: ())
-    return _transform_lines(np.fft.rfft(values, norm=norm), np.fft.fftn, reversed(range(d - 1)), pruned, norm)
+    return _transform_lines(np.fft.rfft(values, norm=norm, out=out), np.fft.fftn, reversed(range(d - 1)), pruned, norm)
 
 
-def real_inverse(grid: FrequencyGrid, half: np.ndarray, norm: str = "ortho") -> np.ndarray:
+def real_inverse(grid: FrequencyGrid, half: np.ndarray, norm: str = "ortho", out=None) -> np.ndarray:
     """The real lattice array whose real_forward is the half spectrum
-    (numpy irfftn, with its bits).  It consumes half: the axes before the
-    last are inverted in place, first to last, then irfft along the last."""
+    (numpy irfftn, with its bits), in out if given.  It consumes half: the
+    other axes are inverted in place, first to last, then irfft the last."""
     _transform_lines(half, np.fft.ifftn, range(grid.d - 1), lambda axis: (), norm)
-    return np.fft.irfft(half, n=grid.n, norm=norm)
+    return np.fft.irfft(half, n=grid.n, norm=norm, out=out)
 
 
 def hermitian_planes(grid: FrequencyGrid, spec: np.ndarray) -> np.ndarray:

@@ -29,9 +29,11 @@ Shipped profile families (amplitude a, centred at the torus centre):
 A profile key outside its family's parameters, "center" among them,
 raises DomainError.  Non-smooth profiles ("c1_cap", "cone") are
 pre-mollified at width 2h before any spectral differentiation, which
-widens the support radius by 2h.  gamma, g, log g, q, mollified fields
-and the cutoff are float64 Fields; q_hat, the spectrum of q, is a complex
-array on the half spectrum.
+widens the support radius by 2h.  A profile is formed in place in one
+radius array (c1_cap adds one for t^3), operation by operation as its
+formula reads, and the support check reuses one more.  gamma, g, log g, q,
+mollified fields and the cutoff are float64 Fields; q_hat, the spectrum
+of q, is a complex array on the half spectrum.
 """
 
 from __future__ import annotations
@@ -102,13 +104,13 @@ def _validate_gamma(grid: FrequencyGrid, vals: np.ndarray, support_radius: float
         raise DomainError(
             f"support radius {support_radius:.6g} exceeds L/4 = {grid.L / 4:.6g}"
         )
-    outside = grid.radius_from_center > support_radius
-    if outside.any():
-        dev = float(np.max(np.abs(vals[outside] - 1.0)))
-        if dev > _SUPPORT_TOL:
-            raise DomainError(
-                f"gamma deviates from 1 by {dev:.3e} outside radius {support_radius:.6g}"
-            )
+    dev = grid.radius_from_center  # then |gamma - 1|, its max taken outside the support
+    outside = dev > support_radius
+    dev = float(np.max(np.abs(np.subtract(vals, 1.0, out=dev), out=dev), where=outside, initial=0.0))
+    if dev > _SUPPORT_TOL:
+        raise DomainError(
+            f"gamma deviates from 1 by {dev:.3e} outside radius {support_radius:.6g}"
+        )
 
 
 def _grad_log_sup(grid: FrequencyGrid, gamma_vals: np.ndarray) -> float:
@@ -130,7 +132,11 @@ def conductivity_from_array(
         if np.max(np.abs(vals.imag)) > 1e-13 * max(1.0, np.max(np.abs(vals.real))):
             raise DomainError("conductivity must be real")
         vals = vals.real
-    vals = np.array(vals, dtype=float)  # a Field makes its values read-only
+    return _from_owned(grid, np.array(vals, dtype=float), support_radius, premollify)
+
+
+def _from_owned(grid: FrequencyGrid, vals: np.ndarray, support_radius: float, premollify: bool = False) -> Conductivity:
+    """conductivity_from_array on a float64 array that it takes over and freezes."""
     bad = vals.size - np.count_nonzero(np.isfinite(vals))
     if bad:
         raise DomainError(f"conductivity has {bad} non-finite values")
@@ -149,33 +155,29 @@ def make_conductivity(grid: FrequencyGrid, profile: dict) -> Conductivity:
     if kind == "uniform":
         spec.pop("amplitude", None)
         _reject_extra(kind, spec)
-        return conductivity_from_array(grid, np.ones(grid.shape), grid.L / 4.0)
-    if kind == "gaussian":
-        a = float(spec.pop("amplitude"))
-        sigma = float(spec.pop("width"))
-        _reject_extra(kind, spec)
-        # tail must be below the support tolerance at L/4
-        radius = grid.L / 4.0
-        if abs(a) * np.exp(-((radius / sigma) ** 2)) > _SUPPORT_TOL:
-            raise DomainError(
-                f"gaussian width {sigma:.6g} leaves a tail above 1e-12 at L/4"
-            )
-        vals = 1.0 + a * np.exp(-((grid.radius_from_center / sigma) ** 2))
-        return conductivity_from_array(grid, vals, radius)
-    if kind == "c1_cap":
-        a = float(spec.pop("amplitude"))
-        radius = float(spec.pop("radius"))
-        _reject_extra(kind, spec)
-        t = np.minimum(grid.radius_from_center / radius, 1.0)
-        vals = 1.0 + a * (1.0 - 3.0 * t * t + 2.0 * t ** 3)
-        return conductivity_from_array(grid, vals, radius, premollify=True)
-    if kind == "cone":
-        a = float(spec.pop("amplitude"))
-        radius = float(spec.pop("radius"))
-        _reject_extra(kind, spec)
-        vals = 1.0 + a * np.maximum(0.0, 1.0 - grid.radius_from_center / radius)
-        return conductivity_from_array(grid, vals, radius, premollify=True)
-    raise DomainError(f"unknown conductivity profile kind {kind!r}")
+        return _from_owned(grid, np.ones(grid.shape), grid.L / 4.0)
+    if kind not in ("gaussian", "c1_cap", "cone"):
+        raise DomainError(f"unknown conductivity profile kind {kind!r}")
+    a = float(spec.pop("amplitude"))
+    scale = float(spec.pop("width" if kind == "gaussian" else "radius"))
+    _reject_extra(kind, spec)
+    radius = grid.L / 4.0 if kind == "gaussian" else scale
+    if kind == "gaussian" and abs(a) * np.exp(-((radius / scale) ** 2)) > _SUPPORT_TOL:  # tail at L/4
+        raise DomainError(f"gaussian width {scale:.6g} leaves a tail above 1e-12 at L/4")
+    vals = grid.radius_from_center  # then 1 + a shape(r / scale) in place
+    vals /= scale
+    if kind == "gaussian":  # exp(-t^2)
+        np.exp(np.negative(np.square(vals, out=vals), out=vals), out=vals)
+    elif kind == "cone":  # max(0, 1 - t)
+        np.maximum(np.subtract(1.0, vals, out=vals), 0.0, out=vals)
+    else:  # 1 - 3t^2 + 2t^3 with t = min(t, 1): a second array, for t^3
+        np.minimum(vals, 1.0, out=vals)
+        poly = 1.0 - 3.0 * vals * vals
+        poly += 2.0 * vals ** 3
+        vals = poly
+    vals *= a
+    vals += 1.0
+    return _from_owned(grid, vals, radius, premollify=kind != "gaussian")
 
 
 def _reject_extra(kind, leftovers: dict):

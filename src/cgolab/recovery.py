@@ -209,7 +209,9 @@ def recover_modes(
     gates = [[_main_term(cond, k, qphi2) for cond, qphi2 in zip(conds, qphi2s)] for k in k_set]
     out = []
     for k, k_gates in zip(k_set, gates):
-        selection = select_zeta_sequence(conds, k, [band], samples_per_band, seed, clamp_eps)[0]
+        # the |q_hat|^2 rows live only through the selection, not the solves
+        rows = (np.abs(c.q_hat) ** 2 for c in conds)
+        selection = select_zeta_sequence(rows, conds[0].grid, k, [band], samples_per_band, seed, clamp_eps)[0]
         out.append([
             _recover(cond, k, qphi2, gate, selection, tol=tol, max_iter=max_iter, clamp_eps=clamp_eps)
             for cond, qphi2, gate in zip(conds, qphi2s, k_gates)

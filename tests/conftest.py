@@ -53,6 +53,12 @@ def full_spectrum(grid, half):
     return cg.grid.spectrum_at(grid, half, np.ix_(*[np.arange(grid.n)] * grid.d))
 
 
+def q_rows(*conds):
+    """The |q_hat|^2 rows on the half lattice that select_zeta_sequence
+    takes, one per conductivity."""
+    return [np.abs(cond.q_hat) ** 2 for cond in conds]
+
+
 def full_psihat(grid, modes):
     """The full-lattice psihat of solve_psi's (psihat on K, K): zero off K."""
     values, kept = modes

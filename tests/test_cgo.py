@@ -6,7 +6,7 @@ from cgolab.errors import InfeasibleGeometryError, NotContractiveError
 from cgolab.spaces import clamp_rule
 from cgolab.symbol import lattice_symbol
 
-from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice, full_psihat
+from conftest import TWO_PI, _oracle_gaussian_q, _oracle_lattice, full_psihat, q_rows
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +216,7 @@ class TestSelectZeta:
     K = np.array([0.0, 0.0, 1.0])
 
     def test_uniform_conductivity_returns_first_sample(self, uniform32):
-        sels = cg.select_zeta_sequence([uniform32], self.K, [8.0], 5, seed=3)
+        sels = cg.select_zeta_sequence(q_rows(uniform32), uniform32.grid, self.K, [8.0], 5, seed=3)
         sel = sels[0]
         assert sel.objective == 0.0
         assert all(row[2] == 0.0 for row in sel.samples)
@@ -225,31 +225,42 @@ class TestSelectZeta:
         assert sel.pair.s == expected[0]
 
     def test_objective_decreases_across_bands(self, bump32):
-        sels = cg.select_zeta_sequence([bump32], self.K, [8.0, 16.0, 32.0], 8, seed=5)
+        sels = cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [8.0, 16.0, 32.0], 8, seed=5)
         objs = [s.objective for s in sels]
         assert objs[0] > objs[1] > objs[2]
 
     def test_min_not_above_mean(self, bump32):
-        sel = cg.select_zeta_sequence([bump32], self.K, [8.0], 8, seed=6)[0]
+        sel = cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [8.0], 8, seed=6)[0]
         values = [row[2] for row in sel.samples]
         assert sel.objective <= np.mean(values)
 
     def test_deterministic_under_seed(self, bump32):
-        a = cg.select_zeta_sequence([bump32], self.K, [8.0, 16.0], 6, seed=11)
-        b = cg.select_zeta_sequence([bump32], self.K, [8.0, 16.0], 6, seed=11)
+        a = cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [8.0, 16.0], 6, seed=11)
+        b = cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [8.0, 16.0], 6, seed=11)
         assert [s.pair.s for s in a] == [s.pair.s for s in b]
         assert [s.objective for s in a] == [s.objective for s in b]
 
     def test_infeasible_k(self, bump32):
         with pytest.raises(InfeasibleGeometryError):
-            cg.select_zeta_sequence([bump32], np.array([0.0, 0.0, 20.0]), [8.0], 4, seed=0)
+            cg.select_zeta_sequence(q_rows(bump32), bump32.grid, np.array([0.0, 0.0, 20.0]), [8.0], 4, seed=0)
 
     def test_bad_bands_rejected(self, bump32):
         with pytest.raises(InfeasibleGeometryError):
-            cg.select_zeta_sequence([bump32], self.K, [16.0, 8.0], 4, seed=0)
+            cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [16.0, 8.0], 4, seed=0)
         with pytest.raises(InfeasibleGeometryError):
-            cg.select_zeta_sequence([bump32], self.K, [8.0], 0, seed=0)
+            cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [8.0], 0, seed=0)
 
     def test_off_lattice_k_rejected(self, bump32):
         with pytest.raises(ValueError):
-            cg.select_zeta_sequence([bump32], np.array([0.0, 0.0, 0.5]), [8.0], 4, seed=0)
+            cg.select_zeta_sequence(q_rows(bump32), bump32.grid, np.array([0.0, 0.0, 0.5]), [8.0], 4, seed=0)
+
+    def test_rows_of_another_shape_or_negative_rejected(self, bump32):
+        (row,) = q_rows(bump32)
+        full = np.abs(np.fft.fftn(bump32.q.values, norm="ortho")) ** 2
+        negative = row.copy()
+        negative[1, 2, 3] = -1e-30
+        for rows, match in (([full], "half-lattice shape"), ([row[:16]], "half-lattice shape"),
+                            ([row, row[..., :-1]], "half-lattice shape"), ([negative], "nonnegative"),
+                            ([], "at least one")):
+            with pytest.raises(ValueError, match=match):
+                cg.select_zeta_sequence(rows, bump32.grid, self.K, [8.0], 4, seed=0)

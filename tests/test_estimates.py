@@ -384,7 +384,8 @@ class TestAveragedDecay:
         grid = cg.FrequencyGrid(3, n, TWO_PI)
         cone = cg.make_conductivity(grid, {"kind": "cone", "amplitude": 0.5, "radius": 0.7})
         lam = 8.0
-        (params,), _ = cg.averaged_decay(cone.log_g, self.K, [lam], 8, 8, cg.make_cutoff(cone))
+        f_half = cg.grid.real_forward(cone.log_g.values)
+        (params,), _ = cg.averaged_decay(f_half, self.K, [lam], 8, 8, cg.make_cutoff(cone))
         fhat_sq = np.abs(np.fft.fftn(cone.log_g.values.real, norm="ortho")) ** 2
         m = np.fft.fftfreq(n, d=1.0 / n)
         xi_sq = m[:, None, None] ** 2 + m[None, :, None] ** 2 + m[None, None, :] ** 2
@@ -393,11 +394,16 @@ class TestAveragedDecay:
             expected = params["A"] / (lam ** (1.0 - theta) * norm_sq)
             assert params[f"normalized_theta_{theta:g}"] == pytest.approx(expected, rel=1e-13)
 
-    def test_complex_field_rejected(self, bump32):
+    def test_anything_but_the_half_spectrum_rejected(self, bump32):
+        # the field itself, a real array of the half shape, the full
+        # complex spectrum, and a half spectrum of another grid
         phi = cg.make_cutoff(bump32)
-        f = cg.Field(bump32.grid, bump32.log_g.values * (1 + 1j))
-        with pytest.raises(ValueError, match="real"):
-            cg.averaged_decay(f, self.K, [8.0], 8, 8, phi)
+        f = bump32.log_g.values
+        f_half = cg.grid.real_forward(f)
+        other = np.zeros((16, 16, 9), dtype=complex)
+        for wrong in (f, f_half.real, np.fft.fftn(f, norm="ortho"), other, bump32.log_g):
+            with pytest.raises(ValueError, match=r"half spectrum of f: a complex array of shape \(32, 32, 17\)"):
+                cg.averaged_decay(wrong, self.K, [8.0], 8, 8, phi)
 
     @pytest.mark.parametrize("quad_eta", [8, 9])
     def test_matches_per_zeta_oracle(self, grid32, quad_eta, monkeypatch):
@@ -414,7 +420,10 @@ class TestAveragedDecay:
             return sums(dens, pairs, *args)
 
         monkeypatch.setattr(estimates, "pair_inverse_symbol_sums", counted)
-        records, trend = cg.averaged_decay(cone.log_g, self.K, [8.0, 16.0], 8, quad_eta, phi)
+        f_half = cg.grid.real_forward(cone.log_g.values)
+        held = f_half.copy()
+        records, trend = cg.averaged_decay(f_half, self.K, [8.0, 16.0], 8, quad_eta, phi)
+        np.testing.assert_array_equal(f_half, held)  # only read
         assert pair_counts == [8 * quad_eta // 2 if quad_eta % 2 == 0 else 8 * quad_eta] * 2
         f, cut = cone.log_g.values.real, phi.values.real
         expected = [self.oracle_a(f, cut, lam, 8, quad_eta) for lam in (8.0, 16.0)]

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,34 @@ class TestDtypeRule:
         cube = grid.dealias_mask[..., : n // 2 + 1]
         np.testing.assert_array_equal(pruned[cube], half[cube])
         assert not np.allclose(pruned, half)
+
+
+    @pytest.mark.parametrize("cube", [False, True])
+    @pytest.mark.parametrize("norm", ["ortho", "backward"])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_real_pair_writes_into_out(self, n, norm, cube):
+        # out= gives the allocating call's bits, is the array returned, and
+        # no lattice-sized array is allocated on the way
+        grid = cg.FrequencyGrid(3, n, TWO_PI)
+        real = np.random.default_rng(n).standard_normal(grid.shape)
+        half = cg.grid.real_forward(real, norm=norm, cube=cube)
+        back = cg.grid.real_inverse(grid, half.copy(), norm=norm)
+        spec, out = np.empty(half.shape, dtype=complex), np.empty(grid.shape)
+        consumed = half.copy()
+        cg.grid.real_inverse(grid, half.copy(), norm=norm, out=out)  # numpy's transform plans
+        for call, result, expected in (
+            (lambda: cg.grid.real_forward(real, norm=norm, cube=cube, out=spec), spec, half),
+            (lambda: cg.grid.real_inverse(grid, consumed, norm=norm, out=out), out, back),
+        ):
+            tracemalloc.start()
+            try:
+                returned = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert returned is result
+            np.testing.assert_array_equal(result, expected)
+            assert peak < out.nbytes / 8
 
 
 @pytest.mark.parametrize("d, n", [(2, 16), (2, 32), (3, 16), (3, 32)])

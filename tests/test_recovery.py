@@ -18,7 +18,7 @@ from cgolab.grid import plane_wave
 from cgolab.recovery import _main_term, _solve_pair, alessandrini_terms
 from cgolab.spaces import smooth_bridge
 
-from conftest import BUMP_AMPLITUDE, BUMP_WIDTH, _oracle_gaussian_q, _oracle_lattice, full_psihat
+from conftest import BUMP_AMPLITUDE, BUMP_WIDTH, _oracle_gaussian_q, _oracle_lattice, full_psihat, q_rows
 
 BAND, SAMPLES, SEED = 64.0, 4, 0
 
@@ -288,7 +288,7 @@ def test_uniqueness_gap_rows_equal_sequential_recomputation(bump64):
     assert len(rows) == len(k_modes)
     for row, mode in zip(rows, k_modes):
         k = np.array(mode, dtype=float)
-        pair = cg.select_zeta_sequence([bump64, other], k, [BAND], SAMPLES, SEED)[0].pair
+        pair = cg.select_zeta_sequence(q_rows(bump64, other), bump64.grid, k, [BAND], SAMPLES, SEED)[0].pair
         steps, reports = [], []
         for cond in (bump64, other):
             solves = [cg.solve_psi(cond, zeta) for zeta in (pair.zeta1, pair.zeta2)]
@@ -366,7 +366,7 @@ def test_one_conductivity_equals_its_steps(bump64):
     recs = cg.recover_modes([bump64], k_set, BAND, samples_per_band=SAMPLES, seed=SEED)
     assert len(recs) == len(k_set)
     for (rec,), k in zip(recs, k_set):
-        selection = cg.select_zeta_sequence([bump64], k, [BAND], SAMPLES, SEED)[0]
+        selection = cg.select_zeta_sequence(q_rows(bump64), bump64.grid, k, [BAND], SAMPLES, SEED)[0]
         (_, rep1, psi1), (_, rep2, psi2) = _solve_pair(bump64, selection.pair, tol=1e-10, max_iter=600)
         terms = stepwise_terms(bump64, k, psi1, psi2)
         assert (rec.selection.lam, rec.selection.objective) == (selection.lam, selection.objective)

@@ -3,12 +3,14 @@ pairing, per averaged decay and per harness sample, the harness's symbol
 evaluations, and the singular-integral quadrature's one slab pass per
 zeta for all its etas."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cgolab as cg
+from cgolab import cli
 from cgolab.potential import _grad_log_sup
 from cgolab.recovery import _solve_pair
 from cgolab.symbol import lattice_symbol
@@ -111,14 +113,18 @@ class TestTransformCounts:
         phi = cg.make_cutoff(bump32)
         k = np.array([0.0, 0.0, 1.0])
         fft_calls.clear()
-        cg.averaged_decay(bump32.log_g, k, [8.0], 8, 8, phi)
-        # f once, then per gradient component one real product, all on the
-        # half spectrum; the product goes forward only on the lines that
-        # reach the 2/3 cube: one axis-1 block, two axis-0 blocks
+        f_half = cg.grid.real_forward(bump32.log_g.values)
+        assert fft_calls == REAL_FORWARD
+        full = sum(entry[2] for entry in fft_calls.work)
+        fft_calls.clear()
+        cg.averaged_decay(f_half, k, [8.0], 8, 8, phi)
+        # f once, by the caller; averaged_decay then makes, per gradient
+        # component, one real inverse and one pruned real forward of the
+        # product, all on the half spectrum: the forward runs only on the
+        # lines that reach the 2/3 cube, one axis-1 block and two axis-0 blocks
         density_forward = ["rfft", "fftn", "fftn", "fftn"]
-        assert fft_calls == REAL_FORWARD + (REAL_INVERSE + density_forward) * 3
-        full = sum(entry[2] for entry in fft_calls.work[:3])
-        for start in (6, 13, 20):
+        assert fft_calls == (REAL_INVERSE + density_forward) * 3
+        for start in (3, 10, 17):
             # 69.1% of a full real forward at n=32
             assert sum(entry[2] for entry in fft_calls.work[start : start + 4]) <= 0.71 * full
 
@@ -208,6 +214,66 @@ class TestSolverMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 26 * 2 ** 20
+
+
+class TestSweepMemory:
+    """The sweep's operations at n=64 hold only what their kernels read."""
+
+    K = np.array([1.0, 2.0, 0.0])
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("profile", [{"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH},
+                                         CONE])
+    def test_n64_averaged_decay_peaks_under_5_mib(self, bump64, profile):
+        # f's half spectrum and the cutoff are the caller's: measured 4.58
+        # MiB, the density's two buffers and its cube-sized sum; 8.44-8.69
+        # MiB when it took f and made a half spectrum and a real array per
+        # gradient component
+        cond = cg.make_conductivity(bump64.grid, profile)
+        phi = cg.make_cutoff(cond)
+        f_half = cg.grid.real_forward(cond.log_g.values)
+        del cond
+
+        def call():
+            return cg.averaged_decay(f_half, self.K, [8.0, 16.0, 32.0, 64.0], 8, 8, phi)
+
+        expected = call()  # the grid's cached arrays and numpy's transform plans
+        assert self.peak(call) <= 5 * 2 ** 20
+        assert call() == expected
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("select-zeta", {"samples_per_band": 4}),
+        ("averaged-decay", {"bands": [64.0]}),
+    ])
+    def test_n64_sweep_subcommand_peaks_under_9_5_mib(self, tmp_path, subcommand, config):
+        # the benchmark's n=64 cone configs, on a second run: measured 8.08
+        # (select-zeta, in the conductivity's q) and 8.65 MiB
+        # (averaged-decay, in its density); 10.24 and 14.70 MiB when each
+        # held its conductivity while its band kernel ran
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"n": 64}, "profiles": [CONE], "seed": 3,
+                                    "out_dir": str(tmp_path / "out"), **config}))
+        assert cli.main([subcommand, "--config", str(path)]) == 0  # warms lazy imports and plans
+        peak = self.peak(lambda: cli.main([subcommand, "--config", str(path)]))
+        assert peak <= 9.5 * 2 ** 20
+
+    @pytest.mark.parametrize("profile", [{"kind": "gaussian", "amplitude": BUMP_AMPLITUDE, "width": BUMP_WIDTH},
+                                         CONE, {"kind": "c1_cap", "amplitude": 0.5, "radius": 1.1}])
+    def test_n64_profile_build_peaks_under_6_5_mib(self, bump64, profile):
+        # gamma is formed in one radius array, and the support check reuses
+        # a second: measured 4.25 MiB (gaussian) and 6.25 MiB (cone, c1_cap:
+        # gamma before and after pre-mollifying, and the check); 8.0, 8.1
+        # and 10.1 MiB with a copy of gamma and gathered deviations
+        cg.make_conductivity(bump64.grid, profile)
+        assert self.peak(lambda: cg.make_conductivity(bump64.grid, profile)) <= 6.5 * 2 ** 20
 
 
 class TestConductivityMemory:

@@ -11,7 +11,7 @@ from cgolab.estimates import _norm_weights
 from cgolab.spaces import clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from cgolab.symbol import lattice_symbol, make_zeta_pair
 
-from conftest import TWO_PI, full_psihat, full_spectrum, random_values
+from conftest import TWO_PI, full_psihat, full_spectrum, q_rows, random_values
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +318,7 @@ class TestInverseSymbolSums:
             with pytest.raises(ValueError, match="clamp_eps"):
                 pair_inverse_symbol_sums(dens, pairs[1], grid16, clamp_eps, "floor")
             with pytest.raises(ValueError, match="clamp_eps"):
-                cg.select_zeta_sequence([bump32], self.K, [8.0], 2, seed=0, clamp_eps=clamp_eps)
+                cg.select_zeta_sequence(q_rows(bump32), bump32.grid, self.K, [8.0], 2, seed=0, clamp_eps=clamp_eps)
 
     def test_selection_builds_no_symbol_data(self, bump32, monkeypatch):
         # the sums evaluate zeta1's symbol in slabs; no full-lattice symbol
@@ -328,7 +328,7 @@ class TestInverseSymbolSums:
 
         for module in (cg.symbol, cg.cgo, cg.estimates):
             monkeypatch.setattr(module, "lattice_symbol", forbidden)
-        selection = cg.select_zeta_sequence([bump32, bump32], self.K, [8.0, 16.0], 3, seed=1)
+        selection = cg.select_zeta_sequence(q_rows(bump32, bump32), bump32.grid, self.K, [8.0, 16.0], 3, seed=1)
         assert [len(band.samples) for band in selection] == [3, 3]
 
     def test_zero_density_gives_zeros(self, grid16, pairs):
