@@ -9,14 +9,15 @@ plain fixed-point iteration
 is used deliberately unaccelerated: the per-step increment ratio in the
 homogeneous 1/2-norm is itself a quantity of interest (it certifies the
 contraction numerically).  psihat is carried as one vector over the kept
-modes K -- the 2/3 cube minus the clamped modes -- since it vanishes
-everywhere else.  The first step divides q_hat on K by p; every later one
-scatters psihat into one lattice buffer, forms the product in physical
-space in place and gathers K back; both transforms skip the lines the
-cube cannot reach (grid.cube_transform).  A full transform of the fresh
-product q (1 + psi), formed in the same buffer, re-verifies the residual;
-psi is then formed there again by the same pruned inverse, with the same
-bits, and returned, so the pairing transforms nothing.
+modes K (kept_modes, the 2/3 cube minus the clamped modes; the m_q norm
+of estimates reads it too), since it vanishes off K.  The first step
+divides q_hat on K by p; every later one scatters psihat into one lattice
+buffer, forms the product in physical space in place and gathers K back;
+both transforms skip the lines the cube cannot reach
+(grid.cube_transform).  A full transform of the fresh product
+q (1 + psi), formed in the same buffer, re-verifies the residual; psi is
+then formed there again by the same pruned inverse, with the same bits,
+and returned, so the pairing transforms nothing.
 
 A solve holds that one lattice buffer and five K-length vectors: K, p,
 |p| h^d, psihat and a spare for the previous iterate and the increment.
@@ -77,6 +78,16 @@ class IterationReport:
                                       f"no convergence within {self.iterations} iterations")
 
 
+def kept_modes(grid: FrequencyGrid, zeta: Zeta, clamp_eps: float) -> tuple:
+    """K, the 2/3 cube minus the modes |p| < clamp_eps * s, and those clamped
+    modes, as increasing flat FFT-order lattice indices; p on K."""
+    band = np.flatnonzero(np.abs(grid.mode_axis) <= grid.n // 3)
+    p = lattice_symbol(zeta, [grid.xi_axis[band]] * grid.d)
+    mask = clamp_rule(np.abs(p), clamp_eps, zeta.s)
+    index = reduce(lambda flat, m: np.add.outer(flat * grid.n, m), [band] * grid.d)
+    return index[~mask], index[mask], p[~mask]
+
+
 def solve_psi(
     cond: Conductivity,
     zeta: Zeta,
@@ -93,8 +104,7 @@ def solve_psi(
     Increments and psi_norm_xdot use the homogeneous 1/2-norm
     (sum over kept xi of |p(xi)| |psihat(xi)|^2 h^d)^{1/2}, where
     p(xi) = -|xi|^2 + 2i zeta . xi and h^d is the grid's cell measure.
-    The kept modes K are the 2/3 cube, the posed band, minus the clamped
-    modes |p| < clamp_eps * s; psihat is zero off K.  clamp_eps must be
+    psihat is zero off the kept modes K (kept_modes).  clamp_eps must be
     positive: the lattice symbol vanishes at xi = 0, where q has its mean.
 
     The returned psi is re-checked against the equation posed on the
@@ -103,30 +113,22 @@ def solve_psi(
     the posed band; clamped modes are dropped).  From the same w,
     dealias_defect is the -1/2-norm of w on the unclamped modes off the
     cube, and clamped_mass its L2 mass on the clamped modes of the cube.
-
-    The symbol is formed for this call only: on the posed band for K, and
-    off the cube on the boxes cube^j x off x lattice^(d-j-1), j < d.  The
-    one lattice buffer holds psi, then w, then psi formed again.
+    The one lattice buffer holds psi, then w, then psi formed again.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if not clamp_eps > 0:
         raise ValueError("clamp_eps must be positive")
     grid = cond.grid
-    xi = grid.xi_axis
-    # p on the 2/3 cube, gathered on K; index maps each cube point to the lattice
-    band = np.flatnonzero(np.abs(grid.mode_axis) <= grid.n // 3)
-    p = lattice_symbol(zeta, [xi[band]] * grid.d)
-    mask = clamp_rule(np.abs(p), clamp_eps, zeta.s)
-    index = reduce(lambda flat, m: np.add.outer(flat * grid.n, m), [band] * grid.d)
-    kept, clamped, p_k = index[~mask], index[mask], p[~mask]
-    del p, index
+    kept, clamped, p_k = kept_modes(grid, zeta, clamp_eps)
     buf = np.empty(grid.shape, dtype=complex)  # before the K vectors, whose memory the pairing reuses
-    weight_k = np.abs(p_k) * grid.measure
-    # psi_0 = 0, so the first right-hand side is the transform of q itself
-    psi = spectrum_at(grid, cond.q_hat, np.ix_(*[band] * grid.d))[~mask] / p_k
-    spare = np.zeros_like(psi)  # the previous iterate, then the increment
     flat = buf.reshape(-1)
+    weight_k = np.abs(p_k) * grid.measure
+    # psi_0 = 0, so the first right-hand side is the transform of q itself, read on the cube in buf
+    ix = np.ix_(*[np.flatnonzero(np.abs(grid.mode_axis) <= grid.n // 3)] * grid.d)
+    buf[ix] = spectrum_at(grid, cond.q_hat, ix)
+    psi = np.take(flat, kept) / p_k
+    spare = np.zeros_like(psi)  # the previous iterate, then the increment
     dens = flat.view(float)[: len(kept)]  # buf is free from a gather to the next scatter
 
     def sq_abs(v, out):
@@ -191,7 +193,7 @@ def solve_psi(
             rows = max(1, SLAB_POINTS // int(np.prod([b.stop - b.start for b in box[1:]])))
             for a in range(box[0].start, box[0].stop, rows):
                 slab = (slice(a, min(a + rows, box[0].stop)), *box[1:])
-                pabs = np.abs(lattice_symbol(zeta, [xi[b] for b in slab]))
+                pabs = np.abs(lattice_symbol(zeta, [grid.xi_axis[b] for b in slab]))
                 hit = clamp_rule(pabs, clamp_eps, zeta.s)
                 clamped_count += int(np.count_nonzero(hit))
                 pabs[hit] = np.inf  # a clamped mode adds nothing

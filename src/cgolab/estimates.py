@@ -28,6 +28,8 @@ The symbol magnitude is cut at the frequency-cell scale s*dxi/2 (the
 lattice surrogate of averaging |p| over one cell).  The homogeneous
 norms of the cutoff and bilinear estimates drop the modes under that
 floor; the adversarial sampler, mq_decay and avg_decay floor |p| there.
+mq_decay runs on the solver's kept modes K, zeta_2's side read at -m on
+K(-zeta_2), from a Lanczos start drawn on K (_mq_operator_norm).
 Each norm is one weighted spectral sum (sum w |uhat|^2 h^d)^{1/2}, the
 weighted L2 norm by Parseval, with a weight that _norm_weights builds
 once per call from one evaluation of |p|.  The draws live on the 2/3
@@ -45,9 +47,10 @@ from typing import Optional
 
 import numpy as np
 
+from .cgo import kept_modes
 from .errors import InfeasibleGeometryError
 from .grid import Field, FrequencyGrid, cube_transform, hermitian_planes, real_forward, real_inverse
-from .potential import Conductivity, potential_q
+from .potential import Conductivity
 from .spaces import DEFAULT_CLAMP_EPS, SLAB_POINTS, clamp_rule, pair_inverse_symbol_sums, smooth_bridge
 from .symbol import Zeta, ZetaPair, char_distance, check_band, lattice_symbol, make_zeta_pair, orthonormal_plane, zeta_pair_from_angle
 
@@ -429,32 +432,32 @@ def mq_operator_ratio(
 
 
 def _mq_operator_norm(cond: Conductivity, pair: ZetaPair, rng) -> float:
-    """Top singular value of the bilinear form between the two weighted
-    slots (cell-floored weights, exact zeros dropped, on the 2/3 cube).
+    """Top singular value of the bilinear form <m_q u, v> between the two
+    weighted slots, on the kept modes K (kept_modes), |p| cell-floored.
+    The lattice duality form is exactly sum q u v h^d (see potential), so
+    with a = sqrt(|p_1|) u, b = sqrt(|p_2|) v in unitary spectral
+    coordinates it is b . M a, M a = ifft(q ifft(a / sqrt|p_1|)) / sqrt|p_2|.
+    As ifft(y)(m) = fft(y)(-m) and p_{-zeta}(xi) = p_zeta(-xi), M read at
+    -m maps K(zeta_1) to K(-zeta_2) with the same norm: scatter, pruned
+    inverse, q, pruned forward, gather, in one lattice buffer; the adjoint
+    swaps the sides.  The Lanczos start is a K-long draw, so the norm
+    moves only by rounding from the full-lattice map's."""
+    grid, sides = cond.grid, []
+    for z in (pair.zeta1, Zeta(-pair.zeta2.value)):
+        kept, _, p_k = kept_modes(grid, z, DEFAULT_CLAMP_EPS)
+        sides.append((kept, 1.0 / np.sqrt(np.maximum(np.abs(p_k), cell_floor(grid, z.s)))))
+    buf = np.empty(grid.shape, dtype=complex)
 
-    The kernel is q: on the lattice the duality form
-    -sum grad(g) . grad(g^{-1} u v) h^d is exactly sum q u v h^d (see
-    potential).  With a = sqrt(|p_1|) u and b = sqrt(|p_2|) v in
-    unitary spectral coordinates the form is b . M a, where
-    M a = ifft(q ifft(a / sqrt|p_1|)) / sqrt|p_2| (the unitary DFT is
-    symmetric), and its norm is that of M."""
-    grid = cond.grid
-    kernel = potential_q(cond).values
-    scales = []
-    for z in (pair.zeta1, pair.zeta2):
-        pabs = np.abs(lattice_symbol(z, [grid.xi_axis] * grid.d))
-        keep = grid.dealias_mask & ~clamp_rule(pabs, DEFAULT_CLAMP_EPS, z.s)
-        scales.append(np.where(keep, 1.0 / np.sqrt(np.maximum(pabs, cell_floor(grid, z.s))), 0.0))
-    inv_w1, inv_w2 = scales
+    def chain(x, src, src_w, dst, dst_w):
+        buf.fill(0.0)
+        np.put(buf, src, src_w * x)
+        cube_transform(grid, buf, "inverse")
+        np.multiply(buf, cond.q.values, out=buf)
+        cube_transform(grid, buf, "forward")
+        return dst_w * np.take(buf, dst)
 
-    def apply(a):
-        return inv_w2 * np.fft.ifftn(kernel * np.fft.ifftn(inv_w1 * a, norm="ortho"), norm="ortho")
-
-    def adjoint(b):
-        return inv_w1 * np.fft.fftn(kernel * np.fft.fftn(inv_w2 * b, norm="ortho"), norm="ortho")
-
-    x0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return top_singular_value(apply, adjoint, x0)
+    x0 = rng.standard_normal(len(sides[0][0])) + 1j * rng.standard_normal(len(sides[0][0]))
+    return top_singular_value(lambda a: chain(a, *sides[0], *sides[1]), lambda b: chain(b, *sides[1], *sides[0]), x0)
 
 
 # -- averaged decay over (s, eta1) bands -------------------------------------

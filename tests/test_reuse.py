@@ -139,17 +139,18 @@ class TestTransformCounts:
         assert all(points == 32 * 32 * 17 for _, _, points in fft_calls.work)
 
 
-    def test_harness_transforms_only_the_cube(self, grid16, fft_calls):
+    def test_harness_transforms_only_the_cube(self, grid32, fft_calls):
         # per sample a pruned inverse of the draw and a pruned forward of
         # phi_B u, each one axis at a time; 6 full transforms per sample
-        # when the norms were taken through physical fields
-        cond = cg.make_conductivity(grid16, {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE,
+        # when the norms were taken through physical fields.  n=32: below
+        # it cube_transform prunes nothing
+        cond = cg.make_conductivity(grid32, {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE,
                                              "width": BUMP_WIDTH})
         phi = cg.make_cutoff(cond)
         pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 2.0, 0.3)
         fft_calls.clear()
         for direction in ("inverse", "forward"):
-            cg.grid.cube_transform(grid16, np.zeros(grid16.shape, dtype=complex), direction)
+            cg.grid.cube_transform(grid32, np.zeros(grid32.shape, dtype=complex), direction)
         per_sample = sum(points for _, _, points in fft_calls.work)
         for call, samples in ((lambda: cg.localization_ratios(4, pair.zeta1, phi, seed=0), 4),
                               (lambda: cg.bilinear_ratio(pair, phi, seed=0), 2)):
@@ -157,6 +158,61 @@ class TestTransformCounts:
             call()
             assert fft_calls and all(axes is not None and len(axes) == 1 for _, axes, _ in fft_calls.work)
             assert sum(points for _, _, points in fft_calls.work) <= samples * per_sample
+
+
+    def test_mq_norm_transforms_and_evaluates_only_the_cube(self, fft_calls, monkeypatch):
+        # each apply and each adjoint is a pruned inverse and a pruned
+        # forward on one lattice buffer, and p is evaluated on the cube
+        # only (cgo.kept_modes), once per zeta; a fresh grid shows that
+        # the dealias mask is never built.  Before, each was a full ifftn
+        # pair or fftn pair on full-lattice vectors, with |p| formed on the
+        # whole lattice
+        grid = cg.FrequencyGrid(3, 32, 2.0 * np.pi)
+        cond = cg.make_conductivity(grid, {"kind": "gaussian", "amplitude": BUMP_AMPLITUDE,
+                                           "width": BUMP_WIDTH})
+        cond.q
+        lengths = []
+
+        def counted(zeta, axes):
+            lengths.append([len(x) for x in axes])
+            return lattice_symbol(zeta, axes)
+
+        monkeypatch.setattr(cg.cgo, "lattice_symbol", counted)
+        monkeypatch.setattr(cg.estimates, "lattice_symbol", counted)
+        assert "dealias_mask" not in grid.__dict__
+        fft_calls.clear()
+        pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 16.0, 0.3)
+        rows, _ = cg.mq_operator_ratio(cond, pair, seed=0)
+        chain = ["ifftn"] * 7 + ["fftn"] * 7
+        assert len(fft_calls) >= 2 * len(chain) and len(fft_calls) % len(chain) == 0
+        assert fft_calls == chain * (len(fft_calls) // len(chain))
+        assert all(axes is not None and len(axes) == 1 for _, axes, _ in fft_calls.work)
+        assert lengths == [[21] * 3] * (2 * len(rows))
+        assert "dealias_mask" not in grid.__dict__
+
+
+class TestKeptModes:
+    @pytest.mark.parametrize("clamp_eps", [cg.spaces.DEFAULT_CLAMP_EPS, 0.05])
+    def test_matches_full_lattice_oracle_at_zeta_and_its_mirror(self, grid32, zeta16, clamp_eps):
+        # the 2/3 cube minus |p| < clamp_eps s, read from the whole lattice
+        neg = (-np.arange(32)) % 32  # FFT-order index of -m
+        found = {}
+        for sign in (1.0, -1.0):
+            zeta = cg.Zeta(sign * zeta16.value)
+            kept, clamped, p_k = cg.cgo.kept_modes(grid32, zeta, clamp_eps)
+            p = lattice_symbol(zeta, [grid32.xi_axis] * 3)
+            hit = np.abs(p) < clamp_eps * zeta16.s
+            np.testing.assert_array_equal(kept, np.flatnonzero(grid32.dealias_mask & ~hit))
+            np.testing.assert_array_equal(clamped, np.flatnonzero(grid32.dealias_mask & hit))
+            np.testing.assert_array_equal(p_k, p.reshape(-1)[kept])
+            found[sign] = kept, clamped, p_k
+        assert len(found[1.0][1]) > 0
+        # K(-zeta) is the mirror -K(zeta), with |p| the same bit for bit
+        mirror = np.ravel_multi_index([neg[i] for i in np.unravel_index(found[1.0][0], grid32.shape)],
+                                      grid32.shape)
+        order = np.argsort(mirror)
+        np.testing.assert_array_equal(mirror[order], found[-1.0][0])
+        np.testing.assert_array_equal(np.abs(found[1.0][2])[order], np.abs(found[-1.0][2]))
 
 
 class TestLipschitzSeminorm:
@@ -214,6 +270,18 @@ class TestSolverMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 26 * 2 ** 20
+
+
+    def test_one_n32_mq_norm_peaks_under_2_5_mib(self, bump32):
+        # K-length Lanczos vectors and one lattice buffer: measured 2.05 MiB;
+        # 4.79 MiB with full-lattice weights, vectors and transforms
+        pair = cg.zeta_pair_from_angle(np.array([0.0, 0.0, 1.0]), 16.0, 0.3)
+
+        def call():
+            return cg.estimates._mq_operator_norm(bump32, pair, np.random.default_rng(0))
+
+        call()  # numpy's transform plans
+        assert self.peak(call, bump32) <= 2.5 * 2 ** 20
 
 
 class TestSweepMemory:
